@@ -6,6 +6,8 @@ from .geometry import (
     BaseRing,
     Geometry,
     GradedClass,
+    SectorClass,
+    SectorRing,
     TautClasses,
     TotalClass,
     default_geometry,
@@ -13,11 +15,11 @@ from .geometry import (
     i_push,
     integrate_total,
 )
-from .gw import gw_invariant, gw_vanishing_symplectic
+from .gw import gw_invariant
 from .mckay import GroupSpec, ade_equation, character_table, mckay_graph, resolution_graph
-from .orbifold import ConventionFlags, OrbClass, OrbifoldRing, age, obstruction_class, surface_table
-from .quantum import PoleError, QPoint, QSeries, QuantumRing, quantum_mul, r_poly
-from .resolution import ResClass, ResolutionRing
+from .orbifold import ConventionFlags, OrbifoldRing, age, obstruction_class
+from .quantum import PoleError, QPoint, QSeries, QuantumRing, r_poly
+from .resolution import ResolutionRing
 from .scalars import CycNum, parse_scalar
 from .verify import (
     HomCandidate,

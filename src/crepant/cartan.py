@@ -44,23 +44,6 @@ def cartan_inverse_entry(n: int, i: int, j: int) -> Fraction:
     return cartan_inverse(n)[i - 1][j - 1]
 
 
-def cartan_inverse_by_elimination(n: int):
-    """Independent computation of c_n^-1 by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in cartan_matrix(n)]
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 @dataclass(frozen=True)
 class CurveClass:
     """An effective fiber curve class: nonnegative multiplicities of the

@@ -4,12 +4,13 @@ deterministic JSON (or aligned text)."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 
 from .cartan import cartan_inverse, cartan_matrix, curve_class
-from .geometry import BaseRing, Geometry
+from .geometry import Geometry, SectorClass, i_push
 from .gw import gw_invariant, gw_metadata
 from .mckay import (
     GroupSpec,
@@ -22,7 +23,7 @@ from .mckay import (
 )
 from .orbifold import ConventionFlags, OrbifoldRing, age
 from .quantum import PoleError, QPoint, QuantumRing
-from .resolution import ResClass, ResolutionRing
+from .resolution import ResolutionRing
 from .scalars import CycNum, format_rational, parse_scalar, scalar_to_json
 from .verify import (
     HomCandidate,
@@ -157,8 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _class_json(x) -> dict:
-    return x.to_json()
+def _ee_table(ring) -> dict:
+    """Products of two sector generators, i <= j."""
+    n = ring.geom.n
+    return {f"{ring.letter}_{i} * {ring.letter}_{j}": ring.to_json(ring.ee_product(i, j))
+            for i in range(1, n + 1) for j in range(i, n + 1)}
 
 
 def cmd_orb_table(args) -> dict:
@@ -168,20 +172,16 @@ def cmd_orb_table(args) -> dict:
     table = {}
     for i, (lx, x) in enumerate(basis):
         for ly, y in basis[i:]:
-            table[f"{lx} * {ly}"] = _class_json(ring.mul(x, y))
+            table[f"{lx} * {ly}"] = ring.to_json(ring.mul(x, y))
     return {"command": "orb-table", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags), "table": table}
 
 
 def cmd_res_table(args) -> dict:
     geom, flags, _ = load_config(args.config)
-    ring = ResolutionRing(geom)
-    table = {}
-    for i in range(1, geom.n + 1):
-        for j in range(i, geom.n + 1):
-            table[f"E_{i} * E_{j}"] = _class_json(ring.ee_product(i, j))
     return {"command": "res-table", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags), "table": table}
+            "conventions": conventions_block(geom, flags),
+            "table": _ee_table(ResolutionRing(geom))}
 
 
 def cmd_gw(args) -> dict:
@@ -202,10 +202,12 @@ def cmd_gw(args) -> dict:
     for tok in args.insert.split(","):
         tok = tok.strip()
         if tok.upper().startswith("E") and tok[1:].isdigit():
-            insertions.append(ResClass.divisor(geom, int(tok[1:])))
+            l = int(tok[1:])
+            if not 1 <= l <= geom.n:
+                raise CliError(f"divisor index out of range: {l}")
+            insertions.append(SectorClass.sector(geom, l))
         elif tok == "sigma":
-            from .geometry import TotalClass, i_push
-            insertions.append(ResClass.from_pullback(geom, i_push(geom.base.one())))
+            insertions.append(SectorClass.from_y(geom, i_push(geom.base.one())))
         else:
             raise CliError(f"unknown insertion {tok!r}")
     if len(insertions) != 3:
@@ -222,14 +224,9 @@ def cmd_gw(args) -> dict:
 def cmd_qc_table(args) -> dict:
     geom, flags, _ = load_config(args.config)
     q = parse_q_spec(args.q, geom.n)
-    ring = QuantumRing(geom, q)
-    table = {}
-    for i in range(1, geom.n + 1):
-        for j in range(i, geom.n + 1):
-            table[f"E_{i} * E_{j}"] = _class_json(ring.ee_product(i, j))
     return {"command": "qc-table", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags),
-            "q": q.to_json(), "table": table}
+            "q": q.to_json(), "table": _ee_table(QuantumRing(geom, q))}
 
 
 def cmd_verify_a1(args) -> dict:
@@ -340,12 +337,18 @@ def run(argv, stdout=None) -> int:
     parser = build_parser()
     # unknown subcommand: usage text and exit 1 (argparse would use 2)
     if not any(a in COMMANDS for a in argv):
+        if "-h" in argv or "--help" in argv:
+            parser.print_help(stdout)
+            return 0
         parser.print_usage(stdout)
         return 1
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:
-        return 2
+        # argparse prints help to sys.stdout and exits 0 after it, or 2
+        # after a usage error
+        with contextlib.redirect_stdout(stdout):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2
     try:
         report = HANDLERS[args.command](args)
     except CliError as exc:

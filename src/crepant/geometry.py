@@ -303,3 +303,139 @@ def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
     else:
         taut = TautClasses(n, Fraction(1), Fraction(n), Fraction(1))
     return Geometry(n=n, base=base, taut=taut)
+
+
+@dataclass(frozen=True)
+class SectorClass:
+    """A class of a sector ring: a class on Y plus one H*(S) coefficient per
+    sector.  The sectors are the twisted sectors e_1..e_n of the orbifold or
+    the exceptional divisors E_1..E_n of the resolution; each sector
+    generator has degree 2."""
+
+    geom: Geometry
+    y: TotalClass
+    sectors: tuple  # n GradedClass entries
+
+    @classmethod
+    def from_y(cls, geom: Geometry, y: TotalClass) -> "SectorClass":
+        return cls(geom, y, (geom.base.zero(),) * geom.n)
+
+    @classmethod
+    def sector(cls, geom: Geometry, a: int, alpha: GradedClass | None = None) -> "SectorClass":
+        """alpha times the a-th sector generator (alpha defaults to 1)."""
+        if not 1 <= a <= geom.n:
+            raise ValueError(f"sector index out of range: {a}")
+        sectors = [geom.base.zero()] * geom.n
+        sectors[a - 1] = geom.base.one() if alpha is None else alpha
+        return cls(geom, TotalClass.zero(geom.base), tuple(sectors))
+
+    def __add__(self, other):
+        return SectorClass(self.geom, self.y + other.y,
+                           tuple(a + b for a, b in zip(self.sectors, other.sectors)))
+
+    def __sub__(self, other):
+        return SectorClass(self.geom, self.y - other.y,
+                           tuple(a - b for a, b in zip(self.sectors, other.sectors)))
+
+    def scale(self, scalar) -> "SectorClass":
+        return SectorClass(self.geom, self.y.scale(scalar),
+                           tuple(a.scale(scalar) for a in self.sectors))
+
+    def is_zero(self) -> bool:
+        return self.y.is_zero() and all(a.is_zero() for a in self.sectors)
+
+    def __eq__(self, other):
+        if not isinstance(other, SectorClass):
+            return NotImplemented
+        return (self.y == other.y
+                and all(a == b for a, b in zip(self.sectors, other.sectors)))
+
+    __hash__ = None
+
+    def degrees(self):
+        """Real degrees present; sector coefficients are shifted up by 2."""
+        out = set(self.y.degrees())
+        for alpha in self.sectors:
+            out |= {d + 2 for d in alpha.degrees()}
+        return out
+
+
+class SectorRing:
+    """H*(Y) plus n sector copies of H*(S), each generated in degree 2.
+
+    The orbifold ring and the classical and quantum resolution rings share
+    this shape and differ only in the product of two sector generators.  A
+    subclass supplies that product as `_compute_ee(i, j)` for i <= j, and
+    sets `letter`, the sector label in the basis, and `json_keys`, the JSON
+    names of the Y part and of the sector list."""
+
+    letter: str
+    json_keys: tuple
+
+    def __init__(self, geom: Geometry):
+        self.geom = geom
+        self._ee = {}
+
+    def one(self) -> SectorClass:
+        return SectorClass.from_y(self.geom, TotalClass.one(self.geom.base))
+
+    def ee_product(self, i: int, j: int) -> SectorClass:
+        """The product of the i-th and j-th sector generators; cached."""
+        key = (min(i, j), max(i, j))
+        if key not in self._ee:
+            self._ee[key] = self._compute_ee(*key)
+        return self._ee[key]
+
+    def _compute_ee(self, i: int, j: int) -> SectorClass:
+        raise NotImplementedError
+
+    def mul(self, x: SectorClass, y: SectorClass) -> SectorClass:
+        """Y parts multiply on Y, a class on Y acts on a sector through its
+        restriction to S, and alpha e_i times beta e_j is alpha beta times
+        `ee_product(i, j)`."""
+        geom = self.geom
+        rx, ry = i_pull(x.y), i_pull(y.y)
+        out_y = x.y * y.y
+        sectors = [rx * b + ry * a for a, b in zip(x.sectors, y.sectors)]
+        for i, a in enumerate(x.sectors, start=1):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(y.sectors, start=1):
+                if b.is_zero():
+                    continue
+                coeff = a * b
+                ee = self.ee_product(i, j)
+                # GradedClass.__mul__ skips zero scalars, so a zero factor
+                # gives only rational zeros: skipping it changes no value
+                # and no conductor.
+                if not ee.y.is_zero():
+                    out_y = out_y + TotalClass(ee.y.pure * coeff, ee.y.sigma * coeff)
+                for l, e in enumerate(ee.sectors):
+                    if not e.is_zero():
+                        sectors[l] = sectors[l] + e * coeff
+        return SectorClass(geom, out_y, tuple(sectors))
+
+    def pairing(self, x: SectorClass, y: SectorClass):
+        """Poincare pairing: integrate the Y part of the product over Y."""
+        return integrate_total(self.mul(x, y).y)
+
+    def basis(self):
+        """Labelled vector-space basis over the scalars."""
+        geom = self.geom
+        ring = geom.base
+        out = []
+        for j in range(ring.rank):
+            out.append((f"h^{j}" if j else "1",
+                        SectorClass.from_y(geom, TotalClass(ring.h_power(j), ring.zero()))))
+        for j in range(ring.rank):
+            out.append((f"sigma*h^{j}" if j else "sigma",
+                        SectorClass.from_y(geom, TotalClass(ring.zero(), ring.h_power(j)))))
+        for a in range(1, geom.n + 1):
+            for j in range(ring.rank):
+                label = f"h^{j}*{self.letter}_{a}" if j else f"{self.letter}_{a}"
+                out.append((label, SectorClass.sector(geom, a, ring.h_power(j))))
+        return out
+
+    def to_json(self, x: SectorClass):
+        y_key, sectors_key = self.json_keys
+        return {y_key: x.y.to_json(), sectors_key: [a.to_json() for a in x.sectors]}

@@ -10,32 +10,22 @@ and assumed in general; results carry that assumption as metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CurveClass, intersection
-from .geometry import Geometry, GradedClass
-from .resolution import ResClass
+from .geometry import Geometry, SectorClass
 
 ASSUMPTION_NOTE = "three-point values in fiber classes assumed for all base dimensions"
 
 
-@dataclass(frozen=True)
-class Insertion:
-    """A divisor insertion alpha * E_l."""
-
-    l: int
-    alpha: GradedClass
-
-
-def classify_insertion(x: ResClass):
+def classify_insertion(x: SectorClass):
     """Split a monomial class into ('pullback', y) or ('exceptional', l, alpha).
 
     Raises ValueError for classes that are neither."""
-    nonzero = [(l + 1, a) for l, a in enumerate(x.exc) if not a.is_zero()]
+    nonzero = [(l + 1, a) for l, a in enumerate(x.sectors) if not a.is_zero()]
     if not nonzero:
-        return ("pullback", x.pullback)
-    if x.pullback.is_zero() and len(nonzero) == 1:
+        return ("pullback", x.y)
+    if x.y.is_zero() and len(nonzero) == 1:
         return ("exceptional", nonzero[0][0], nonzero[0][1])
     raise ValueError("insertion must be a pullback class or a single alpha*E_l")
 
@@ -68,11 +58,6 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
         factor *= intersection(geom.n, l, span_class)
         coeff = coeff * alpha
     return factor * (coeff * geom.kap()).integrate()
-
-
-def gw_vanishing_symplectic(geom: Geometry) -> bool:
-    """All fiber-class three-point invariants vanish iff k = 0 on S."""
-    return geom.symplectic()
 
 
 def gw_metadata(geom: Geometry):

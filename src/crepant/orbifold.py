@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (
-    BaseRing,
-    Geometry,
-    GradedClass,
-    TotalClass,
-    i_pull,
-    i_push,
-    integrate_total,
-)
+from .geometry import Geometry, SectorClass, SectorRing, i_push
 
 TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 
@@ -73,160 +65,25 @@ def obstruction_class(n: int, a1: int, a2: int):
     return "ell" if s < n + 1 else "em"
 
 
-@dataclass(frozen=True)
-class OrbClass:
-    """An orbifold cohomology class: untwisted part on Y plus one H*(S)
-    class per twisted sector e_1..e_n."""
-
-    geom: Geometry
-    untwisted: TotalClass
-    twisted: tuple  # n GradedClass entries
-
-    @classmethod
-    def zero(cls, geom: Geometry) -> "OrbClass":
-        ring = geom.base
-        return cls(geom, TotalClass.zero(ring), tuple(ring.zero() for _ in range(geom.n)))
-
-    @classmethod
-    def from_untwisted(cls, geom: Geometry, y: TotalClass) -> "OrbClass":
-        z = cls.zero(geom)
-        return cls(geom, y, z.twisted)
-
-    @classmethod
-    def sector(cls, geom: Geometry, a: int, alpha: GradedClass | None = None) -> "OrbClass":
-        """alpha * e_a (alpha defaults to 1)."""
-        if not 1 <= a <= geom.n:
-            raise ValueError(f"sector index out of range: {a}")
-        if alpha is None:
-            alpha = geom.base.one()
-        tw = [geom.base.zero() for _ in range(geom.n)]
-        tw[a - 1] = alpha
-        return cls(geom, TotalClass.zero(geom.base), tuple(tw))
-
-    def __add__(self, other):
-        return OrbClass(self.geom, self.untwisted + other.untwisted,
-                        tuple(a + b for a, b in zip(self.twisted, other.twisted)))
-
-    def __sub__(self, other):
-        return OrbClass(self.geom, self.untwisted - other.untwisted,
-                        tuple(a - b for a, b in zip(self.twisted, other.twisted)))
-
-    def __neg__(self):
-        return OrbClass(self.geom, -self.untwisted, tuple(-a for a in self.twisted))
-
-    def scale(self, scalar) -> "OrbClass":
-        return OrbClass(self.geom, self.untwisted.scale(scalar),
-                        tuple(a.scale(scalar) for a in self.twisted))
-
-    def is_zero(self) -> bool:
-        return self.untwisted.is_zero() and all(a.is_zero() for a in self.twisted)
-
-    def __eq__(self, other):
-        if not isinstance(other, OrbClass):
-            return NotImplemented
-        return (self.untwisted == other.untwisted
-                and all(a == b for a, b in zip(self.twisted, other.twisted)))
-
-    __hash__ = None
-
-    def degrees(self):
-        """Orbifold degrees: twisted sector classes are shifted by 2."""
-        out = set(self.untwisted.degrees())
-        for tw in self.twisted:
-            out |= {d + 2 for d in tw.degrees()}
-        return out
-
-    def to_json(self):
-        return {"untwisted": self.untwisted.to_json(),
-                "twisted": [t.to_json() for t in self.twisted]}
-
-
-class OrbifoldRing:
+class OrbifoldRing(SectorRing):
     """The orbifold cohomology ring for a given geometry and conventions."""
 
+    letter = "e"
+    json_keys = ("untwisted", "twisted")
+
     def __init__(self, geom: Geometry, flags: ConventionFlags | None = None):
-        self.geom = geom
+        super().__init__(geom)
         self.flags = flags or ConventionFlags()
         self.t = self.flags.twist_self_value(geom.n)
 
-    def one(self) -> OrbClass:
-        return OrbClass.from_untwisted(self.geom, TotalClass.one(self.geom.base))
-
-    def mul(self, x: OrbClass, y: OrbClass) -> OrbClass:
+    def _compute_ee(self, i: int, j: int) -> SectorClass:
+        """Inverse twists land in the pushforward with the 1/(n+1) gerbe
+        factor; otherwise the obstruction class, scaled by t, sits in the
+        sector i + j mod n+1."""
         geom = self.geom
         n = geom.n
-        ring = geom.base
-        out = OrbClass.zero(geom)
-
-        # untwisted * untwisted
-        out = OrbClass(geom, x.untwisted * y.untwisted, out.twisted)
-
-        # untwisted * twisted: restrict the Y class to S first
-        tw = list(out.twisted)
-        rx, ry = i_pull(x.untwisted), i_pull(y.untwisted)
-        for a in range(n):
-            tw[a] = tw[a] + rx * y.twisted[a] + ry * x.twisted[a]
-
-        # twisted * twisted
-        untw = out.untwisted
-        for a1 in range(1, n + 1):
-            alpha = x.twisted[a1 - 1]
-            if alpha.is_zero():
-                continue
-            for a2 in range(1, n + 1):
-                beta = y.twisted[a2 - 1]
-                if beta.is_zero():
-                    continue
-                prod = alpha * beta
-                s = a1 + a2
-                if s == n + 1:
-                    untw = untw + i_push(prod).scale(Fraction(1, n + 1))
-                elif s < n + 1:
-                    tw[s - 1] = tw[s - 1] + (prod * geom.ell()).scale(self.t)
-                else:
-                    tw[s - n - 2] = tw[s - n - 2] + (prod * geom.em()).scale(self.t)
-        return OrbClass(geom, untw, tuple(tw))
-
-    def pairing(self, x: OrbClass, y: OrbClass):
-        """Orbifold Poincare pairing: untwisted parts pair over Y, sector a
-        pairs with sector n+1-a with the 1/(n+1) gerbe factor."""
-        n = self.geom.n
-        total = integrate_total(x.untwisted * y.untwisted)
-        for a in range(1, n + 1):
-            total = total + Fraction(1, n + 1) * (
-                x.twisted[a - 1] * y.twisted[n - a]).integrate()
-        return total
-
-    def integrate(self, x: OrbClass):
-        """Integration against the fundamental class, which lies in the
-        untwisted sector; twisted components do not meet it."""
-        return integrate_total(x.untwisted)
-
-    def basis(self):
-        """Labelled vector-space basis over the scalars."""
-        geom = self.geom
-        ring = geom.base
-        out = []
-        for j in range(ring.rank):
-            out.append((f"h^{j}" if j else "1",
-                        OrbClass.from_untwisted(geom, TotalClass(ring.h_power(j), ring.zero()))))
-        for j in range(ring.rank):
-            label = f"sigma*h^{j}" if j else "sigma"
-            out.append((label,
-                        OrbClass.from_untwisted(geom, TotalClass(ring.zero(), ring.h_power(j)))))
-        for a in range(1, geom.n + 1):
-            for j in range(ring.rank):
-                label = f"h^{j}*e_{a}" if j else f"e_{a}"
-                out.append((label, OrbClass.sector(geom, a, ring.h_power(j))))
-        return out
-
-
-def surface_table(n: int):
-    """Sector products over a point base: e_a * e_b is (1/(n+1)) sigma when
-    the twists cancel mod n+1 and zero otherwise.  Returns the nonzero
-    coefficient of sigma per sector pair."""
-    table = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            table[(a, b)] = Fraction(1, n + 1) if (a + b) % (n + 1) == 0 else Fraction(0)
-    return table
+        obstruction = obstruction_class(n, i, j)
+        if obstruction is None:
+            return SectorClass.from_y(geom, i_push(geom.base.one()).scale(Fraction(1, n + 1)))
+        alpha = geom.ell() if obstruction == "ell" else geom.em()
+        return SectorClass.sector(geom, (i + j) % (n + 1), alpha.scale(self.t))

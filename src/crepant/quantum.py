@@ -10,13 +10,13 @@ involving pullback classes receive no correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import cartan_inverse_entry, curve_class, intersection
-from .geometry import Geometry, GradedClass, TotalClass
-from .resolution import ResClass, ResolutionRing
+from .geometry import Geometry, SectorClass, SectorRing
+from .resolution import ResolutionRing
 from .scalars import CycNum, format_rational, scalar_is_zero
 
 
@@ -160,77 +160,31 @@ def evaluate(series: QSeries, q: QPoint):
     return total
 
 
-@lru_cache(maxsize=None)
-def alpha_vector_coefficients(n: int, i: int, j: int):
-    """The contracted-form coefficients alpha_{ijm}: per m a pair
-    (m_coef, k_coef) such that alpha_{ijm} = m_coef * m + k_coef * k.
+class QuantumRing(SectorRing):
+    """The quantum-corrected ring at a fixed exact parameter point.
 
-    E_i E_j (twisted part) = sum_{l,m} (c_n^-1)_{lm} alpha_{ijm} E_l; zero
-    for |i - j| > 1."""
-    if i > j:
-        i, j = j, i
-    out = [(Fraction(0), Fraction(0)) for _ in range(n)]
-    if j - i > 1:
-        return tuple(out)
-    if i == j:
-        # boundary terms at m = 0 or m = n+1 are dropped
-        if i - 2 >= 0:
-            out[i - 2] = (Fraction(1), Fraction(-(i - 1)))
-        out[i - 1] = (Fraction(0), Fraction(-4))
-        if i < n:
-            out[i] = (Fraction(-1), Fraction(i + 1))
-    else:  # j = i + 1
-        out[i - 1] = (Fraction(-1), Fraction(i + 1))
-        out[j - 1] = (Fraction(1), Fraction(-i))
-    return tuple(out)
+    Its sector products are those of the classical ring `classical` plus
+    the quantum corrections.  It stays a sibling of ResolutionRing, not a
+    subclass, so that profiling counts each ring's `mul` once."""
 
-
-def contracted_alpha(n: int, i: int, j: int):
-    """sum_m (c_n^-1)_{lm} alpha_{ijm} as (m_coef, k_coef) pairs per l.
-
-    Cross-check target for the direct product formula."""
-    alphas = alpha_vector_coefficients(n, i, j)
-    out = []
-    for l in range(1, n + 1):
-        cm = Fraction(0)
-        ck = Fraction(0)
-        for m in range(1, n + 1):
-            c = cartan_inverse_entry(n, l, m)
-            cm += c * alphas[m - 1][0]
-            ck += c * alphas[m - 1][1]
-        out.append((cm, ck))
-    return out
-
-
-class QuantumRing:
-    """The quantum-corrected ring at a fixed exact parameter point."""
+    letter = "E"
+    json_keys = ("pullback", "exceptional")
 
     def __init__(self, geom: Geometry, q: QPoint):
         if q.n != geom.n:
             raise ValueError("parameter point has the wrong length")
-        self.geom = geom
+        super().__init__(geom)
         self.q = q
         self.classical = ResolutionRing(geom)
-        self._ee = {}
 
-    def one(self) -> ResClass:
-        return self.classical.one()
-
-    def ee_product(self, i: int, j: int) -> ResClass:
-        """E_i * E_j including the quantum correction; cached."""
-        key = (min(i, j), max(i, j))
-        if key not in self._ee:
-            self._ee[key] = self._compute_ee(*key)
-        return self._ee[key]
-
-    def _compute_ee(self, i: int, j: int) -> ResClass:
+    def _compute_ee(self, i: int, j: int) -> SectorClass:
         geom = self.geom
         n = geom.n
         base = self.classical.ee_product(i, j)
         kap = geom.kap()
         if kap.is_zero():
             return base
-        exc = list(base.exc)
+        exc = list(base.sectors)
         for l in range(1, n + 1):
             series = QSeries()
             for m in range(1, n + 1):
@@ -241,41 +195,4 @@ class QuantumRing:
                 continue
             value = evaluate(series, self.q)
             exc[l - 1] = exc[l - 1] + kap.scale(value)
-        return ResClass(geom, base.pullback, tuple(exc))
-
-    def mul(self, x: ResClass, y: ResClass) -> ResClass:
-        geom = self.geom
-        n = geom.n
-        out = ResClass.from_pullback(geom, x.pullback * y.pullback)
-        exc = list(out.exc)
-        rx, ry = x.pullback.pure, y.pullback.pure
-        for l in range(n):
-            exc[l] = exc[l] + rx * y.exc[l] + ry * x.exc[l]
-        out = ResClass(geom, out.pullback, tuple(exc))
-        for i in range(1, n + 1):
-            a = x.exc[i - 1]
-            if a.is_zero():
-                continue
-            for j in range(1, n + 1):
-                b = y.exc[j - 1]
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                ee = self.ee_product(i, j)
-                out = out + ResClass(
-                    geom,
-                    ee.pullback * TotalClass(coeff, geom.base.zero()),
-                    tuple(e * coeff for e in ee.exc),
-                )
-        return out
-
-    def pairing(self, x: ResClass, y: ResClass):
-        from .geometry import integrate_total
-        return integrate_total(self.mul(x, y).pullback)
-
-    def basis(self):
-        return self.classical.basis()
-
-
-def quantum_mul(x: ResClass, y: ResClass, q: QPoint) -> ResClass:
-    return QuantumRing(x.geom, q).mul(x, y)
+        return SectorClass(geom, base.y, tuple(exc))

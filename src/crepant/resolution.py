@@ -10,85 +10,10 @@ and the tautological classes m and k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import cartan_inverse_entry, cartan_matrix
-from .geometry import (
-    Geometry,
-    GradedClass,
-    TotalClass,
-    i_pull,
-    i_push,
-    integrate_total,
-)
-
-
-@dataclass(frozen=True)
-class ResClass:
-    """A cohomology class on the resolution: pullback part plus one H*(S)
-    coefficient per exceptional divisor."""
-
-    geom: Geometry
-    pullback: TotalClass
-    exc: tuple  # n GradedClass entries
-
-    @classmethod
-    def zero(cls, geom: Geometry) -> "ResClass":
-        ring = geom.base
-        return cls(geom, TotalClass.zero(ring), tuple(ring.zero() for _ in range(geom.n)))
-
-    @classmethod
-    def from_pullback(cls, geom: Geometry, y: TotalClass) -> "ResClass":
-        z = cls.zero(geom)
-        return cls(geom, y, z.exc)
-
-    @classmethod
-    def divisor(cls, geom: Geometry, l: int, alpha: GradedClass | None = None) -> "ResClass":
-        """alpha * E_l (alpha defaults to 1)."""
-        if not 1 <= l <= geom.n:
-            raise ValueError(f"divisor index out of range: {l}")
-        if alpha is None:
-            alpha = geom.base.one()
-        exc = [geom.base.zero() for _ in range(geom.n)]
-        exc[l - 1] = alpha
-        return cls(geom, TotalClass.zero(geom.base), tuple(exc))
-
-    def __add__(self, other):
-        return ResClass(self.geom, self.pullback + other.pullback,
-                        tuple(a + b for a, b in zip(self.exc, other.exc)))
-
-    def __sub__(self, other):
-        return ResClass(self.geom, self.pullback - other.pullback,
-                        tuple(a - b for a, b in zip(self.exc, other.exc)))
-
-    def __neg__(self):
-        return ResClass(self.geom, -self.pullback, tuple(-a for a in self.exc))
-
-    def scale(self, scalar) -> "ResClass":
-        return ResClass(self.geom, self.pullback.scale(scalar),
-                        tuple(a.scale(scalar) for a in self.exc))
-
-    def is_zero(self) -> bool:
-        return self.pullback.is_zero() and all(a.is_zero() for a in self.exc)
-
-    def __eq__(self, other):
-        if not isinstance(other, ResClass):
-            return NotImplemented
-        return (self.pullback == other.pullback
-                and all(a == b for a, b in zip(self.exc, other.exc)))
-
-    __hash__ = None
-
-    def degrees(self):
-        out = set(self.pullback.degrees())
-        for e in self.exc:
-            out |= {d + 2 for d in e.degrees()}
-        return out
-
-    def to_json(self):
-        return {"pullback": self.pullback.to_json(),
-                "exceptional": [e.to_json() for e in self.exc]}
+from .geometry import SectorClass, SectorRing, i_push
 
 
 def ee_twisted_coefficients(n: int, i: int, j: int):
@@ -119,33 +44,13 @@ def ee_twisted_coefficients(n: int, i: int, j: int):
     return out
 
 
-class ResolutionRing:
+class ResolutionRing(SectorRing):
     """Classical (cup product) cohomology ring of the resolution."""
 
-    def __init__(self, geom: Geometry):
-        self.geom = geom
-        self._ee = {}
+    letter = "E"
+    json_keys = ("pullback", "exceptional")
 
-    def one(self) -> ResClass:
-        return ResClass.from_pullback(self.geom, TotalClass.one(self.geom.base))
-
-    def rho_pull(self, y: TotalClass) -> ResClass:
-        """Pullback of a class from Y."""
-        return ResClass.from_pullback(self.geom, y)
-
-    def exc_push(self, l: int, alpha: GradedClass) -> ResClass:
-        """Pushforward of alpha from the l-th exceptional divisor component,
-        i.e. alpha * E_l."""
-        return ResClass.divisor(self.geom, l, alpha)
-
-    def ee_product(self, i: int, j: int) -> ResClass:
-        """E_i E_j for unit coefficients; cached."""
-        key = (min(i, j), max(i, j))
-        if key not in self._ee:
-            self._ee[key] = self._compute_ee(*key)
-        return self._ee[key]
-
-    def _compute_ee(self, i: int, j: int) -> ResClass:
+    def _compute_ee(self, i: int, j: int) -> SectorClass:
         geom = self.geom
         n = geom.n
         ring = geom.base
@@ -160,56 +65,4 @@ class ResolutionRing:
                 em, kap = geom.em(), geom.kap()
                 for l, (cm, ck) in enumerate(ee_twisted_coefficients(n, i, j)):
                     exc[l] = em.scale(cm) + kap.scale(ck)
-        return ResClass(geom, untw, tuple(exc))
-
-    def mul(self, x: ResClass, y: ResClass) -> ResClass:
-        geom = self.geom
-        n = geom.n
-        out = ResClass.from_pullback(geom, x.pullback * y.pullback)
-
-        # pullback * exceptional: restrict to S
-        exc = list(out.exc)
-        rx, ry = i_pull(x.pullback), i_pull(y.pullback)
-        for l in range(n):
-            exc[l] = exc[l] + rx * y.exc[l] + ry * x.exc[l]
-        out = ResClass(geom, out.pullback, tuple(exc))
-
-        # exceptional * exceptional
-        for i in range(1, n + 1):
-            a = x.exc[i - 1]
-            if a.is_zero():
-                continue
-            for j in range(1, n + 1):
-                b = y.exc[j - 1]
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                ee = self.ee_product(i, j)
-                out = out + ResClass(
-                    geom,
-                    ee.pullback * TotalClass(coeff, geom.base.zero()),
-                    tuple(e * coeff for e in ee.exc),
-                )
-        return out
-
-    def pairing(self, x: ResClass, y: ResClass):
-        """Poincare pairing: integrate the pullback part of the product over Y
-        (exceptional classes push forward to zero)."""
-        return integrate_total(self.mul(x, y).pullback)
-
-    def basis(self):
-        geom = self.geom
-        ring = geom.base
-        out = []
-        for j in range(ring.rank):
-            out.append((f"h^{j}" if j else "1",
-                        ResClass.from_pullback(geom, TotalClass(ring.h_power(j), ring.zero()))))
-        for j in range(ring.rank):
-            label = f"sigma*h^{j}" if j else "sigma"
-            out.append((label,
-                        ResClass.from_pullback(geom, TotalClass(ring.zero(), ring.h_power(j)))))
-        for l in range(1, geom.n + 1):
-            for j in range(ring.rank):
-                label = f"h^{j}*E_{l}" if j else f"E_{l}"
-                out.append((label, ResClass.divisor(geom, l, ring.h_power(j))))
-        return out
+        return SectorClass(geom, untw, tuple(exc))

@@ -10,17 +10,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cartan import cartan_matrix
-from .geometry import Geometry, GradedClass, TotalClass
-from .orbifold import ConventionFlags, OrbClass, OrbifoldRing
-from .quantum import (
-    PoleError,
-    QPoint,
-    QSeries,
-    QuantumRing,
-    cartan_inverse_entry,
-    r_poly,
-)
-from .resolution import ResClass, ResolutionRing, ee_twisted_coefficients
+from .geometry import Geometry, SectorClass
+from .orbifold import ConventionFlags, OrbifoldRing
+from .quantum import QPoint, QSeries, QuantumRing, cartan_inverse_entry, r_poly
+from .resolution import ee_twisted_coefficients
 from .scalars import CycNum, scalar_is_zero, scalar_to_json
 
 
@@ -52,19 +45,32 @@ class HomReport:
 
 
 def _det(matrix):
-    """Exact determinant by cofactor expansion (small matrices only)."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = Fraction(0)
+    """Exact determinant by Gaussian elimination over the scalar field.
+
+    A pivot is inverted only when a row below it has to be eliminated."""
+    mat = [list(row) for row in matrix]
+    n = len(mat)
+    det = Fraction(1)
     for col in range(n):
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        term = matrix[0][col] * _det(minor)
-        total = total + (term if col % 2 == 0 else -term)
-    return total
+        piv = next((r for r in range(col, n) if not scalar_is_zero(mat[r][col])), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        pivot = mat[col][col]
+        det = det * pivot
+        inv = None
+        for r in range(col + 1, n):
+            if not scalar_is_zero(mat[r][col]):
+                if inv is None:
+                    inv = pivot.inv() if isinstance(pivot, CycNum) else Fraction(1) / pivot
+                f = mat[r][col] * inv
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return det
 
 
-def apply_candidate(cand: HomCandidate, x: OrbClass) -> ResClass:
+def apply_candidate(cand: HomCandidate, x: SectorClass) -> SectorClass:
     geom = x.geom
     n = geom.n
     exc = []
@@ -73,20 +79,21 @@ def apply_candidate(cand: HomCandidate, x: OrbClass) -> ResClass:
         for a in range(n):
             coeff = cand.matrix[a][l]
             if not scalar_is_zero(coeff):
-                acc = acc + x.twisted[a].scale(coeff)
+                acc = acc + x.sectors[a].scale(coeff)
         exc.append(acc)
-    return ResClass(geom, x.untwisted, tuple(exc))
+    return SectorClass(geom, x.y, tuple(exc))
 
 
-def _res_components(x: ResClass):
-    geom = x.geom
-    for j in range(geom.base.rank):
-        yield (f"pure.h^{j}", x.pullback.pure.coeffs[j])
-    for j in range(geom.base.rank):
-        yield (f"sigma.h^{j}", x.pullback.sigma.coeffs[j])
-    for l in range(geom.n):
-        for j in range(geom.base.rank):
-            yield (f"E_{l+1}.h^{j}", x.exc[l].coeffs[j])
+def _components(x: SectorClass, letter: str):
+    """(label, scalar) for every coordinate, sectors labelled by `letter`."""
+    rank = x.geom.base.rank
+    for j in range(rank):
+        yield (f"pure.h^{j}", x.y.pure.coeffs[j])
+    for j in range(rank):
+        yield (f"sigma.h^{j}", x.y.sigma.coeffs[j])
+    for a, alpha in enumerate(x.sectors, start=1):
+        for j in range(rank):
+            yield (f"{letter}_{a}.h^{j}", alpha.coeffs[j])
 
 
 class HomChecker:
@@ -104,7 +111,7 @@ class HomChecker:
         self.basis = self.orb.basis()
         self._orb_products = {}
 
-    def orb_product(self, i: int, j: int) -> OrbClass:
+    def orb_product(self, i: int, j: int) -> SectorClass:
         key = (min(i, j), max(i, j))
         if key not in self._orb_products:
             self._orb_products[key] = self.orb.mul(self.basis[key[0]][1],
@@ -116,7 +123,7 @@ class HomChecker:
             raise ValueError("candidate matrix has the wrong size")
         cand = HomCandidate(matrix=matrix, q=self.q, flags=self.flags)
         report = HomReport(passed=True)
-        det = _det([list(row) for row in matrix])
+        det = _det(matrix)
         report.notes["det"] = scalar_to_json(det)
         if scalar_is_zero(det):
             report.passed = False
@@ -135,7 +142,7 @@ class HomChecker:
                 if lhs == rhs:
                     continue
                 diff = lhs - rhs
-                for comp, val in _res_components(diff):
+                for comp, val in _components(diff, self.quantum.letter):
                     if not scalar_is_zero(val):
                         report.passed = False
                         report.violations.append((f"{lx} * {ly}", comp, val))
@@ -148,14 +155,6 @@ def check_ring_hom(geom: Geometry, cand: HomCandidate) -> HomReport:
     """Exact multiplicativity check of the candidate map on all unordered
     pairs of orbifold basis elements, plus invertibility of the matrix."""
     return HomChecker(geom, cand.q, cand.flags).check(cand.matrix)
-
-
-def a1_candidate(geom: Geometry, c, q: QPoint,
-                 flags: ConventionFlags = ConventionFlags()) -> HomCandidate:
-    """The one-parameter A_1 ansatz (delta, alpha) -> (delta, c * alpha)."""
-    if geom.n != 1:
-        raise ValueError("the scalar ansatz is for n = 1")
-    return HomCandidate(matrix=((c,),), q=q, flags=flags)
 
 
 def a1_scalar_sweep(count: int = 200):
@@ -260,7 +259,8 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
 
 
 def check_associativity(ring) -> HomReport:
-    """(x y) z = x (y z) over all basis triples, exact."""
+    """(x y) z = x (y z) over all basis triples, exact.  Each violation
+    names the first nonzero component of (x y) z - x (y z) and its value."""
     report = HomReport(passed=True)
     basis = ring.basis()
     products = {}
@@ -277,36 +277,16 @@ def check_associativity(ring) -> HomReport:
                 rhs = ring.mul(x, products[(j, k)])
                 if not lhs == rhs:
                     report.passed = False
-                    report.violations.append((f"({lx}, {ly}, {lz})", "product", Fraction(0)))
+                    comp, diff = next((c, v) for c, v in _components(lhs - rhs, ring.letter)
+                                      if not scalar_is_zero(v))
+                    report.violations.append((f"({lx}, {ly}, {lz})", comp, diff))
     return report
-
-
-def _gram_det(pairing, basis):
-    mat = [[pairing(x, y) for _, y in basis] for _, x in basis]
-    # Exact Gaussian elimination over the scalar field.
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not scalar_is_zero(mat[r][col])), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        pivot = mat[col][col]
-        inv = pivot.inv() if isinstance(pivot, CycNum) else Fraction(1) / pivot
-        for r in range(col + 1, n):
-            if not scalar_is_zero(mat[r][col]):
-                f = mat[r][col] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return det
 
 
 def check_pairing_nondegenerate(ring) -> dict:
     """Exact Gram determinant of the Poincare pairing on the model basis."""
     basis = ring.basis()
-    det = _gram_det(ring.pairing, basis)
+    det = _det([[ring.pairing(x, y) for _, y in basis] for _, x in basis])
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),
             "rank": len(basis)}

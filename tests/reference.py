@@ -1,0 +1,91 @@
+"""Reference implementations the tests compare the library against.
+
+None of these is on a computation path of the package: each is an
+independent route to a value the package computes another way.
+"""
+
+from fractions import Fraction
+
+from crepant.cartan import cartan_inverse_entry, cartan_matrix
+
+
+def surface_table(n: int):
+    """Sector products over a point base: e_a * e_b is (1/(n+1)) sigma when
+    the twists cancel mod n+1 and zero otherwise.  Returns the nonzero
+    coefficient of sigma per sector pair."""
+    table = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            table[(a, b)] = Fraction(1, n + 1) if (a + b) % (n + 1) == 0 else Fraction(0)
+    return table
+
+
+def cartan_inverse_by_elimination(n: int):
+    """Independent computation of c_n^-1 by exact Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in cartan_matrix(n)]
+    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def alpha_vector_coefficients(n: int, i: int, j: int):
+    """The contracted-form coefficients alpha_{ijm}: per m a pair
+    (m_coef, k_coef) such that alpha_{ijm} = m_coef * m + k_coef * k.
+
+    E_i E_j (twisted part) = sum_{l,m} (c_n^-1)_{lm} alpha_{ijm} E_l; zero
+    for |i - j| > 1."""
+    if i > j:
+        i, j = j, i
+    out = [(Fraction(0), Fraction(0)) for _ in range(n)]
+    if j - i > 1:
+        return tuple(out)
+    if i == j:
+        # boundary terms at m = 0 or m = n+1 are dropped
+        if i - 2 >= 0:
+            out[i - 2] = (Fraction(1), Fraction(-(i - 1)))
+        out[i - 1] = (Fraction(0), Fraction(-4))
+        if i < n:
+            out[i] = (Fraction(-1), Fraction(i + 1))
+    else:  # j = i + 1
+        out[i - 1] = (Fraction(-1), Fraction(i + 1))
+        out[j - 1] = (Fraction(1), Fraction(-i))
+    return tuple(out)
+
+
+def contracted_alpha(n: int, i: int, j: int):
+    """sum_m (c_n^-1)_{lm} alpha_{ijm} as (m_coef, k_coef) pairs per l.
+
+    Cross-check target for the direct product formula."""
+    alphas = alpha_vector_coefficients(n, i, j)
+    out = []
+    for l in range(1, n + 1):
+        cm = Fraction(0)
+        ck = Fraction(0)
+        for m in range(1, n + 1):
+            c = cartan_inverse_entry(n, l, m)
+            cm += c * alphas[m - 1][0]
+            ck += c * alphas[m - 1][1]
+        out.append((cm, ck))
+    return out
+
+
+def det_by_cofactors(matrix):
+    """Exact determinant by cofactor expansion along the first row."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = Fraction(0)
+    for col in range(n):
+        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
+        term = matrix[0][col] * det_by_cofactors(minor)
+        total = total + (term if col % 2 == 0 else -term)
+    return total

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.cartan import cartan_inverse, cartan_inverse_by_elimination, cartan_matrix
+from crepant.cartan import cartan_inverse, cartan_matrix
 from crepant.geometry import (
     BaseRing,
     Geometry,
+    SectorClass,
     TautClasses,
     TotalClass,
     default_geometry,
@@ -27,8 +28,8 @@ from crepant.mckay import (
     mckay_graph,
 )
 from crepant.orbifold import OrbifoldRing
-from crepant.quantum import QPoint, QuantumRing, contracted_alpha, zero_point
-from crepant.resolution import ResClass, ResolutionRing, ee_twisted_coefficients
+from crepant.quantum import QPoint, QuantumRing, zero_point
+from crepant.resolution import ResolutionRing, ee_twisted_coefficients
 from crepant.scalars import CycNum
 from crepant.verify import (
     HomChecker,
@@ -39,6 +40,7 @@ from crepant.verify import (
     reconcile_6_2,
     solve_a2_symmetric,
 )
+from reference import cartan_inverse_by_elimination, contracted_alpha
 
 
 def report(num: int, ok: bool, label: str):
@@ -179,15 +181,15 @@ def test_criterion_08_gw_table():
     start = time.perf_counter()
     ok = True
     geom1 = default_geometry(1)  # integral of kap over P^1 is 1
-    e = ResClass.divisor(geom1, 1)
+    e = SectorClass.sector(geom1, 1)
     for a in range(1, 6):
         ok = ok and gw_invariant(geom1, CurveClass(1, (a,)), [e, e, e]) == -8
     geom2 = default_geometry(2)
-    e1 = ResClass.divisor(geom2, 1)
-    e2 = ResClass.divisor(geom2, 2)
+    e1 = SectorClass.sector(geom2, 1)
+    e2 = SectorClass.sector(geom2, 2)
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, e2]) == 4
-    sigma = ResClass.from_pullback(geom2, i_push(geom2.base.one()))
-    h = ResClass.from_pullback(
+    sigma = SectorClass.from_y(geom2, i_push(geom2.base.one()))
+    h = SectorClass.from_y(
         geom2, TotalClass(geom2.base.h_power(1), geom2.base.zero()))
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, sigma]) == 0
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, h]) == 0

@@ -25,6 +25,18 @@ def test_unknown_command_exits_1():
     assert code == 1
 
 
+def test_help_exits_0():
+    code, text = invoke(["--help"])
+    assert code == 0
+    assert "orb-table" in text and "--output" in text
+    code, text = invoke(["cartan", "--help"])
+    assert code == 0
+    assert "--n" in text
+    # a usage error still exits 2
+    code, _ = invoke(["cartan"])
+    assert code == 2
+
+
 def test_bad_config_exits_2():
     code, text = invoke(["orb-table", "--config", "/no/such/file.json"])
     assert code == 2

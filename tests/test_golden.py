@@ -1,0 +1,80 @@
+"""Byte-level golden output: SHA-256 digests of the CLI's stdout.
+
+Value-level tests cannot see a reordered or skipped zero term in a product
+loop, because `CycNum.to_json` prints whichever conductor a computation ends
+in.  These digests pin every byte.  They were recorded before the orbifold
+and resolution rings were merged into one sector ring; re-record one only
+when a change is meant to alter that command's output.
+"""
+
+import hashlib
+import io
+import os
+
+import pytest
+
+from crepant.cli import run
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def _cfg(name):
+    return os.path.join(CONFIGS, f"{name}.json")
+
+
+GOLDEN = [
+    ("orb-table a1_p1", "90b07cee0de92bb0837c853b3d59c3be0b2ca28547bfc0ed3f72748bc043fd6c"),
+    ("res-table a1_p1", "350201c8c3d01bce275aca1a88906feeedecc645d10c8f2315bdc312ec23bf73"),
+    ("qc-table a1_p1 --q=zeta3",
+     "e906d521a991ec91112d6c3b6466058d5957836bb8f18231df0db95716befe06"),
+    ("check-assoc a1_p1 --ring orb",
+     "0c3b8361723e213eeb81ac169869786e8f13f95498f8d9dc69d87c7480c2cfe0"),
+    ("check-assoc a1_p1 --ring classical",
+     "3f0baade1a9476bff69b8d267522cdb971efbe2e0f06829edfc5c7a7e20ff490"),
+    ("check-assoc a1_p1 --ring quantum --q=zeta3",
+     "89cedfbe50936e70a50fc2d39456b11e4979cb40a55fe2f80c7dd72345268054"),
+    ("gw a1_p1 --span 1,1 --insert E1,E1,E1",
+     "fe7a2b9b854ced67ddf4b8d51c14c144cf70564a3f819b13366ffc0649477545"),
+    ("orb-table a2_p1", "dea1c7dbef306f7f658959877bc4ed4fd1cdc4868601b5becafb9c133f8aee3c"),
+    ("res-table a2_p1", "2b96cb14a653aed5219065c98a5808f7205face8f8fd2f2040d47d680ceeb964"),
+    ("qc-table a2_p1 --q=zeta3",
+     "3d21e0e05a0c519b672d267141c601df37b58bbb21bbede794e41e1f3293e17a"),
+    ("check-assoc a2_p1 --ring orb",
+     "c7162f952d84c143695cad7002e0ef6f592d63c0ad945df4bbc5e2ff482d330b"),
+    ("check-assoc a2_p1 --ring classical",
+     "59fd9e82c1d31c29574b117f462e6e2bfc51006ff5235ef162241469ca7c37eb"),
+    ("check-assoc a2_p1 --ring quantum --q=zeta3",
+     "672fbed39132775f81830ca75ed346902e7dffd77c83a2a536046137ce7e702f"),
+    ("gw a2_p1 --span 1,1 --insert E1,E1,E1",
+     "c102fe5fdc14bd603513f6814102010ad39bfef5c1e314c9156a0746f92fd271"),
+    ("gw a2_p1 --span 1,2 --insert E1,E2,E2",
+     "e061ae0c2503a2619a9968984903e3409635640eacc4d84668e09f730df0cc9b"),
+    ("solve-a2 a2_p1", "2a3dcea7950f07af06df54dbec0f9746e307fccc601463f07526666509fbced1"),
+    ("orb-table a2_point", "7ffb9f5b892c7eba92c61055266cd1705c689254b927de2f2dbeb663086c9785"),
+    ("res-table a2_point", "b5675c15a1b8bac9105d2276fe0b942f538a95fce723fe1d6ece92f8ac3b7994"),
+    ("qc-table a2_point --q=zeta3",
+     "6de02437ae2bffec2b6a7d21483e778ae938bbd73dd7cb46d1a3a3465cb1521a"),
+    ("check-assoc a2_point --ring orb",
+     "686ebb201c9cbdddbbabd58e59566a20e50c557632f563d757627e705a96ea7d"),
+    ("check-assoc a2_point --ring classical",
+     "827282cc7c56e670903a8e9e96eabdbeac378aedfc76be0bec46e22c95e325f0"),
+    ("check-assoc a2_point --ring quantum --q=zeta3",
+     "61daac80c580eac7d9e295e154b20ed5d3847ba27567b816069d83e0ba6dcb80"),
+    ("gw a2_point --span 1,1 --insert E1,E1,E1",
+     "66aa4daf1ab1b571e2aa6f9168d1ca57af76cac149c90ec6f0a2509f27f97d11"),
+    ("gw a2_point --span 1,2 --insert E1,E2,E2",
+     "4c0c87e3b2d8172a9aa6bfd0bc0c39f4023ce816ee998b75e83faebf357b08f3"),
+    ("solve-a2 a2_point", "26255214728ac82558bd7a39c8154e1e48189c44469c85b332225df00435ba11"),
+    ("verify-a1 a1_p1 --q=-1 --scalar zeta4/2",
+     "773591c8b1649865811dfb73c479a276a71c4f5ed424840c2cb371304c6927a0"),
+    ("verify-a1 a1_p1 --q=-1 --scalar zeta5",
+     "6f36b00e7f0aa8ddab71213a7c29f7322b8620685ae335c788766d17a2fe1c4f"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN, ids=[case for case, _ in GOLDEN])
+def test_golden_stdout(case, digest):
+    command, config, *rest = case.split()
+    out = io.StringIO()
+    assert run([command, "--config", _cfg(config), *rest], stdout=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

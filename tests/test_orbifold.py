@@ -5,19 +5,15 @@ import pytest
 from crepant.geometry import (
     BaseRing,
     Geometry,
+    SectorClass,
     TautClasses,
     TotalClass,
     default_geometry,
     i_push,
+    integrate_total,
 )
-from crepant.orbifold import (
-    ConventionFlags,
-    OrbClass,
-    OrbifoldRing,
-    age,
-    obstruction_class,
-    surface_table,
-)
+from crepant.orbifold import ConventionFlags, OrbifoldRing, age, obstruction_class
+from reference import surface_table
 
 
 def test_age():
@@ -61,67 +57,74 @@ def test_surface_table_matches_ring_over_point():
     table = surface_table(n)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            prod = ring.mul(OrbClass.sector(geom, a), OrbClass.sector(geom, b))
-            assert prod.untwisted.sigma.coeffs[0] == table[(a, b)]
+            prod = ring.mul(SectorClass.sector(geom, a), SectorClass.sector(geom, b))
+            assert prod.y.sigma.coeffs[0] == table[(a, b)]
             if (a + b) % (n + 1) == 0:
-                assert all(t.is_zero() for t in prod.twisted)
+                assert all(t.is_zero() for t in prod.sectors)
 
 
 def test_product_cases_a2():
     geom = default_geometry(2)  # ell = h, em = 2h, kap = h
     ring = OrbifoldRing(geom)
-    e1 = OrbClass.sector(geom, 1)
-    e2 = OrbClass.sector(geom, 2)
+    e1 = SectorClass.sector(geom, 1)
+    e2 = SectorClass.sector(geom, 2)
 
     # inverse twists: (1/3) * pushforward
     p = ring.mul(e1, e2)
-    assert p.untwisted.sigma.coeffs == (Fraction(1, 3), Fraction(0))
-    assert all(t.is_zero() for t in p.twisted)
+    assert p.y.sigma.coeffs == (Fraction(1, 3), Fraction(0))
+    assert all(t.is_zero() for t in p.sectors)
 
     # wrap-below: obstruction class ell, default coefficient -1/3
     p = ring.mul(e1, e1)
-    assert p.untwisted.is_zero()
-    assert p.twisted[1].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert p.y.is_zero()
+    assert p.sectors[1].coeffs == (Fraction(0), Fraction(-1, 3))
 
     # wrap-above: obstruction class em = 2h
     p = ring.mul(e2, e2)
-    assert p.twisted[0].coeffs == (Fraction(0), Fraction(-2, 3))
+    assert p.sectors[0].coeffs == (Fraction(0), Fraction(-2, 3))
 
 
 def test_untwisted_action():
     geom = default_geometry(2)
     ring = OrbifoldRing(geom)
-    sigma = OrbClass.from_untwisted(geom, i_push(geom.base.one()))
-    e1 = OrbClass.sector(geom, 1)
+    sigma = SectorClass.from_y(geom, i_push(geom.base.one()))
+    e1 = SectorClass.sector(geom, 1)
     # sigma restricts to zero on the singular locus, so it kills sectors
     assert ring.mul(sigma, e1).is_zero()
-    h = OrbClass.from_untwisted(
+    h = SectorClass.from_y(
         geom, TotalClass(geom.base.h_power(1), geom.base.zero()))
     p = ring.mul(h, e1)
-    assert p.twisted[0].coeffs == (Fraction(0), Fraction(1))
+    assert p.sectors[0].coeffs == (Fraction(0), Fraction(1))
 
 
 def test_degrees_shift():
     geom = default_geometry(2)
-    e1 = OrbClass.sector(geom, 1)
+    e1 = SectorClass.sector(geom, 1)
     assert e1.degrees() == {2}
-    e1h = OrbClass.sector(geom, 1, geom.base.h_power(1))
+    e1h = SectorClass.sector(geom, 1, geom.base.h_power(1))
     assert e1h.degrees() == {4}
 
 
 def test_pairing_and_integral_compatible():
+    # the orbifold Poincare pairing: untwisted parts pair over Y, sector a
+    # pairs with sector n+1-a with the 1/(n+1) gerbe factor
     geom = default_geometry(2)
+    n = geom.n
     ring = OrbifoldRing(geom)
     basis = ring.basis()
     for _, x in basis:
         for _, y in basis:
-            assert ring.pairing(x, y) == ring.integrate(ring.mul(x, y))
+            want = integrate_total(x.y * y.y) + sum(
+                Fraction(1, n + 1) * (x.sectors[a - 1] * y.sectors[n - a]).integrate()
+                for a in range(1, n + 1))
+            assert ring.pairing(x, y) == want
+            assert ring.pairing(x, y) == integrate_total(ring.mul(x, y).y)
 
 
 def test_flag_variants_change_product():
     geom = default_geometry(2)
-    e1 = OrbClass.sector(geom, 1)
+    e1 = SectorClass.sector(geom, 1)
     default = OrbifoldRing(geom).mul(e1, e1)
     flipped = OrbifoldRing(geom, ConventionFlags("1")).mul(e1, e1)
-    assert flipped.twisted[1].coeffs == (Fraction(0), Fraction(1))
-    assert default.twisted[1].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert flipped.sectors[1].coeffs == (Fraction(0), Fraction(1))
+    assert default.sectors[1].coeffs == (Fraction(0), Fraction(-1, 3))

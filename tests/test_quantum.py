@@ -9,11 +9,11 @@ from crepant.quantum import (
     QSeries,
     QuantumRing,
     evaluate,
-    quantum_mul,
     r_poly,
     zero_point,
 )
-from crepant.resolution import ResClass, ResolutionRing
+from crepant.geometry import SectorClass
+from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
@@ -53,17 +53,17 @@ def test_quantum_product_a2_frozen():
     z3 = CycNum.zeta(3)
     ring = QuantumRing(geom, QPoint([z3, z3]))
     ee = ring.ee_product(1, 1)
-    assert ee.pullback.sigma.coeffs[0] == -2
-    assert ee.exc[0].coeffs[1] == Fraction(2, 3) + z3
-    assert ee.exc[1].coeffs[1] == Fraction(1, 3)
+    assert ee.y.sigma.coeffs[0] == -2
+    assert ee.sectors[0].coeffs[1] == Fraction(2, 3) + z3
+    assert ee.sectors[1].coeffs[1] == Fraction(1, 3)
 
 
 def test_a1_correction_vanishes_at_minus_one():
     geom = default_geometry(1)
     ring = QuantumRing(geom, QPoint([Fraction(-1)]))
     ee = ring.ee_product(1, 1)
-    assert ee.pullback.sigma.coeffs[0] == -2
-    assert ee.exc[0].is_zero()  # 2 + 4 delta = 0 at q = -1
+    assert ee.y.sigma.coeffs[0] == -2
+    assert ee.sectors[0].is_zero()  # 2 + 4 delta = 0 at q = -1
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -83,7 +83,7 @@ def test_distant_divisors_get_corrections():
     q = QPoint([CycNum.zeta(5)] * 3)
     ring = QuantumRing(geom, q)
     ee = ring.ee_product(1, 3)
-    assert ee.pullback.is_zero()
+    assert ee.y.is_zero()
     assert not ee.is_zero()
 
 
@@ -92,8 +92,8 @@ def test_pullback_products_uncorrected():
     q = QPoint([CycNum.zeta(3), CycNum.zeta(3)])
     ring = QuantumRing(geom, q)
     from crepant.geometry import TotalClass
-    h = ResClass.from_pullback(geom, TotalClass(geom.base.h_power(1), geom.base.zero()))
-    e1 = ResClass.divisor(geom, 1)
+    h = SectorClass.from_y(geom, TotalClass(geom.base.h_power(1), geom.base.zero()))
+    e1 = SectorClass.sector(geom, 1)
     classical = ResolutionRing(geom)
     assert ring.mul(h, e1) == classical.mul(h, e1)
 
@@ -114,13 +114,13 @@ def test_reflection_symmetry():
         for j in range(i, n + 1):
             ee = ring.ee_product(i, j)
             em = ring_m.ee_product(n + 1 - j, n + 1 - i)
-            assert ee.pullback == em.pullback
+            assert ee.y == em.y
             for l in range(1, n + 1):
-                assert ee.exc[l - 1] == em.exc[n - l]
+                assert ee.sectors[l - 1] == em.sectors[n - l]
 
 
 def test_quantum_mul_helper():
     geom = default_geometry(1)
-    e = ResClass.divisor(geom, 1)
-    out = quantum_mul(e, e, QPoint([Fraction(-1)]))
-    assert out.pullback.sigma.coeffs[0] == -2
+    e = SectorClass.sector(geom, 1)
+    out = QuantumRing(geom, QPoint([Fraction(-1)])).mul(e, e)
+    assert out.y.sigma.coeffs[0] == -2

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant.geometry import BaseRing, Geometry, TautClasses, default_geometry
 from crepant.orbifold import OrbifoldRing
@@ -10,24 +12,25 @@ from crepant.scalars import CycNum
 from crepant.verify import (
     HomCandidate,
     HomChecker,
-    a1_candidate,
     a1_scalar_sweep,
     check_associativity,
     check_pairing_nondegenerate,
+    _det,
     check_ring_hom,
     derived_a2_table,
     reconcile_6_2,
     solve_a2_symmetric,
 )
+from reference import det_by_cofactors
 
 
 def test_a1_isomorphism_at_minus_one():
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
     c = CycNum.zeta(4) * Fraction(1, 2)  # i/2
-    report = check_ring_hom(geom, a1_candidate(geom, c, q))
+    report = check_ring_hom(geom, HomCandidate(matrix=((c,),), q=q))
     assert report.passed
-    report = check_ring_hom(geom, a1_candidate(geom, -c, q))
+    report = check_ring_hom(geom, HomCandidate(matrix=((-c,),), q=q))
     assert report.passed
 
 
@@ -108,6 +111,32 @@ def test_associativity_reports():
     assert check_associativity(OrbifoldRing(geom)).passed
     assert check_associativity(ResolutionRing(geom)).passed
     assert check_associativity(QuantumRing(geom, QPoint([CycNum.zeta(3)] * 2))).passed
+
+
+def test_associativity_violation_names_component_and_difference():
+    # over P^2 the square-zero model is only formal and the orbifold product
+    # is not associative: (e_1 e_1) e_2 = (-h/3 e_2) e_2 = (2/9) h^2 e_1,
+    # while e_1 (e_1 e_2) = e_1 sigma / 3 = 0
+    geom = Geometry(2, BaseRing("projective_space", 2),
+                    TautClasses(2, Fraction(1), Fraction(2), Fraction(1)))
+    report = check_associativity(OrbifoldRing(geom))
+    assert not report.passed
+    assert report.to_json()["violations"] == [
+        {"pair": "(e_1, e_1, e_2)", "component": "e_1.h^2", "difference": "2/9"},
+        {"pair": "(e_1, e_2, e_2)", "component": "e_2.h^2", "difference": "-2/9"},
+    ]
+
+
+SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3),
+                           CycNum.zeta(3), CycNum.zeta(4) * Fraction(-1, 2),
+                           1 + CycNum.zeta(5, 2), CycNum.zeta(3) - CycNum.zeta(4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(SCALARS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_det_matches_cofactor_expansion(matrix):
+    assert _det(matrix) == det_by_cofactors(matrix)
 
 
 def test_pairing_nondegenerate():
