@@ -9,11 +9,7 @@ from .geometry import (
     SectorClass,
     SectorRing,
     TautClasses,
-    TotalClass,
     default_geometry,
-    i_pull,
-    i_push,
-    integrate_total,
 )
 from .gw import gw_invariant
 from .mckay import GroupSpec, ade_equation, character_table, mckay_graph, resolution_graph

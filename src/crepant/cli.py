@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from .cartan import cartan_inverse, cartan_matrix, curve_class
-from .geometry import Geometry, SectorClass, i_push
+from .geometry import Geometry, SectorClass
 from .gw import gw_invariant, gw_metadata
 from .mckay import (
     GroupSpec,
@@ -36,6 +36,8 @@ from .verify import (
 
 COMMANDS = ("orb-table", "res-table", "gw", "qc-table", "verify-a1", "solve-a2",
             "check-assoc", "reconcile-6-2", "mckay", "cartan", "age")
+# options whose values may be signed exact tokens such as -1/2 or -1,2
+SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
 
 
 class CliError(Exception):
@@ -158,6 +160,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv):
+    """Rewrite `--q -1/2` as `--q=-1/2`: argparse reads a token that starts
+    with '-' as an option, never as the value of the option before it."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in SIGNED_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _ee_table(ring) -> dict:
     """Products of two sector generators, i <= j."""
     n = ring.geom.n
@@ -207,7 +221,7 @@ def cmd_gw(args) -> dict:
                 raise CliError(f"divisor index out of range: {l}")
             insertions.append(SectorClass.sector(geom, l))
         elif tok == "sigma":
-            insertions.append(SectorClass.from_y(geom, i_push(geom.base.one())))
+            insertions.append(SectorClass.generator(geom, 1))
         else:
             raise CliError(f"unknown insertion {tok!r}")
     if len(insertions) != 3:
@@ -346,7 +360,7 @@ def run(argv, stdout=None) -> int:
         # argparse prints help to sys.stdout and exits 0 after it, or 2
         # after a usage error
         with contextlib.redirect_stdout(stdout):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

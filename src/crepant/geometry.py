@@ -1,16 +1,20 @@
-"""Base surfaces and the square-zero total-space model.
+"""Base surfaces and the sector rings built over them.
 
 The base S is a point or a projective space P^k, with cohomology basis
-1, h, ..., h^k.  The total space Y of the fibration carries the model
-H*(Y) = H*(S) + H*(S)*sigma with sigma = i_*(1) of degree 4 and sigma^2 = 0.
-This model is exact for dim_C S <= 1; higher-dimensional bases work formally
-but results are flagged model-dependent.
+1, h, ..., h^k.  The total space Y of the fibration carries the square-zero
+model H*(Y) = H*(S) + H*(S)*sigma with sigma = i_*(1) of degree 4,
+sigma^2 = 0 and i^*(sigma) = 0.  A sector ring adds n generators of degree
+2, so its classes are coordinates over 1, sigma, g_1..g_n.  The model is
+exact for dim_C S <= 1; higher-dimensional bases work formally but results
+are flagged model-dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .scalars import CycNum, format_rational, parse_rational, scalar_is_zero, scalar_to_json
 
@@ -86,9 +90,6 @@ class GradedClass:
         self._check(other)
         return GradedClass(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self):
-        return GradedClass(self.ring, tuple(-a for a in self.coeffs))
-
     def scale(self, scalar) -> "GradedClass":
         return GradedClass(self.ring, tuple(scalar * a for a in self.coeffs))
 
@@ -129,75 +130,6 @@ class GradedClass:
 
     def to_json(self):
         return [scalar_to_json(c) for c in self.coeffs]
-
-
-@dataclass(frozen=True)
-class TotalClass:
-    """H*(Y) in the square-zero model: pure + pure * sigma.
-
-    sigma = i_*(1) has degree 4, sigma^2 = 0, and i^*(sigma) = 0.
-    """
-
-    pure: GradedClass
-    sigma: GradedClass
-
-    @classmethod
-    def zero(cls, ring: BaseRing) -> "TotalClass":
-        return cls(ring.zero(), ring.zero())
-
-    @classmethod
-    def one(cls, ring: BaseRing) -> "TotalClass":
-        return cls(ring.one(), ring.zero())
-
-    def __add__(self, other):
-        return TotalClass(self.pure + other.pure, self.sigma + other.sigma)
-
-    def __sub__(self, other):
-        return TotalClass(self.pure - other.pure, self.sigma - other.sigma)
-
-    def __neg__(self):
-        return TotalClass(-self.pure, -self.sigma)
-
-    def scale(self, scalar) -> "TotalClass":
-        return TotalClass(self.pure.scale(scalar), self.sigma.scale(scalar))
-
-    def __mul__(self, other):
-        """(a + b sigma)(a' + b' sigma) = aa' + (ab' + a'b) sigma."""
-        if isinstance(other, (int, Fraction, CycNum)):
-            return self.scale(other)
-        return TotalClass(self.pure * other.pure,
-                          self.pure * other.sigma + other.pure * self.sigma)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.pure.is_zero() and self.sigma.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, TotalClass):
-            return NotImplemented
-        return self.pure == other.pure and self.sigma == other.sigma
-
-    __hash__ = None
-
-    def degrees(self):
-        return self.pure.degrees() | {d + 4 for d in self.sigma.degrees()}
-
-    def to_json(self):
-        return {"pure": self.pure.to_json(), "sigma": self.sigma.to_json()}
-
-
-def i_push(alpha: GradedClass) -> TotalClass:
-    """Pushforward along the zero section: alpha -> alpha * sigma."""
-    return TotalClass(alpha.ring.zero(), alpha)
-
-def i_pull(x: TotalClass) -> GradedClass:
-    """Restriction to the zero section kills the sigma part."""
-    return x.pure
-
-def integrate_total(x: TotalClass):
-    """Integral over Y; only the compactly supported sigma part contributes."""
-    return x.sigma.integrate()
 
 
 @dataclass(frozen=True)
@@ -307,67 +239,63 @@ def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
 
 @dataclass(frozen=True)
 class SectorClass:
-    """A class of a sector ring: a class on Y plus one H*(S) coefficient per
-    sector.  The sectors are the twisted sectors e_1..e_n of the orbifold or
-    the exceptional divisors E_1..E_n of the resolution; each sector
-    generator has degree 2."""
+    """A class of a sector ring: one H*(S) coordinate per generator of the
+    free H*(S)-module with basis 1, sigma, g_1..g_n.  sigma = i_*(1) has
+    degree 4; the sector generators g_a are the twisted sectors e_a of the
+    orbifold or the exceptional divisors E_a of the resolution, of degree 2."""
 
     geom: Geometry
-    y: TotalClass
-    sectors: tuple  # n GradedClass entries
+    coords: tuple  # n + 2 GradedClass entries: 1, sigma, g_1..g_n
 
     @classmethod
-    def from_y(cls, geom: Geometry, y: TotalClass) -> "SectorClass":
-        return cls(geom, y, (geom.base.zero(),) * geom.n)
+    def generator(cls, geom: Geometry, k: int, alpha: GradedClass | None = None) -> "SectorClass":
+        """alpha times the k-th module generator (k = 0 is 1, k = 1 is sigma,
+        k = a + 1 is g_a); alpha defaults to 1."""
+        coords = [geom.base.zero()] * (geom.n + 2)
+        coords[k] = geom.base.one() if alpha is None else alpha
+        return cls(geom, tuple(coords))
 
     @classmethod
     def sector(cls, geom: Geometry, a: int, alpha: GradedClass | None = None) -> "SectorClass":
         """alpha times the a-th sector generator (alpha defaults to 1)."""
         if not 1 <= a <= geom.n:
             raise ValueError(f"sector index out of range: {a}")
-        sectors = [geom.base.zero()] * geom.n
-        sectors[a - 1] = geom.base.one() if alpha is None else alpha
-        return cls(geom, TotalClass.zero(geom.base), tuple(sectors))
+        return cls.generator(geom, a + 1, alpha)
 
     def __add__(self, other):
-        return SectorClass(self.geom, self.y + other.y,
-                           tuple(a + b for a, b in zip(self.sectors, other.sectors)))
+        return SectorClass(self.geom, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
-        return SectorClass(self.geom, self.y - other.y,
-                           tuple(a - b for a, b in zip(self.sectors, other.sectors)))
+        return SectorClass(self.geom, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, scalar) -> "SectorClass":
-        return SectorClass(self.geom, self.y.scale(scalar),
-                           tuple(a.scale(scalar) for a in self.sectors))
+        return SectorClass(self.geom, tuple(a.scale(scalar) for a in self.coords))
 
     def is_zero(self) -> bool:
-        return self.y.is_zero() and all(a.is_zero() for a in self.sectors)
+        return all(a.is_zero() for a in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, SectorClass):
             return NotImplemented
-        return (self.y == other.y
-                and all(a == b for a, b in zip(self.sectors, other.sectors)))
+        return all(a == b for a, b in zip(self.coords, other.coords))
 
     __hash__ = None
 
     def degrees(self):
-        """Real degrees present; sector coefficients are shifted up by 2."""
-        out = set(self.y.degrees())
-        for alpha in self.sectors:
-            out |= {d + 2 for d in alpha.degrees()}
-        return out
+        """Real degrees present, each coordinate shifted up by the degree of
+        its generator."""
+        shifts = (0, 4) + (2,) * self.geom.n
+        return {d + s for s, a in zip(shifts, self.coords) for d in a.degrees()}
 
 
 class SectorRing:
-    """H*(Y) plus n sector copies of H*(S), each generated in degree 2.
+    """The free H*(S)-module on 1, sigma and n sector generators g_a.
 
     The orbifold ring and the classical and quantum resolution rings share
     this shape and differ only in the product of two sector generators.  A
     subclass supplies that product as `_compute_ee(i, j)` for i <= j, and
     sets `letter`, the sector label in the basis, and `json_keys`, the JSON
-    names of the Y part and of the sector list."""
+    names of the (1, sigma) part and of the sector list."""
 
     letter: str
     json_keys: tuple
@@ -377,7 +305,7 @@ class SectorRing:
         self._ee = {}
 
     def one(self) -> SectorClass:
-        return SectorClass.from_y(self.geom, TotalClass.one(self.geom.base))
+        return SectorClass.generator(self.geom, 0)
 
     def ee_product(self, i: int, j: int) -> SectorClass:
         """The product of the i-th and j-th sector generators; cached."""
@@ -390,52 +318,46 @@ class SectorRing:
         raise NotImplementedError
 
     def mul(self, x: SectorClass, y: SectorClass) -> SectorClass:
-        """Y parts multiply on Y, a class on Y acts on a sector through its
-        restriction to S, and alpha e_i times beta e_j is alpha beta times
-        `ee_product(i, j)`."""
-        geom = self.geom
-        rx, ry = i_pull(x.y), i_pull(y.y)
-        out_y = x.y * y.y
-        sectors = [rx * b + ry * a for a, b in zip(x.sectors, y.sectors)]
-        for i, a in enumerate(x.sectors, start=1):
-            if a.is_zero():
+        """Sum of x_a y_b g_a g_b over the nonzero coordinates: 1 is the
+        identity, sigma g_b = 0 for b > 0 (i^* sigma = 0), and g_i g_j is
+        `ee_product(i, j)`.  A zero coordinate of g_i g_j is skipped:
+        GradedClass.__mul__ skips zero scalars, so it would add only
+        rational zeros and change no value and no conductor."""
+        terms = [[] for _ in x.coords]
+        ys = [(b, beta) for b, beta in enumerate(y.coords) if not beta.is_zero()]
+        for a, alpha in enumerate(x.coords):
+            if alpha.is_zero():
                 continue
-            for j, b in enumerate(y.sectors, start=1):
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                ee = self.ee_product(i, j)
-                # GradedClass.__mul__ skips zero scalars, so a zero factor
-                # gives only rational zeros: skipping it changes no value
-                # and no conductor.
-                if not ee.y.is_zero():
-                    out_y = out_y + TotalClass(ee.y.pure * coeff, ee.y.sigma * coeff)
-                for l, e in enumerate(ee.sectors):
-                    if not e.is_zero():
-                        sectors[l] = sectors[l] + e * coeff
-        return SectorClass(geom, out_y, tuple(sectors))
+            for b, beta in ys:
+                if a == 0 or b == 0:
+                    terms[a + b].append(alpha * beta)
+                elif a > 1 and b > 1:
+                    coeff = alpha * beta
+                    for k, e in enumerate(self.ee_product(a - 1, b - 1).coords):
+                        if not e.is_zero():
+                            terms[k].append(e * coeff)
+        zero = self.geom.base.zero()
+        return SectorClass(self.geom, tuple(reduce(add, t) if t else zero for t in terms))
 
     def pairing(self, x: SectorClass, y: SectorClass):
-        """Poincare pairing: integrate the Y part of the product over Y."""
-        return integrate_total(self.mul(x, y).y)
+        """Poincare pairing: the integral over Y of the product, which only
+        its compactly supported sigma coordinate contributes to."""
+        return self.mul(x, y).coords[1].integrate()
 
     def basis(self):
-        """Labelled vector-space basis over the scalars."""
+        """Labelled vector-space basis over the scalars: h^j times each
+        module generator."""
         geom = self.geom
-        ring = geom.base
+        names = ["1", "sigma"] + [f"{self.letter}_{a}" for a in range(1, geom.n + 1)]
         out = []
-        for j in range(ring.rank):
-            out.append((f"h^{j}" if j else "1",
-                        SectorClass.from_y(geom, TotalClass(ring.h_power(j), ring.zero()))))
-        for j in range(ring.rank):
-            out.append((f"sigma*h^{j}" if j else "sigma",
-                        SectorClass.from_y(geom, TotalClass(ring.zero(), ring.h_power(j)))))
-        for a in range(1, geom.n + 1):
-            for j in range(ring.rank):
-                label = f"h^{j}*{self.letter}_{a}" if j else f"{self.letter}_{a}"
-                out.append((label, SectorClass.sector(geom, a, ring.h_power(j))))
+        for k, name in enumerate(names):
+            for j in range(geom.base.rank):
+                label = name if j == 0 else {"1": f"h^{j}", "sigma": f"sigma*h^{j}"}.get(
+                    name, f"h^{j}*{name}")
+                out.append((label, SectorClass.generator(geom, k, geom.base.h_power(j))))
         return out
 
     def to_json(self, x: SectorClass):
         y_key, sectors_key = self.json_keys
-        return {y_key: x.y.to_json(), sectors_key: [a.to_json() for a in x.sectors]}
+        pure, sigma, *sectors = (a.to_json() for a in x.coords)
+        return {y_key: {"pure": pure, "sigma": sigma}, sectors_key: sectors}

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import CurveClass, intersection
+from .cartan import CurveClass, curve_class, intersection
 from .geometry import Geometry, SectorClass
 
 ASSUMPTION_NOTE = "three-point values in fiber classes assumed for all base dimensions"
 
 
 def classify_insertion(x: SectorClass):
-    """Split a monomial class into ('pullback', y) or ('exceptional', l, alpha).
+    """Split a monomial class into ('pullback', x) or ('exceptional', l, alpha).
 
     Raises ValueError for classes that are neither."""
-    nonzero = [(l + 1, a) for l, a in enumerate(x.sectors) if not a.is_zero()]
-    if not nonzero:
-        return ("pullback", x.y)
-    if x.y.is_zero() and len(nonzero) == 1:
-        return ("exceptional", nonzero[0][0], nonzero[0][1])
+    # coordinate k >= 2 is the coefficient of E_{k-1}
+    nonzero = [(k - 1, alpha) for k, alpha in enumerate(x.coords) if not alpha.is_zero()]
+    if all(l < 1 for l, _ in nonzero):
+        return ("pullback", x)
+    if len(nonzero) == 1:
+        return ("exceptional", *nonzero[0])
     raise ValueError("insertion must be a pullback class or a single alpha*E_l")
 
 
@@ -44,9 +45,7 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
     span = beta.as_multiple_of_span()
     if span is None:
         return Fraction(0)
-    _, (i, j) = span
-    span_class = CurveClass(geom.n, tuple(1 if i <= t + 1 <= j else 0
-                                          for t in range(geom.n)))
+    span_class = curve_class(geom.n, *span[1])
     parts = [classify_insertion(x) for x in insertions]
     if any(p[0] != "exceptional" for p in parts):
         # Divisor-axiom degenerate cases are out of scope; fiber-class

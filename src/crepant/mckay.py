@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .scalars import CycNum, scalar_is_zero
+from .scalars import CycNum, scalar_conj, scalar_is_zero
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,12 @@ class CharacterTable:
             for c2 in range(k):
                 total = Fraction(0)
                 for row in self.values:
-                    total = total + row[c1] * _conj(row[c2])
+                    total = total + row[c1] * scalar_conj(row[c2])
                 want = Fraction(g, self.class_sizes[c1]) if c1 == c2 else Fraction(0)
                 if not total == want:
                     raise ValueError(f"column orthogonality fails at ({c1},{c2})")
         if self.q_index >= 0 and not self.values[self.q_index][0] == 2:
             raise ValueError("Q must be 2-dimensional")
-
-
-def _conj(x):
-    return x.conj() if isinstance(x, CycNum) else x
 
 
 def cyclic_table(m: int) -> CharacterTable:
@@ -125,15 +122,9 @@ def cyclic_table(m: int) -> CharacterTable:
     return CharacterTable(
         group=spec,
         class_sizes=(1,) * m,
-        class_orders=tuple(m // _gcd(m, k) if k else 1 for k in range(m)),
+        class_orders=tuple(m // gcd(m, k) if k else 1 for k in range(m)),
         values=tuple(values),
         q_index=-1)  # Q is reducible for cyclic groups: chi_1 + chi_(m-1)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclic_q_character(m: int):
@@ -152,7 +143,7 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     # classes: 1, a^m, {a^k, a^-k} for k=1..m-1, x-coset evens, x-coset odds
     class_sizes = (1, 1) + (2,) * (m - 1) + (m, m)
     class_orders = tuple(
-        [1, 2] + [2 * m // _gcd(2 * m, k) for k in range(1, m)] + [4, 4])
+        [1, 2] + [2 * m // gcd(2 * m, k) for k in range(1, m)] + [4, 4])
     reps = ["e", "z"] + [f"a^{k}" for k in range(1, m)] + ["x", "xa"]
 
     rows = []
@@ -298,7 +289,7 @@ def mckay_graph(spec: GroupSpec) -> McKayGraph:
     r = len(rows)
     weighted = [tuple(table.class_sizes[c] * (chi_q[c] * rows[j][c])
                       for c in range(k)) for j in range(r)]
-    conj_rows = [tuple(_conj(v) for v in row) for row in rows]
+    conj_rows = [tuple(scalar_conj(v) for v in row) for row in rows]
     # the multiplicity matrix is symmetric (Q is self-dual), so fill i <= j
     entries = [[0] * r for _ in range(r)]
     for i in range(r):

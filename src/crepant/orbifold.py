@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Geometry, SectorClass, SectorRing, i_push
+from .geometry import Geometry, SectorClass, SectorRing
 
 TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 
@@ -84,6 +84,6 @@ class OrbifoldRing(SectorRing):
         n = geom.n
         obstruction = obstruction_class(n, i, j)
         if obstruction is None:
-            return SectorClass.from_y(geom, i_push(geom.base.one()).scale(Fraction(1, n + 1)))
+            return SectorClass.generator(geom, 1, geom.base.one().scale(Fraction(1, n + 1)))
         alpha = geom.ell() if obstruction == "ell" else geom.em()
         return SectorClass.sector(geom, (i + j) % (n + 1), alpha.scale(self.t))

@@ -91,12 +91,6 @@ class QPoint:
     def n(self) -> int:
         return len(self.values)
 
-    def key(self) -> str:
-        parts = []
-        for v in self.values:
-            parts.append(v.key() if isinstance(v, CycNum) else f"q:{v}")
-        return ";".join(parts)
-
     def span_product(self, r: int, s: int):
         prod = Fraction(1)
         for t in range(r, s + 1):
@@ -184,7 +178,7 @@ class QuantumRing(SectorRing):
         kap = geom.kap()
         if kap.is_zero():
             return base
-        exc = list(base.sectors)
+        coords = list(base.coords)
         for l in range(1, n + 1):
             series = QSeries()
             for m in range(1, n + 1):
@@ -194,5 +188,5 @@ class QuantumRing(SectorRing):
             if series.is_zero():
                 continue
             value = evaluate(series, self.q)
-            exc[l - 1] = exc[l - 1] + kap.scale(value)
-        return SectorClass(geom, base.y, tuple(exc))
+            coords[l + 1] = coords[l + 1] + kap.scale(value)
+        return SectorClass(geom, tuple(coords))

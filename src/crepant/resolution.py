@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import cartan_inverse_entry, cartan_matrix
-from .geometry import SectorClass, SectorRing, i_push
+from .geometry import SectorClass, SectorRing
 
 
 def ee_twisted_coefficients(n: int, i: int, j: int):
@@ -55,7 +55,7 @@ class ResolutionRing(SectorRing):
         n = geom.n
         ring = geom.base
         c = cartan_matrix(n)
-        untw = i_push(ring.one()).scale(Fraction(c[i - 1][j - 1]))
+        sigma = ring.one().scale(Fraction(c[i - 1][j - 1]))
         exc = [ring.zero() for _ in range(n)]
         if abs(i - j) <= 1:
             if n == 1:
@@ -65,4 +65,4 @@ class ResolutionRing(SectorRing):
                 em, kap = geom.em(), geom.kap()
                 for l, (cm, ck) in enumerate(ee_twisted_coefficients(n, i, j)):
                     exc[l] = em.scale(cm) + kap.scale(ck)
-        return SectorClass(geom, untw, tuple(exc))
+        return SectorClass(geom, (ring.zero(), sigma, *exc))

@@ -19,11 +19,18 @@ DEFAULT_MAX_CONDUCTOR = 120
 
 
 def conductor_cap() -> int:
-    """Largest allowed conductor; override with CREPANT_MAX_CONDUCTOR."""
+    """Largest allowed conductor; override with CREPANT_MAX_CONDUCTOR, an
+    integer >= 1.  Read on every call, so a change takes effect at once."""
     raw = os.environ.get("CREPANT_MAX_CONDUCTOR")
     if raw is None:
         return DEFAULT_MAX_CONDUCTOR
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"CREPANT_MAX_CONDUCTOR must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _poly_trim(c):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .cartan import cartan_matrix
 from .geometry import Geometry, SectorClass
@@ -70,30 +72,23 @@ def _det(matrix):
     return det
 
 
-def apply_candidate(cand: HomCandidate, x: SectorClass) -> SectorClass:
+def apply_candidate(matrix, x: SectorClass) -> SectorClass:
+    """Image of x under the candidate map: 1 and sigma are fixed, and the
+    a-th sector generator goes to sum_l matrix[a][l] E_l."""
     geom = x.geom
-    n = geom.n
-    exc = []
-    for l in range(n):
-        acc = geom.base.zero()
-        for a in range(n):
-            coeff = cand.matrix[a][l]
-            if not scalar_is_zero(coeff):
-                acc = acc + x.sectors[a].scale(coeff)
-        exc.append(acc)
-    return SectorClass(geom, x.y, tuple(exc))
+    coords = list(x.coords[:2])
+    for column in zip(*matrix):
+        terms = [alpha.scale(c) for c, alpha in zip(column, x.coords[2:]) if not scalar_is_zero(c)]
+        coords.append(reduce(add, terms) if terms else geom.base.zero())
+    return SectorClass(geom, tuple(coords))
 
 
 def _components(x: SectorClass, letter: str):
     """(label, scalar) for every coordinate, sectors labelled by `letter`."""
-    rank = x.geom.base.rank
-    for j in range(rank):
-        yield (f"pure.h^{j}", x.y.pure.coeffs[j])
-    for j in range(rank):
-        yield (f"sigma.h^{j}", x.y.sigma.coeffs[j])
-    for a, alpha in enumerate(x.sectors, start=1):
-        for j in range(rank):
-            yield (f"{letter}_{a}.h^{j}", alpha.coeffs[j])
+    names = ["pure", "sigma"] + [f"{letter}_{a}" for a in range(1, x.geom.n + 1)]
+    for name, alpha in zip(names, x.coords):
+        for j, c in enumerate(alpha.coeffs):
+            yield (f"{name}.h^{j}", c)
 
 
 class HomChecker:
@@ -121,7 +116,6 @@ class HomChecker:
     def check(self, matrix, stop_early: bool = False) -> HomReport:
         if len(matrix) != self.geom.n:
             raise ValueError("candidate matrix has the wrong size")
-        cand = HomCandidate(matrix=matrix, q=self.q, flags=self.flags)
         report = HomReport(passed=True)
         det = _det(matrix)
         report.notes["det"] = scalar_to_json(det)
@@ -129,7 +123,7 @@ class HomChecker:
             report.passed = False
             report.violations.append(("matrix", "det", det))
             return report
-        images = [apply_candidate(cand, x) for _, x in self.basis]
+        images = [apply_candidate(matrix, x) for _, x in self.basis]
         size = len(self.basis)
         # twisted sectors sit at the end of the basis; checking those pairs
         # first lets failing candidates exit quickly
@@ -137,7 +131,7 @@ class HomChecker:
             lx = self.basis[i][0]
             for j in range(size - 1, i - 1, -1):
                 ly = self.basis[j][0]
-                lhs = apply_candidate(cand, self.orb_product(i, j))
+                lhs = apply_candidate(matrix, self.orb_product(i, j))
                 rhs = self.quantum.mul(images[i], images[j])
                 if lhs == rhs:
                     continue

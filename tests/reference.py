@@ -7,7 +7,7 @@ independent route to a value the package computes another way.
 from fractions import Fraction
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix
-from crepant.geometry import SectorClass, SectorRing, i_push
+from crepant.geometry import SectorClass, SectorRing
 from crepant.quantum import evaluate
 
 
@@ -164,4 +164,5 @@ class A2TableRing(SectorRing):
             geom.ell().scale(evaluate(m_part, self.q) * Fraction(1, 3))
             + geom.em().scale(evaluate(l_part, self.q) * Fraction(1, 3))
             for m_part, l_part in (entry["E1"], entry["E2"]))
-        return SectorClass(geom, i_push(geom.base.one()).scale(entry["sigma"]), sectors)
+        return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(entry["sigma"]),
+                                  *sectors))

@@ -15,9 +15,7 @@ from crepant.geometry import (
     Geometry,
     SectorClass,
     TautClasses,
-    TotalClass,
     default_geometry,
-    i_push,
 )
 from crepant.gw import gw_invariant
 from crepant.cartan import CurveClass, curve_class
@@ -193,9 +191,8 @@ def test_criterion_08_gw_table():
     e1 = SectorClass.sector(geom2, 1)
     e2 = SectorClass.sector(geom2, 2)
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, e2]) == 4
-    sigma = SectorClass.from_y(geom2, i_push(geom2.base.one()))
-    h = SectorClass.from_y(
-        geom2, TotalClass(geom2.base.h_power(1), geom2.base.zero()))
+    sigma = SectorClass.generator(geom2, 1)
+    h = SectorClass.generator(geom2, 0, geom2.base.h_power(1))
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, sigma]) == 0
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, h]) == 0
     ok = ok and gw_invariant(geom2, CurveClass(2, (1, 2)), [e1, e1, e2]) == 0

@@ -57,6 +57,28 @@ def test_pole_exits_3_with_span():
     assert data["span"] == [1, 2]
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_conductor_cap_exits_2(monkeypatch, value):
+    monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", value)
+    code, text = invoke(["qc-table", "--config", A2, "--q=zeta3"])
+    assert code == 2
+    error = json.loads(text)["error"]
+    assert "CREPANT_MAX_CONDUCTOR" in error and repr(value) in error
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["verify-a1", "--config", A1, "--q", "-1/2", "--scalar", "1"],
+     ["verify-a1", "--config", A1, "--q=-1/2", "--scalar", "1"]),
+    (["verify-a1", "--config", A1, "--q", "-1", "--scalar", "-i/2"],
+     ["verify-a1", "--config", A1, "--q", "-1", "--scalar=-i/2"]),
+    (["age", "--order", "3", "--exponents", "-1,2"],
+     ["age", "--order", "3", "--exponents=-1,2"]),
+], ids=["q", "scalar", "exponents"])
+def test_signed_value_after_space(spaced, joined):
+    assert invoke(spaced) == invoke(joined)
+    assert invoke(spaced)[0] == 0
+
+
 def test_deterministic_output():
     argv = ["qc-table", "--config", A2, "--q", "zeta3"]
     first = invoke(argv)

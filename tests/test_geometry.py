@@ -5,12 +5,10 @@ import pytest
 from crepant.geometry import (
     BaseRing,
     Geometry,
+    SectorClass,
+    SectorRing,
     TautClasses,
-    TotalClass,
     default_geometry,
-    i_pull,
-    i_push,
-    integrate_total,
 )
 
 
@@ -34,14 +32,16 @@ def test_degenerate_top_scale():
 
 
 def test_square_zero_model():
-    ring = p1()
-    sigma = i_push(ring.one())
-    assert (sigma * sigma).is_zero()
-    assert i_pull(sigma).is_zero()
-    h = TotalClass(ring.h_power(1), ring.zero())
-    prod = h * sigma
-    assert prod.sigma == ring.h_power(1)
-    assert integrate_total(prod) == 1
+    geom = default_geometry(1, p1())
+    ring = geom.base
+    model = SectorRing(geom)
+    sigma = SectorClass.generator(geom, 1)
+    assert model.mul(sigma, sigma).is_zero()
+    assert sigma.coords[0].is_zero()
+    h = SectorClass.generator(geom, 0, ring.h_power(1))
+    prod = model.mul(h, sigma)
+    assert prod.coords[1] == ring.h_power(1)
+    assert prod.coords[1].integrate() == 1
     assert sigma.degrees() == {4}
 
 

@@ -69,6 +69,11 @@ GOLDEN = [
      "773591c8b1649865811dfb73c479a276a71c4f5ed424840c2cb371304c6927a0"),
     ("verify-a1 a1_p1 --q=-1 --scalar zeta5",
      "6f36b00e7f0aa8ddab71213a7c29f7322b8620685ae335c788766d17a2fe1c4f"),
+    # values mixing two conductors: Q(zeta8) or Q(zeta3) and Q(zeta24)
+    ("verify-a1 a1_p1 --q=zeta3 --scalar=1/2*zeta8^3",
+     "6d40858b6c833d4e86e5f37f7d62951b7fbbefff03c5ad54d8e17adbfc927bdb"),
+    ("verify-a1 a1_p1 --q=zeta8^3 --scalar=zeta3",
+     "c939aaa3c5be470e18b2ccda97ffe24e256e4e39fc2b8e2e667f6f68ad868249"),
 ]
 
 

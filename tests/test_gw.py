@@ -8,7 +8,6 @@ from crepant.geometry import (
     Geometry,
     TautClasses,
     default_geometry,
-    i_push,
 )
 from crepant.geometry import SectorClass
 from crepant.gw import classify_insertion, gw_invariant, gw_metadata
@@ -36,7 +35,7 @@ def test_a2_value():
 def test_vanishing_cases():
     geom = default_geometry(2)
     e1 = SectorClass.sector(geom, 1)
-    sigma = SectorClass.from_y(geom, i_push(geom.base.one()))
+    sigma = SectorClass.generator(geom, 1)
     beta = curve_class(2, 1, 1)
     # pullback insertion
     assert gw_invariant(geom, beta, [e1, e1, sigma]) == 0

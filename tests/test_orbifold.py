@@ -7,10 +7,7 @@ from crepant.geometry import (
     Geometry,
     SectorClass,
     TautClasses,
-    TotalClass,
     default_geometry,
-    i_push,
-    integrate_total,
 )
 from crepant.orbifold import ConventionFlags, OrbifoldRing, age, obstruction_class
 from reference import surface_table
@@ -58,9 +55,9 @@ def test_surface_table_matches_ring_over_point():
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             prod = ring.mul(SectorClass.sector(geom, a), SectorClass.sector(geom, b))
-            assert prod.y.sigma.coeffs[0] == table[(a, b)]
+            assert prod.coords[1].coeffs[0] == table[(a, b)]
             if (a + b) % (n + 1) == 0:
-                assert all(t.is_zero() for t in prod.sectors)
+                assert all(t.is_zero() for t in prod.coords[2:])
 
 
 def test_product_cases_a2():
@@ -71,30 +68,29 @@ def test_product_cases_a2():
 
     # inverse twists: (1/3) * pushforward
     p = ring.mul(e1, e2)
-    assert p.y.sigma.coeffs == (Fraction(1, 3), Fraction(0))
-    assert all(t.is_zero() for t in p.sectors)
+    assert p.coords[1].coeffs == (Fraction(1, 3), Fraction(0))
+    assert all(t.is_zero() for t in p.coords[2:])
 
     # wrap-below: obstruction class ell, default coefficient -1/3
     p = ring.mul(e1, e1)
-    assert p.y.is_zero()
-    assert p.sectors[1].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert all(t.is_zero() for t in p.coords[:2])
+    assert p.coords[3].coeffs == (Fraction(0), Fraction(-1, 3))
 
     # wrap-above: obstruction class em = 2h
     p = ring.mul(e2, e2)
-    assert p.sectors[0].coeffs == (Fraction(0), Fraction(-2, 3))
+    assert p.coords[2].coeffs == (Fraction(0), Fraction(-2, 3))
 
 
 def test_untwisted_action():
     geom = default_geometry(2)
     ring = OrbifoldRing(geom)
-    sigma = SectorClass.from_y(geom, i_push(geom.base.one()))
+    sigma = SectorClass.generator(geom, 1)
     e1 = SectorClass.sector(geom, 1)
     # sigma restricts to zero on the singular locus, so it kills sectors
     assert ring.mul(sigma, e1).is_zero()
-    h = SectorClass.from_y(
-        geom, TotalClass(geom.base.h_power(1), geom.base.zero()))
+    h = SectorClass.generator(geom, 0, geom.base.h_power(1))
     p = ring.mul(h, e1)
-    assert p.sectors[0].coeffs == (Fraction(0), Fraction(1))
+    assert p.coords[2].coeffs == (Fraction(0), Fraction(1))
 
 
 def test_degrees_shift():
@@ -114,11 +110,11 @@ def test_pairing_and_integral_compatible():
     basis = ring.basis()
     for _, x in basis:
         for _, y in basis:
-            want = integrate_total(x.y * y.y) + sum(
-                Fraction(1, n + 1) * (x.sectors[a - 1] * y.sectors[n - a]).integrate()
+            want = (x.coords[0] * y.coords[1] + y.coords[0] * x.coords[1]).integrate() + sum(
+                Fraction(1, n + 1) * (x.coords[a + 1] * y.coords[n - a + 2]).integrate()
                 for a in range(1, n + 1))
             assert ring.pairing(x, y) == want
-            assert ring.pairing(x, y) == integrate_total(ring.mul(x, y).y)
+            assert ring.pairing(x, y) == ring.mul(x, y).coords[1].integrate()
 
 
 def test_flag_variants_change_product():
@@ -126,5 +122,5 @@ def test_flag_variants_change_product():
     e1 = SectorClass.sector(geom, 1)
     default = OrbifoldRing(geom).mul(e1, e1)
     flipped = OrbifoldRing(geom, ConventionFlags("1")).mul(e1, e1)
-    assert flipped.sectors[1].coeffs == (Fraction(0), Fraction(1))
-    assert default.sectors[1].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert flipped.coords[3].coeffs == (Fraction(0), Fraction(1))
+    assert default.coords[3].coeffs == (Fraction(0), Fraction(-1, 3))

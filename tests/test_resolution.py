@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.geometry import SectorClass, TotalClass, default_geometry, i_push
+from crepant.geometry import SectorClass, default_geometry
 from crepant.resolution import ResolutionRing, ee_twisted_coefficients
 from reference import contracted_alpha
 
@@ -11,8 +11,8 @@ def test_a1_self_intersection():
     geom = default_geometry(1)  # kap = h on P^1
     ring = ResolutionRing(geom)
     ee = ring.ee_product(1, 1)
-    assert ee.y.sigma.coeffs == (Fraction(-2), Fraction(0))
-    assert ee.sectors[0].coeffs == (Fraction(0), Fraction(2))  # 2 kap E
+    assert ee.coords[1].coeffs == (Fraction(-2), Fraction(0))
+    assert ee.coords[2].coeffs == (Fraction(0), Fraction(2))  # 2 kap E
 
 
 def test_a2_products_frozen():
@@ -20,14 +20,14 @@ def test_a2_products_frozen():
     ring = ResolutionRing(geom)
     # E1 E1 = -2 sigma + ((1/3) em + 2 kap) E1 + (2/3) em E2
     ee = ring.ee_product(1, 1)
-    assert ee.y.sigma.coeffs[0] == -2
-    assert ee.sectors[0].coeffs == (Fraction(0), Fraction(8, 3))
-    assert ee.sectors[1].coeffs == (Fraction(0), Fraction(4, 3))
+    assert ee.coords[1].coeffs[0] == -2
+    assert ee.coords[2].coeffs == (Fraction(0), Fraction(8, 3))
+    assert ee.coords[3].coeffs == (Fraction(0), Fraction(4, 3))
     # E1 E2 = sigma + ((1/3) em - kap) E1 - (1/3) em E2
     ee = ring.ee_product(1, 2)
-    assert ee.y.sigma.coeffs[0] == 1
-    assert ee.sectors[0].coeffs == (Fraction(0), Fraction(-1, 3))
-    assert ee.sectors[1].coeffs == (Fraction(0), Fraction(-2, 3))
+    assert ee.coords[1].coeffs[0] == 1
+    assert ee.coords[2].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert ee.coords[3].coeffs == (Fraction(0), Fraction(-2, 3))
     # distant divisors multiply to zero classically
     geom3 = default_geometry(3)
     assert ResolutionRing(geom3).ee_product(1, 3).is_zero()
@@ -67,7 +67,7 @@ def test_matches_contraction_form(n):
 def test_pullback_is_ring_map():
     geom = default_geometry(2)
     ring = ResolutionRing(geom)
-    sigma = SectorClass.from_y(geom, i_push(geom.base.one()))
+    sigma = SectorClass.generator(geom, 1)
     e1 = SectorClass.sector(geom, 1)
     assert ring.mul(sigma, e1).is_zero()  # i^* sigma = 0
     assert ring.mul(sigma, sigma).is_zero()
@@ -83,9 +83,9 @@ def test_pairing_blocks():
     assert ring.pairing(e1, SectorClass.sector(geom, 2, h)) == 1
     assert ring.pairing(e1, e2) == 0  # degree reasons on a threefold
     one = ring.one()
-    sigma = SectorClass.from_y(geom, i_push(geom.base.one()))
+    sigma = SectorClass.generator(geom, 1)
     assert ring.pairing(one, ring.mul(
-        sigma, SectorClass.from_y(geom, TotalClass(h, geom.base.zero())))) == 1
+        sigma, SectorClass.generator(geom, 0, h))) == 1
 
 
 def test_associative_classical():

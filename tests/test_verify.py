@@ -182,7 +182,7 @@ def test_derived_table_two_parameter(q):
         product = quantum.ee_product(i, j)
         for l in (1, 2):
             m_part, l_part = entry[f"E{l}"]
-            assert product.sectors[l - 1] == (geom.em().scale(evaluate(m_part, q))
+            assert product.coords[l + 1] == (geom.em().scale(evaluate(m_part, q))
                                               + geom.ell().scale(evaluate(l_part, q)))
         for p in (1, 2):
             correction = (quantum.pairing(product, e[p - 1])
