@@ -18,12 +18,10 @@ from .quantum import PoleError, QPoint, QSeries, QuantumRing, r_poly
 from .resolution import ResolutionRing
 from .scalars import CycNum, parse_scalar
 from .verify import (
-    HomCandidate,
     HomChecker,
     HomReport,
     check_associativity,
     check_pairing_nondegenerate,
-    check_ring_hom,
     reconcile_6_2,
     solve_a2_symmetric,
 )

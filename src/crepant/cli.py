@@ -24,12 +24,11 @@ from .mckay import (
 from .orbifold import ConventionFlags, OrbifoldRing, age
 from .quantum import PoleError, QPoint, QuantumRing
 from .resolution import ResolutionRing
-from .scalars import CycNum, format_rational, parse_scalar, scalar_to_json
+from .scalars import conductor_cap, format_rational, parse_scalar, scalar_to_json
 from .verify import (
-    HomCandidate,
+    HomChecker,
     check_associativity,
     check_pairing_nondegenerate,
-    check_ring_hom,
     reconcile_6_2,
     solve_a2_symmetric,
 )
@@ -182,11 +181,9 @@ def _ee_table(ring) -> dict:
 def cmd_orb_table(args) -> dict:
     geom, flags, _ = load_config(args.config)
     ring = OrbifoldRing(geom, flags)
-    basis = ring.basis()
-    table = {}
-    for i, (lx, x) in enumerate(basis):
-        for ly, y in basis[i:]:
-            table[f"{lx} * {ly}"] = ring.to_json(ring.mul(x, y))
+    labels = [label for label, _ in ring.basis()]
+    table = {f"{labels[i]} * {labels[j]}": ring.to_json(xy)
+             for (i, j), xy in ring.products().items()}
     return {"command": "orb-table", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags), "table": table}
 
@@ -252,7 +249,7 @@ def cmd_verify_a1(args) -> dict:
         c = parse_scalar(args.scalar)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    report = check_ring_hom(geom, HomCandidate(matrix=((c,),), q=q, flags=flags))
+    report = HomChecker(geom, flags).check(((c,),), QuantumRing(geom, q))
     return {"command": "verify-a1", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags),
             "q": q.to_json(), "scalar": scalar_to_json(c),
@@ -364,6 +361,7 @@ def run(argv, stdout=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
+        conductor_cap()
         report = HANDLERS[args.command](args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=stdout)

@@ -357,6 +357,12 @@ class SectorRing:
                 out.append((label, SectorClass.generator(geom, k, geom.base.h_power(j))))
         return out
 
+    def products(self) -> dict:
+        """{(i, j): b_i b_j} over the basis b = `basis()`, for i <= j."""
+        basis = [x for _, x in self.basis()]
+        return {(i, j): self.mul(x, basis[j])
+                for i, x in enumerate(basis) for j in range(i, len(basis))}
+
     def to_json(self, x: SectorClass):
         y_key, sectors_key = self.json_keys
         pure, sigma, *sectors = (a.to_json() for a in x.coords)

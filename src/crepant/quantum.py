@@ -17,7 +17,7 @@ from functools import lru_cache
 from .cartan import cartan_inverse_entry, curve_class, intersection
 from .geometry import Geometry, SectorClass, SectorRing
 from .resolution import ResolutionRing
-from .scalars import CycNum, format_rational, scalar_is_zero
+from .scalars import format_rational, scalar_is_zero
 
 
 class PoleError(ArithmeticError):
@@ -105,8 +105,6 @@ class QPoint:
             denom = 1 - prod
             if scalar_is_zero(denom):
                 self._atoms[spankey] = PoleError(spankey)
-            elif isinstance(denom, CycNum):
-                self._atoms[spankey] = prod * denom.inv()
             else:
                 self._atoms[spankey] = prod / denom
         val = self._atoms[spankey]
@@ -146,6 +144,18 @@ def r_poly(n: int, i: int, j: int, m: int) -> QSeries:
     return QSeries.from_dict(Fraction(0), atoms)
 
 
+@lru_cache(maxsize=None)
+def correction_series(n: int, i: int, j: int, l: int) -> QSeries:
+    """sum_m (C_n^-1)_{lm} R_{ijm}: the E_l coefficient, over k, of the
+    quantum correction to E_i E_j."""
+    series = QSeries()
+    for m in range(1, n + 1):
+        c = cartan_inverse_entry(n, l, m)
+        if c:
+            series = series + c * r_poly(n, i, j, m)
+    return series
+
+
 def evaluate(series: QSeries, q: QPoint):
     """Exact evaluation of a QSeries at a parameter point."""
     total = series.const
@@ -180,11 +190,7 @@ class QuantumRing(SectorRing):
             return base
         coords = list(base.coords)
         for l in range(1, n + 1):
-            series = QSeries()
-            for m in range(1, n + 1):
-                c = cartan_inverse_entry(n, l, m)
-                if c:
-                    series = series + c * r_poly(n, i, j, m)
+            series = correction_series(n, i, j, l)
             if series.is_zero():
                 continue
             value = evaluate(series, self.q)

@@ -167,11 +167,14 @@ class CycNum:
         return CycNum(conductor, out)
 
     def _pair(self, other):
+        """(common conductor, own coeffs, other's coeffs) there, or None.  A
+        rational operand becomes its constant coefficient tuple directly."""
         if isinstance(other, CycNum):
             n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-            return self.embed(n), other.embed(n)
+            return n, self.embed(n).coeffs, other.embed(n).coeffs
         if isinstance(other, (int, Fraction)):
-            return self, CycNum.from_rational(other).embed(self.conductor)
+            pad = (Fraction(0),) * (len(self.coeffs) - 1)
+            return self.conductor, self.coeffs, (Fraction(other),) + pad
         return None
 
     # -- arithmetic --------------------------------------------------------
@@ -180,8 +183,8 @@ class CycNum:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return CycNum(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)], _reduced=True)
+        n, a, b = pair
+        return CycNum(n, [x + y for x, y in zip(a, b)], _reduced=True)
 
     __radd__ = __add__
 
@@ -192,8 +195,8 @@ class CycNum:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return CycNum(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)], _reduced=True)
+        n, a, b = pair
+        return CycNum(n, [x - y for x, y in zip(a, b)], _reduced=True)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -204,8 +207,8 @@ class CycNum:
             return CycNum(self.conductor, [c * f for c in self.coeffs], _reduced=True)
         if not isinstance(other, CycNum):
             return NotImplemented
-        a, b = self._pair(other)
-        return CycNum(a.conductor, _poly_mul(a.coeffs, b.coeffs))
+        n, a, b = self._pair(other)
+        return CycNum(n, _poly_mul(a, b))
 
     __rmul__ = __mul__
 
@@ -260,8 +263,8 @@ class CycNum:
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        a, b = pair
-        return a.coeffs == b.coeffs
+        _, a, b = pair
+        return a == b
 
     __hash__ = None  # equality crosses conductors; hash by .key() if needed
 

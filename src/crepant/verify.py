@@ -9,26 +9,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import add
 
 from .cartan import cartan_matrix
 from .geometry import Geometry, SectorClass
 from .orbifold import ConventionFlags, OrbifoldRing
-from .quantum import QPoint, QSeries, QuantumRing, cartan_inverse_entry, r_poly
+from .quantum import QPoint, QSeries, QuantumRing, correction_series
 from .resolution import ee_twisted_coefficients
 from .scalars import CycNum, scalar_is_zero, scalar_to_json
-
-
-@dataclass(frozen=True)
-class HomCandidate:
-    """A candidate isomorphism from the orbifold ring to the quantum ring.
-
-    Identity on untwisted classes; the twisted sector e_a maps to
-    sum_l matrix[a][l] * E_l.  q is the quantum parameter point."""
-
-    matrix: tuple  # n x n, Fraction or CycNum entries
-    q: QPoint
-    flags: ConventionFlags = ConventionFlags()
 
 
 @dataclass
@@ -66,7 +55,7 @@ def _det(matrix):
         for r in range(col + 1, n):
             if not scalar_is_zero(mat[r][col]):
                 if inv is None:
-                    inv = pivot.inv() if isinstance(pivot, CycNum) else Fraction(1) / pivot
+                    inv = Fraction(1) / pivot
                 f = mat[r][col] * inv
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
     return det
@@ -92,30 +81,28 @@ def _components(x: SectorClass, letter: str):
 
 
 class HomChecker:
-    """Shared context for checking many candidate matrices against the same
-    geometry, flags, and parameter point: orbifold basis products are
-    computed once and reused."""
+    """Checks candidate isomorphisms from the orbifold ring of one geometry,
+    under fixed convention flags, to its quantum rings.
 
-    def __init__(self, geom: Geometry, q: QPoint,
-                 flags: ConventionFlags = ConventionFlags()):
+    A candidate is an n x n matrix of Fraction or CycNum entries: the map is
+    the identity on untwisted classes and sends the twisted sector e_a to
+    sum_l matrix[a][l] * E_l.  The orbifold basis products do not depend on
+    q, so they are computed once and shared by every check."""
+
+    def __init__(self, geom: Geometry, flags: ConventionFlags = ConventionFlags()):
         self.geom = geom
-        self.q = q
-        self.flags = flags
-        self.orb = OrbifoldRing(geom, flags)
-        self.quantum = QuantumRing(geom, q)
-        self.basis = self.orb.basis()
-        self._orb_products = {}
+        orb = OrbifoldRing(geom, flags)
+        self.basis = orb.basis()
+        self.products = orb.products()
 
-    def orb_product(self, i: int, j: int) -> SectorClass:
-        key = (min(i, j), max(i, j))
-        if key not in self._orb_products:
-            self._orb_products[key] = self.orb.mul(self.basis[key[0]][1],
-                                                   self.basis[key[1]][1])
-        return self._orb_products[key]
-
-    def check(self, matrix, stop_early: bool = False) -> HomReport:
+    def check(self, matrix, quantum: QuantumRing, stop_early: bool = False) -> HomReport:
+        """Exact multiplicativity of the candidate map into `quantum` on all
+        unordered pairs of orbifold basis elements, plus invertibility of
+        the matrix."""
         if len(matrix) != self.geom.n:
             raise ValueError("candidate matrix has the wrong size")
+        if quantum.geom != self.geom:
+            raise ValueError("quantum ring of another geometry")
         report = HomReport(passed=True)
         det = _det(matrix)
         report.notes["det"] = scalar_to_json(det)
@@ -131,24 +118,18 @@ class HomChecker:
             lx = self.basis[i][0]
             for j in range(size - 1, i - 1, -1):
                 ly = self.basis[j][0]
-                lhs = apply_candidate(matrix, self.orb_product(i, j))
-                rhs = self.quantum.mul(images[i], images[j])
+                lhs = apply_candidate(matrix, self.products[(i, j)])
+                rhs = quantum.mul(images[i], images[j])
                 if lhs == rhs:
                     continue
                 diff = lhs - rhs
-                for comp, val in _components(diff, self.quantum.letter):
+                for comp, val in _components(diff, quantum.letter):
                     if not scalar_is_zero(val):
                         report.passed = False
                         report.violations.append((f"{lx} * {ly}", comp, val))
                 if stop_early and not report.passed:
                     return report
         return report
-
-
-def check_ring_hom(geom: Geometry, cand: HomCandidate) -> HomReport:
-    """Exact multiplicativity check of the candidate map on all unordered
-    pairs of orbifold basis elements, plus invertibility of the matrix."""
-    return HomChecker(geom, cand.q, cand.flags).check(cand.matrix)
 
 
 def a1_scalar_sweep(count: int = 200):
@@ -202,13 +183,8 @@ class A2SolveResult:
 def _roots_of_unity(max_order: int):
     """All roots of unity of order <= max_order, as exact cyclotomic numbers,
     ordered by (order, power)."""
-    out = []
-    from math import gcd
-    for d in range(1, max_order + 1):
-        for k in range(1, d + 1):
-            if gcd(k, d) == 1:
-                out.append(CycNum.zeta(d, k % d) if d > 1 else CycNum.from_rational(1))
-    return out
+    return [CycNum.zeta(d, k) for d in range(1, max_order + 1)
+            for k in range(1, d + 1) if gcd(k, d) == 1]
 
 
 def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
@@ -228,8 +204,12 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
         for d in (3, -3):              # a - b
             a = (s + d) * Fraction(1, 2)
             b = (s - d) * Fraction(1, 2)
-            candidates.append((a, b))
+            # the inverse of ((a, b), (b, a)); its det (a + b)(a - b) is not 0
+            inv_det = (a * a - b * b).inv()
+            diag, off = a * inv_det, -b * inv_det
+            candidates.append((a, b, ((diag, off), (off, diag))))
 
+    checker = HomChecker(geom, flags)
     solutions = []
     excluded = []
     for root in _roots_of_unity(max_order):
@@ -239,15 +219,9 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
             for span in poles:
                 excluded.append((root, span))
             continue
-        checker = HomChecker(geom, q, flags)
-        for a, b in candidates:
-            det = a * a - b * b
-            if scalar_is_zero(det):
-                continue
-            inv_det = det.inv() if isinstance(det, CycNum) else Fraction(1) / det
-            matrix = ((a * inv_det, -b * inv_det),
-                      (-b * inv_det, a * inv_det))
-            if checker.check(matrix, stop_early=True).passed:
+        quantum = QuantumRing(geom, q)
+        for a, b, matrix in candidates:
+            if checker.check(matrix, quantum, stop_early=True).passed:
                 solutions.append(A2Solution(q=root, a=a, b=b))
     return A2SolveResult(solutions=solutions, excluded=excluded)
 
@@ -257,10 +231,7 @@ def check_associativity(ring) -> HomReport:
     names the first nonzero component of (x y) z - x (y z) and its value."""
     report = HomReport(passed=True)
     basis = ring.basis()
-    products = {}
-    for i, (_, x) in enumerate(basis):
-        for j, (_, y) in enumerate(basis[i:], start=i):
-            products[(i, j)] = ring.mul(x, y)
+    products = ring.products()
     for i, (lx, x) in enumerate(basis):
         for j in range(i, len(basis)):
             ly, y = basis[j]
@@ -331,11 +302,7 @@ def derived_a2_table():
         coeffs = ee_twisted_coefficients(n, i, j)
         for l in range(1, n + 1):
             cm, ck = coeffs[l - 1]
-            series_k = QSeries.from_dict(Fraction(ck))
-            for m in range(1, n + 1):
-                cc = cartan_inverse_entry(n, l, m)
-                if cc:
-                    series_k = series_k + cc * r_poly(n, i, j, m)
+            series_k = QSeries.from_dict(Fraction(ck)) + correction_series(n, i, j, l)
             third = Fraction(1, 3)
             m_part = QSeries.from_dict(Fraction(cm)) + third * series_k
             l_part = third * series_k

@@ -66,12 +66,12 @@ def test_criterion_01_a1_scalar_verification():
     start = time.perf_counter()
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
-    checker = HomChecker(geom, q)
+    checker, quantum = HomChecker(geom), QuantumRing(geom, q)
     half_i = CycNum.zeta(4) * Fraction(1, 2)
-    ok = checker.check(((half_i,),)).passed
-    ok = ok and checker.check(((-half_i,),)).passed
+    ok = checker.check(((half_i,),), quantum).passed
+    ok = ok and checker.check(((-half_i,),), quantum).passed
     for c in a1_scalar_sweep(200):
-        if checker.check(((c,),), stop_early=True).passed:
+        if checker.check(((c,),), quantum, stop_early=True).passed:
             ok = False
             break
     elapsed = time.perf_counter() - start

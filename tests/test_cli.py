@@ -57,13 +57,27 @@ def test_pole_exits_3_with_span():
     assert data["span"] == [1, 2]
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_invalid_conductor_cap_exits_2(monkeypatch, value):
+QC_ZETA3 = ["qc-table", "--config", A2, "--q=zeta3"]
+CARTAN = ["cartan", "--n", "2"]
+AGE = ["age", "--order", "3", "--exponents", "1,2"]
+
+
+# every command validates the variable, also those that build no CycNum
+@pytest.mark.parametrize("value, argv", [
+    ("abc", QC_ZETA3), ("0", QC_ZETA3), ("abc", CARTAN), ("0", CARTAN),
+    ("abc", AGE), ("0", AGE),
+], ids=["abc", "0", "cartan-abc", "cartan-0", "age-abc", "age-0"])
+def test_invalid_conductor_cap_exits_2(monkeypatch, value, argv):
     monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", value)
-    code, text = invoke(["qc-table", "--config", A2, "--q=zeta3"])
+    code, text = invoke(argv)
     assert code == 2
     error = json.loads(text)["error"]
     assert "CREPANT_MAX_CONDUCTOR" in error and repr(value) in error
+
+
+def test_help_exits_0_with_invalid_conductor_cap(monkeypatch):
+    monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", "abc")
+    assert invoke(["cartan", "--help"])[0] == 0
 
 
 @pytest.mark.parametrize("spaced, joined", [
@@ -126,6 +140,28 @@ def test_verify_a1_accepts_half_i():
                          "--scalar", "1"])
     assert code == 0
     assert not json.loads(text)["report"]["passed"]
+
+
+def test_config_flags_reach_the_checker(tmp_path):
+    def with_flags(path, name):
+        with open(path) as fh:
+            config = json.load(fh)
+        config["flags"] = {"twist_self": "1"}
+        out = tmp_path / name
+        out.write_text(json.dumps(config))
+        return str(out)
+
+    code, text = invoke(["solve-a2", "--config", with_flags(A2, "a2.json"), "--max-order", "6"])
+    assert code == 0
+    assert json.loads(text)["result"]["solutions"] == []
+    # for n = 1 the twists of e_1 * e_1 cancel, so twist_self never enters
+    # the orbifold product and the A_1 map still passes at i/2
+    code, text = invoke(["verify-a1", "--config", with_flags(A1, "a1.json"),
+                         "--q=-1", "--scalar", "i/2"])
+    assert code == 0
+    data = json.loads(text)
+    assert data["conventions"]["twist_self"] == "1"
+    assert data["report"]["passed"]
 
 
 def test_solve_a2_golden():

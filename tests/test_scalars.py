@@ -119,3 +119,15 @@ def test_mixed_conductor_arithmetic(a, b):
 def _lcm(a, b):
     from math import gcd
     return a * b // gcd(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_numbers(), st.one_of(small_fraction, st.integers(min_value=-9, max_value=9)))
+def test_rational_operand_matches_embedded_operand(x, r):
+    # a rational operand acts as CycNum.from_rational(r) embedded in x's field
+    e = CycNum.from_rational(r).embed(x.conductor)
+    for got, want in ((x + r, x + e), (r + x, e + x), (x - r, x - e), (r - x, e - x),
+                      (x * r, x * e), (r * x, e * x)):
+        assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+    assert (x == r) == (x == e)
+    assert e == r and (x - (x - r)) == r

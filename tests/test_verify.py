@@ -5,21 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant.cartan import curve_class
-from crepant.geometry import BaseRing, Geometry, SectorClass, TautClasses, default_geometry
+from crepant.geometry import BaseRing, Geometry, SectorClass, SectorRing, TautClasses, default_geometry
 from crepant.gw import gw_invariant
-from crepant.orbifold import OrbifoldRing
+from crepant.orbifold import ConventionFlags, OrbifoldRing
 from crepant.quantum import QPoint, QuantumRing, evaluate
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
 from crepant.verify import (
     PRINTED_A2_TABLE,
-    HomCandidate,
     HomChecker,
     a1_scalar_sweep,
     check_associativity,
     check_pairing_nondegenerate,
     _det,
-    check_ring_hom,
     derived_a2_table,
     reconcile_6_2,
     solve_a2_symmetric,
@@ -31,18 +29,18 @@ def test_a1_isomorphism_at_minus_one():
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
     c = CycNum.zeta(4) * Fraction(1, 2)  # i/2
-    report = check_ring_hom(geom, HomCandidate(matrix=((c,),), q=q))
+    report = HomChecker(geom).check(((c,),), QuantumRing(geom, q))
     assert report.passed
-    report = check_ring_hom(geom, HomCandidate(matrix=((-c,),), q=q))
+    report = HomChecker(geom).check(((-c,),), QuantumRing(geom, q))
     assert report.passed
 
 
 def test_a1_wrong_scalars_fail():
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
-    checker = HomChecker(geom, q)
+    checker, quantum = HomChecker(geom), QuantumRing(geom, q)
     for c in a1_scalar_sweep(20):
-        report = checker.check(((c,),), stop_early=True)
+        report = checker.check(((c,),), quantum, stop_early=True)
         assert not report.passed
         assert report.violations
 
@@ -60,11 +58,19 @@ def test_a1_sweep_pool_properties():
 
 def test_singular_matrix_rejected():
     geom = default_geometry(2)
-    checker = HomChecker(geom, QPoint([CycNum.zeta(3)] * 2))
+    checker = HomChecker(geom)
     report = checker.check(((Fraction(1), Fraction(1)),
-                            (Fraction(1), Fraction(1))))
+                            (Fraction(1), Fraction(1))),
+                           QuantumRing(geom, QPoint([CycNum.zeta(3)] * 2)))
     assert not report.passed
     assert report.violations[0][:2] == ("matrix", "det")
+
+
+def test_checker_rejects_quantum_ring_of_another_geometry():
+    checker = HomChecker(default_geometry(1))
+    other = QuantumRing(default_geometry(1, BaseRing("point")), QPoint([Fraction(-1)]))
+    with pytest.raises(ValueError):
+        checker.check(((Fraction(1),),), other)
 
 
 def test_hom_direction():
@@ -76,11 +82,11 @@ def test_hom_direction():
     det = a * a - b * b
     inv = det.inv()
     matrix = ((a * inv, -b * inv), (-b * inv, a * inv))
-    report = check_ring_hom(geom, HomCandidate(matrix=matrix, q=QPoint([z3, z3])))
+    report = HomChecker(geom).check(matrix, QuantumRing(geom, QPoint([z3, z3])))
     assert report.passed
     # the transpose-inverse convention with a and b swapped must fail
     bad = ((b * inv, -a * inv), (-a * inv, b * inv))
-    assert not check_ring_hom(geom, HomCandidate(matrix=bad, q=QPoint([z3, z3]))).passed
+    assert not HomChecker(geom).check(bad, QuantumRing(geom, QPoint([z3, z3]))).passed
 
 
 def test_solve_a2_exact_solutions():
@@ -98,6 +104,29 @@ def test_solve_a2_exact_solutions():
         isinstance(q, CycNum) and q == -1 and span == (1, 2)
         for q, span in result.excluded)
     assert result.to_json()["solutions"]
+
+
+def test_solve_a2_computes_orbifold_products_once(monkeypatch):
+    # the orbifold side does not depend on q: one product per unordered pair
+    # of the 8 basis elements, shared by every root and candidate
+    calls = []
+    mul = SectorRing.mul
+
+    def counting_mul(self, x, y):
+        if isinstance(self, OrbifoldRing):
+            calls.append((x, y))
+        return mul(self, x, y)
+
+    monkeypatch.setattr(SectorRing, "mul", counting_mul)
+    solve_a2_symmetric(default_geometry(2), max_order=6)
+    assert len(calls) == 8 * 9 // 2
+
+
+def test_solve_a2_flags_reach_the_checker():
+    # with the default flags the same call finds the zeta_3 pair
+    # (test_solve_a2_exact_solutions)
+    result = solve_a2_symmetric(default_geometry(2), max_order=6, flags=ConventionFlags("1"))
+    assert result.solutions == []
 
 
 def test_solve_a2_symplectic_all_roots_pass():
