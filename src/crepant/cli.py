@@ -37,6 +37,7 @@ COMMANDS = ("orb-table", "res-table", "gw", "qc-table", "verify-a1", "solve-a2",
             "check-assoc", "reconcile-6-2", "mckay", "cartan", "age")
 # options whose values may be signed exact tokens such as -1/2 or -1,2
 SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
+OUTPUTS = ("json", "text")
 
 
 class CliError(Exception):
@@ -109,7 +110,7 @@ def _geom_arg(parser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crepant", add_help=True)
-    parser.add_argument("--output", choices=("json", "text"), default="json")
+    parser.add_argument("--output", choices=OUTPUTS, default="json")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("orb-table", help="orbifold basis multiplication table")
@@ -156,6 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--exponents", required=True, help="comma-separated integers")
 
+    # --output is also accepted after the subcommand; a default there would
+    # overwrite the value given before it
+    for p in sub.choices.values():
+        p.add_argument("--output", choices=OUTPUTS, default=argparse.SUPPRESS)
     return parser
 
 

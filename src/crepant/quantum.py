@@ -1,11 +1,15 @@
-"""Quantum-corrected cohomology of the resolution.
+"""Quantum-corrected cohomology of the resolution, with the one product
+formula for E_i E_j that the classical ring also uses (at q = 0).
 
 Corrections to products of exceptional divisors are organized through the
 geometric series atoms delta_{rs} = Q/(1-Q) with Q = q_r ... q_s, one per
-connected span of exceptional fiber components.  The correction to E_i E_j
-is expressed by the cubic intersection polynomials R_{ijm} contracted with
-the inverse intersection matrix, multiplied by the class k.  Products
-involving pullback classes receive no correction.
+connected span beta_{rs} of exceptional fiber components.  The correction to
+the E_l coefficient of E_i E_j is k times the root sum
+
+    sum over spans beta containing l of (E_i.beta)(E_j.beta) delta_beta,
+
+the root-sum form of the A_n quantum product.  Products involving pullback
+classes receive no correction, and at q = 0 every delta vanishes.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cartan import cartan_inverse_entry, curve_class, intersection
+from .cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from .geometry import Geometry, SectorClass, SectorRing
-from .resolution import ResolutionRing
 from .scalars import format_rational, scalar_is_zero
 
 
@@ -85,6 +88,7 @@ class QPoint:
 
     def __init__(self, values):
         self.values = tuple(values)
+        self._products = {}
         self._atoms = {}
 
     @property
@@ -92,10 +96,13 @@ class QPoint:
         return len(self.values)
 
     def span_product(self, r: int, s: int):
-        prod = Fraction(1)
-        for t in range(r, s + 1):
-            prod = prod * self.values[t - 1]
-        return prod
+        """q_r ... q_s, from the cached q_r ... q_{s-1}: the pole check and
+        the atoms share one product per span."""
+        key = (r, s)
+        if key not in self._products:
+            prev = Fraction(1) if s == r else self.span_product(r, s - 1)
+            self._products[key] = prev * self.values[s - 1]
+        return self._products[key]
 
     def atom(self, r: int, s: int):
         """delta_{rs} = Q/(1-Q) evaluated exactly; PoleError when Q = 1."""
@@ -126,34 +133,46 @@ class QPoint:
         return [scalar_to_json(v) for v in self.values]
 
 
-def zero_point(n: int) -> QPoint:
-    return QPoint([Fraction(0)] * n)
-
-
 @lru_cache(maxsize=None)
-def r_poly(n: int, i: int, j: int, m: int) -> QSeries:
-    """R_{ijm} = sum over spans of (E_i.beta)(E_j.beta)(E_m.beta) delta."""
+def correction_series(n: int, i: int, j: int, l: int) -> QSeries:
+    """The E_l coefficient, over k, of the quantum correction to E_i E_j:
+    sum of (E_i.beta)(E_j.beta) delta_beta over the spans beta = beta_{rs}
+    with r <= l <= s."""
     atoms = {}
-    for r in range(1, n + 1):
-        for s in range(r, n + 1):
+    for r in range(1, l + 1):
+        for s in range(l, n + 1):
             beta = curve_class(n, r, s)
-            c = (intersection(n, i, beta) * intersection(n, j, beta)
-                 * intersection(n, m, beta))
-            if c:
-                atoms[(r, s)] = Fraction(c)
+            atoms[(r, s)] = Fraction(intersection(n, i, beta) * intersection(n, j, beta))
     return QSeries.from_dict(Fraction(0), atoms)
 
 
-@lru_cache(maxsize=None)
-def correction_series(n: int, i: int, j: int, l: int) -> QSeries:
-    """sum_m (C_n^-1)_{lm} R_{ijm}: the E_l coefficient, over k, of the
-    quantum correction to E_i E_j."""
-    series = QSeries()
-    for m in range(1, n + 1):
-        c = cartan_inverse_entry(n, l, m)
-        if c:
-            series = series + c * r_poly(n, i, j, m)
-    return series
+def ee_twisted_coefficients(n: int, i: int, j: int):
+    """Exceptional part of the classical E_i E_j as (m_coef, k_coef) pairs
+    per E_l.
+
+    Returns a list of n Fraction pairs; the degree-2 coefficient of E_l is
+    m_coef * m + k_coef * k.  Zero for |i - j| > 1.
+    """
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise IndexError(f"divisor index out of range for n={n}")
+    if i > j:
+        i, j = j, i
+    out = []
+    for l in range(1, n + 1):
+        if j - i > 1:
+            out.append((Fraction(0), Fraction(0)))
+        elif j == i:
+            cm = cartan_inverse_entry(n, i - 1, l) - cartan_inverse_entry(n, i + 1, l)
+            ck = (-(i - 1) * cartan_inverse_entry(n, i - 1, l)
+                  - 4 * cartan_inverse_entry(n, i, l)
+                  + (i + 1) * cartan_inverse_entry(n, i + 1, l))
+            out.append((cm, ck))
+        else:  # j == i + 1
+            cm = cartan_inverse_entry(n, i + 1, l) - cartan_inverse_entry(n, i, l)
+            ck = ((i + 1) * cartan_inverse_entry(n, i, l)
+                  - i * cartan_inverse_entry(n, i + 1, l))
+            out.append((cm, ck))
+    return out
 
 
 def evaluate(series: QSeries, q: QPoint):
@@ -167,9 +186,10 @@ def evaluate(series: QSeries, q: QPoint):
 class QuantumRing(SectorRing):
     """The quantum-corrected ring at a fixed exact parameter point.
 
-    Its sector products are those of the classical ring `classical` plus
-    the quantum corrections.  It stays a sibling of ResolutionRing, not a
-    subclass, so that profiling counts each ring's `mul` once."""
+    E_i E_j is c_ij sigma plus, per E_l, cm m + (ck + correction) k, with
+    (cm, ck) from `ee_twisted_coefficients` and the correction the
+    `correction_series` evaluated at q.  A point at a pole raises PoleError
+    for every geometry, also where k = 0 makes every correction vanish."""
 
     letter = "E"
     json_keys = ("pullback", "exceptional")
@@ -177,22 +197,25 @@ class QuantumRing(SectorRing):
     def __init__(self, geom: Geometry, q: QPoint):
         if q.n != geom.n:
             raise ValueError("parameter point has the wrong length")
+        poles = q.poles()
+        if poles:
+            raise PoleError(poles[0])
         super().__init__(geom)
         self.q = q
-        self.classical = ResolutionRing(geom)
+        # the correction k delta is zero when k = 0 or q = 0: no series is
+        # built then
+        self._corrected = (not geom.symplectic()
+                           and not all(scalar_is_zero(v) for v in q.values))
 
     def _compute_ee(self, i: int, j: int) -> SectorClass:
         geom = self.geom
         n = geom.n
-        base = self.classical.ee_product(i, j)
-        kap = geom.kap()
-        if kap.is_zero():
-            return base
-        coords = list(base.coords)
-        for l in range(1, n + 1):
-            series = correction_series(n, i, j, l)
-            if series.is_zero():
-                continue
-            value = evaluate(series, self.q)
-            coords[l + 1] = coords[l + 1] + kap.scale(value)
-        return SectorClass(geom, tuple(coords))
+        sigma = geom.base.one().scale(Fraction(cartan_matrix(n)[i - 1][j - 1]))
+        exc = []
+        for l, (cm, ck) in enumerate(ee_twisted_coefficients(n, i, j), start=1):
+            if self._corrected:
+                ck = ck + evaluate(correction_series(n, i, j, l), self.q)
+            term = geom.kap().scale(ck)
+            # m is undefined for n = 1, where cm is always 0
+            exc.append(geom.em().scale(cm) + term if cm else term)
+        return SectorClass(geom, (geom.base.zero(), sigma, *exc))

@@ -236,6 +236,8 @@ class CycNum:
         return NotImplemented
 
     def __rtruediv__(self, other):
+        if other == 1:
+            return self.inv()
         return self.inv() * other
 
     def conj(self) -> "CycNum":

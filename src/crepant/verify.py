@@ -15,8 +15,14 @@ from operator import add
 from .cartan import cartan_matrix
 from .geometry import Geometry, SectorClass
 from .orbifold import ConventionFlags, OrbifoldRing
-from .quantum import QPoint, QSeries, QuantumRing, correction_series
-from .resolution import ee_twisted_coefficients
+from .quantum import (
+    PoleError,
+    QPoint,
+    QSeries,
+    QuantumRing,
+    correction_series,
+    ee_twisted_coefficients,
+)
 from .scalars import CycNum, scalar_is_zero, scalar_to_json
 
 
@@ -132,32 +138,6 @@ class HomChecker:
         return report
 
 
-def a1_scalar_sweep(count: int = 200):
-    """A deterministic pool of cyclotomic scalars with conductors <= 8,
-    excluding +-i/2, for falsification sweeps."""
-    half_i = CycNum.zeta(4) * Fraction(1, 2)
-    pool = []
-    seen = set()
-    rationals = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
-                 Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(3, 2),
-                 Fraction(2, 3), Fraction(-3, 4), Fraction(5, 2), Fraction(1, 4)]
-    conductors = [1, 3, 4, 5, 7, 8]
-    for r in rationals:
-        for n in conductors:
-            for k in range(n):
-                c = CycNum.zeta(n, k) * r
-                if c == half_i or c == -half_i:
-                    continue
-                key = c.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                pool.append(c)
-                if len(pool) == count:
-                    return pool
-    raise RuntimeError("scalar pool exhausted before reaching the count")
-
-
 @dataclass
 class A2Solution:
     q: object  # the common value q1 = q2
@@ -214,12 +194,11 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
     excluded = []
     for root in _roots_of_unity(max_order):
         q = QPoint([root, root])
-        poles = q.poles()
-        if poles:
-            for span in poles:
-                excluded.append((root, span))
+        try:
+            quantum = QuantumRing(geom, q)
+        except PoleError:
+            excluded.extend((root, span) for span in q.poles())
             continue
-        quantum = QuantumRing(geom, q)
         for a, b, matrix in candidates:
             if checker.check(matrix, quantum, stop_early=True).passed:
                 solutions.append(A2Solution(q=root, a=a, b=b))

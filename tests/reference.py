@@ -5,10 +5,12 @@ independent route to a value the package computes another way.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from crepant.cartan import cartan_inverse_entry, cartan_matrix
+from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from crepant.geometry import SectorClass, SectorRing
-from crepant.quantum import evaluate
+from crepant.quantum import QSeries, evaluate
+from crepant.scalars import CycNum
 
 
 def surface_table(n: int):
@@ -78,6 +80,58 @@ def contracted_alpha(n: int, i: int, j: int):
             ck += c * alphas[m - 1][1]
         out.append((cm, ck))
     return out
+
+
+@lru_cache(maxsize=None)
+def r_poly(n: int, i: int, j: int, m: int) -> QSeries:
+    """R_{ijm} = sum over spans of (E_i.beta)(E_j.beta)(E_m.beta) delta."""
+    atoms = {}
+    for r in range(1, n + 1):
+        for s in range(r, n + 1):
+            beta = curve_class(n, r, s)
+            c = (intersection(n, i, beta) * intersection(n, j, beta)
+                 * intersection(n, m, beta))
+            if c:
+                atoms[(r, s)] = Fraction(c)
+    return QSeries.from_dict(Fraction(0), atoms)
+
+
+def contracted_correction(n: int, i: int, j: int, l: int) -> QSeries:
+    """sum_m (c_n^-1)_{lm} R_{ijm}: the quantum correction to the E_l
+    coefficient of E_i E_j, over k, by contraction with the inverse
+    intersection matrix.  Cross-check target for the root-sum form."""
+    series = QSeries()
+    for m in range(1, n + 1):
+        c = cartan_inverse_entry(n, l, m)
+        if c:
+            series = series + c * r_poly(n, i, j, m)
+    return series
+
+
+def a1_scalar_sweep(count: int = 200):
+    """A deterministic pool of cyclotomic scalars with conductors <= 8,
+    excluding +-i/2, for falsification sweeps."""
+    half_i = CycNum.zeta(4) * Fraction(1, 2)
+    pool = []
+    seen = set()
+    rationals = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+                 Fraction(2), Fraction(-2), Fraction(1, 3), Fraction(3, 2),
+                 Fraction(2, 3), Fraction(-3, 4), Fraction(5, 2), Fraction(1, 4)]
+    conductors = [1, 3, 4, 5, 7, 8]
+    for r in rationals:
+        for n in conductors:
+            for k in range(n):
+                c = CycNum.zeta(n, k) * r
+                if c == half_i or c == -half_i:
+                    continue
+                key = c.key()
+                if key in seen:
+                    continue
+                seen.add(key)
+                pool.append(c)
+                if len(pool) == count:
+                    return pool
+    raise RuntimeError("scalar pool exhausted before reaching the count")
 
 
 def det_by_cofactors(matrix):

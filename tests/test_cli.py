@@ -57,6 +57,20 @@ def test_pole_exits_3_with_span():
     assert data["span"] == [1, 2]
 
 
+# one pole rule for every geometry: a2_point has k = 0, so no correction
+# would ever evaluate the pole
+@pytest.mark.parametrize("argv", [
+    ["qc-table", "--config", A2_POINT, "--q", "1"],
+    ["check-assoc", "--config", A2_POINT, "--ring", "quantum", "--q", "1"],
+], ids=["qc-table", "check-assoc"])
+def test_pole_exits_3_where_k_is_zero(argv):
+    code, text = invoke(argv)
+    assert code == 3
+    data = json.loads(text)
+    assert data["error"] == "pole"
+    assert data["span"] == [1, 1]
+
+
 QC_ZETA3 = ["qc-table", "--config", A2, "--q=zeta3"]
 CARTAN = ["cartan", "--n", "2"]
 AGE = ["age", "--order", "3", "--exponents", "1,2"]
@@ -211,6 +225,15 @@ def test_text_output_mode():
     code, text = invoke(["--output", "text", "cartan", "--n", "1"])
     assert code == 0
     assert "matrix[0][0]" in text and "{" not in text
+
+
+def test_output_option_in_either_position():
+    before = invoke(["--output", "text", "orb-table", "--config", A1])
+    after = invoke(["orb-table", "--config", A1, "--output", "text"])
+    assert before == after and before[0] == 0
+    assert "{" not in before[1]
+    # given after the subcommand only, it overrides the top-level default
+    assert invoke(["cartan", "--n", "1", "--output", "json"]) == invoke(["cartan", "--n", "1"])
 
 
 def test_config_round_trip():

@@ -74,6 +74,12 @@ GOLDEN = [
      "6d40858b6c833d4e86e5f37f7d62951b7fbbefff03c5ad54d8e17adbfc927bdb"),
     ("verify-a1 a1_p1 --q=zeta8^3 --scalar=zeta3",
      "c939aaa3c5be470e18b2ccda97ffe24e256e4e39fc2b8e2e667f6f68ad868249"),
+    # n = 4, recorded before the correction became a closed-form root sum
+    ("res-table a4_p1", "f4d0011772f2dea7f3bde253f12b3c09e0dcd26da2771c8db126a12b0eac2dec"),
+    ("qc-table a4_p1 --q=zeta12,zeta5,zeta8,zeta3",
+     "1cd2eaf8e1a67afb9373b6c0062fd5640898ee40c8b296ace201ad6389e2d177"),
+    ("check-assoc a4_p1 --ring quantum --q=2,-1,1/2,3",
+     "6bd978473a685060553c45395d43a99be639a41c43b3e1ea67acb33906b16c29"),
 ]
 
 

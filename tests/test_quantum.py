@@ -8,13 +8,13 @@ from crepant.quantum import (
     QPoint,
     QSeries,
     QuantumRing,
+    correction_series,
     evaluate,
-    r_poly,
-    zero_point,
 )
 from crepant.geometry import SectorClass
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
+from reference import contracted_correction, r_poly
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
 
@@ -26,6 +26,21 @@ def test_r_poly_frozen_a2():
     assert r_poly(2, 1, 2, 2).atom_dict() == {D11: -2, D22: 4, D12: -1}
     # cubic symmetry in all three indices
     assert r_poly(2, 2, 1, 1) == r_poly(2, 1, 2, 1) == r_poly(2, 1, 1, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_root_sum_matches_contraction(n):
+    # sum_m (C^-1)_{lm} (E_m.beta) is the multiplicity of beta_l in beta
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for l in range(1, n + 1):
+                assert correction_series(n, i, j, l) == contracted_correction(n, i, j, l)
+
+
+def test_classical_ring_builds_no_correction_series():
+    correction_series.cache_clear()
+    ResolutionRing(default_geometry(7)).products()
+    assert correction_series.cache_info().currsize == 0
 
 
 def test_atoms_and_poles():
@@ -70,7 +85,7 @@ def test_a1_correction_vanishes_at_minus_one():
 def test_degeneration_at_zero(n):
     geom = default_geometry(n)
     classical = ResolutionRing(geom)
-    quantum = QuantumRing(geom, zero_point(n))
+    quantum = QuantumRing(geom, QPoint([Fraction(0)] * n))
     basis = classical.basis()
     for i, (_, x) in enumerate(basis):
         for _, y in basis[i:]:

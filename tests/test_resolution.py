@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from crepant.geometry import SectorClass, default_geometry
-from crepant.resolution import ResolutionRing, ee_twisted_coefficients
+from crepant.quantum import ee_twisted_coefficients
+from crepant.resolution import ResolutionRing
 from reference import contracted_alpha
 
 

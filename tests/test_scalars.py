@@ -131,3 +131,14 @@ def test_rational_operand_matches_embedded_operand(x, r):
         assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
     assert (x == r) == (x == e)
     assert e == r and (x - (x - r)) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_numbers(), st.one_of(st.just(1), st.just(Fraction(1)), small_fraction,
+                                st.integers(min_value=-9, max_value=9)))
+def test_rational_divided_by_cyclotomic(x, r):
+    # r / x is x.inv() * r, also for r = 1, where it is x.inv() itself
+    if x.is_zero():
+        return
+    got, want = r / x, x.inv() * r
+    assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)

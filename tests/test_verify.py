@@ -14,7 +14,6 @@ from crepant.scalars import CycNum
 from crepant.verify import (
     PRINTED_A2_TABLE,
     HomChecker,
-    a1_scalar_sweep,
     check_associativity,
     check_pairing_nondegenerate,
     _det,
@@ -22,7 +21,13 @@ from crepant.verify import (
     reconcile_6_2,
     solve_a2_symmetric,
 )
-from reference import A2TableRing, det_by_cofactors, reflect_a2_table, repair_a2_table
+from reference import (
+    A2TableRing,
+    a1_scalar_sweep,
+    det_by_cofactors,
+    reflect_a2_table,
+    repair_a2_table,
+)
 
 
 def test_a1_isomorphism_at_minus_one():
