@@ -58,16 +58,6 @@ class CurveClass:
         if any(m < 0 for m in self.mult):
             raise ValueError("curve classes here are effective")
 
-    def is_span(self):
-        """(i, j) if the class is beta_{ij} = beta_i + ... + beta_j, else None."""
-        support = [t for t, m in enumerate(self.mult) if m != 0]
-        if not support:
-            return None
-        i, j = support[0], support[-1]
-        if support == list(range(i, j + 1)) and all(self.mult[t] == 1 for t in support):
-            return (i + 1, j + 1)
-        return None
-
     def as_multiple_of_span(self):
         """(a, (i, j)) if the class is a * beta_{ij} with a >= 1, else None."""
         support = [t for t, m in enumerate(self.mult) if m != 0]

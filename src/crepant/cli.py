@@ -38,6 +38,8 @@ COMMANDS = ("orb-table", "res-table", "gw", "qc-table", "verify-a1", "solve-a2",
 # options whose values may be signed exact tokens such as -1/2 or -1,2
 SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
 OUTPUTS = ("json", "text")
+# largest `cartan --n`: the matrix and its inverse have n^2 entries each
+MAX_CARTAN_N = 100
 
 
 class CliError(Exception):
@@ -265,6 +267,12 @@ def cmd_solve_a2(args) -> dict:
     geom, flags, _ = load_config(args.config)
     if geom.n != 2:
         raise CliError("solve-a2 needs an n = 2 geometry")
+    # a root of order d meets the Q(zeta_3) candidates in conductor
+    # lcm(3, d) <= 3 max_order
+    cap = conductor_cap()
+    if args.max_order < 1 or 3 * args.max_order > cap:
+        raise CliError(f"max-order must be between 1 and {cap // 3} "
+                       f"(3 * max-order may not exceed the conductor cap {cap})")
     result = solve_a2_symmetric(geom, max_order=args.max_order, flags=flags)
     return {"command": "solve-a2", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags),
@@ -316,6 +324,8 @@ def cmd_mckay(args) -> dict:
 def cmd_cartan(args) -> dict:
     if args.n < 1:
         raise CliError("need n >= 1")
+    if args.n > MAX_CARTAN_N:
+        raise CliError(f"need n <= {MAX_CARTAN_N}")
     return {"command": "cartan", "n": args.n,
             "matrix": [[str(v) for v in row] for row in cartan_matrix(args.n)],
             "inverse": [[format_rational(v) for v in row]

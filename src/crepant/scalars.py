@@ -3,6 +3,14 @@
 Rationals are `fractions.Fraction`.  Cyclotomic numbers are residues modulo
 the N-th cyclotomic polynomial, with Fraction coefficients, so equality is
 canonical coefficient-wise comparison (after embedding into a common field).
+
+Every reduction goes through one residue table per conductor N, built on
+first use: row e holds the nonzero coefficients of x^e mod Phi_N for
+e = 0..N-1, and `_reduce` sums c * row[e mod N] over (e, c) terms.  The
+constructor, `zeta` (row k), `embed` (e -> e M/N), `conj` (e -> -e) and the
+common-field lift of a binary operation all go through it.  The conductor
+cap is checked before any table or anything else of size N is built.
+
 No floating point is used anywhere except the display helper `to_complex`.
 """
 
@@ -96,27 +104,43 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce_mod_cyclotomic(coeffs, n):
-    """Reduce a coefficient list modulo the n-th cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def _residues(n: int):
+    """Row e, for e = 0..n-1, is x^e mod Phi_n as its nonzero (j, c) pairs."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    coeffs = [Fraction(c) for c in coeffs]
-    # First fold exponents with zeta^n = 1, then do the polynomial remainder.
-    if len(coeffs) > n:
-        folded = [Fraction(0)] * n
-        for e, c in enumerate(coeffs):
-            folded[e % n] += c
-        coeffs = folded
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
+    rows = [((e, 1),) for e in range(deg)]
+    # x^deg = -sum_j phi_j x^j; each further row is the one before times x
+    vec = [0] * (deg - 1) + [1]
+    for _ in range(deg, n):
+        top = vec[-1]
+        vec = [v - top * p for v, p in zip([0] + vec[:-1], phi)]
+        rows.append(tuple((j, c) for j, c in enumerate(vec) if c))
+    return tuple(rows)
+
+
+def _reduce(n: int, terms):
+    """Coefficients of sum c x^e mod Phi_n over the (e, c) terms: each term
+    adds c times row e mod n of the residue table.  The one reduction of
+    this module."""
+    rows = _residues(n)
+    out = [Fraction(0)] * euler_phi(n)
+    for e, c in terms:
         if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
-        coeffs[i] = Fraction(0)
-    coeffs = coeffs[:deg]
-    while len(coeffs) < deg:
-        coeffs.append(Fraction(0))
-    return tuple(coeffs)
+            for j, r in rows[e % n]:
+                out[j] += c if r == 1 else c * r
+    return tuple(out)
+
+
+def _check_conductor(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= cap; called before anything of size
+    n is built."""
+    if n < 1:
+        raise ValueError("conductor must be >= 1")
+    cap = conductor_cap()
+    if n > cap:
+        raise ValueError(f"conductor {n} exceeds cap {cap} "
+                         "(set CREPANT_MAX_CONDUCTOR to raise it)")
 
 
 class CycNum:
@@ -125,18 +149,10 @@ class CycNum:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs, _reduced=False):
-        if conductor < 1:
-            raise ValueError("conductor must be >= 1")
-        if conductor > conductor_cap():
-            raise ValueError(
-                f"conductor {conductor} exceeds cap {conductor_cap()} "
-                "(set CREPANT_MAX_CONDUCTOR to raise it)"
-            )
+        _check_conductor(conductor)
         object.__setattr__(self, "conductor", conductor)
-        if _reduced:
-            object.__setattr__(self, "coeffs", tuple(coeffs))
-        else:
-            object.__setattr__(self, "coeffs", _reduce_mod_cyclotomic(coeffs, conductor))
+        object.__setattr__(self, "coeffs", tuple(coeffs) if _reduced
+                           else _reduce(conductor, enumerate(coeffs)))
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
@@ -149,29 +165,34 @@ class CycNum:
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
-        power %= n
-        return cls(n, [0] * power + [1])
+        _check_conductor(n)
+        return cls(n, _reduce(n, ((power, 1),)), _reduced=True)
 
     # -- structure ---------------------------------------------------------
+
+    def _lift(self, conductor):
+        """Own coefficients in the power basis of Q(zeta_conductor), a
+        multiple of the own conductor N: x^e goes to x^(e conductor/N)."""
+        if conductor == self.conductor:
+            return self.coeffs
+        if conductor % self.conductor:
+            raise ValueError("can only embed into a multiple conductor")
+        _check_conductor(conductor)
+        step = conductor // self.conductor
+        return _reduce(conductor, ((e * step, c) for e, c in enumerate(self.coeffs)))
 
     def embed(self, conductor: int) -> "CycNum":
         """Image in Q(zeta_conductor); own conductor must divide it."""
         if conductor == self.conductor:
             return self
-        if conductor % self.conductor:
-            raise ValueError("can only embed into a multiple conductor")
-        step = conductor // self.conductor
-        out = [Fraction(0)] * conductor
-        for e, c in enumerate(self.coeffs):
-            out[e * step] += c
-        return CycNum(conductor, out)
+        return CycNum(conductor, self._lift(conductor), _reduced=True)
 
     def _pair(self, other):
         """(common conductor, own coeffs, other's coeffs) there, or None.  A
         rational operand becomes its constant coefficient tuple directly."""
         if isinstance(other, CycNum):
             n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-            return n, self.embed(n).coeffs, other.embed(n).coeffs
+            return n, self._lift(n), other._lift(n)
         if isinstance(other, (int, Fraction)):
             pad = (Fraction(0),) * (len(self.coeffs) - 1)
             return self.conductor, self.coeffs, (Fraction(other),) + pad
@@ -243,10 +264,8 @@ class CycNum:
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta -> zeta^(N-1)."""
         n = self.conductor
-        out = [Fraction(0)] * n
-        for e, c in enumerate(self.coeffs):
-            out[(-e) % n] += c
-        return CycNum(n, out)
+        return CycNum(n, _reduce(n, ((-e, c) for e, c in enumerate(self.coeffs))),
+                      _reduced=True)
 
     # -- predicates --------------------------------------------------------
 
@@ -257,8 +276,6 @@ class CycNum:
         """The value as a Fraction if it is rational, else None."""
         if all(c == 0 for c in self.coeffs[1:]):
             return self.coeffs[0]
-        if self.conductor == 1:
-            return self.coeffs[0] if self.coeffs else Fraction(0)
         return None
 
     def __eq__(self, other):
@@ -268,61 +285,7 @@ class CycNum:
         _, a, b = pair
         return a == b
 
-    __hash__ = None  # equality crosses conductors; hash by .key() if needed
-
-    def key(self) -> str:
-        """A string key identifying the value (for memoization)."""
-        m = self.minimal()
-        return f"{m.conductor}:" + ",".join(str(c) for c in m.coeffs)
-
-    def minimal(self) -> "CycNum":
-        """Equal value at the smallest conductor dividing the current one."""
-        n = self.conductor
-        for p in sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}):
-            while n % p == 0:
-                down = self._try_descend(n // p)
-                if down is None:
-                    break
-                return down.minimal()
-        return self
-
-    def _try_descend(self, m):
-        if self.conductor % m:
-            return None
-        # Solve embed(x) == self by matching coefficients of the big field.
-        step = self.conductor // m
-        target = list(self.coeffs)
-        # zeta_m^e embeds as reduction of x^(e*step); build the linear system.
-        cols = []
-        for e in range(euler_phi(m)):
-            cols.append(_reduce_mod_cyclotomic([0] * (e * step) + [1], self.conductor))
-        rows = len(target)
-        mat = [[cols[c][r] for c in range(len(cols))] + [target[r]] for r in range(rows)]
-        piv = 0
-        for col in range(len(cols)):
-            sel = next((r for r in range(piv, rows) if mat[r][col] != 0), None)
-            if sel is None:
-                continue
-            mat[piv], mat[sel] = mat[sel], mat[piv]
-            inv = Fraction(1) / mat[piv][col]
-            mat[piv] = [x * inv for x in mat[piv]]
-            for r in range(rows):
-                if r != piv and mat[r][col] != 0:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[piv])]
-            piv += 1
-        # After full reduction each pivot row reads off one coordinate.
-        sol = [Fraction(0)] * len(cols)
-        piv = 0
-        for col in range(len(cols)):
-            row = next((r for r in range(rows)
-                        if mat[r][col] == 1 and all(mat[r][c] == 0 for c in range(len(cols)) if c != col)), None)
-            if row is not None:
-                sol[col] = mat[row][-1]
-        cand = CycNum(m, sol)
-        if cand.embed(self.conductor) == self:
-            return cand
-        return None
+    __hash__ = None  # equality crosses conductors
 
     # -- rendering ---------------------------------------------------------
 
@@ -353,11 +316,6 @@ class CycNum:
         return cls(data["conductor"], [parse_rational(c) for c in data["coeffs"]])
 
 
-def _is_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 

@@ -10,7 +10,103 @@ from functools import lru_cache
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from crepant.geometry import SectorClass, SectorRing
 from crepant.quantum import QSeries, evaluate
-from crepant.scalars import CycNum
+from crepant.scalars import CycNum, cyclotomic_polynomial, euler_phi
+
+
+def reduce_mod_cyclotomic(coeffs, n):
+    """Reduce a coefficient list modulo the n-th cyclotomic polynomial by
+    folding with zeta^n = 1 and long division by Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    coeffs = [Fraction(c) for c in coeffs]
+    # First fold exponents with zeta^n = 1, then do the polynomial remainder.
+    if len(coeffs) > n:
+        folded = [Fraction(0)] * n
+        for e, c in enumerate(coeffs):
+            folded[e % n] += c
+        coeffs = folded
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(deg + 1):
+                coeffs[i - deg + j] -= c * phi[j]
+        coeffs[i] = Fraction(0)
+    coeffs = coeffs[:deg]
+    while len(coeffs) < deg:
+        coeffs.append(Fraction(0))
+    return tuple(coeffs)
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def key(x: CycNum) -> str:
+    """A string identifying the value of x across conductors."""
+    m = minimal(x)
+    return f"{m.conductor}:" + ",".join(str(c) for c in m.coeffs)
+
+
+def minimal(x: CycNum) -> CycNum:
+    """Equal value at the smallest conductor dividing that of x."""
+    n = x.conductor
+    for p in sorted({p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)}):
+        while n % p == 0:
+            down = _try_descend(x, n // p)
+            if down is None:
+                break
+            return minimal(down)
+    return x
+
+
+def _try_descend(x: CycNum, m: int):
+    """The element of Q(zeta_m) that embeds as x, or None."""
+    if x.conductor % m:
+        return None
+    # Solve embed(y) == x by matching coefficients of the big field.
+    step = x.conductor // m
+    target = list(x.coeffs)
+    # zeta_m^e embeds as reduction of x^(e*step); build the linear system.
+    cols = []
+    for e in range(euler_phi(m)):
+        cols.append(reduce_mod_cyclotomic([0] * (e * step) + [1], x.conductor))
+    rows = len(target)
+    mat = [[cols[c][r] for c in range(len(cols))] + [target[r]] for r in range(rows)]
+    piv = 0
+    for col in range(len(cols)):
+        sel = next((r for r in range(piv, rows) if mat[r][col] != 0), None)
+        if sel is None:
+            continue
+        mat[piv], mat[sel] = mat[sel], mat[piv]
+        inv = Fraction(1) / mat[piv][col]
+        mat[piv] = [v * inv for v in mat[piv]]
+        for r in range(rows):
+            if r != piv and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[piv])]
+        piv += 1
+    # After full reduction each pivot row reads off one coordinate.
+    sol = [Fraction(0)] * len(cols)
+    for col in range(len(cols)):
+        row = next((r for r in range(rows)
+                    if mat[r][col] == 1 and all(mat[r][c] == 0 for c in range(len(cols)) if c != col)), None)
+        if row is not None:
+            sol[col] = mat[row][-1]
+    cand = CycNum(m, sol)
+    if cand.embed(x.conductor) == x:
+        return cand
+    return None
+
+
+def is_span(beta):
+    """(i, j) if the curve class is beta_{ij} = beta_i + ... + beta_j, else None."""
+    support = [t for t, m in enumerate(beta.mult) if m != 0]
+    if not support:
+        return None
+    i, j = support[0], support[-1]
+    if support == list(range(i, j + 1)) and all(beta.mult[t] == 1 for t in support):
+        return (i + 1, j + 1)
+    return None
 
 
 def surface_table(n: int):
@@ -82,6 +178,24 @@ def contracted_alpha(n: int, i: int, j: int):
     return out
 
 
+class ContractedAlphaRing(SectorRing):
+    """The classical resolution ring built independently of
+    `quantum.ee_twisted_coefficients`: E_i E_j is (c_n)_ij sigma plus, per
+    E_l, cm m + ck k with (cm, ck) from `contracted_alpha`."""
+
+    letter = "E"
+    json_keys = ("pullback", "exceptional")
+
+    def _compute_ee(self, i, j):
+        geom = self.geom
+        n = geom.n
+        sigma = geom.base.one().scale(Fraction(cartan_matrix(n)[i - 1][j - 1]))
+        # m is undefined for n = 1, where every cm is 0
+        exc = tuple((geom.em().scale(cm) if cm else geom.base.zero()) + geom.kap().scale(ck)
+                    for cm, ck in contracted_alpha(n, i, j))
+        return SectorClass(geom, (geom.base.zero(), sigma, *exc))
+
+
 @lru_cache(maxsize=None)
 def r_poly(n: int, i: int, j: int, m: int) -> QSeries:
     """R_{ijm} = sum over spans of (E_i.beta)(E_j.beta)(E_m.beta) delta."""
@@ -124,10 +238,10 @@ def a1_scalar_sweep(count: int = 200):
                 c = CycNum.zeta(n, k) * r
                 if c == half_i or c == -half_i:
                     continue
-                key = c.key()
-                if key in seen:
+                tag = key(c)
+                if tag in seen:
                     continue
-                seen.add(key)
+                seen.add(tag)
                 pool.append(c)
                 if len(pool) == count:
                     return pool

@@ -242,3 +242,38 @@ def test_config_round_trip():
         data = json.load(fh)
     geom = Geometry.from_json(data)
     assert Geometry.from_json(geom.to_json()) == geom
+
+
+@pytest.mark.parametrize("order", ["0", "-1", "41", str(10**9)])
+def test_solve_a2_max_order_bounded_before_computing(monkeypatch, order):
+    # 3 * max-order bounds the conductor lcm(3, d) of every root of order d;
+    # the default cap 120 allows max-order 1..40
+    monkeypatch.delenv("CREPANT_MAX_CONDUCTOR", raising=False)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("solve_a2_symmetric ran")
+
+    monkeypatch.setattr("crepant.cli.solve_a2_symmetric", fail)
+    code, text = invoke(["solve-a2", "--config", A2, "--max-order", order])
+    assert code == 2
+    assert "max-order must be between 1 and 40" in json.loads(text)["error"]
+
+
+def test_solve_a2_max_order_bound_follows_the_cap(monkeypatch):
+    monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", "30")
+    code, text = invoke(["solve-a2", "--config", A2, "--max-order", "11"])
+    assert code == 2
+    assert "between 1 and 10" in json.loads(text)["error"]
+    code, _ = invoke(["solve-a2", "--config", A2, "--max-order", "2"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("n", ["101", str(10**9)])
+def test_cartan_n_bounded_before_computing(monkeypatch, n):
+    def fail(*args, **kwargs):
+        raise AssertionError("cartan_matrix ran")
+
+    monkeypatch.setattr("crepant.cli.cartan_matrix", fail)
+    code, text = invoke(["cartan", "--n", n])
+    assert code == 2
+    assert json.loads(text)["error"] == "need n <= 100"

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.geometry import SectorClass, default_geometry
-from crepant.quantum import ee_twisted_coefficients
+from crepant.geometry import BaseRing, Geometry, SectorClass, TautClasses, default_geometry
+from crepant.quantum import QPoint, QuantumRing, ee_twisted_coefficients
 from crepant.resolution import ResolutionRing
-from reference import contracted_alpha
+from reference import ContractedAlphaRing, contracted_alpha
 
 
 def test_a1_self_intersection():
@@ -97,3 +97,27 @@ def test_associative_classical():
         for _, y in basis[4:]:
             for _, z in basis[4:]:
                 assert ring.mul(ring.mul(x, y), z) == ring.mul(x, ring.mul(y, z))
+
+
+BASES = (BaseRing("point", 0), BaseRing("projective_space", 1),
+         BaseRing("projective_space", 2))
+
+
+def classical_geometry(n, base, k):
+    """k = 0 (l = 3, m = -3) or k = 1 (l = 1, m = n) over `base`."""
+    if n == 1:
+        return Geometry(1, base, TautClasses(1, None, None, Fraction(k)))
+    l = Fraction(1 if k else 3)
+    return Geometry(n, base, TautClasses(n, l, (n + 1) * k - l, Fraction(k)))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("base", BASES, ids=lambda b: f"{b.model}{b.dim}")
+@pytest.mark.parametrize("n", range(1, 6))
+def test_classical_and_degenerate_quantum_match_contracted_alpha(n, base, k):
+    # the reference ring takes E_i E_j from the alpha contraction, not from
+    # ee_twisted_coefficients, so this checks the classical formula itself
+    geom = classical_geometry(n, base, k)
+    want = ContractedAlphaRing(geom).products()
+    assert ResolutionRing(geom).products() == want
+    assert QuantumRing(geom, QPoint([Fraction(0)] * n)).products() == want

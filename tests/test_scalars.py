@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crepant import scalars
 from crepant.scalars import (
     CycNum,
     cyclotomic_polynomial,
@@ -11,6 +13,7 @@ from crepant.scalars import (
     parse_rational,
     parse_scalar,
 )
+from reference import minimal, reduce_mod_cyclotomic
 
 
 def test_cyclotomic_polynomials():
@@ -42,7 +45,7 @@ def test_float_rendering_oracle():
 def test_cross_conductor_equality_and_minimal():
     assert CycNum.zeta(3) == CycNum.zeta(6, 2)
     assert CycNum.zeta(6, 3) == -1
-    m = CycNum.zeta(12, 4).minimal()
+    m = minimal(CycNum.zeta(12, 4))
     assert m.conductor == 3
     assert m == CycNum.zeta(3)
 
@@ -142,3 +145,83 @@ def test_rational_divided_by_cyclotomic(x, r):
         return
     got, want = r / x, x.inv() * r
     assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+
+
+# -- the residue table against the long-division reducer ---------------------
+
+coefficient = st.one_of(small_fraction, st.integers(min_value=-9, max_value=9))
+
+
+def assert_reduced(x, conductor, coeffs):
+    """x is exactly the residue `coeffs` at `conductor`, Fraction by Fraction."""
+    assert x.conductor == conductor
+    assert x.coeffs == coeffs
+    assert all(type(c) is Fraction for c in x.coeffs)
+
+
+def scattered(coeffs, n, position):
+    """A length-n list with coeffs[e] added at position(e) mod n."""
+    out = [0] * n
+    for e, c in enumerate(coeffs):
+        out[position(e) % n] += c
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_residue_table_matches_reference_reducer(data):
+    n = data.draw(st.integers(min_value=1, max_value=120), label="conductor")
+    # inputs up to twice the conductor long, so folding by x^n = 1 is covered
+    raw = data.draw(st.lists(coefficient, max_size=2 * n + 2), label="coeffs")
+    x = CycNum(n, raw)
+    assert_reduced(x, n, reduce_mod_cyclotomic(raw, n))
+
+    k = data.draw(st.integers(min_value=-3 * n, max_value=3 * n), label="power")
+    assert_reduced(CycNum.zeta(n, k), n, reduce_mod_cyclotomic([0] * (k % n) + [1], n))
+
+    assert_reduced(x.conj(), n, reduce_mod_cyclotomic(scattered(x.coeffs, n, lambda e: -e), n))
+
+    m = n * data.draw(st.integers(min_value=1, max_value=120 // n), label="multiple")
+    step = m // n
+    assert_reduced(x.embed(m), m, reduce_mod_cyclotomic(
+        scattered(x.coeffs, m, lambda e: e * step), m))
+
+    n2 = data.draw(st.sampled_from([d for d in range(1, 121) if _lcm(n, d) <= 120]),
+                   label="other conductor")
+    y = CycNum(n2, data.draw(st.lists(coefficient, max_size=2 * n2 + 2), label="other"))
+    common = _lcm(n, n2)
+    xs = reduce_mod_cyclotomic(scattered(x.coeffs, common, lambda e: e * (common // n)), common)
+    ys = reduce_mod_cyclotomic(scattered(y.coeffs, common, lambda e: e * (common // n2)), common)
+    product = [0] * (len(xs) + len(ys))
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            product[i + j] += a * b
+    assert_reduced(x * y, common, reduce_mod_cyclotomic(product, common))
+
+
+def test_zeta_checks_the_cap_before_allocating(monkeypatch):
+    monkeypatch.delenv("CREPANT_MAX_CONDUCTOR", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="conductor 10000000 exceeds cap 120"):
+            CycNum.zeta(10**7, 10**7 - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_over_cap_product_builds_no_table(monkeypatch):
+    monkeypatch.delenv("CREPANT_MAX_CONDUCTOR", raising=False)
+    built = []
+    residues = scalars._residues
+
+    def recording(n):
+        built.append(n)
+        return residues(n)
+
+    monkeypatch.setattr(scalars, "_residues", recording)
+    a, b = CycNum.zeta(119), CycNum.zeta(120)
+    with pytest.raises(ValueError, match="conductor 14280 exceeds cap 120"):
+        a * b
+    assert built == [119, 120]

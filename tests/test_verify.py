@@ -25,6 +25,7 @@ from reference import (
     A2TableRing,
     a1_scalar_sweep,
     det_by_cofactors,
+    key,
     reflect_a2_table,
     repair_a2_table,
 )
@@ -57,7 +58,7 @@ def test_a1_sweep_pool_properties():
     keys = set()
     for c in pool:
         assert c != half_i and c != -half_i
-        keys.add(c.key())
+        keys.add(key(c))
     assert len(keys) == 200  # no duplicates
 
 
@@ -98,10 +99,10 @@ def test_solve_a2_exact_solutions():
     geom = default_geometry(2)
     result = solve_a2_symmetric(geom, max_order=6)
     z3 = CycNum.zeta(3)
-    got = {(s.q.key(), s.a.key(), s.b.key()) for s in result.solutions}
+    got = {(key(s.q), key(s.a), key(s.b)) for s in result.solutions}
     want = {
-        (z3.key(), (2 + z3).key(), (z3 - 1).key()),
-        (z3.conj().key(), (1 - z3).key(), (-2 - z3).key()),
+        (key(z3), key(2 + z3), key(z3 - 1)),
+        (key(z3.conj()), key(1 - z3), key(-2 - z3)),
     }
     assert got == want
     # q = -1 hits the pole of the mixed span
@@ -139,7 +140,7 @@ def test_solve_a2_symplectic_all_roots_pass():
                     TautClasses(2, Fraction(3), Fraction(-3), Fraction(0)))
     result = solve_a2_symmetric(geom, max_order=4)
     # no quantum corrections: every pole-free root admits both sign choices
-    roots = {s.q.key() if isinstance(s.q, CycNum) else s.q for s in result.solutions}
+    roots = {key(s.q) if isinstance(s.q, CycNum) else s.q for s in result.solutions}
     assert len(roots) >= 4
 
 
