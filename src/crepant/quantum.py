@@ -175,11 +175,14 @@ def ee_twisted_coefficients(n: int, i: int, j: int):
     return out
 
 
-def evaluate(series: QSeries, q: QPoint):
-    """Exact evaluation of a QSeries at a parameter point."""
+def evaluate(series: QSeries, at):
+    """Exact evaluation of a QSeries at a parameter point (a QPoint, whose
+    atoms are computed on demand) or at given atom values, a mapping
+    {(r, s): delta_rs}."""
+    atom = at.atom if isinstance(at, QPoint) else lambda r, s: at[(r, s)]
     total = series.const
     for span, c in series.atoms:
-        total = total + c * q.atom(*span)
+        total = total + c * atom(*span)
     return total
 
 
@@ -189,7 +192,8 @@ class QuantumRing(SectorRing):
     E_i E_j is c_ij sigma plus, per E_l, cm m + (ck + correction) k, with
     (cm, ck) from `ee_twisted_coefficients` and the correction the
     `correction_series` evaluated at q.  A point at a pole raises PoleError
-    for every geometry, also where k = 0 makes every correction vanish."""
+    for every geometry, also where k = 0 makes every correction vanish.
+    `at_deltas` builds the ring from the atom values instead."""
 
     letter = "E"
     json_keys = ("pullback", "exceptional")
@@ -200,12 +204,26 @@ class QuantumRing(SectorRing):
         poles = q.poles()
         if poles:
             raise PoleError(poles[0])
-        super().__init__(geom)
+        self._setup(geom, q, q.values)
         self.q = q
-        # the correction k delta is zero when k = 0 or q = 0: no series is
-        # built then
+
+    @classmethod
+    def at_deltas(cls, geom: Geometry, deltas) -> "QuantumRing":
+        """The ring at given atom values {(r, s): delta_rs}, one for every
+        span 1 <= r <= s <= n.  Its products are affine in the deltas, and
+        at delta_rs = Q/(1 - Q) they are those of the ring at q.  There is
+        no pole check: every delta is finite already."""
+        ring = cls.__new__(cls)
+        ring._setup(geom, dict(deltas), deltas.values())
+        return ring
+
+    def _setup(self, geom: Geometry, at, values):
+        super().__init__(geom)
+        self._at = at
+        # the correction k delta is zero when k = 0 or when every value (of
+        # q, or of delta) is 0: no series is built then
         self._corrected = (not geom.symplectic()
-                           and not all(scalar_is_zero(v) for v in q.values))
+                           and not all(scalar_is_zero(v) for v in values))
 
     def _compute_ee(self, i: int, j: int) -> SectorClass:
         geom = self.geom
@@ -214,7 +232,7 @@ class QuantumRing(SectorRing):
         exc = []
         for l, (cm, ck) in enumerate(ee_twisted_coefficients(n, i, j), start=1):
             if self._corrected:
-                ck = ck + evaluate(correction_series(n, i, j, l), self.q)
+                ck = ck + evaluate(correction_series(n, i, j, l), self._at)
             term = geom.kap().scale(ck)
             # m is undefined for n = 1, where cm is always 0
             exc.append(geom.em().scale(cm) + term if cm else term)

@@ -9,7 +9,11 @@ first use: row e holds the nonzero coefficients of x^e mod Phi_N for
 e = 0..N-1, and `_reduce` sums c * row[e mod N] over (e, c) terms.  The
 constructor, `zeta` (row k), `embed` (e -> e M/N), `conj` (e -> -e) and the
 common-field lift of a binary operation all go through it.  The conductor
-cap is checked before any table or anything else of size N is built.
+cap is checked where a conductor first appears (the public constructor,
+`zeta`, a lift to a larger conductor and the table build), before any
+table or anything else of size N is built.  The result of an operation has
+an operand's conductor or one its lift has checked, so it is not checked
+again.
 
 No floating point is used anywhere except the display helper `to_complex`.
 """
@@ -28,7 +32,9 @@ DEFAULT_MAX_CONDUCTOR = 120
 
 def conductor_cap() -> int:
     """Largest allowed conductor; override with CREPANT_MAX_CONDUCTOR, an
-    integer >= 1.  Read on every call, so a change takes effect at once."""
+    integer >= 1.  Read on every call; a CycNum checks it only where its
+    conductor first appears, so a lowered cap does not reject numbers that
+    already exist, nor results at their conductors."""
     raw = os.environ.get("CREPANT_MAX_CONDUCTOR")
     if raw is None:
         return DEFAULT_MAX_CONDUCTOR
@@ -107,6 +113,7 @@ def euler_phi(n: int) -> int:
 @lru_cache(maxsize=None)
 def _residues(n: int):
     """Row e, for e = 0..n-1, is x^e mod Phi_n as its nonzero (j, c) pairs."""
+    _check_conductor(n)
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     rows = [((e, 1),) for e in range(deg)]
@@ -149,7 +156,10 @@ class CycNum:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs, _reduced=False):
-        _check_conductor(conductor)
+        """`_reduced` is for this module's own results: the coefficients
+        are reduced already, at a conductor already within the cap."""
+        if not _reduced:
+            _check_conductor(conductor)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(coeffs) if _reduced
                            else _reduce(conductor, enumerate(coeffs)))
@@ -229,7 +239,7 @@ class CycNum:
         if not isinstance(other, CycNum):
             return NotImplemented
         n, a, b = self._pair(other)
-        return CycNum(n, _poly_mul(a, b))
+        return CycNum(n, _reduce(n, enumerate(_poly_mul(a, b))), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -247,7 +257,8 @@ class CycNum:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         assert len(r0) == 1, "Phi_N is squarefree; gcd with a nonzero residue is a unit"
         scale = Fraction(1) / r0[0]
-        return CycNum(self.conductor, [c * scale for c in s0])
+        n = self.conductor
+        return CycNum(n, _reduce(n, ((e, c * scale) for e, c in enumerate(s0))), _reduced=True)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -1,7 +1,12 @@
 """Verification toolkit: ring-isomorphism checks between the orbifold ring
-and the quantum-corrected resolution ring, the A_2 symmetric-ansatz solver,
-associativity and nondegeneracy checks, and the reconciliation of the
-derived A_2 quantum products with their independently printed form.
+and the quantum-corrected resolution ring, at one parameter point
+(`HomChecker.check`) or at every pole-free point at once
+(`HomChecker.solve`: the quantum product is affine in the atoms delta_rs,
+so the condition is one exact linear system in them); the A_2
+symmetric-ansatz solver, one such solve per candidate; associativity and
+nondegeneracy checks; and the reconciliation of the derived A_2 quantum
+products with their independently printed form.  Every determinant and
+every reduced system comes from one exact row reduction, `_row_reduce`.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import add
+from typing import NamedTuple
 
 from .cartan import cartan_matrix
 from .geometry import Geometry, SectorClass
 from .orbifold import ConventionFlags, OrbifoldRing
 from .quantum import (
-    PoleError,
     QPoint,
     QSeries,
     QuantumRing,
@@ -41,30 +46,44 @@ class HomReport:
                 "notes": self.notes}
 
 
-def _det(matrix):
-    """Exact determinant by Gaussian elimination over the scalar field.
+class Reduction(NamedTuple):
+    rows: list    # the reduced rows; the first len(pivots) are the pivot rows
+    order: list   # the input index of each row
+    pivots: list  # the pivot column of each pivot row
+    det: object   # the signed product of the pivots; 0 if a column has none
 
-    A pivot is inverted only when a row below it has to be eliminated."""
-    mat = [list(row) for row in matrix]
-    n = len(mat)
+
+def _row_reduce(rows, width: int) -> Reduction:
+    """Exact Gaussian elimination of `rows` on their first `width` columns;
+    any later column (a right-hand side) rides along.  Column by column,
+    the first row from the next pivot position down with a nonzero entry is
+    swapped up and clears the rows below it; a pivot is inverted only when
+    a row below it has to be cleared.  For a square matrix `det` is the
+    determinant.  The one linear-algebra routine of this module."""
+    mat = [list(row) for row in rows]
+    order = list(range(len(mat)))
+    pivots = []
     det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not scalar_is_zero(mat[r][col])), None)
+    for col in range(width):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(mat)) if not scalar_is_zero(mat[r][col])), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
+            continue
+        if piv != top:
+            mat[top], mat[piv] = mat[piv], mat[top]
+            order[top], order[piv] = order[piv], order[top]
             det = -det
-        pivot = mat[col][col]
+        pivot = mat[top][col]
         det = det * pivot
         inv = None
-        for r in range(col + 1, n):
+        for r in range(top + 1, len(mat)):
             if not scalar_is_zero(mat[r][col]):
                 if inv is None:
                     inv = Fraction(1) / pivot
                 f = mat[r][col] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return det
+                mat[r][col:] = [x - f * y for x, y in zip(mat[r][col:], mat[top][col:])]
+        pivots.append(col)
+    return Reduction(mat, order, pivots, det if len(pivots) == width else Fraction(0))
 
 
 def apply_candidate(matrix, x: SectorClass) -> SectorClass:
@@ -86,6 +105,53 @@ def _components(x: SectorClass, letter: str):
             yield (f"{name}.h^{j}", c)
 
 
+@dataclass
+class AffineSystem:
+    """A candidate map's ring-isomorphism condition as one exact linear
+    system in the atoms delta_rs, row-reduced (`HomChecker.solve`).
+
+    The system holds at a pole-free point exactly where the map is a ring
+    isomorphism there.  `rank` is that of the coefficient columns, one per
+    span; `rows` are the pivot rows (coefficients, then right-hand side).
+    A consistent system of full rank has the one `solution`
+    {span: delta}, and `point` is the (q_1..q_n) it comes from, or None if
+    no point gives those deltas.  An inconsistent one names its first row
+    0 = value != 0 as (product, component, value).  A singular matrix gets
+    no system: rank None."""
+
+    det: object
+    spans: list
+    rank: int | None = None
+    rows: list = field(default_factory=list)
+    solution: dict | None = None
+    point: tuple | None = None
+    inconsistent: tuple | None = None
+
+    def holds_at(self, q: QPoint) -> bool:
+        """True when the map is a ring isomorphism at the pole-free q."""
+        if self.rank is None or self.inconsistent is not None:
+            return False
+        if self.rank == len(self.spans):
+            return self.point is not None and all(
+                v == p for v, p in zip(q.values, self.point))
+        return all(sum(c * q.atom(*span) for c, span in zip(row, self.spans)) == row[-1]
+                   for row in self.rows)
+
+
+def _point(geom: Geometry, deltas: dict):
+    """The (q_1..q_n) whose atoms are `deltas`, or None: Q = delta/(1 + delta)
+    on every span, q_l = Q_ll and Q_rs = q_r ... q_s."""
+    spans = {}
+    for span, delta in deltas.items():
+        if scalar_is_zero(1 + delta):
+            return None
+        spans[span] = delta / (1 + delta)
+    q = QPoint([spans[(l, l)] for l in range(1, geom.n + 1)])
+    if all(q.span_product(*span) == value for span, value in spans.items()):
+        return q.values
+    return None
+
+
 class HomChecker:
     """Checks candidate isomorphisms from the orbifold ring of one geometry,
     under fixed convention flags, to its quantum rings.
@@ -93,13 +159,14 @@ class HomChecker:
     A candidate is an n x n matrix of Fraction or CycNum entries: the map is
     the identity on untwisted classes and sends the twisted sector e_a to
     sum_l matrix[a][l] * E_l.  The orbifold basis products do not depend on
-    q, so they are computed once and shared by every check."""
+    q, so they are computed once and shared by every check and solve."""
 
     def __init__(self, geom: Geometry, flags: ConventionFlags = ConventionFlags()):
         self.geom = geom
         orb = OrbifoldRing(geom, flags)
         self.basis = orb.basis()
         self.products = orb.products()
+        self._delta_rings = None
 
     def check(self, matrix, quantum: QuantumRing, stop_early: bool = False) -> HomReport:
         """Exact multiplicativity of the candidate map into `quantum` on all
@@ -110,7 +177,7 @@ class HomChecker:
         if quantum.geom != self.geom:
             raise ValueError("quantum ring of another geometry")
         report = HomReport(passed=True)
-        det = _det(matrix)
+        det = _row_reduce(matrix, self.geom.n).det
         report.notes["det"] = scalar_to_json(det)
         if scalar_is_zero(det):
             report.passed = False
@@ -137,6 +204,59 @@ class HomChecker:
                     return report
         return report
 
+    def solve(self, matrix) -> AffineSystem:
+        """Where the candidate map is a ring isomorphism, for every
+        pole-free q at once.
+
+        The quantum product is affine in the atoms delta_s, so on each pair
+        of basis elements the residual apply(M, b_i b_j) - M b_i * M b_j is
+        L - R_0 - sum_s delta_s R_s: L from the shared orbifold products,
+        R_0 the product at delta = 0 and R_s the product at delta_s = 1,
+        the other deltas 0, minus R_0.  Each nonzero component gives one
+        row of the system, which is row-reduced exactly."""
+        n = self.geom.n
+        spans = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
+        if len(matrix) != n:
+            raise ValueError("candidate matrix has the wrong size")
+        det = _row_reduce(matrix, n).det
+        if scalar_is_zero(det):
+            return AffineSystem(det, spans)
+        if self._delta_rings is None:
+            zero = {span: Fraction(0) for span in spans}
+            self._delta_rings = (QuantumRing.at_deltas(self.geom, zero),
+                                 [QuantumRing.at_deltas(self.geom, {**zero, span: Fraction(1)})
+                                  for span in spans])
+        origin, units = self._delta_rings
+        letter = QuantumRing.letter
+        images = [apply_candidate(matrix, x) for _, x in self.basis]
+        labels, rows = [], []
+        for (i, j), xy in self.products.items():
+            r0 = origin.mul(images[i], images[j])
+            parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
+            parts.append(apply_candidate(matrix, xy) - r0)
+            for entries in zip(*(_components(part, letter) for part in parts)):
+                row = [val for _, val in entries]
+                if not all(scalar_is_zero(val) for val in row):
+                    labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", entries[0][0]))
+                    rows.append(row)
+        red = _row_reduce(rows, len(spans))
+        rank = len(red.pivots)
+        system = AffineSystem(det, spans, rank, red.rows[:rank])
+        for k in range(rank, len(rows)):
+            if not scalar_is_zero(red.rows[k][-1]):
+                system.inconsistent = (*labels[red.order[k]], red.rows[k][-1])
+                return system
+        if rank == len(spans):
+            # back substitution; pivot k sits in column k
+            delta = [None] * rank
+            for k in range(rank - 1, -1, -1):
+                row = red.rows[k]
+                known = sum(row[c] * delta[c] for c in range(k + 1, rank))
+                delta[k] = (row[-1] - known) / row[k]
+            system.solution = dict(zip(spans, delta))
+            system.point = _point(self.geom, system.solution)
+        return system
+
 
 @dataclass
 class A2Solution:
@@ -153,6 +273,8 @@ class A2Solution:
 class A2SolveResult:
     solutions: list
     excluded: list  # (q, span) pole exclusions
+    # (a, b, AffineSystem) per candidate: why it passed or failed; not in to_json
+    candidates: list = field(default_factory=list)
 
     def to_json(self):
         return {"solutions": [s.to_json() for s in self.solutions],
@@ -167,16 +289,11 @@ def _roots_of_unity(max_order: int):
             for k in range(1, d + 1) if gcd(k, d) == 1]
 
 
-def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
-                       flags: ConventionFlags = ConventionFlags()) -> A2SolveResult:
-    """Solve the symmetric A_2 ansatz E_i = a e_i + b e_{3-i} over roots of
-    unity q1 = q2 of order <= max_order.
-
-    The untwisted constraints force a b = -3 and a^2 + b^2 = 3, solved in
-    closed form inside Q(zeta_3); each sign choice is then filtered by the
-    full exact ring-isomorphism check at each pole-free parameter point."""
-    if geom.n != 2:
-        raise ValueError("the symmetric ansatz is for n = 2")
+def a2_candidates():
+    """(a, b, matrix) for the four sign choices of the symmetric A_2 ansatz
+    E_i = a e_i + b e_{3-i}: the untwisted constraints force a b = -3 and
+    a^2 + b^2 = 3, solved in closed form inside Q(zeta_3).  The matrix
+    sends sectors to divisors."""
     z = CycNum.zeta(3)
     sqrt_m3 = 1 + 2 * z  # a square root of -3
     candidates = []
@@ -188,21 +305,34 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
             inv_det = (a * a - b * b).inv()
             diag, off = a * inv_det, -b * inv_det
             candidates.append((a, b, ((diag, off), (off, diag))))
+    return candidates
 
+
+def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
+                       flags: ConventionFlags = ConventionFlags()) -> A2SolveResult:
+    """Solve the symmetric A_2 ansatz over roots of unity q1 = q2 of order
+    <= max_order.
+
+    Each of the four `a2_candidates` is settled once, for every pole-free q,
+    by the exact affine system of `HomChecker.solve`; no ring product is
+    computed per root.  The roots are then walked in order: a root at a
+    pole is excluded with its spans, and a pole-free root is a solution for
+    each candidate whose system holds there."""
+    if geom.n != 2:
+        raise ValueError("the symmetric ansatz is for n = 2")
     checker = HomChecker(geom, flags)
+    candidates = [(a, b, checker.solve(matrix)) for a, b, matrix in a2_candidates()]
     solutions = []
     excluded = []
     for root in _roots_of_unity(max_order):
         q = QPoint([root, root])
-        try:
-            quantum = QuantumRing(geom, q)
-        except PoleError:
-            excluded.extend((root, span) for span in q.poles())
+        poles = q.poles()
+        if poles:
+            excluded.extend((root, span) for span in poles)
             continue
-        for a, b, matrix in candidates:
-            if checker.check(matrix, quantum, stop_early=True).passed:
-                solutions.append(A2Solution(q=root, a=a, b=b))
-    return A2SolveResult(solutions=solutions, excluded=excluded)
+        solutions.extend(A2Solution(q=root, a=a, b=b)
+                         for a, b, system in candidates if system.holds_at(q))
+    return A2SolveResult(solutions=solutions, excluded=excluded, candidates=candidates)
 
 
 def check_associativity(ring) -> HomReport:
@@ -230,7 +360,8 @@ def check_associativity(ring) -> HomReport:
 def check_pairing_nondegenerate(ring) -> dict:
     """Exact Gram determinant of the Poincare pairing on the model basis."""
     basis = ring.basis()
-    det = _det([[ring.pairing(x, y) for _, y in basis] for _, x in basis])
+    det = _row_reduce([[ring.pairing(x, y) for _, y in basis] for _, x in basis],
+                      len(basis)).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),
             "rank": len(basis)}

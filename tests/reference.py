@@ -9,8 +9,16 @@ from functools import lru_cache
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from crepant.geometry import SectorClass, SectorRing
-from crepant.quantum import QSeries, evaluate
+from crepant.orbifold import ConventionFlags
+from crepant.quantum import PoleError, QPoint, QSeries, QuantumRing, evaluate
 from crepant.scalars import CycNum, cyclotomic_polynomial, euler_phi
+from crepant.verify import (
+    A2Solution,
+    A2SolveResult,
+    HomChecker,
+    _roots_of_unity,
+    a2_candidates,
+)
 
 
 def reduce_mod_cyclotomic(coeffs, n):
@@ -334,3 +342,23 @@ class A2TableRing(SectorRing):
             for m_part, l_part in (entry["E1"], entry["E2"]))
         return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(entry["sigma"]),
                                   *sectors))
+
+
+def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
+    """The symmetric A_2 ansatz settled by sweeping: one full exact
+    ring-isomorphism check per pole-free root and candidate, in the order
+    `verify.solve_a2_symmetric` reports them."""
+    checker = HomChecker(geom, flags)
+    candidates = a2_candidates()
+    solutions, excluded = [], []
+    for root in _roots_of_unity(max_order):
+        q = QPoint([root, root])
+        try:
+            quantum = QuantumRing(geom, q)
+        except PoleError:
+            excluded.extend((root, span) for span in q.poles())
+            continue
+        for a, b, matrix in candidates:
+            if checker.check(matrix, quantum, stop_early=True).passed:
+                solutions.append(A2Solution(q=root, a=a, b=b))
+    return A2SolveResult(solutions=solutions, excluded=excluded)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from crepant.geometry import default_geometry
+from crepant.geometry import BaseRing, default_geometry
 from crepant.quantum import (
     PoleError,
     QPoint,
@@ -138,3 +138,30 @@ def test_quantum_mul_helper():
     e = SectorClass.sector(geom, 1)
     out = QuantumRing(geom, QPoint([Fraction(-1)])).mul(e, e)
     assert out.coords[1].coeffs[0] == -2
+
+
+def _coefficient_tuples(ring):
+    """Every coefficient of every basis product, with its type and, for a
+    cyclotomic number, its conductor."""
+    def shape(c):
+        if isinstance(c, CycNum):
+            return ("cyc", c.conductor, c.coeffs)
+        return (type(c).__name__, c)
+
+    return {pair: [[shape(c) for c in alpha.coeffs] for alpha in x.coords]
+            for pair, x in ring.products().items()}
+
+
+@pytest.mark.parametrize("base", [BaseRing("projective_space", 1), BaseRing("point")],
+                         ids=["P1", "point"])
+@pytest.mark.parametrize("values", [
+    [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-2)],
+    [CycNum.zeta(3), CycNum.zeta(4), Fraction(1, 2), CycNum.zeta(5)],
+], ids=["rational", "mixed"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_at_deltas_matches_q_point(n, values, base):
+    geom = default_geometry(n, base)
+    q = QPoint(values[:n])
+    deltas = {(r, s): q.atom(r, s) for r in range(1, n + 1) for s in range(r, n + 1)}
+    assert (_coefficient_tuples(QuantumRing.at_deltas(geom, deltas))
+            == _coefficient_tuples(QuantumRing(geom, q)))

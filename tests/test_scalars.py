@@ -225,3 +225,22 @@ def test_over_cap_product_builds_no_table(monkeypatch):
     with pytest.raises(ValueError, match="conductor 14280 exceeds cap 120"):
         a * b
     assert built == [119, 120]
+
+
+def test_arithmetic_does_not_read_the_cap(monkeypatch):
+    # a result at an operand's conductor is not checked again
+    z = CycNum.zeta(3)
+    y = 2 + CycNum.zeta(3, 2)
+    reads = []
+    cap = scalars.conductor_cap
+
+    def counting_cap():
+        reads.append(1)
+        return cap()
+
+    monkeypatch.setattr(scalars, "conductor_cap", counting_cap)
+    product, total, inverse = z * y, z + y, y.inv()
+    assert reads == []
+    monkeypatch.undo()
+    assert product == 1 + 2 * z and total == 1 and inverse * y == 1
+    assert product.conductor == total.conductor == inverse.conductor == 3

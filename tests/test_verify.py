@@ -13,10 +13,11 @@ from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
 from crepant.verify import (
     PRINTED_A2_TABLE,
+    AffineSystem,
     HomChecker,
     check_associativity,
     check_pairing_nondegenerate,
-    _det,
+    _row_reduce,
     derived_a2_table,
     reconcile_6_2,
     solve_a2_symmetric,
@@ -28,6 +29,7 @@ from reference import (
     key,
     reflect_a2_table,
     repair_a2_table,
+    solve_a2_sweep,
 )
 
 
@@ -144,6 +146,103 @@ def test_solve_a2_symplectic_all_roots_pass():
     assert len(roots) >= 4
 
 
+P1 = BaseRing("projective_space", 1)
+
+
+def _a2(l, m, k, base=P1):
+    return Geometry(2, base, TautClasses(2, Fraction(l), Fraction(m), Fraction(k)))
+
+
+A2_POINT = _a2(0, 0, 0, BaseRing("point"))
+A2_SYMPLECTIC = _a2(3, -3, 0)
+SOLVE_CASES = (
+    [(_a2(*lmk), "-1/(n+1)", 12 if lmk in ((1, 2, 1), (3, -3, 0)) else 6)
+     for lmk in ((1, 2, 1), (3, -3, 0), (2, 1, 1), (1, 5, 2), (-1, 4, 1), (3, 3, 2))]
+    + [(A2_POINT, "-1/(n+1)", 6)]
+    + [(geom, twist, 6) for geom in (default_geometry(2), A2_POINT) for twist in ("1", "-1")]
+    + [(default_geometry(2), "1/(n+1)", 6)])
+
+
+@pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
+                         ids=[f"{g.base.model}-{g.taut.l},{g.taut.m},{g.taut.k}-{t}-{o}"
+                              for g, t, o in SOLVE_CASES])
+def test_solve_matches_sweep(geom, twist, max_order):
+    # the affine solve reports what one full hom check per root and
+    # candidate finds, byte for byte (l = m = 3, k = 2 has 4 solutions)
+    flags = ConventionFlags(twist)
+    assert (solve_a2_symmetric(geom, max_order, flags).to_json()
+            == solve_a2_sweep(geom, max_order, flags).to_json())
+
+
+def test_solve_computes_no_product_per_root(monkeypatch):
+    calls = []
+    mul = SectorRing.mul
+
+    def counting_mul(self, x, y):
+        if isinstance(self, QuantumRing):
+            calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(SectorRing, "mul", counting_mul)
+    counts = []
+    for max_order in (6, 12):
+        calls.clear()
+        solve_a2_symmetric(default_geometry(2), max_order=max_order)
+        counts.append(len(calls))
+    # 36 basis pairs, each at delta = 0 and at a unit delta per span, for
+    # each of the 4 candidates
+    assert counts == [36 * 4 * 4] * 2
+
+
+def test_solve_reports_why_each_candidate_passed_or_failed():
+    z3 = CycNum.zeta(3)
+    systems = [s for _, _, s in solve_a2_symmetric(default_geometry(2), max_order=1).candidates]
+    assert [s.rank for s in systems] == [3] * 4
+    solved = [s for s in systems if s.inconsistent is None]
+    failed = [s for s in systems if s.inconsistent is not None]
+    assert len(solved) == len(failed) == 2
+    assert {key(s.point[0]) for s in solved} == {key(z3), key(z3.conj())}
+    for s in solved:
+        q = s.point[0]
+        assert s.point == (q, q)
+        assert s.solution == {(1, 1): q / (1 - q), (1, 2): q * q / (1 - q * q),
+                              (2, 2): q / (1 - q)}
+    for s in failed:
+        pair, component, value = s.inconsistent
+        assert pair.startswith("e_") and component.startswith("E_")
+        assert value != 0 and s.solution is None
+    # kap = 0: no row depends on delta; two candidates fail at every point
+    result = solve_a2_symmetric(A2_SYMPLECTIC, max_order=1)
+    systems = [s for _, _, s in result.candidates]
+    assert [s.rank for s in systems] == [0] * 4
+    failed = [s for s in systems if s.inconsistent is not None]
+    assert len(failed) == 2
+    for s in failed:
+        assert s.rows == [] and s.inconsistent[2] != 0
+    # q = 1 is a pole: no root is left to pass
+    assert result.to_json()["solutions"] == []
+
+
+def test_affine_system_below_full_rank_tests_the_atoms():
+    # one row, delta_11 - delta_22 = 0: it holds exactly where q1 = q2
+    system = AffineSystem(Fraction(1), [(1, 1), (1, 2), (2, 2)], rank=1,
+                          rows=[[Fraction(1), Fraction(0), Fraction(-1), Fraction(0)]])
+    assert system.holds_at(QPoint([CycNum.zeta(5), CycNum.zeta(5)]))
+    assert not system.holds_at(QPoint([CycNum.zeta(5), CycNum.zeta(5, 2)]))
+    assert not AffineSystem(Fraction(0), system.spans).holds_at(QPoint([Fraction(2)] * 2))
+
+
+def test_solve_agrees_with_check_on_a1():
+    geom = default_geometry(1)
+    checker, q = HomChecker(geom), QPoint([Fraction(-1)])
+    quantum = QuantumRing(geom, q)
+    half_i = CycNum.zeta(4) * Fraction(1, 2)
+    for c in [half_i, -half_i, Fraction(0)] + a1_scalar_sweep(20):
+        system = checker.solve(((c,),))
+        assert system.holds_at(q) == checker.check(((c,),), quantum).passed, c
+    assert checker.solve(((half_i,),)).point == (Fraction(-1),)
+
+
 def test_associativity_reports():
     geom = default_geometry(2)
     assert check_associativity(OrbifoldRing(geom)).passed
@@ -174,7 +273,7 @@ SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3
 @given(st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(SCALARS, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_matches_cofactor_expansion(matrix):
-    assert _det(matrix) == det_by_cofactors(matrix)
+    assert _row_reduce(matrix, len(matrix)).det == det_by_cofactors(matrix)
 
 
 def test_pairing_nondegenerate():
