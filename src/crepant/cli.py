@@ -9,7 +9,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cartan import cartan_inverse, cartan_matrix, curve_class
+from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import Geometry, SectorClass
 from .gw import gw_invariant, gw_metadata
 from .mckay import (
@@ -76,7 +76,7 @@ def load_config(path: str):
         flags = ConventionFlags(**data.get("flags", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}") from None
-    return geom, flags, data.get("q")
+    return geom, flags
 
 
 def conventions_block(geom: Geometry | None, flags: ConventionFlags):
@@ -186,7 +186,7 @@ def _ee_table(ring) -> dict:
 
 
 def cmd_orb_table(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     ring = OrbifoldRing(geom, flags)
     labels = [label for label, _ in ring.basis()]
     table = {f"{labels[i]} * {labels[j]}": ring.to_json(xy)
@@ -196,14 +196,14 @@ def cmd_orb_table(args) -> dict:
 
 
 def cmd_res_table(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     return {"command": "res-table", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags),
             "table": _ee_table(ResolutionRing(geom))}
 
 
 def cmd_gw(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     try:
         i, j = (int(t) for t in args.span.split(","))
     except ValueError:
@@ -214,7 +214,6 @@ def cmd_gw(args) -> dict:
         base = curve_class(geom.n, i, j)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    from .cartan import CurveClass
     beta = CurveClass(geom.n, tuple(args.multiple * m for m in base.mult))
     insertions = []
     for tok in args.insert.split(","):
@@ -240,7 +239,7 @@ def cmd_gw(args) -> dict:
 
 
 def cmd_qc_table(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     q = parse_q_spec(args.q, geom.n)
     return {"command": "qc-table", "geometry": geom.to_json(),
             "conventions": conventions_block(geom, flags),
@@ -248,7 +247,7 @@ def cmd_qc_table(args) -> dict:
 
 
 def cmd_verify_a1(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     if geom.n != 1:
         raise CliError("verify-a1 needs an n = 1 geometry")
     q = parse_q_spec(args.q, 1)
@@ -264,7 +263,7 @@ def cmd_verify_a1(args) -> dict:
 
 
 def cmd_solve_a2(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     if geom.n != 2:
         raise CliError("solve-a2 needs an n = 2 geometry")
     # a root of order d meets the Q(zeta_3) candidates in conductor
@@ -280,7 +279,7 @@ def cmd_solve_a2(args) -> dict:
 
 
 def cmd_check_assoc(args) -> dict:
-    geom, flags, _ = load_config(args.config)
+    geom, flags = load_config(args.config)
     if args.ring == "orb":
         ring = OrbifoldRing(geom, flags)
     elif args.ring == "classical":
@@ -306,7 +305,7 @@ def cmd_mckay(args) -> dict:
         raise CliError(str(exc)) from None
     table = character_table(spec)
     graph = mckay_graph(spec)
-    res = resolution_graph(spec)
+    res = resolution_graph(graph)
     return {"command": "mckay", "group": spec.label, "order": spec.order,
             "character_table": {
                 "class_sizes": list(table.class_sizes),

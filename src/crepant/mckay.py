@@ -1,20 +1,21 @@
 """McKay correspondence for finite subgroups of SU(2).
 
 Character tables over exact cyclotomic numbers for the cyclic groups, the
-binary dihedral groups, and the three exceptional binary polyhedral groups
-(the last audited against column orthogonality on load).  The McKay graph
-has a_ij = dim Hom(rho_i, Q (x) rho_j) computed from characters; removing
-the trivial vertex gives the resolution graph of the rational double point.
+binary dihedral groups, and the three exceptional binary polyhedral groups,
+each audited on load: the table is square and its rows are orthonormal.
+Both the audit and the McKay graph, a_ij = dim Hom(rho_i, Q (x) rho_j) =
+<chi_Q chi_j, chi_i>, use one class-function inner product.  Removing the
+trivial vertex gives the resolution graph of the rational double point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .scalars import CycNum, scalar_conj, scalar_is_zero
+from .scalars import CycNum, scalar_conj
 
 
 @dataclass(frozen=True)
@@ -63,18 +64,27 @@ class GroupSpec:
 class CharacterTable:
     """Rows are irreducible characters, columns conjugacy classes.
 
-    values[i][c] is chi_i on class c; chi_0 is trivial and q_index points at
+    values[i][c] is chi_i on class c; chi_0 is trivial and q_character is
     the character of the defining 2-dimensional representation Q."""
 
     group: GroupSpec
     class_sizes: tuple
     class_orders: tuple
     values: tuple  # rows of CycNum/Fraction entries
-    q_index: int
+    q_character: tuple
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_sizes)
+    @cached_property
+    def _conj_rows(self):
+        return tuple(tuple(scalar_conj(v) for v in row) for row in self.values)
+
+    def inner(self, f, i):
+        """<f, chi_i> = (1/|G|) sum_c |c| f(c) conj(chi_i(c)) for a class
+        function f given by its values on the classes; exact, and rational
+        for a character f."""
+        total = Fraction(0)
+        for size, x, y in zip(self.class_sizes, f, self._conj_rows[i]):
+            total = total + size * (x * y)
+        return total / self.group.order
 
     def dims(self):
         out = []
@@ -86,52 +96,38 @@ class CharacterTable:
         return tuple(out)
 
     def validate(self):
-        """Column orthogonality and the basic sanity identities."""
+        """Row orthogonality <chi_i, chi_j> = delta_ij of a square table (as
+        strong as column orthogonality), deg Q = 2 and the basic sanity
+        identities."""
         g = self.group.order
+        k = len(self.class_sizes)
+        if len(self.values) != k or any(len(row) != k
+                                        for row in (*self.values, self.q_character)):
+            raise ValueError("the table is not square")
         if sum(self.class_sizes) != g:
             raise ValueError("class sizes do not sum to the group order")
         if sum(int(d) * int(d) for d in self.dims()) != g:
             raise ValueError("squared dimensions do not sum to the group order")
-        k = self.num_classes
-        for c1 in range(k):
-            for c2 in range(k):
-                total = Fraction(0)
-                for row in self.values:
-                    total = total + row[c1] * scalar_conj(row[c2])
-                want = Fraction(g, self.class_sizes[c1]) if c1 == c2 else Fraction(0)
-                if not total == want:
-                    raise ValueError(f"column orthogonality fails at ({c1},{c2})")
-        if self.q_index >= 0 and not self.values[self.q_index][0] == 2:
+        for i, row in enumerate(self.values):
+            for j in range(i, k):
+                if not self.inner(row, j) == int(i == j):
+                    raise ValueError(f"row orthogonality fails at ({i},{j})")
+        if not self.q_character[0] == 2:
             raise ValueError("Q must be 2-dimensional")
 
 
 def cyclic_table(m: int) -> CharacterTable:
     """Z_m embedded in SU(2) as diag(zeta, zeta^-1); characters chi_j(g^k) =
-    zeta^(jk).  Q = chi_1 + chi_(m-1), recorded by its character row."""
-    spec = GroupSpec("A", m - 1)
-    if m == 1:
-        # trivial group: one class; Q restricts to twice the trivial rep
-        return CharacterTable(
-            group=spec, class_sizes=(1,), class_orders=(1,),
-            values=((Fraction(1),),), q_index=-1)
-    values = []
-    for j in range(m):
-        row = tuple(CycNum.zeta(m, (j * k) % m) if m > 1 else Fraction(1)
-                    for k in range(m))
-        values.append(row)
+    zeta^(jk).  Q = chi_1 + chi_(m-1) is reducible: zeta^k + zeta^-k on g^k
+    (twice the trivial character for m = 1)."""
+    values = tuple(tuple(CycNum.zeta(m, (j * k) % m) if m > 1 else Fraction(1)
+                         for k in range(m)) for j in range(m))
     return CharacterTable(
-        group=spec,
+        group=GroupSpec("A", m - 1),
         class_sizes=(1,) * m,
         class_orders=tuple(m // gcd(m, k) if k else 1 for k in range(m)),
-        values=tuple(values),
-        q_index=-1)  # Q is reducible for cyclic groups: chi_1 + chi_(m-1)
-
-
-def cyclic_q_character(m: int):
-    """Character of Q for Z_m: zeta^k + zeta^-k per class."""
-    if m == 1:
-        return (Fraction(2),)
-    return tuple(CycNum.zeta(m, k % m) + CycNum.zeta(m, (-k) % m) for k in range(m))
+        values=values,
+        q_character=tuple(x + y for x, y in zip(values[1 % m], values[-1])))
 
 
 def binary_dihedral_table(n: int) -> CharacterTable:
@@ -144,37 +140,28 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     class_sizes = (1, 1) + (2,) * (m - 1) + (m, m)
     class_orders = tuple(
         [1, 2] + [2 * m // gcd(2 * m, k) for k in range(1, m)] + [4, 4])
-    reps = ["e", "z"] + [f"a^{k}" for k in range(1, m)] + ["x", "xa"]
 
     rows = []
     # four 1-dimensional characters: lambda(a) = eps, lambda(x)^2 = eps^m
     one = Fraction(1)
     for eps_a, eps_x in _bd_linear_characters(m):
         row = [one]
-        row.append(_pow(eps_a, m))
+        row.append(eps_a ** m)
         for k in range(1, m):
-            row.append(_pow(eps_a, k))
+            row.append(eps_a ** k)
         row.append(eps_x)
         row.append(eps_a * eps_x)
         rows.append(tuple(row))
     # 2-dimensional characters chi_j(a^k) = zeta^(jk) + zeta^(-jk), zero on x
     for j in range(1, m):
-        row = [Fraction(2), 2 * _pow(Fraction(-1), j)]
+        row = [Fraction(2), 2 * Fraction(-1) ** j]
         for k in range(1, m):
             row.append(z(j * k) + z(-j * k))
         row += [Fraction(0), Fraction(0)]
         rows.append(tuple(row))
-    table = CharacterTable(group=spec, class_sizes=class_sizes,
-                           class_orders=class_orders, values=tuple(rows),
-                           q_index=4)
-    return table
-
-
-def _pow(x, k):
-    out = Fraction(1)
-    for _ in range(k):
-        out = out * x
-    return out
+    return CharacterTable(group=spec, class_sizes=class_sizes,
+                          class_orders=class_orders, values=tuple(rows),
+                          q_character=rows[4])
 
 
 def _bd_linear_characters(m: int):
@@ -206,7 +193,7 @@ def _e_tables():
     e6 = CharacterTable(group=GroupSpec("E", 6),
                         class_sizes=(1, 1, 6, 4, 4, 4, 4),
                         class_orders=(1, 2, 4, 3, 3, 6, 6),
-                        values=tuple(t_rows), q_index=3)
+                        values=tuple(t_rows), q_character=t_rows[3])
 
     # binary octahedral, order 48
     r2 = CycNum.zeta(8) + CycNum.zeta(8, 7)  # sqrt(2)
@@ -224,7 +211,7 @@ def _e_tables():
     e7 = CharacterTable(group=GroupSpec("E", 7),
                         class_sizes=(1, 1, 6, 6, 6, 8, 8, 12),
                         class_orders=(1, 2, 8, 8, 4, 6, 3, 4),
-                        values=tuple(o_rows), q_index=3)
+                        values=tuple(o_rows), q_character=o_rows[3])
 
     # binary icosahedral, order 120; mu, nu are the two Galois images of
     # the golden-ratio trace 2cos(2 pi / 5)
@@ -244,7 +231,7 @@ def _e_tables():
     e8 = CharacterTable(group=GroupSpec("E", 8),
                         class_sizes=(1, 1, 30, 20, 20, 12, 12, 12, 12),
                         class_orders=(1, 2, 4, 3, 6, 5, 5, 10, 10),
-                        values=tuple(i_rows), q_index=1)
+                        values=tuple(i_rows), q_character=i_rows[1])
     return {"E6": e6, "E7": e7, "E8": e8}
 
 
@@ -267,7 +254,6 @@ class McKayGraph:
 
     dims: tuple
     adjacency: tuple
-    trivial_index: int = 0
 
     def to_json(self):
         return {"vertices": [{"id": i, "dim": int(d)} for i, d in enumerate(self.dims)],
@@ -278,48 +264,30 @@ class McKayGraph:
 
 
 def mckay_graph(spec: GroupSpec) -> McKayGraph:
+    """Vertex i is the i-th row of the character table, so vertex 0 is the
+    trivial representation."""
     table = character_table(spec)
-    g = spec.order
-    if spec.series == "A":
-        chi_q = cyclic_q_character(spec.n + 1)
-    else:
-        chi_q = table.values[table.q_index]
-    k = table.num_classes
-    rows = table.values
-    r = len(rows)
-    weighted = [tuple(table.class_sizes[c] * (chi_q[c] * rows[j][c])
-                      for c in range(k)) for j in range(r)]
-    conj_rows = [tuple(scalar_conj(v) for v in row) for row in rows]
+    r = len(table.values)
     # the multiplicity matrix is symmetric (Q is self-dual), so fill i <= j
     entries = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            total = Fraction(0)
-            for c in range(k):
-                total = total + weighted[j][c] * conj_rows[i][c]
-            if isinstance(total, CycNum):
-                rat = total.as_rational()
-                if rat is None:
-                    raise ValueError("multiplicity is not rational")
-                total = rat
-            val = total / g
-            if val.denominator != 1 or val < 0:
+    for j, row in enumerate(table.values):
+        q_row = [x * y for x, y in zip(table.q_character, row)]
+        for i in range(j + 1):
+            a = table.inner(q_row, i)
+            if isinstance(a, CycNum):
+                a = a.as_rational()
+            if a is None or a.denominator != 1 or a < 0:
                 raise ValueError("multiplicity must be a nonnegative integer")
-            entries[i][j] = entries[j][i] = int(val)
-    adjacency = [tuple(line) for line in entries]
-    dims = tuple(int(d) for d in table.dims())
-    return McKayGraph(dims=dims, adjacency=tuple(adjacency))
+            entries[i][j] = entries[j][i] = int(a)
+    return McKayGraph(dims=tuple(int(d) for d in table.dims()),
+                      adjacency=tuple(tuple(line) for line in entries))
 
 
-def resolution_graph(spec: GroupSpec) -> McKayGraph:
-    """The McKay graph minus the trivial representation: the dual graph of
-    the exceptional divisors of the minimal resolution."""
-    full = mckay_graph(spec)
-    keep = [i for i in range(len(full.dims)) if i != full.trivial_index]
-    return McKayGraph(
-        dims=tuple(full.dims[i] for i in keep),
-        adjacency=tuple(tuple(full.adjacency[i][j] for j in keep) for i in keep),
-        trivial_index=-1)
+def resolution_graph(graph: McKayGraph) -> McKayGraph:
+    """A McKay graph minus its vertex 0, the trivial representation: the
+    dual graph of the exceptional divisors of the minimal resolution."""
+    return McKayGraph(dims=graph.dims[1:],
+                      adjacency=tuple(row[1:] for row in graph.adjacency[1:]))
 
 
 def dimension_vector_check(graph: McKayGraph) -> bool:

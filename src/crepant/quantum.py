@@ -205,7 +205,6 @@ class QuantumRing(SectorRing):
         if poles:
             raise PoleError(poles[0])
         self._setup(geom, q, q.values)
-        self.q = q
 
     @classmethod
     def at_deltas(cls, geom: Geometry, deltas) -> "QuantumRing":

@@ -212,8 +212,10 @@ class HomChecker:
         of basis elements the residual apply(M, b_i b_j) - M b_i * M b_j is
         L - R_0 - sum_s delta_s R_s: L from the shared orbifold products,
         R_0 the product at delta = 0 and R_s the product at delta_s = 1,
-        the other deltas 0, minus R_0.  Each nonzero component gives one
-        row of the system, which is row-reduced exactly."""
+        the other deltas 0, minus R_0.  At k = 0 no delta enters a product,
+        so every R_s is zero and only R_0 is computed.  Each nonzero
+        component gives one row of the system, which is row-reduced
+        exactly."""
         n = self.geom.n
         spans = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
         if len(matrix) != n:
@@ -223,10 +225,12 @@ class HomChecker:
             return AffineSystem(det, spans)
         if self._delta_rings is None:
             zero = {span: Fraction(0) for span in spans}
-            self._delta_rings = (QuantumRing.at_deltas(self.geom, zero),
-                                 [QuantumRing.at_deltas(self.geom, {**zero, span: Fraction(1)})
-                                  for span in spans])
+            units = [] if self.geom.symplectic() else [
+                QuantumRing.at_deltas(self.geom, {**zero, span: Fraction(1)}) for span in spans]
+            self._delta_rings = (QuantumRing.at_deltas(self.geom, zero), units)
         origin, units = self._delta_rings
+        # R_s = 0 for each unit ring not built (k = 0)
+        zero_cols = [Fraction(0)] * (len(spans) - len(units))
         letter = QuantumRing.letter
         images = [apply_candidate(matrix, x) for _, x in self.basis]
         labels, rows = [], []
@@ -235,7 +239,7 @@ class HomChecker:
             parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
             parts.append(apply_candidate(matrix, xy) - r0)
             for entries in zip(*(_components(part, letter) for part in parts)):
-                row = [val for _, val in entries]
+                row = zero_cols + [val for _, val in entries]
                 if not all(scalar_is_zero(val) for val in row):
                     labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", entries[0][0]))
                     rows.append(row)

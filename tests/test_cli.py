@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from crepant import cli, mckay
 from crepant.cli import run
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -204,6 +205,21 @@ def test_mckay_command():
     assert data["dimension_vector_in_kernel"]
     code, _ = invoke(["mckay", "--group", "E9"])
     assert code == 2
+
+
+def test_mckay_command_builds_the_graph_once(monkeypatch):
+    calls = []
+    build = mckay.mckay_graph
+
+    def counting(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(mckay, "mckay_graph", counting)
+    monkeypatch.setattr(cli, "mckay_graph", counting)
+    code, _ = invoke(["mckay", "--group", "E8"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_reconcile_command():

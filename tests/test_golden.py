@@ -4,7 +4,9 @@ Value-level tests cannot see a reordered or skipped zero term in a product
 loop, because `CycNum.to_json` prints whichever conductor a computation ends
 in.  These digests pin every byte.  They were recorded before the orbifold
 and resolution rings were merged into one sector ring; re-record one only
-when a change is meant to alter that command's output.
+when a change is meant to alter that command's output.  The `mckay`
+digests were recorded before the McKay module was rebuilt around one
+class-function inner product.
 """
 
 import hashlib
@@ -88,4 +90,26 @@ def test_golden_stdout(case, digest):
     command, config, *rest = case.split()
     out = io.StringIO()
     assert run([command, "--config", _cfg(config), *rest], stdout=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+MCKAY_GOLDEN = [
+    ("A0", "b4ba3834e76f8c1e827fc2da8211ce4ce204bd39d84603c51dd3753f22953583"),
+    ("A1", "44aa1286f9547794cc0503b9f10b39bf47f288e2e0c4a147b3da3cafcd2b795d"),
+    ("A2", "17ca561710cb6f70298672ba630d3e5a4ccaede1c6587e5b37df81bdcf546eb1"),
+    ("A5", "28d1fdf3202948dc48125ca1940c4111719f639e9c1ccc52ab2bbd756fb5a379"),
+    ("A10", "c2469daded4aae16483b9b632c43551348e17adc81d6b710d41b2e5d4a69e100"),
+    ("D4", "cc7f3714844e706aa9c521700dba0ce240dbf8b7d956c36d5ba7301d0a235cde"),
+    ("D5", "96104cb0b223562ec20e5c35cd350272a0a8123ca80e9416b1b16cff59510fca"),
+    ("D10", "200fd6196b1d1aab1e95f6c2d5f24146dc0bd0683b034784b1c6ece72a8e6213"),
+    ("E6", "fef27b0196743a7a2cd5e3d63b0eb0de5142f5b6bbf4d90b93277c26205993eb"),
+    ("E7", "4377cfc3f404521d9ddbdf9c5ba74199746492229f02e4a8087d904dd17dca5a"),
+    ("E8", "feba47e869d4cd9463ccb09660ab8216d2f213824f27260d59fe79c1737d843d"),
+]
+
+
+@pytest.mark.parametrize("group, digest", MCKAY_GOLDEN, ids=[g for g, _ in MCKAY_GOLDEN])
+def test_golden_mckay_stdout(group, digest):
+    out = io.StringIO()
+    assert run(["mckay", "--group", group], stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

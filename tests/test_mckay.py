@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from crepant.mckay import (
@@ -9,6 +11,7 @@ from crepant.mckay import (
     mckay_graph,
     resolution_graph,
 )
+from crepant.scalars import CycNum
 
 
 def test_group_spec_parsing():
@@ -27,6 +30,28 @@ def test_character_tables_validate(label):
     table = character_table(spec)  # validate() runs inside
     assert sum(table.class_sizes) == spec.order
     assert table.class_orders[0] == 1
+
+
+def test_validate_rejects_a_corrupted_entry():
+    table = character_table(GroupSpec("E", 6))
+    rows = [list(row) for row in table.values]
+    assert rows[1][3] == CycNum.zeta(3)
+    rows[1][3] = CycNum.zeta(3, 2)
+    with pytest.raises(ValueError, match="row orthogonality fails at"):
+        replace(table, values=tuple(map(tuple, rows))).validate()
+
+
+def test_validate_rejects_a_table_that_is_not_square():
+    table = character_table(GroupSpec("E", 6))
+    with pytest.raises(ValueError, match="not square"):
+        replace(table, values=table.values[:-1]).validate()
+
+
+@pytest.mark.parametrize("label", ["A3", "E6"])
+def test_validate_rejects_q_of_degree_other_than_2(label):
+    table = character_table(GroupSpec.parse(label))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        replace(table, q_character=table.values[-1]).validate()
 
 
 @pytest.mark.parametrize("label,verdict", [
@@ -58,7 +83,7 @@ def test_adjacency_symmetric():
 
 def test_resolution_graph_drops_trivial():
     full = mckay_graph(GroupSpec("E", 6))
-    res = resolution_graph(GroupSpec("E", 6))
+    res = resolution_graph(full)
     assert len(res.dims) == len(full.dims) - 1
     # the resolution graph of E6 is the finite E6 diagram: a single
     # degree-3 branch vertex with arms (1, 2, 2)

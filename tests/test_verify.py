@@ -163,6 +163,22 @@ SOLVE_CASES = (
     + [(default_geometry(2), "1/(n+1)", 6)])
 
 
+def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
+    calls = []
+    mul = SectorRing.mul
+
+    def counting_mul(self, x, y):
+        if isinstance(self, QuantumRing):
+            calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(SectorRing, "mul", counting_mul)
+    solve_a2_symmetric(A2_SYMPLECTIC, max_order=12)
+    # at k = 0 no delta enters a product: 36 basis pairs at delta = 0 for
+    # each of the 4 candidates, and none at a unit delta
+    assert len(calls) == 36 * 4
+
+
 @pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
                          ids=[f"{g.base.model}-{g.taut.l},{g.taut.m},{g.taut.k}-{t}-{o}"
                               for g, t, o in SOLVE_CASES])
