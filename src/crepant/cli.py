@@ -38,7 +38,8 @@ COMMANDS = ("orb-table", "res-table", "gw", "qc-table", "verify-a1", "solve-a2",
 # options whose values may be signed exact tokens such as -1/2 or -1,2
 SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
 OUTPUTS = ("json", "text")
-# largest `cartan --n`: the matrix and its inverse have n^2 entries each
+# largest `cartan --n`, config `n` and base `dim`: the Cartan matrix and
+# its inverse have n^2 entries each, and a ring's basis has (n + 2)(dim + 1)
 MAX_CARTAN_N = 100
 
 
@@ -76,6 +77,10 @@ def load_config(path: str):
         flags = ConventionFlags(**data.get("flags", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}") from None
+    if not 1 <= geom.n <= MAX_CARTAN_N:
+        raise CliError(f"invalid config: need 1 <= n <= {MAX_CARTAN_N}")
+    if not 0 <= geom.base.dim <= MAX_CARTAN_N:
+        raise CliError(f"invalid config: need 0 <= dim <= {MAX_CARTAN_N}")
     return geom, flags
 
 

@@ -22,6 +22,14 @@ POINT = "point"
 PROJECTIVE = "projective_space"
 
 
+def _json_int(value, name: str) -> int:
+    """A config field that must be a JSON integer: a float, a boolean or a
+    string is a ValueError, not truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BaseRing:
     """H*(S) for S a point or P^dim, basis h^0..h^dim.
@@ -67,7 +75,7 @@ class BaseRing:
 
     @classmethod
     def from_json(cls, data) -> "BaseRing":
-        return cls(model=data["model"], dim=int(data.get("dim", 0)))
+        return cls(model=data["model"], dim=_json_int(data.get("dim", 0), "dim"))
 
 
 @dataclass(frozen=True)
@@ -214,7 +222,7 @@ class Geometry:
 
     @classmethod
     def from_json(cls, data) -> "Geometry":
-        n = int(data["n"])
+        n = _json_int(data["n"], "n")
         base = BaseRing.from_json(data["base"])
         raw = data.get("classes", {})
         k = parse_rational(raw.get("k", "0"))

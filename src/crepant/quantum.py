@@ -9,16 +9,19 @@ the E_l coefficient of E_i E_j is k times the root sum
     sum over spans beta containing l of (E_i.beta)(E_j.beta) delta_beta,
 
 the root-sum form of the A_n quantum product.  Products involving pullback
-classes receive no correction, and at q = 0 every delta vanishes.
+classes receive no correction, and at q = 0 every delta vanishes.  These
+constants are rational, so `structure_constants(n)` holds them once per n
+and each ring evaluates them at its geometry and point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import MappingProxyType
 
-from .cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
+from .cartan import cartan_inverse_entry, cartan_matrix
 from .geometry import Geometry, SectorClass, SectorRing
 from .scalars import format_rational, scalar_is_zero
 
@@ -121,77 +124,80 @@ class QPoint:
 
     def poles(self):
         """All spans (r, s) at which this point is singular."""
-        out = []
-        for r in range(1, self.n + 1):
-            for s in range(r, self.n + 1):
-                if scalar_is_zero(1 - self.span_product(r, s)):
-                    out.append((r, s))
-        return out
+        return [span for span in all_spans(self.n) if scalar_is_zero(1 - self.span_product(*span))]
+
+    def deltas(self) -> dict:
+        """{(r, s): delta_rs} over every span; PoleError at the first pole,
+        in the order of `poles()`."""
+        return {span: self.atom(*span) for span in all_spans(self.n)}
 
     def to_json(self):
         from .scalars import scalar_to_json
         return [scalar_to_json(v) for v in self.values]
 
 
+def all_spans(n: int):
+    """Every span (r, s), 1 <= r <= s <= n, in the order (1,1), (1,2), ...,
+    (2,2), ...: the order of `QPoint.poles` and `QPoint.deltas`."""
+    return [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
+
+
 @lru_cache(maxsize=None)
-def correction_series(n: int, i: int, j: int, l: int) -> QSeries:
-    """The E_l coefficient, over k, of the quantum correction to E_i E_j:
-    sum of (E_i.beta)(E_j.beta) delta_beta over the spans beta = beta_{rs}
-    with r <= l <= s."""
-    atoms = {}
-    for r in range(1, l + 1):
-        for s in range(l, n + 1):
-            beta = curve_class(n, r, s)
-            atoms[(r, s)] = Fraction(intersection(n, i, beta) * intersection(n, j, beta))
-    return QSeries.from_dict(Fraction(0), atoms)
+def structure_constants(n: int) -> MappingProxyType:
+    """{(i, j): (c_ij, slots)} for 1 <= i <= j <= n, the one source of the
+    resolution products: E_i E_j is c_ij sigma plus, per E_l with
+    (cm, series) = slots[l - 1], cm m + series k.  The series constant is
+    the classical ck, and its atoms are the root sum
+
+        sum over spans beta containing l of (E_i.beta)(E_j.beta) delta_beta.
+
+    The table is rational: m, k and the deltas enter only when a ring
+    evaluates it, so one table per n serves every geometry and point.  The
+    atoms come only from the spans that meet both E_i and E_j."""
+    c, inv, zero = cartan_matrix(n), partial(cartan_inverse_entry, n), Fraction(0)
+    # meets[i] = {beta: E_i.beta != 0}: E_i.beta_rs is -1 for i = r and for
+    # i = s (so -2 on beta_ii), 1 for i = r - 1 and for i = s + 1, else 0
+    meets = {i: {} for i in range(1, n + 1)}
+    for r, s in all_spans(n):
+        for i, w in ((r, -1), (s, -1), (r - 1, 1), (s + 1, 1)):
+            if 1 <= i <= n:
+                meets[i][(r, s)] = meets[i].get((r, s), 0) + w
+    table = {}
+    for i, j in all_spans(n):
+        atoms = {l: [] for l in range(1, n + 1)}
+        for span in meets[i].keys() & meets[j].keys():
+            weight = Fraction(meets[i][span] * meets[j][span])
+            for l in range(span[0], span[1] + 1):
+                atoms[l].append((span, weight))
+        slots = []
+        for l in range(1, n + 1):
+            if j == i:
+                cm = inv(i - 1, l) - inv(i + 1, l)
+                ck = -(i - 1) * inv(i - 1, l) - 4 * inv(i, l) + (i + 1) * inv(i + 1, l)
+            elif j == i + 1:
+                cm = inv(i + 1, l) - inv(i, l)
+                ck = (i + 1) * inv(i, l) - i * inv(i + 1, l)
+            else:
+                cm = ck = zero
+            slots.append((cm, QSeries(ck, tuple(sorted(atoms[l])))))
+        table[(i, j)] = (Fraction(c[i - 1][j - 1]), tuple(slots))
+    # read-only: every caller shares the cached table
+    return MappingProxyType(table)
 
 
-def ee_twisted_coefficients(n: int, i: int, j: int):
-    """Exceptional part of the classical E_i E_j as (m_coef, k_coef) pairs
-    per E_l.
-
-    Returns a list of n Fraction pairs; the degree-2 coefficient of E_l is
-    m_coef * m + k_coef * k.  Zero for |i - j| > 1.
-    """
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"divisor index out of range for n={n}")
-    if i > j:
-        i, j = j, i
-    out = []
-    for l in range(1, n + 1):
-        if j - i > 1:
-            out.append((Fraction(0), Fraction(0)))
-        elif j == i:
-            cm = cartan_inverse_entry(n, i - 1, l) - cartan_inverse_entry(n, i + 1, l)
-            ck = (-(i - 1) * cartan_inverse_entry(n, i - 1, l)
-                  - 4 * cartan_inverse_entry(n, i, l)
-                  + (i + 1) * cartan_inverse_entry(n, i + 1, l))
-            out.append((cm, ck))
-        else:  # j == i + 1
-            cm = cartan_inverse_entry(n, i + 1, l) - cartan_inverse_entry(n, i, l)
-            ck = ((i + 1) * cartan_inverse_entry(n, i, l)
-                  - i * cartan_inverse_entry(n, i + 1, l))
-            out.append((cm, ck))
-    return out
-
-
-def evaluate(series: QSeries, at):
-    """Exact evaluation of a QSeries at a parameter point (a QPoint, whose
-    atoms are computed on demand) or at given atom values, a mapping
-    {(r, s): delta_rs}."""
-    atom = at.atom if isinstance(at, QPoint) else lambda r, s: at[(r, s)]
+def evaluate(series: QSeries, deltas):
+    """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}."""
     total = series.const
     for span, c in series.atoms:
-        total = total + c * atom(*span)
+        total = total + c * deltas[span]
     return total
 
 
 class QuantumRing(SectorRing):
     """The quantum-corrected ring at a fixed exact parameter point.
 
-    E_i E_j is c_ij sigma plus, per E_l, cm m + (ck + correction) k, with
-    (cm, ck) from `ee_twisted_coefficients` and the correction the
-    `correction_series` evaluated at q.  A point at a pole raises PoleError
+    E_i E_j is `structure_constants(n)` evaluated at the geometry's m and k
+    and at the point's atoms delta_rs.  A point at a pole raises PoleError
     for every geometry, also where k = 0 makes every correction vanish.
     `at_deltas` builds the ring from the atom values instead."""
 
@@ -201,10 +207,7 @@ class QuantumRing(SectorRing):
     def __init__(self, geom: Geometry, q: QPoint):
         if q.n != geom.n:
             raise ValueError("parameter point has the wrong length")
-        poles = q.poles()
-        if poles:
-            raise PoleError(poles[0])
-        self._setup(geom, q, q.values)
+        self._setup(geom, q.deltas())
 
     @classmethod
     def at_deltas(cls, geom: Geometry, deltas) -> "QuantumRing":
@@ -213,26 +216,24 @@ class QuantumRing(SectorRing):
         at delta_rs = Q/(1 - Q) they are those of the ring at q.  There is
         no pole check: every delta is finite already."""
         ring = cls.__new__(cls)
-        ring._setup(geom, dict(deltas), deltas.values())
+        ring._setup(geom, deltas)
         return ring
 
-    def _setup(self, geom: Geometry, at, values):
+    def _setup(self, geom: Geometry, deltas):
         super().__init__(geom)
-        self._at = at
-        # the correction k delta is zero when k = 0 or when every value (of
-        # q, or of delta) is 0: no series is built then
+        self._deltas = dict(deltas)
+        # the correction k delta is zero when k = 0 or when every delta is
+        # 0 (every q is 0): no series is evaluated then
         self._corrected = (not geom.symplectic()
-                           and not all(scalar_is_zero(v) for v in values))
+                           and not all(scalar_is_zero(d) for d in self._deltas.values()))
 
     def _compute_ee(self, i: int, j: int) -> SectorClass:
         geom = self.geom
-        n = geom.n
-        sigma = geom.base.one().scale(Fraction(cartan_matrix(n)[i - 1][j - 1]))
+        sigma, slots = structure_constants(geom.n)[(i, j)]
         exc = []
-        for l, (cm, ck) in enumerate(ee_twisted_coefficients(n, i, j), start=1):
-            if self._corrected:
-                ck = ck + evaluate(correction_series(n, i, j, l), self._at)
+        for cm, series in slots:
+            ck = evaluate(series, self._deltas) if self._corrected else series.const
             term = geom.kap().scale(ck)
             # m is undefined for n = 1, where cm is always 0
             exc.append(geom.em().scale(cm) + term if cm else term)
-        return SectorClass(geom, (geom.base.zero(), sigma, *exc))
+        return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))

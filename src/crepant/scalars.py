@@ -357,7 +357,12 @@ def format_rational(r) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    return Fraction(str(text))
+    """An exact rational token such as `-3` or `2/3`; a zero denominator is
+    a ValueError, like any other malformed token."""
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 _SCALAR_FACTOR = re.compile(
@@ -382,9 +387,12 @@ def parse_scalar(text: str):
         elif body.startswith("zeta"):
             factor = CycNum.zeta(int(m.group("n")), int(m.group("k") or 1))
         else:
-            factor = Fraction(body)
+            factor = parse_rational(body)
         if m.group("den"):
-            factor = factor / Fraction(int(m.group("den")))
+            den = parse_rational(m.group("den"))
+            if den == 0:
+                raise ValueError(f"zero denominator in {part!r}")
+            factor = factor / den
         if m.group("sign"):
             factor = -factor
         value = value * factor

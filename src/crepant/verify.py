@@ -18,16 +18,9 @@ from math import gcd
 from operator import add
 from typing import NamedTuple
 
-from .cartan import cartan_matrix
 from .geometry import Geometry, SectorClass
 from .orbifold import ConventionFlags, OrbifoldRing
-from .quantum import (
-    QPoint,
-    QSeries,
-    QuantumRing,
-    correction_series,
-    ee_twisted_coefficients,
-)
+from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
 from .scalars import CycNum, scalar_is_zero, scalar_to_json
 
 
@@ -217,7 +210,7 @@ class HomChecker:
         component gives one row of the system, which is row-reduced
         exactly."""
         n = self.geom.n
-        spans = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
+        spans = all_spans(n)
         if len(matrix) != n:
             raise ValueError("candidate matrix has the wrong size")
         det = _row_reduce(matrix, n).det
@@ -406,22 +399,14 @@ TRANSFORMATIONS = ("identity", "scale_3", "swap_LM", "scale_3_swap_LM")
 
 
 def derived_a2_table():
-    """The A_2 quantum products derived from the product formulas, written
-    in the (M, L) coordinates via k = (L + M)/3."""
-    n = 2
-    c = cartan_matrix(n)
+    """The A_2 quantum products of `structure_constants(2)`, written in the
+    (M, L) coordinates via k = (L + M)/3."""
+    third = Fraction(1, 3)
     table = {}
-    for (i, j) in ((1, 1), (1, 2), (2, 2)):
-        entry = {"sigma": Fraction(c[i - 1][j - 1])}
-        coeffs = ee_twisted_coefficients(n, i, j)
-        for l in range(1, n + 1):
-            cm, ck = coeffs[l - 1]
-            series_k = QSeries.from_dict(Fraction(ck)) + correction_series(n, i, j, l)
-            third = Fraction(1, 3)
-            m_part = QSeries.from_dict(Fraction(cm)) + third * series_k
-            l_part = third * series_k
-            entry[f"E{l}"] = (m_part, l_part)
-        table[(i, j)] = entry
+    for key, (sigma, slots) in structure_constants(2).items():
+        table[key] = {"sigma": sigma}
+        for l, (cm, series) in enumerate(slots, start=1):
+            table[key][f"E{l}"] = (cm + third * series, third * series)
     return table
 
 

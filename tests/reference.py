@@ -188,7 +188,7 @@ def contracted_alpha(n: int, i: int, j: int):
 
 class ContractedAlphaRing(SectorRing):
     """The classical resolution ring built independently of
-    `quantum.ee_twisted_coefficients`: E_i E_j is (c_n)_ij sigma plus, per
+    `quantum.structure_constants`: E_i E_j is (c_n)_ij sigma plus, per
     E_l, cm m + ck k with (cm, ck) from `contracted_alpha`."""
 
     letter = "E"
@@ -331,14 +331,14 @@ class A2TableRing(SectorRing):
     def __init__(self, geom, table, q):
         super().__init__(geom)
         self.table = table
-        self.q = q
+        self.deltas = q.deltas()
 
     def _compute_ee(self, i, j):
         geom = self.geom
         entry = self.table[(i, j)]
         sectors = tuple(
-            geom.ell().scale(evaluate(m_part, self.q) * Fraction(1, 3))
-            + geom.em().scale(evaluate(l_part, self.q) * Fraction(1, 3))
+            geom.ell().scale(evaluate(m_part, self.deltas) * Fraction(1, 3))
+            + geom.em().scale(evaluate(l_part, self.deltas) * Fraction(1, 3))
             for m_part, l_part in (entry["E1"], entry["E2"]))
         return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(entry["sigma"]),
                                   *sectors))

@@ -293,3 +293,60 @@ def test_cartan_n_bounded_before_computing(monkeypatch, n):
     code, text = invoke(["cartan", "--n", n])
     assert code == 2
     assert json.loads(text)["error"] == "need n <= 100"
+
+
+# a zero denominator is a malformed token like any other: exit 2, not a
+# ZeroDivisionError traceback
+@pytest.mark.parametrize("argv", [
+    ["qc-table", "--config", A2, "--q", "1/0"],
+    ["verify-a1", "--config", A1, "--q", "-1", "--scalar", "1/0"],
+    ["verify-a1", "--config", A1, "--q", "-1", "--scalar", "zeta4/0"],
+], ids=["q", "scalar", "zeta-scalar"])
+def test_zero_denominator_exits_2(argv):
+    code, text = invoke(argv)
+    assert code == 2
+    assert "zero denominator" in json.loads(text)["error"]
+
+
+def _write_config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_zero_denominator_in_config_exits_2(tmp_path):
+    with open(A1) as fh:
+        data = json.load(fh)
+    data["classes"]["k"] = "1/0"
+    code, text = invoke(["res-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert "zero denominator" in json.loads(text)["error"]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 2.7, "n must be an integer"),
+    ("n", 2.0, "n must be an integer"),
+    ("n", True, "n must be an integer"),
+    ("n", "2", "n must be an integer"),
+    ("n", 101, "need 1 <= n <= 100"),
+    ("n", 10**9, "need 1 <= n <= 100"),
+    ("dim", 1.9, "dim must be an integer"),
+    ("dim", False, "dim must be an integer"),
+    ("dim", 101, "need 0 <= dim <= 100"),
+    ("dim", 10**9, "need 0 <= dim <= 100"),
+])
+def test_config_n_and_dim_checked_before_computing(monkeypatch, tmp_path, field, value, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr("crepant.cli.OrbifoldRing", fail)
+    with open(A2) as fh:
+        data = json.load(fh)
+    if field == "n":
+        # l + m = (n + 1) k holds for every n
+        data["n"], data["classes"] = value, {"l": "0", "m": "0", "k": "0"}
+    else:
+        data["base"]["dim"] = value
+    code, text = invoke(["orb-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert message in json.loads(text)["error"]

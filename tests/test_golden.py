@@ -6,7 +6,8 @@ in.  These digests pin every byte.  They were recorded before the orbifold
 and resolution rings were merged into one sector ring; re-record one only
 when a change is meant to alter that command's output.  The `mckay`
 digests were recorded before the McKay module was rebuilt around one
-class-function inner product.
+class-function inner product, and the `reconcile-6-2` digests before the
+derived A_2 table was read from the shared structure-constant table.
 """
 
 import hashlib
@@ -112,4 +113,18 @@ MCKAY_GOLDEN = [
 def test_golden_mckay_stdout(group, digest):
     out = io.StringIO()
     assert run(["mckay", "--group", group], stdout=out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+RECONCILE_GOLDEN = [
+    ("json", "02ca46f775493d0d1ba08ee9ca11c725d6d744827cb44f754cd8d2364ddb4dfa"),
+    ("text", "7f42356913d088b388b6753d6a2c8497fb01de4b046a261d679538c7506e4f7d"),
+]
+
+
+@pytest.mark.parametrize("output, digest", RECONCILE_GOLDEN,
+                         ids=[o for o, _ in RECONCILE_GOLDEN])
+def test_golden_reconcile_stdout(output, digest):
+    out = io.StringIO()
+    assert run(["--output", output, "reconcile-6-2"], stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

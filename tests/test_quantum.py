@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from crepant.geometry import BaseRing, default_geometry
+from crepant import quantum
 from crepant.quantum import (
     PoleError,
     QPoint,
     QSeries,
     QuantumRing,
-    correction_series,
     evaluate,
+    structure_constants,
 )
 from crepant.geometry import SectorClass
 from crepant.resolution import ResolutionRing
@@ -30,17 +31,26 @@ def test_r_poly_frozen_a2():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_root_sum_matches_contraction(n):
-    # sum_m (C^-1)_{lm} (E_m.beta) is the multiplicity of beta_l in beta
+    # sum_m (C^-1)_{lm} (E_m.beta) is the multiplicity of beta_l in beta;
+    # the table holds i <= j, so E_i E_j for i > j is read at (j, i)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
+            _, slots = structure_constants(n)[(min(i, j), max(i, j))]
             for l in range(1, n + 1):
-                assert correction_series(n, i, j, l) == contracted_correction(n, i, j, l)
+                correction = QSeries(Fraction(0), slots[l - 1][1].atoms)
+                assert correction == contracted_correction(n, i, j, l)
 
 
-def test_classical_ring_builds_no_correction_series():
-    correction_series.cache_clear()
-    ResolutionRing(default_geometry(7)).products()
-    assert correction_series.cache_info().currsize == 0
+def test_classical_ring_evaluates_no_series(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("a series was evaluated")
+
+    monkeypatch.setattr(quantum, "evaluate", fail)
+    geom = default_geometry(7)
+    ResolutionRing(geom).products()
+    # the patch is live: a corrected ring does evaluate its series
+    with pytest.raises(RuntimeError, match="a series was evaluated"):
+        QuantumRing(geom, QPoint([Fraction(2)] * 7)).products()
 
 
 def test_atoms_and_poles():
@@ -57,10 +67,25 @@ def test_atoms_and_poles():
     assert QPoint([Fraction(1)]).poles() == [(1, 1)]
 
 
+def test_deltas_raise_at_the_first_pole():
+    # Q_13 = Q_22 = 1: (1, 3) comes first in the order of poles()
+    q = QPoint([Fraction(2), Fraction(1), Fraction(1, 2)])
+    assert q.poles() == [(1, 3), (2, 2)]
+    with pytest.raises(PoleError) as err:
+        q.deltas()
+    assert err.value.span == (1, 3)
+    with pytest.raises(PoleError) as err:
+        QuantumRing(default_geometry(3), q)
+    assert err.value.span == (1, 3)
+    z3 = CycNum.zeta(3)
+    assert QPoint([z3, z3]).deltas() == {(1, 1): (z3 - 1) / 3, (1, 2): (CycNum.zeta(3, 2) - 1) / 3,
+                                          (2, 2): (z3 - 1) / 3}
+
+
 def test_evaluate():
     series = QSeries.from_dict(Fraction(2), {D11: Fraction(4), D12: Fraction(1)})
     q = QPoint([CycNum.zeta(3), CycNum.zeta(3)])
-    assert evaluate(series, q) == CycNum.zeta(3)  # 2 + 4 d1 + d3 at zeta3
+    assert evaluate(series, q.deltas()) == CycNum.zeta(3)  # 2 + 4 d1 + d3 at zeta3
 
 
 def test_quantum_product_a2_frozen():

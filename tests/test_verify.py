@@ -8,7 +8,7 @@ from crepant.cartan import curve_class
 from crepant.geometry import BaseRing, Geometry, SectorClass, SectorRing, TautClasses, default_geometry
 from crepant.gw import gw_invariant
 from crepant.orbifold import ConventionFlags, OrbifoldRing
-from crepant.quantum import QPoint, QuantumRing, evaluate
+from crepant.quantum import QPoint, QuantumRing, evaluate, structure_constants
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
 from crepant.verify import (
@@ -18,6 +18,7 @@ from crepant.verify import (
     check_associativity,
     check_pairing_nondegenerate,
     _row_reduce,
+    a2_candidates,
     derived_a2_table,
     reconcile_6_2,
     solve_a2_symmetric,
@@ -307,6 +308,18 @@ def test_pairing_degenerate_base_detected():
     assert not out["nondegenerate"]
 
 
+def test_one_structure_constant_table_serves_every_ring():
+    structure_constants.cache_clear()
+    geom = default_geometry(2)
+    ResolutionRing(geom).products()
+    assert structure_constants.cache_info().misses == 1
+    for values in ([CycNum.zeta(3)] * 2, [Fraction(2), Fraction(3)]):
+        QuantumRing(geom, QPoint(values)).products()
+    HomChecker(geom).solve(a2_candidates()[0][2])
+    info = structure_constants.cache_info()
+    assert info.misses == 1 and info.hits > 0
+
+
 def test_derived_table_symmetry():
     # the reflection i -> 3 - i exchanges E1 and E2 and the L/M roles, so
     # every slot, sigma included, is the image of its reflection partner
@@ -328,12 +341,13 @@ def test_derived_table_two_parameter(q):
     geom = default_geometry(2)
     quantum, classical = QuantumRing(geom, q), ResolutionRing(geom)
     e = [SectorClass.sector(geom, a) for a in (1, 2)]
+    deltas = q.deltas()
     for (i, j), entry in derived_a2_table().items():
         product = quantum.ee_product(i, j)
         for l in (1, 2):
             m_part, l_part = entry[f"E{l}"]
-            assert product.coords[l + 1] == (geom.em().scale(evaluate(m_part, q))
-                                              + geom.ell().scale(evaluate(l_part, q)))
+            assert product.coords[l + 1] == (geom.em().scale(evaluate(m_part, deltas))
+                                              + geom.ell().scale(evaluate(l_part, deltas)))
         for p in (1, 2):
             correction = (quantum.pairing(product, e[p - 1])
                           - classical.pairing(classical.ee_product(i, j), e[p - 1]))
