@@ -225,6 +225,8 @@ class Geometry:
         n = _json_int(data["n"], "n")
         base = BaseRing.from_json(data["base"])
         raw = data.get("classes", {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"classes must be a JSON object, got {raw!r}")
         k = parse_rational(raw.get("k", "0"))
         if n == 1:
             taut = TautClasses(n, None, None, k)

@@ -1,19 +1,26 @@
 """Exact scalars: rationals and cyclotomic numbers.
 
-Rationals are `fractions.Fraction`.  Cyclotomic numbers are residues modulo
-the N-th cyclotomic polynomial, with Fraction coefficients, so equality is
-canonical coefficient-wise comparison (after embedding into a common field).
+Rationals are `fractions.Fraction`.  A cyclotomic number is a residue
+modulo the N-th cyclotomic polynomial Phi_N, stored as integer numerators
+`nums` over one positive integer `den` in lowest terms: gcd(den, *nums) == 1,
+and zero is (0, ..., 0)/1.  So a value has one spelling per conductor, and
+equality is a tuple comparison in a common field.  All arithmetic is on
+integers (a rational operand scales numerators and denominator), and each
+result is divided by its gcd once, in the constructor.
 
 Every reduction goes through one residue table per conductor N, built on
-first use: row e holds the nonzero coefficients of x^e mod Phi_N for
-e = 0..N-1, and `_reduce` sums c * row[e mod N] over (e, c) terms.  The
-constructor, `zeta` (row k), `embed` (e -> e M/N), `conj` (e -> -e) and the
-common-field lift of a binary operation all go through it.  The conductor
-cap is checked where a conductor first appears (the public constructor,
-`zeta`, a lift to a larger conductor and the table build), before any
-table or anything else of size N is built.  The result of an operation has
-an operand's conductor or one its lift has checked, so it is not checked
-again.
+first use: row e holds the nonzero integer coefficients of x^e mod Phi_N
+for e = 0..N-1, and `_reduce` sums c * row[e mod N] over integer (e, c)
+terms.  The public constructor (after clearing denominators once), `zeta`
+(row k), `embed` (e -> e M/N), `conj` (e -> -e), the common-field lift and
+the high half of a product all go through it.  The inverse is an extended
+Euclid of Phi_N and the numerators on integer polynomials, fraction-free.
+
+The conductor cap is checked where a conductor first appears (the public
+constructor, `zeta`, a lift to a larger conductor and the table build),
+before any table or anything else of size N is built.  The result of an
+operation has an operand's conductor or one its lift has checked, so it is
+not checked again.
 
 No floating point is used anywhere except the display helper `to_complex`.
 """
@@ -25,7 +32,7 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 DEFAULT_MAX_CONDUCTOR = 120
 
@@ -47,62 +54,25 @@ def conductor_cap() -> int:
     return cap
 
 
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    """Exact division of integer/Fraction polynomials (den need not be monic)."""
-    num = list(num)
-    den = _poly_trim(den)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coef = Fraction(num[i + len(den) - 1], lead) if lead != 1 else num[i + len(den) - 1]
-        q[i] = coef
-        if coef:
-            for j, d in enumerate(den):
-                num[i + j] -= coef * d
-    return q, _poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
     """Coefficients of the n-th cyclotomic polynomial, low degree first."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    # x^n - 1 divided by the product of all lower cyclotomic polynomials.
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
+    # x^n - 1 divided by the product of all lower cyclotomic polynomials,
+    # all monic, so the long division stays on integers
+    rest = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod(num, den)
-    assert not r
-    return tuple(int(c) for c in q)
+            div = cyclotomic_polynomial(d)
+            quot = [0] * (len(rest) - len(div) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c = rest[i + len(div) - 1]
+                for j, v in enumerate(div):
+                    rest[i + j] -= c * v
+            assert not any(rest)
+            rest = quot
+    return tuple(rest)
 
 
 @lru_cache(maxsize=None)
@@ -127,16 +97,16 @@ def _residues(n: int):
 
 
 def _reduce(n: int, terms):
-    """Coefficients of sum c x^e mod Phi_n over the (e, c) terms: each term
-    adds c times row e mod n of the residue table.  The one reduction of
-    this module."""
+    """Integer coefficients of sum c x^e mod Phi_n over the integer (e, c)
+    terms: each term adds c times row e mod n of the residue table.  The
+    one reduction of this module."""
     rows = _residues(n)
-    out = [Fraction(0)] * euler_phi(n)
+    out = [0] * euler_phi(n)
     for e, c in terms:
         if c:
             for j, r in rows[e % n]:
-                out[j] += c if r == 1 else c * r
-    return tuple(out)
+                out[j] += c * r
+    return out
 
 
 def _check_conductor(n: int) -> None:
@@ -151,21 +121,36 @@ def _check_conductor(n: int) -> None:
 
 
 class CycNum:
-    """An element of Q(zeta_N), stored as a residue modulo Phi_N."""
+    """An element of Q(zeta_N): integer numerators over one denominator of a
+    residue modulo Phi_N, in lowest terms."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "nums", "den")
 
-    def __init__(self, conductor, coeffs, _reduced=False):
-        """`_reduced` is for this module's own results: the coefficients
-        are reduced already, at a conductor already within the cap."""
-        if not _reduced:
+    def __init__(self, conductor, coeffs, _den=None):
+        """sum coeffs[e] zeta_conductor^e for int or Fraction coefficients.
+        With `_den` (this module's results), `coeffs` are reduced integer
+        numerators over `_den` > 0 at a conductor within the cap."""
+        if _den is None:
             _check_conductor(conductor)
+            coeffs = list(coeffs)
+            _den = lcm(*(c.denominator for c in coeffs))
+            coeffs = _reduce(conductor, ((e, c.numerator * (_den // c.denominator))
+                                         for e, c in enumerate(coeffs)))
+        g = gcd(_den, *coeffs)
+        if g != 1:
+            coeffs = [c // g for c in coeffs]
+            _den //= g
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(coeffs) if _reduced
-                           else _reduce(conductor, enumerate(coeffs)))
+        object.__setattr__(self, "nums", tuple(coeffs))
+        object.__setattr__(self, "den", _den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycNum is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The residue's coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
@@ -176,93 +161,120 @@ class CycNum:
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
         _check_conductor(n)
-        return cls(n, _reduce(n, ((power, 1),)), _reduced=True)
+        return cls(n, _reduce(n, ((power, 1),)), 1)
 
     # -- structure ---------------------------------------------------------
 
     def _lift(self, conductor):
-        """Own coefficients in the power basis of Q(zeta_conductor), a
-        multiple of the own conductor N: x^e goes to x^(e conductor/N)."""
+        """(nums, den) in Q(zeta_conductor), a multiple of the own conductor
+        N: x^e goes to x^(e conductor/N).  It stays in lowest terms: an
+        algebraic integer of Q(zeta_N) is integral in the power basis."""
         if conductor == self.conductor:
-            return self.coeffs
+            return self.nums, self.den
         if conductor % self.conductor:
             raise ValueError("can only embed into a multiple conductor")
         _check_conductor(conductor)
         step = conductor // self.conductor
-        return _reduce(conductor, ((e * step, c) for e, c in enumerate(self.coeffs)))
+        return tuple(_reduce(conductor, ((e * step, c) for e, c in enumerate(self.nums)))), self.den
 
     def embed(self, conductor: int) -> "CycNum":
         """Image in Q(zeta_conductor); own conductor must divide it."""
         if conductor == self.conductor:
             return self
-        return CycNum(conductor, self._lift(conductor), _reduced=True)
+        return CycNum(conductor, *self._lift(conductor))
 
     def _pair(self, other):
-        """(common conductor, own coeffs, other's coeffs) there, or None.  A
-        rational operand becomes its constant coefficient tuple directly."""
+        """(common conductor, own (nums, den), other's (nums, den)) there, or
+        None.  A rational operand becomes its constant term directly."""
         if isinstance(other, CycNum):
-            n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+            n = lcm(self.conductor, other.conductor)
             return n, self._lift(n), other._lift(n)
         if isinstance(other, (int, Fraction)):
-            pad = (Fraction(0),) * (len(self.coeffs) - 1)
-            return self.conductor, self.coeffs, (Fraction(other),) + pad
+            pad = (0,) * (len(self.nums) - 1)
+            return self.conductor, (self.nums, self.den), ((other.numerator,) + pad,
+                                                           other.denominator)
         return None
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, or NotImplemented."""
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
-        n, a, b = pair
-        return CycNum(n, [x + y for x, y in zip(a, b)], _reduced=True)
+        n, (a, da), (b, db) = pair
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return CycNum(n, [x * fa + y * fb for x, y in zip(a, b)], da * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.conductor, [-c for c in self.coeffs], _reduced=True)
+        return CycNum(self.conductor, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        n, a, b = pair
-        return CycNum(n, [x - y for x, y in zip(a, b)], _reduced=True)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycNum(self.conductor, [c * f for c in self.coeffs], _reduced=True)
+            p = other.numerator
+            return CycNum(self.conductor, [c * p for c in self.nums],
+                          self.den * other.denominator)
         if not isinstance(other, CycNum):
             return NotImplemented
-        n, a, b = self._pair(other)
-        return CycNum(n, _reduce(n, enumerate(_poly_mul(a, b))), _reduced=True)
+        n, (a, da), (b, db) = self._pair(other)
+        deg = len(a)
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        # x^e for e < deg is its own residue: only the high half is folded
+        high = _reduce(n, enumerate(prod[deg:], deg))
+        return CycNum(n, [x + y for x, y in zip(prod, high)], da * db)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Fraction-free extended Euclid.  With self = a/d, each remainder r
+        of Phi_N and a has an integer cofactor s with r = s a mod Phi_N; a
+        step scales both by a leading coefficient, then divides out their
+        joint content.  The last r is an integer c, and 1/self = d s / c."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        # Invariant: r_k = s_k * self  (mod Phi_N).
-        r0, r1 = phi, _poly_trim(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, _poly_trim(r)
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r0) == 1, "Phi_N is squarefree; gcd with a nonzero residue is a unit"
-        scale = Fraction(1) / r0[0]
-        n = self.conductor
-        return CycNum(n, _reduce(n, ((e, c * scale) for e, c in enumerate(s0))), _reduced=True)
+        r0, s0 = list(cyclotomic_polynomial(self.conductor)), [0]
+        r1, s1 = list(self.nums), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            lead, r, s = r1[-1], r0, s0
+            while len(r) >= len(r1):
+                # cancel the leading term of r with x^shift r1
+                c, shift = r[-1], len(r) - len(r1)
+                r = [lead * t for t in r]
+                s = [lead * t for t in s] + [0] * (shift + len(s1) - len(s))
+                for j, t in enumerate(r1):
+                    r[shift + j] -= c * t
+                for j, t in enumerate(s1):
+                    s[shift + j] -= c * t
+                while not r[-1]:
+                    r.pop()
+            g = gcd(*r, *s)
+            r0, s0, r1, s1 = r1, s1, [t // g for t in r], [t // g for t in s]
+        # deg s < deg Phi_N: s is a full residue once padded
+        scale = self.den if r1[0] > 0 else -self.den
+        nums = [scale * t for t in s1]
+        return CycNum(self.conductor, nums + [0] * (len(self.nums) - len(nums)), abs(r1[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(other.denominator, other.numerator)
         if isinstance(other, CycNum):
             return self * other.inv()
         return NotImplemented
@@ -275,19 +287,18 @@ class CycNum:
     def conj(self) -> "CycNum":
         """Complex conjugation, zeta -> zeta^(N-1)."""
         n = self.conductor
-        return CycNum(n, _reduce(n, ((-e, c) for e, c in enumerate(self.coeffs))),
-                      _reduced=True)
+        return CycNum(n, _reduce(n, ((-e, c) for e, c in enumerate(self.nums))), self.den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def as_rational(self):
         """The value as a Fraction if it is rational, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
+        if any(self.nums[1:]):
+            return None
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other):
         pair = self._pair(other)
@@ -348,7 +359,7 @@ def scalar_to_json(x):
         if r is not None:
             return format_rational(r)
         return x.to_json()
-    return format_rational(Fraction(x))
+    return format_rational(x)
 
 
 def format_rational(r) -> str:

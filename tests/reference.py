@@ -6,6 +6,7 @@ independent route to a value the package computes another way.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from crepant.geometry import SectorClass, SectorRing
@@ -43,6 +44,140 @@ def reduce_mod_cyclotomic(coeffs, n):
     while len(coeffs) < deg:
         coeffs.append(Fraction(0))
     return tuple(coeffs)
+
+
+def _poly_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    return _poly_trim(out)
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of Fraction polynomials."""
+    num, den = [Fraction(c) for c in num], _poly_trim(den)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        q[i] = coef = num[i + len(den) - 1] / den[-1]
+        for j, d in enumerate(den):
+            num[i + j] -= coef * d
+    return q, _poly_trim(num)
+
+
+def _scattered_residue(n, terms):
+    """sum c x^e mod Phi_n over the (e, c) terms, by long division."""
+    out = [Fraction(0)] * n
+    for e, c in terms:
+        out[e % n] += c
+    return reduce_mod_cyclotomic(out, n)
+
+
+class FractionCycNum:
+    """The Fraction-coefficient cyclotomic number: an element of Q(zeta_N)
+    as its residue modulo Phi_N with one Fraction per power of zeta_N,
+    reduced by long division, inverted by the extended Euclidean algorithm
+    over Q.  The reference for `CycNum`, which keeps integer numerators
+    over one denominator instead."""
+
+    def __init__(self, conductor, coeffs):
+        self.conductor = conductor
+        self.coeffs = _scattered_residue(conductor, enumerate(coeffs))
+
+    @classmethod
+    def zeta(cls, n, power=1):
+        return cls(n, [0] * (power % n) + [1])
+
+    def embed(self, conductor):
+        step = conductor // self.conductor
+        assert step * self.conductor == conductor
+        return FractionCycNum(conductor, _scattered_residue(
+            conductor, ((e * step, c) for e, c in enumerate(self.coeffs))))
+
+    def _pair(self, other):
+        if isinstance(other, FractionCycNum):
+            n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
+            return n, self.embed(n).coeffs, other.embed(n).coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.conductor, self.coeffs, (Fraction(other),) + (Fraction(0),) * (
+                len(self.coeffs) - 1)
+        return None
+
+    def __add__(self, other):
+        n, a, b = self._pair(other)
+        return FractionCycNum(n, [x + y for x, y in zip(a, b)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCycNum(self.conductor, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        n, a, b = self._pair(other)
+        return FractionCycNum(n, [x - y for x, y in zip(a, b)])
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        n, a, b = self._pair(other)
+        return FractionCycNum(n, _poly_mul(a, b))
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero cyclotomic number")
+        # invariant: r_k = s_k * self mod Phi_N
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
+        r1, s0, s1 = _poly_trim(self.coeffs), [Fraction(0)], [Fraction(1)]
+        while r1:
+            q, r = _poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        assert len(r0) == 1
+        return FractionCycNum(self.conductor, [c / r0[0] for c in s0])
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionCycNum):
+            return self * other.inv()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self.inv() * other
+
+    def conj(self):
+        n = self.conductor
+        return FractionCycNum(n, _scattered_residue(n, ((-e, c) for e, c in enumerate(self.coeffs))))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def as_rational(self):
+        return None if any(self.coeffs[1:]) else self.coeffs[0]
+
+    def __eq__(self, other):
+        _, a, b = self._pair(other)
+        return a == b
+
+    def to_json(self):
+        return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
 
 
 def _is_prime(p: int) -> bool:

@@ -350,3 +350,13 @@ def test_config_n_and_dim_checked_before_computing(monkeypatch, tmp_path, field,
     code, text = invoke(["orb-table", "--config", _write_config(tmp_path, data)])
     assert code == 2
     assert message in json.loads(text)["error"]
+
+
+@pytest.mark.parametrize("classes", [["1"], "1", 3, None], ids=["list", "string", "int", "null"])
+def test_non_object_classes_exits_2(tmp_path, classes):
+    with open(A2) as fh:
+        data = json.load(fh)
+    data["classes"] = classes
+    code, text = invoke(["orb-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert "classes must be a JSON object" in json.loads(text)["error"]

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from crepant.scalars import (
     parse_rational,
     parse_scalar,
 )
-from reference import minimal, reduce_mod_cyclotomic
+from reference import FractionCycNum, minimal, reduce_mod_cyclotomic
 
 
 def test_cyclotomic_polynomials():
@@ -244,3 +245,103 @@ def test_arithmetic_does_not_read_the_cap(monkeypatch):
     monkeypatch.undo()
     assert product == 1 + 2 * z and total == 1 and inverse * y == 1
     assert product.conductor == total.conductor == inverse.conductor == 3
+
+
+# -- the integer kernel against the Fraction-coefficient reference -----------
+
+MIXED_CONDUCTORS = list(range(1, 25)) + [120]
+wide_coefficient = st.one_of(st.fractions(min_value=-60, max_value=60, max_denominator=36),
+                             st.integers(min_value=-60, max_value=60))
+
+
+def _operations(x, y, r, m):
+    """Every kernel operation on x and y (of one class), a rational r and a
+    multiple m of the conductor of x."""
+    out = [x + y, y + x, x - y, y - x, x * y, x + r, r + x, x - r, r - x, x * r, r * x,
+           -x, x.conj(), x.embed(m), x * 0, x - x]
+    if not x.is_zero():
+        out += [x.inv(), r / x, y / x]
+    if r:
+        out.append(x / r)
+    return out
+
+
+@st.composite
+def kernel_operands(draw):
+    """(x, y, r, m) as CycNums and as the same FractionCycNums: unreduced
+    coefficient lists at mixed conductors whose lcm is within the cap."""
+    n = draw(st.sampled_from(MIXED_CONDUCTORS), label="conductor")
+    n2 = draw(st.sampled_from([d for d in MIXED_CONDUCTORS if lcm(n, d) <= 120]), label="other")
+    raw = draw(st.lists(wide_coefficient, max_size=euler_phi(n) + 3), label="x")
+    raw2 = draw(st.lists(wide_coefficient, max_size=euler_phi(n2) + 3), label="y")
+    r = draw(wide_coefficient, label="rational")
+    m = n * draw(st.integers(min_value=1, max_value=120 // n), label="multiple")
+    return ((CycNum(n, raw), CycNum(n2, raw2), r, m),
+            (FractionCycNum(n, raw), FractionCycNum(n2, raw2), r, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands())
+def test_kernel_matches_fraction_reference(operands):
+    ours, reference = operands
+    for got, want in zip(_operations(*ours), _operations(*reference), strict=True):
+        assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
+        assert got.to_json() == want.to_json()
+        assert got.as_rational() == want.as_rational()
+    (x, y, r, m), (rx, ry, _, _) = ours, reference
+    assert (x == y) == (rx == ry) and (x == r) == (rx == r)
+    assert x == x.embed(m) and rx == rx.embed(m)
+
+
+def assert_lowest_terms(x):
+    """den > 0, gcd(den, *nums) == 1, and zero is (0, ..., 0)/1: the one
+    spelling per conductor that tuple equality relies on."""
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == euler_phi(x.conductor)
+    assert all(type(c) is int for c in (x.den, *x.nums))
+    if x.is_zero():
+        assert (x.nums, x.den) == ((0,) * len(x.nums), 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel_operands())
+def test_every_result_is_in_lowest_terms(operands):
+    (x, y, r, m), _ = operands
+    for z in (x, y, *_operations(x, y, r, m)):
+        assert_lowest_terms(z)
+    assert (x - x).nums == (0,) * len(x.nums) and (x * 0).den == 1
+
+
+def test_unreduced_fraction_input_equals_its_reduced_spelling():
+    x = CycNum(6, [Fraction(2, 4), Fraction(-3, 6)])
+    assert_lowest_terms(x)
+    assert (x.nums, x.den) == ((1, -1), 2)
+    # zeta6^2 = zeta6 - 1 and zeta6^3 = -1 give other spellings of one number
+    for spelling in ([Fraction(1, 2), Fraction(-1, 2)], [0, 0, Fraction(-2, 4)],
+                     [Fraction(-3, 6), Fraction(-4, 8), 0, Fraction(-5, 5)]):
+        y = CycNum(6, spelling)
+        assert_lowest_terms(y)
+        assert y == x and (y.nums, y.den) == (x.nums, x.den)
+    for zero in (CycNum(12, [Fraction(0, 5)] * 7), CycNum(12, [])):
+        assert (zero.nums, zero.den) == ((0,) * 4, 1)
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    x, y = CycNum(12, [Fraction(1, 2), 3, Fraction(-2, 5)]), CycNum(8, [1, Fraction(1, 3)])
+    r = Fraction(-1, 2)
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for op in (lambda: x * y, lambda: x * r, lambda: r * x, lambda: 3 * x,
+               lambda: x + y, lambda: x + r, lambda: r + x, lambda: x - y,
+               lambda: r - x, lambda: x.inv(), lambda: (x * y).inv(),
+               lambda: x == y, lambda: x == r, lambda: x.conj(), lambda: x.embed(24)):
+        op()
+    monkeypatch.undo()
+    assert built == []
+    assert x * r * x.inv() == r and (x + r) - r == x
+
