@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 
 def cartan_matrix(n: int):
@@ -33,6 +34,18 @@ def cartan_inverse(n: int):
         )
         for i in range(1, n + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def span_weights(n: int) -> MappingProxyType:
+    """{(r, s): {i: E_i.beta_rs}} over the spans 1 <= r <= s <= n, nonzero
+    weights only: -1 at i = r and at i = s (-2 on beta_rr), 1 at i = r - 1
+    and at i = s + 1.  Cached and read-only."""
+    c = cartan_matrix(n)
+    return MappingProxyType({
+        (r, s): MappingProxyType({i: w for i in range(1, n + 1)
+                                  if (w := sum(c[i - 1][r - 1:s]))})
+        for r in range(1, n + 1) for s in range(r, n + 1)})
 
 
 def cartan_inverse_entry(n: int, i: int, j: int) -> Fraction:

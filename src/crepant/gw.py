@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import CurveClass, curve_class, intersection
+from .cartan import CurveClass, span_weights
 from .geometry import Geometry, SectorClass
 
 ASSUMPTION_NOTE = "three-point values in fiber classes assumed for all base dimensions"
@@ -45,7 +45,7 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
     span = beta.as_multiple_of_span()
     if span is None:
         return Fraction(0)
-    span_class = curve_class(geom.n, *span[1])
+    weights = span_weights(geom.n)[span[1]]
     parts = [classify_insertion(x) for x in insertions]
     if any(p[0] != "exceptional" for p in parts):
         # Divisor-axiom degenerate cases are out of scope; fiber-class
@@ -54,7 +54,7 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
     factor = Fraction(1)
     coeff = geom.base.one()
     for kind, l, alpha in parts:
-        factor *= intersection(geom.n, l, span_class)
+        factor *= weights.get(l, 0)
         coeff = coeff * alpha
     return factor * (coeff * geom.kap()).integrate()
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import gcd
+from operator import add
 
 from .scalars import CycNum, scalar_conj
 
@@ -81,10 +82,10 @@ class CharacterTable:
         """<f, chi_i> = (1/|G|) sum_c |c| f(c) conj(chi_i(c)) for a class
         function f given by its values on the classes; exact, and rational
         for a character f."""
-        total = Fraction(0)
-        for size, x, y in zip(self.class_sizes, f, self._conj_rows[i]):
-            total = total + size * (x * y)
-        return total / self.group.order
+        # summed from the first term: a Fraction(0) start would send every
+        # cyclotomic sum through Fraction.__add__ before CycNum.__radd__
+        terms = (size * (x * y) for size, x, y in zip(self.class_sizes, f, self._conj_rows[i]))
+        return reduce(add, terms) / self.group.order
 
     def dims(self):
         out = []

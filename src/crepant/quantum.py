@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType
 
-from .cartan import cartan_inverse_entry, cartan_matrix
+from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorClass, SectorRing
 from .scalars import format_rational, scalar_is_zero
 
@@ -109,27 +109,27 @@ class QPoint:
 
     def atom(self, r: int, s: int):
         """delta_{rs} = Q/(1-Q) evaluated exactly; PoleError when Q = 1."""
-        spankey = (r, s)
-        if spankey not in self._atoms:
-            prod = self.span_product(r, s)
-            denom = 1 - prod
+        if (r, s) not in self._atoms:
+            denom = 1 - self.span_product(r, s)
             if scalar_is_zero(denom):
-                self._atoms[spankey] = PoleError(spankey)
-            else:
-                self._atoms[spankey] = prod / denom
-        val = self._atoms[spankey]
-        if isinstance(val, PoleError):
-            raise val
-        return val
+                raise PoleError((r, s))
+            self._atoms[(r, s)] = self.span_product(r, s) / denom
+        return self._atoms[(r, s)]
 
     def poles(self):
         """All spans (r, s) at which this point is singular."""
         return [span for span in all_spans(self.n) if scalar_is_zero(1 - self.span_product(*span))]
 
     def deltas(self) -> dict:
-        """{(r, s): delta_rs} over every span; PoleError at the first pole,
-        in the order of `poles()`."""
-        return {span: self.atom(*span) for span in all_spans(self.n)}
+        """{(r, s): delta_rs} over every span.  Every 1 - Q is formed before
+        any is inverted, so a point with a pole raises PoleError at the
+        first one, in the order of `poles()`, having inverted nothing."""
+        denoms = {}
+        for span in all_spans(self.n):
+            denoms[span] = 1 - self.span_product(*span)
+            if scalar_is_zero(denoms[span]):
+                raise PoleError(span)
+        return {span: self.span_product(*span) / denom for span, denom in denoms.items()}
 
     def to_json(self):
         from .scalars import scalar_to_json
@@ -155,20 +155,14 @@ def structure_constants(n: int) -> MappingProxyType:
     evaluates it, so one table per n serves every geometry and point.  The
     atoms come only from the spans that meet both E_i and E_j."""
     c, inv, zero = cartan_matrix(n), partial(cartan_inverse_entry, n), Fraction(0)
-    # meets[i] = {beta: E_i.beta != 0}: E_i.beta_rs is -1 for i = r and for
-    # i = s (so -2 on beta_ii), 1 for i = r - 1 and for i = s + 1, else 0
-    meets = {i: {} for i in range(1, n + 1)}
-    for r, s in all_spans(n):
-        for i, w in ((r, -1), (s, -1), (r - 1, 1), (s + 1, 1)):
-            if 1 <= i <= n:
-                meets[i][(r, s)] = meets[i].get((r, s), 0) + w
     table = {}
     for i, j in all_spans(n):
         atoms = {l: [] for l in range(1, n + 1)}
-        for span in meets[i].keys() & meets[j].keys():
-            weight = Fraction(meets[i][span] * meets[j][span])
-            for l in range(span[0], span[1] + 1):
-                atoms[l].append((span, weight))
+        for span, weights in span_weights(n).items():
+            if i in weights and j in weights:
+                weight = Fraction(weights[i] * weights[j])
+                for l in range(span[0], span[1] + 1):
+                    atoms[l].append((span, weight))
         slots = []
         for l in range(1, n + 1):
             if j == i:
@@ -199,7 +193,8 @@ class QuantumRing(SectorRing):
     E_i E_j is `structure_constants(n)` evaluated at the geometry's m and k
     and at the point's atoms delta_rs.  A point at a pole raises PoleError
     for every geometry, also where k = 0 makes every correction vanish.
-    `at_deltas` builds the ring from the atom values instead."""
+    Products are affine in the atoms: delta_beta adds k (x.beta)(y.beta)
+    sum_{l in beta} E_l to x y (`HomChecker.solve` reads its columns so)."""
 
     letter = "E"
     json_keys = ("pullback", "exceptional")
@@ -207,21 +202,8 @@ class QuantumRing(SectorRing):
     def __init__(self, geom: Geometry, q: QPoint):
         if q.n != geom.n:
             raise ValueError("parameter point has the wrong length")
-        self._setup(geom, q.deltas())
-
-    @classmethod
-    def at_deltas(cls, geom: Geometry, deltas) -> "QuantumRing":
-        """The ring at given atom values {(r, s): delta_rs}, one for every
-        span 1 <= r <= s <= n.  Its products are affine in the deltas, and
-        at delta_rs = Q/(1 - Q) they are those of the ring at q.  There is
-        no pole check: every delta is finite already."""
-        ring = cls.__new__(cls)
-        ring._setup(geom, deltas)
-        return ring
-
-    def _setup(self, geom: Geometry, deltas):
         super().__init__(geom)
-        self._deltas = dict(deltas)
+        self._deltas = q.deltas()
         # the correction k delta is zero when k = 0 or when every delta is
         # 0 (every q is 0): no series is evaluated then
         self._corrected = (not geom.symplectic()

@@ -18,9 +18,11 @@ from math import gcd
 from operator import add
 from typing import NamedTuple
 
+from .cartan import span_weights
 from .geometry import Geometry, SectorClass
 from .orbifold import ConventionFlags, OrbifoldRing
 from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
+from .resolution import ResolutionRing
 from .scalars import CycNum, scalar_is_zero, scalar_to_json
 
 
@@ -159,7 +161,6 @@ class HomChecker:
         orb = OrbifoldRing(geom, flags)
         self.basis = orb.basis()
         self.products = orb.products()
-        self._delta_rings = None
 
     def check(self, matrix, quantum: QuantumRing, stop_early: bool = False) -> HomReport:
         """Exact multiplicativity of the candidate map into `quantum` on all
@@ -201,14 +202,15 @@ class HomChecker:
         """Where the candidate map is a ring isomorphism, for every
         pole-free q at once.
 
-        The quantum product is affine in the atoms delta_s, so on each pair
-        of basis elements the residual apply(M, b_i b_j) - M b_i * M b_j is
-        L - R_0 - sum_s delta_s R_s: L from the shared orbifold products,
-        R_0 the product at delta = 0 and R_s the product at delta_s = 1,
-        the other deltas 0, minus R_0.  At k = 0 no delta enters a product,
-        so every R_s is zero and only R_0 is computed.  Each nonzero
-        component gives one row of the system, which is row-reduced
-        exactly."""
+        The quantum product is affine in the atoms delta_beta, so on each
+        pair of basis elements, with images x = M b_i and y = M b_j, the
+        residual apply(M, b_i b_j) - x y is L - R_0 - sum_beta delta_beta
+        R_beta: L from the shared orbifold products, R_0 the classical x y,
+        and R_beta the root-sum term k (x.beta)(y.beta) sum_{l in beta} E_l,
+        x.beta = sum_i x_i (E_i.beta) in H*(S).  So R_0 is the only ring
+        product, and the E_l rows of a beta column are one base product per
+        pair and span (zero at k = 0).  Each nonzero component gives one row
+        of the system, which is row-reduced exactly."""
         n = self.geom.n
         spans = all_spans(n)
         if len(matrix) != n:
@@ -216,25 +218,25 @@ class HomChecker:
         det = _row_reduce(matrix, n).det
         if scalar_is_zero(det):
             return AffineSystem(det, spans)
-        if self._delta_rings is None:
-            zero = {span: Fraction(0) for span in spans}
-            units = [] if self.geom.symplectic() else [
-                QuantumRing.at_deltas(self.geom, {**zero, span: Fraction(1)}) for span in spans]
-            self._delta_rings = (QuantumRing.at_deltas(self.geom, zero), units)
-        origin, units = self._delta_rings
-        # R_s = 0 for each unit ring not built (k = 0)
-        zero_cols = [Fraction(0)] * (len(spans) - len(units))
-        letter = QuantumRing.letter
+        classical = ResolutionRing(self.geom)
         images = [apply_candidate(matrix, x) for _, x in self.basis]
+        # dots[a][s] = images[a].beta_s, and kdots the same times k
+        dots = [[reduce(add, (x.coords[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
+                 for span in spans] for x in images]
+        kap = self.geom.kap()
+        kdots = [[kap * d for d in row] for row in dots]
+        zero = Fraction(0)
         labels, rows = [], []
         for (i, j), xy in self.products.items():
-            r0 = origin.mul(images[i], images[j])
-            parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
-            parts.append(apply_candidate(matrix, xy) - r0)
-            for entries in zip(*(_components(part, letter) for part in parts)):
-                row = zero_cols + [val for _, val in entries]
-                if not all(scalar_is_zero(val) for val in row):
-                    labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", entries[0][0]))
+            rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
+            roots = [kx * y for kx, y in zip(kdots[i], dots[j])]
+            for c, (comp, val) in enumerate(_components(rhs, ResolutionRing.letter)):
+                # component c is the h^p coefficient of generator g = l + 1, E_l
+                g, p = divmod(c, self.geom.base.rank)
+                row = [root.coeffs[p] if r <= g - 1 <= s else zero
+                       for (r, s), root in zip(spans, roots)] + [val]
+                if not all(scalar_is_zero(v) for v in row):
+                    labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", comp))
                     rows.append(row)
         red = _row_reduce(rows, len(spans))
         rank = len(red.pivots)

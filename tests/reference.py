@@ -11,14 +11,27 @@ from math import gcd
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from crepant.geometry import SectorClass, SectorRing
 from crepant.orbifold import ConventionFlags
-from crepant.quantum import PoleError, QPoint, QSeries, QuantumRing, evaluate
-from crepant.scalars import CycNum, cyclotomic_polynomial, euler_phi
+from crepant.quantum import (
+    PoleError,
+    QPoint,
+    QSeries,
+    QuantumRing,
+    all_spans,
+    evaluate,
+    structure_constants,
+)
+from crepant.scalars import CycNum, cyclotomic_polynomial, euler_phi, scalar_is_zero
 from crepant.verify import (
     A2Solution,
     A2SolveResult,
+    AffineSystem,
     HomChecker,
+    _components,
+    _point,
     _roots_of_unity,
+    _row_reduce,
     a2_candidates,
+    apply_candidate,
 )
 
 
@@ -497,3 +510,88 @@ def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
             if checker.check(matrix, quantum, stop_early=True).passed:
                 solutions.append(A2Solution(q=root, a=a, b=b))
     return A2SolveResult(solutions=solutions, excluded=excluded)
+
+
+def fourier_map(n: int):
+    """M_kl = (1/N) eta^-k (omega^-k - 1) sum_j omega^-jk (c_n^-1)_jl with
+    N = n + 1, omega = zeta_N and eta = zeta_2N: a candidate map that is a
+    ring isomorphism at q = (zeta_N, ..., zeta_N)."""
+    big = n + 1
+
+    def omega(e):
+        return CycNum.zeta(big, e % big)
+
+    return [[Fraction(1, big) * CycNum.zeta(2 * big, -k % (2 * big)) * (omega(-k) - 1)
+             * sum((omega(-j * k) * cartan_inverse_entry(n, j, l) for j in range(1, n + 1)),
+                   Fraction(0))
+             for l in range(1, n + 1)] for k in range(1, n + 1)]
+
+
+class AtomRing(SectorRing):
+    """The resolution ring at given atom values {(r, s): delta_rs}, one for
+    every span, with no pole check: `structure_constants(n)` evaluated at
+    the geometry's m and k and at those deltas.  At delta_rs = Q/(1 - Q)
+    its products are those of `QuantumRing(geom, q)`."""
+
+    letter = "E"
+    json_keys = ("pullback", "exceptional")
+
+    def __init__(self, geom, deltas):
+        super().__init__(geom)
+        self.deltas = dict(deltas)
+
+    def _compute_ee(self, i, j):
+        geom = self.geom
+        sigma, slots = structure_constants(geom.n)[(i, j)]
+        # m is undefined for n = 1, where every cm is 0
+        exc = tuple((geom.em().scale(cm) if cm else geom.base.zero())
+                    + geom.kap().scale(evaluate(series, self.deltas))
+                    for cm, series in slots)
+        return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))
+
+
+def unit_delta_rings(geom):
+    """The ring at delta = 0 and, per span in `all_spans` order, the ring at
+    that delta = 1 and every other delta = 0."""
+    zero = {span: Fraction(0) for span in all_spans(geom.n)}
+    return AtomRing(geom, zero), [AtomRing(geom, {**zero, span: Fraction(1)})
+                                  for span in all_spans(geom.n)]
+
+
+def solve_by_unit_rings(checker, matrix):
+    """`HomChecker.solve` with the delta_beta column of each basis pair
+    computed as a ring product: the product at delta_beta = 1 minus the
+    product at delta = 0, one product per pair and span."""
+    geom = checker.geom
+    spans = all_spans(geom.n)
+    det = _row_reduce(matrix, geom.n).det
+    if scalar_is_zero(det):
+        return AffineSystem(det, spans)
+    origin, units = unit_delta_rings(geom)
+    images = [apply_candidate(matrix, x) for _, x in checker.basis]
+    labels, rows = [], []
+    for (i, j), xy in checker.products.items():
+        r0 = origin.mul(images[i], images[j])
+        parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
+        parts.append(apply_candidate(matrix, xy) - r0)
+        for entries in zip(*(_components(part, "E") for part in parts)):
+            row = [val for _, val in entries]
+            if not all(scalar_is_zero(val) for val in row):
+                labels.append((f"{checker.basis[i][0]} * {checker.basis[j][0]}", entries[0][0]))
+                rows.append(row)
+    red = _row_reduce(rows, len(spans))
+    rank = len(red.pivots)
+    system = AffineSystem(det, spans, rank, red.rows[:rank])
+    for k in range(rank, len(rows)):
+        if not scalar_is_zero(red.rows[k][-1]):
+            system.inconsistent = (*labels[red.order[k]], red.rows[k][-1])
+            return system
+    if rank == len(spans):
+        delta = [None] * rank
+        for k in range(rank - 1, -1, -1):
+            row = red.rows[k]
+            known = sum(row[c] * delta[c] for c in range(k + 1, rank))
+            delta[k] = (row[-1] - known) / row[k]
+        system.solution = dict(zip(spans, delta))
+        system.point = _point(geom, system.solution)
+    return system

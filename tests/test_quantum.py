@@ -1,21 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crepant.geometry import BaseRing, default_geometry
+from crepant.cartan import curve_class, intersection
+from crepant.geometry import BaseRing, Geometry, GradedClass, TautClasses, default_geometry
 from crepant import quantum
 from crepant.quantum import (
     PoleError,
     QPoint,
     QSeries,
     QuantumRing,
+    all_spans,
     evaluate,
     structure_constants,
 )
 from crepant.geometry import SectorClass
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
-from reference import contracted_correction, r_poly
+from reference import AtomRing, contracted_correction, r_poly, unit_delta_rings
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
 
@@ -185,8 +188,78 @@ def _coefficient_tuples(ring):
 ], ids=["rational", "mixed"])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_at_deltas_matches_q_point(n, values, base):
+    # the reference ring at the atom values of q is the ring at q, conductors
+    # included
     geom = default_geometry(n, base)
     q = QPoint(values[:n])
     deltas = {(r, s): q.atom(r, s) for r in range(1, n + 1) for s in range(r, n + 1)}
-    assert (_coefficient_tuples(QuantumRing.at_deltas(geom, deltas))
+    assert (_coefficient_tuples(AtomRing(geom, deltas))
             == _coefficient_tuples(QuantumRing(geom, q)))
+
+
+@st.composite
+def class_pairs(draw):
+    """A geometry over P^1 or a point with integer l, m, k, and two classes
+    with integer coordinates on every generator."""
+    n = draw(st.integers(1, 5))
+    base = draw(st.sampled_from([BaseRing("projective_space", 1), BaseRing("point")]))
+    k = Fraction(draw(st.integers(-3, 3)))
+    if n == 1:
+        taut = TautClasses(1, None, None, k)
+    else:
+        l = Fraction(draw(st.integers(-4, 4)))
+        taut = TautClasses(n, l, (n + 1) * k - l, k)
+    geom = Geometry(n, base, taut)
+    coeffs = st.lists(st.integers(-3, 3).map(Fraction), min_size=base.rank, max_size=base.rank)
+
+    def sector_class():
+        return SectorClass(geom, tuple(GradedClass(base, tuple(draw(coeffs)))
+                                       for _ in range(n + 2)))
+
+    return geom, sector_class(), sector_class()
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_pairs())
+def test_unit_delta_adds_the_rank_one_root_term(case):
+    # at delta_beta = 1 (every other delta 0) a product gains exactly
+    # k (x.beta)(y.beta) sum_{l in beta} E_l, x.beta = sum_i x_i (E_i.beta)
+    geom, x, y = case
+    n = geom.n
+    classical = ResolutionRing(geom).mul(x, y)
+    _, units = unit_delta_rings(geom)
+    for (r, s), unit in zip(all_spans(n), units):
+        beta = curve_class(n, r, s)
+        xb, yb = (sum((z.coords[i + 1].scale(intersection(n, i, beta))
+                       for i in range(1, n + 1)), geom.base.zero()) for z in (x, y))
+        term = geom.kap() * xb * yb
+        expected = [geom.base.zero()] * (n + 2)
+        for l in range(r, s + 1):
+            expected[l + 1] = term
+        assert unit.mul(x, y) - classical == SectorClass(geom, tuple(expected))
+
+
+def test_deltas_invert_nothing_before_a_pole(monkeypatch):
+    z = CycNum.zeta
+    # q4 q5 = 1 makes (4, 5) the first pole; the 13 spans before it are finite
+    pole = [z(5), z(3), z(5, 2), z(4), z(4, 3)]
+    free = [z(5), z(3), z(5, 2), z(4), z(6)]
+    inverted = []
+    inv = CycNum.inv
+
+    def counting_inv(self):
+        inverted.append(1)
+        return inv(self)
+
+    monkeypatch.setattr(CycNum, "inv", counting_inv)
+    assert QPoint(pole).poles()[0] == (4, 5)
+    with pytest.raises(PoleError) as err:
+        QPoint(pole).deltas()
+    assert err.value.span == (4, 5) and inverted == []
+    with pytest.raises(PoleError) as err:
+        QuantumRing(default_geometry(5), QPoint(pole))
+    assert err.value.span == (4, 5) and inverted == []
+    # a pole-free point inverts once per span and gives the same atoms
+    deltas = QPoint(free).deltas()
+    assert len(inverted) == 15
+    assert deltas == {span: QPoint(free).atom(*span) for span in all_spans(5)}

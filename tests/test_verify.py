@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from crepant.gw import gw_invariant
 from crepant.orbifold import ConventionFlags, OrbifoldRing
 from crepant.quantum import QPoint, QuantumRing, evaluate, structure_constants
 from crepant.resolution import ResolutionRing
-from crepant.scalars import CycNum
+from crepant.scalars import CycNum, scalar_is_zero
 from crepant.verify import (
     PRINTED_A2_TABLE,
     AffineSystem,
@@ -27,10 +28,12 @@ from reference import (
     A2TableRing,
     a1_scalar_sweep,
     det_by_cofactors,
+    fourier_map,
     key,
     reflect_a2_table,
     repair_a2_table,
     solve_a2_sweep,
+    solve_by_unit_rings,
 )
 
 
@@ -206,9 +209,61 @@ def test_solve_computes_no_product_per_root(monkeypatch):
         calls.clear()
         solve_a2_symmetric(default_geometry(2), max_order=max_order)
         counts.append(len(calls))
-    # 36 basis pairs, each at delta = 0 and at a unit delta per span, for
-    # each of the 4 candidates
-    assert counts == [36 * 4 * 4] * 2
+    # 36 basis pairs, each at delta = 0 only, for each of the 4 candidates:
+    # the delta columns are read off the root sum, with no ring product
+    assert counts == [36 * 4] * 2
+
+
+def _nonzero_shapes(system):
+    """Every value of an AffineSystem with its type and conductor; zeros,
+    rational or cyclotomic, as 0."""
+    def shape(v):
+        if scalar_is_zero(v):
+            return 0
+        return ("cyc", v.conductor, v.coeffs) if isinstance(v, CycNum) else v
+
+    return (shape(system.det), system.rank, [[shape(v) for v in row] for row in system.rows],
+            system.solution and {span: shape(v) for span, v in system.solution.items()},
+            system.point and [shape(v) for v in system.point],
+            system.inconsistent and (*system.inconsistent[:2], shape(system.inconsistent[2])))
+
+
+@pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
+                         ids=[f"{g.base.model}-{g.taut.l},{g.taut.m},{g.taut.k}-{t}"
+                              for g, t, _ in SOLVE_CASES])
+def test_solve_matches_unit_delta_rings_on_a2(geom, twist, max_order):
+    # rank, rows in order, solution, point and inconsistent row agree with the
+    # system built from one ring per unit delta; every nonzero value also
+    # has the same conductor
+    checker = HomChecker(geom, ConventionFlags(twist))
+    for _, _, matrix in a2_candidates():
+        system, reference = checker.solve(matrix), solve_by_unit_rings(checker, matrix)
+        assert system == reference
+        assert _nonzero_shapes(system) == _nonzero_shapes(reference)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_solve_matches_unit_delta_rings_on_fourier_maps(n):
+    # a consistent system of full rank, solved at q = (zeta_{n+1}, ...)
+    checker = HomChecker(default_geometry(n))
+    system = checker.solve(fourier_map(n))
+    assert system == solve_by_unit_rings(checker, fourier_map(n))
+    assert system.rank == len(system.spans) and system.inconsistent is None
+    assert system.point == (CycNum.zeta(n + 1),) * n
+
+
+@pytest.mark.parametrize("kind", ["rational", "cyclotomic"])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_solve_matches_unit_delta_rings_on_random_maps(n, kind):
+    rng = random.Random(100 * n + len(kind))
+    z = CycNum.zeta
+    pool = ([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)]
+            if kind == "rational" else
+            [Fraction(1), Fraction(-1, 2), z(3), z(4), z(3, 2) + z(4), 2 * z(4, 3), z(6)])
+    for base in (BaseRing("projective_space", 1), BaseRing("point")):
+        checker = HomChecker(default_geometry(n, base))
+        matrix = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        assert checker.solve(matrix) == solve_by_unit_rings(checker, matrix)
 
 
 def test_solve_reports_why_each_candidate_passed_or_failed():
