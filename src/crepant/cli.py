@@ -7,7 +7,7 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import Geometry, SectorClass
@@ -28,13 +28,10 @@ from .scalars import conductor_cap, format_rational, parse_scalar, scalar_to_jso
 from .verify import (
     HomChecker,
     check_associativity,
-    check_pairing_nondegenerate,
     reconcile_6_2,
     solve_a2_symmetric,
 )
 
-COMMANDS = ("orb-table", "res-table", "gw", "qc-table", "verify-a1", "solve-a2",
-            "check-assoc", "reconcile-6-2", "mckay", "cartan", "age")
 # options whose values may be signed exact tokens such as -1/2 or -1,2
 SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
 OUTPUTS = ("json", "text")
@@ -44,7 +41,8 @@ MAX_CARTAN_N = 100
 
 
 class CliError(Exception):
-    """Validation failure: maps to exit code 2."""
+    """Validation failure: maps to exit code 2, as does a ValueError from
+    the library (a malformed token, span or group name)."""
 
 
 def parse_q_spec(text: str, n: int) -> QPoint:
@@ -59,10 +57,7 @@ def parse_q_spec(text: str, n: int) -> QPoint:
     for tok in tokens:
         if "." in tok:
             raise CliError(f"decimal literal {tok!r} not accepted; use exact tokens")
-        try:
-            values.append(parse_scalar(tok))
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        values.append(parse_scalar(tok))
     return QPoint(values)
 
 
@@ -84,9 +79,9 @@ def load_config(path: str):
     return geom, flags
 
 
-def conventions_block(geom: Geometry | None, flags: ConventionFlags):
+def conventions_block(geom: Geometry, flags: ConventionFlags):
     block = dict(flags.to_json())
-    if geom is not None and geom.model_dependent:
+    if geom.model_dependent:
         block["model_dependent"] = True
         block["caveat"] = "square-zero model is only formal for dim_C S >= 2"
     return block
@@ -111,62 +106,46 @@ def render(report: dict, output: str) -> str:
     return "\n".join(lines)
 
 
-def _geom_arg(parser):
-    parser.add_argument("--config", required=True, help="geometry config JSON file")
+class Command(NamedTuple):
+    help: str
+    options: tuple  # (flags, keyword arguments) of each add_argument call
+    handler: Callable
+    config: bool  # takes --config; the handler then gets (args, geom, flags)
+
+
+# name -> Command, in declaration order: the subparsers, the known-command
+# check in `run` and dispatch all read this one table
+COMMAND_TABLE: dict[str, Command] = {}
+
+
+def option(*flags, **kwargs):
+    """One argparse option of a command, as `add_argument` takes it."""
+    return flags, kwargs
+
+
+def command(name: str, help: str, *options, config: bool = True):
+    """Declare a subcommand: its name, help, options, whether it reads a
+    geometry config, and (decorated) its handler.  A handler returns only
+    its own fields; `run` puts the command name and, for a config command,
+    the geometry and conventions ahead of them."""
+    def declare(handler):
+        COMMAND_TABLE[name] = Command(help, options, handler, config)
+        return handler
+    return declare
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crepant", add_help=True)
     parser.add_argument("--output", choices=OUTPUTS, default="json")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("orb-table", help="orbifold basis multiplication table")
-    _geom_arg(p)
-
-    p = sub.add_parser("res-table", help="classical resolution products E_i E_j")
-    _geom_arg(p)
-
-    p = sub.add_parser("gw", help="three-point invariant in a fiber curve class")
-    _geom_arg(p)
-    p.add_argument("--span", required=True, help="curve span i,j (1-based)")
-    p.add_argument("--multiple", type=int, default=1)
-    p.add_argument("--insert", required=True,
-                   help="comma-separated insertions, e.g. E1,E1,E2 (or 'sigma')")
-
-    p = sub.add_parser("qc-table", help="quantum products E_i * E_j at a q point")
-    _geom_arg(p)
-    p.add_argument("--q", required=True)
-
-    p = sub.add_parser("verify-a1", help="check the scalar A_1 isomorphism ansatz")
-    _geom_arg(p)
-    p.add_argument("--q", required=True)
-    p.add_argument("--scalar", required=True)
-
-    p = sub.add_parser("solve-a2", help="solve the symmetric A_2 ansatz")
-    _geom_arg(p)
-    p.add_argument("--max-order", type=int, default=12)
-
-    p = sub.add_parser("check-assoc", help="associativity check on basis triples")
-    _geom_arg(p)
-    p.add_argument("--ring", choices=("orb", "classical", "quantum"), default="orb")
-    p.add_argument("--q", help="required for --ring quantum")
-
-    sub.add_parser("reconcile-6-2",
-                   help="compare derived A_2 quantum table with the printed one")
-
-    p = sub.add_parser("mckay", help="McKay graph of an ADE subgroup of SU(2)")
-    p.add_argument("--group", required=True, help="A<n>, D<n>, E6, E7 or E8")
-
-    p = sub.add_parser("cartan", help="intersection matrix and its inverse")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("age", help="age of a diagonal group element")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--exponents", required=True, help="comma-separated integers")
-
-    # --output is also accepted after the subcommand; a default there would
-    # overwrite the value given before it
-    for p in sub.choices.values():
+    for name, cmd in COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=cmd.help)
+        if cmd.config:
+            p.add_argument("--config", required=True, help="geometry config JSON file")
+        for flags, kwargs in cmd.options:
+            p.add_argument(*flags, **kwargs)
+        # --output is also accepted after the subcommand; a default there
+        # would overwrite the value given before it
         p.add_argument("--output", choices=OUTPUTS, default=argparse.SUPPRESS)
     return parser
 
@@ -190,35 +169,33 @@ def _ee_table(ring) -> dict:
             for i in range(1, n + 1) for j in range(i, n + 1)}
 
 
-def cmd_orb_table(args) -> dict:
-    geom, flags = load_config(args.config)
+@command("orb-table", "orbifold basis multiplication table")
+def cmd_orb_table(args, geom, flags) -> dict:
     ring = OrbifoldRing(geom, flags)
     labels = [label for label, _ in ring.basis()]
     table = {f"{labels[i]} * {labels[j]}": ring.to_json(xy)
              for (i, j), xy in ring.products().items()}
-    return {"command": "orb-table", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags), "table": table}
+    return {"table": table}
 
 
-def cmd_res_table(args) -> dict:
-    geom, flags = load_config(args.config)
-    return {"command": "res-table", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags),
-            "table": _ee_table(ResolutionRing(geom))}
+@command("res-table", "classical resolution products E_i E_j")
+def cmd_res_table(args, geom, flags) -> dict:
+    return {"table": _ee_table(ResolutionRing(geom))}
 
 
-def cmd_gw(args) -> dict:
-    geom, flags = load_config(args.config)
+@command("gw", "three-point invariant in a fiber curve class",
+         option("--span", required=True, help="curve span i,j (1-based)"),
+         option("--multiple", type=int, default=1),
+         option("--insert", required=True,
+                help="comma-separated insertions, e.g. E1,E1,E2 (or 'sigma')"))
+def cmd_gw(args, geom, flags) -> dict:
     try:
         i, j = (int(t) for t in args.span.split(","))
     except ValueError:
         raise CliError("span must be two comma-separated integers") from None
     if args.multiple < 1:
         raise CliError("multiple must be >= 1")
-    try:
-        base = curve_class(geom.n, i, j)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    base = curve_class(geom.n, i, j)
     beta = CurveClass(geom.n, tuple(args.multiple * m for m in base.mult))
     insertions = []
     for tok in args.insert.split(","):
@@ -235,42 +212,36 @@ def cmd_gw(args) -> dict:
     if len(insertions) != 3:
         raise CliError("exactly three insertions required")
     value = gw_invariant(geom, beta, insertions)
-    return {"command": "gw", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags),
-            "curve_class": {"span": [i, j], "multiple": args.multiple},
+    return {"curve_class": {"span": [i, j], "multiple": args.multiple},
             "insertions": [t.strip() for t in args.insert.split(",")],
             "value": format_rational(value),
             "metadata": gw_metadata(geom)}
 
 
-def cmd_qc_table(args) -> dict:
-    geom, flags = load_config(args.config)
+@command("qc-table", "quantum products E_i * E_j at a q point",
+         option("--q", required=True))
+def cmd_qc_table(args, geom, flags) -> dict:
     q = parse_q_spec(args.q, geom.n)
-    return {"command": "qc-table", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags),
-            "q": q.to_json(), "table": _ee_table(QuantumRing(geom, q))}
+    return {"q": q.to_json(), "table": _ee_table(QuantumRing(geom, q))}
 
 
-def cmd_verify_a1(args) -> dict:
-    geom, flags = load_config(args.config)
+@command("verify-a1", "check the scalar A_1 isomorphism ansatz",
+         option("--q", required=True),
+         option("--scalar", required=True))
+def cmd_verify_a1(args, geom, flags) -> dict:
     if geom.n != 1:
-        raise CliError("verify-a1 needs an n = 1 geometry")
+        raise CliError(f"{args.command} needs an n = 1 geometry")
     q = parse_q_spec(args.q, 1)
-    try:
-        c = parse_scalar(args.scalar)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    c = parse_scalar(args.scalar)
     report = HomChecker(geom, flags).check(((c,),), QuantumRing(geom, q))
-    return {"command": "verify-a1", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags),
-            "q": q.to_json(), "scalar": scalar_to_json(c),
-            "report": report.to_json()}
+    return {"q": q.to_json(), "scalar": scalar_to_json(c), "report": report.to_json()}
 
 
-def cmd_solve_a2(args) -> dict:
-    geom, flags = load_config(args.config)
+@command("solve-a2", "solve the symmetric A_2 ansatz",
+         option("--max-order", type=int, default=12))
+def cmd_solve_a2(args, geom, flags) -> dict:
     if geom.n != 2:
-        raise CliError("solve-a2 needs an n = 2 geometry")
+        raise CliError(f"{args.command} needs an n = 2 geometry")
     # a root of order d meets the Q(zeta_3) candidates in conductor
     # lcm(3, d) <= 3 max_order
     cap = conductor_cap()
@@ -278,13 +249,13 @@ def cmd_solve_a2(args) -> dict:
         raise CliError(f"max-order must be between 1 and {cap // 3} "
                        f"(3 * max-order may not exceed the conductor cap {cap})")
     result = solve_a2_symmetric(geom, max_order=args.max_order, flags=flags)
-    return {"command": "solve-a2", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags),
-            "max_order": args.max_order, "result": result.to_json()}
+    return {"max_order": args.max_order, "result": result.to_json()}
 
 
-def cmd_check_assoc(args) -> dict:
-    geom, flags = load_config(args.config)
+@command("check-assoc", "associativity check on basis triples",
+         option("--ring", choices=("orb", "classical", "quantum"), default="orb"),
+         option("--q", help="required for --ring quantum"))
+def cmd_check_assoc(args, geom, flags) -> dict:
     if args.ring == "orb":
         ring = OrbifoldRing(geom, flags)
     elif args.ring == "classical":
@@ -293,25 +264,23 @@ def cmd_check_assoc(args) -> dict:
         if not args.q:
             raise CliError("--ring quantum needs --q")
         ring = QuantumRing(geom, parse_q_spec(args.q, geom.n))
-    report = check_associativity(ring)
-    return {"command": "check-assoc", "geometry": geom.to_json(),
-            "conventions": conventions_block(geom, flags),
-            "ring": args.ring, "report": report.to_json()}
+    return {"ring": args.ring, "report": check_associativity(ring).to_json()}
 
 
+@command("reconcile-6-2", "compare derived A_2 quantum table with the printed one",
+         config=False)
 def cmd_reconcile(args) -> dict:
-    return {"command": "reconcile-6-2", "report": reconcile_6_2()}
+    return {"report": reconcile_6_2()}
 
 
+@command("mckay", "McKay graph of an ADE subgroup of SU(2)",
+         option("--group", required=True, help="A<n>, D<n>, E6, E7 or E8"), config=False)
 def cmd_mckay(args) -> dict:
-    try:
-        spec = GroupSpec.parse(args.group)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    spec = GroupSpec.parse(args.group)
     table = character_table(spec)
     graph = mckay_graph(spec)
     res = resolution_graph(graph)
-    return {"command": "mckay", "group": spec.label, "order": spec.order,
+    return {"group": spec.label, "order": spec.order,
             "character_table": {
                 "class_sizes": list(table.class_sizes),
                 "class_orders": list(table.class_orders),
@@ -325,17 +294,22 @@ def cmd_mckay(args) -> dict:
             "surface_equation": ade_equation(spec)}
 
 
+@command("cartan", "intersection matrix and its inverse",
+         option("--n", type=int, required=True), config=False)
 def cmd_cartan(args) -> dict:
     if args.n < 1:
         raise CliError("need n >= 1")
     if args.n > MAX_CARTAN_N:
         raise CliError(f"need n <= {MAX_CARTAN_N}")
-    return {"command": "cartan", "n": args.n,
+    return {"n": args.n,
             "matrix": [[str(v) for v in row] for row in cartan_matrix(args.n)],
             "inverse": [[format_rational(v) for v in row]
                         for row in cartan_inverse(args.n)]}
 
 
+@command("age", "age of a diagonal group element",
+         option("--order", type=int, required=True),
+         option("--exponents", required=True, help="comma-separated integers"), config=False)
 def cmd_age(args) -> dict:
     if args.order < 1:
         raise CliError("order must be >= 1")
@@ -343,30 +317,15 @@ def cmd_age(args) -> dict:
         exps = [int(t) for t in args.exponents.split(",")]
     except ValueError:
         raise CliError("exponents must be comma-separated integers") from None
-    return {"command": "age", "order": args.order, "exponents": exps,
+    return {"order": args.order, "exponents": exps,
             "age": format_rational(age(args.order, exps))}
-
-
-HANDLERS = {
-    "orb-table": cmd_orb_table,
-    "res-table": cmd_res_table,
-    "gw": cmd_gw,
-    "qc-table": cmd_qc_table,
-    "verify-a1": cmd_verify_a1,
-    "solve-a2": cmd_solve_a2,
-    "check-assoc": cmd_check_assoc,
-    "reconcile-6-2": cmd_reconcile,
-    "mckay": cmd_mckay,
-    "cartan": cmd_cartan,
-    "age": cmd_age,
-}
 
 
 def run(argv, stdout=None) -> int:
     stdout = stdout or sys.stdout
     parser = build_parser()
     # unknown subcommand: usage text and exit 1 (argparse would use 2)
-    if not any(a in COMMANDS for a in argv):
+    if not any(a in COMMAND_TABLE for a in argv):
         if "-h" in argv or "--help" in argv:
             parser.print_help(stdout)
             return 0
@@ -379,9 +338,17 @@ def run(argv, stdout=None) -> int:
             args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    cmd = COMMAND_TABLE[args.command]
+    report = {"command": args.command}
     try:
         conductor_cap()
-        report = HANDLERS[args.command](args)
+        context = ()
+        if cmd.config:
+            geom, flags = load_config(args.config)
+            report["geometry"] = geom.to_json()
+            report["conventions"] = conventions_block(geom, flags)
+            context = (geom, flags)
+        report.update(cmd.handler(args, *context))
     except CliError as exc:
         print(json.dumps({"error": str(exc)}), file=stdout)
         return 2

@@ -30,17 +30,21 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _class_token(value, name: str) -> Fraction:
+    """A config class l, m or k: a JSON integer or a rational token with
+    the grammar of `--q`; the error names the field."""
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"classes.{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class BaseRing:
-    """H*(S) for S a point or P^dim, basis h^0..h^dim.
-
-    top_scale rescales the integration functional; 0 gives a degenerate
-    pairing (used to exercise nondegeneracy checks).
-    """
+    """H*(S) for S a point or P^dim, basis h^0..h^dim."""
 
     model: str = POINT
     dim: int = 0
-    top_scale: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.model == POINT:
@@ -118,8 +122,8 @@ class GradedClass:
     __rmul__ = __mul__
 
     def integrate(self):
-        """Integral over S: the h^top coefficient (times top_scale)."""
-        return self.coeffs[self.ring.dim] * self.ring.top_scale
+        """Integral over S: the h^top coefficient."""
+        return self.coeffs[self.ring.dim]
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for c in self.coeffs)
@@ -227,11 +231,11 @@ class Geometry:
         raw = data.get("classes", {})
         if not isinstance(raw, dict):
             raise ValueError(f"classes must be a JSON object, got {raw!r}")
-        k = parse_rational(raw.get("k", "0"))
+        k = _class_token(raw.get("k", "0"), "k")
         if n == 1:
             taut = TautClasses(n, None, None, k)
         else:
-            taut = TautClasses(n, parse_rational(raw["l"]), parse_rational(raw["m"]), k)
+            taut = TautClasses(n, _class_token(raw["l"], "l"), _class_token(raw["m"], "m"), k)
         return cls(n=n, base=base, taut=taut)
 
 

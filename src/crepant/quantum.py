@@ -92,7 +92,6 @@ class QPoint:
     def __init__(self, values):
         self.values = tuple(values)
         self._products = {}
-        self._atoms = {}
 
     @property
     def n(self) -> int:
@@ -106,15 +105,6 @@ class QPoint:
             prev = Fraction(1) if s == r else self.span_product(r, s - 1)
             self._products[key] = prev * self.values[s - 1]
         return self._products[key]
-
-    def atom(self, r: int, s: int):
-        """delta_{rs} = Q/(1-Q) evaluated exactly; PoleError when Q = 1."""
-        if (r, s) not in self._atoms:
-            denom = 1 - self.span_product(r, s)
-            if scalar_is_zero(denom):
-                raise PoleError((r, s))
-            self._atoms[(r, s)] = self.span_product(r, s) / denom
-        return self._atoms[(r, s)]
 
     def poles(self):
         """All spans (r, s) at which this point is singular."""

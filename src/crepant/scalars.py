@@ -367,11 +367,20 @@ def format_rational(r) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
+_RATIONAL_TOKEN = re.compile(r"-?\d+(/\d+)?")
+
+
 def parse_rational(text) -> Fraction:
-    """An exact rational token such as `-3` or `2/3`; a zero denominator is
-    a ValueError, like any other malformed token."""
+    """An exact rational: an integer (not a boolean) or a token such as
+    `-3` or `2/3`, the rational grammar of `--q`.  A decimal, an exponent,
+    a `+` sign, an underscore, surrounding space, a float and a zero
+    denominator are each a ValueError."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if not isinstance(text, str) or not _RATIONAL_TOKEN.fullmatch(text):
+        raise ValueError(f"not an exact rational token (-?N or -?N/D): {text!r}")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

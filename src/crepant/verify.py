@@ -129,7 +129,11 @@ class AffineSystem:
         if self.rank == len(self.spans):
             return self.point is not None and all(
                 v == p for v, p in zip(q.values, self.point))
-        return all(sum(c * q.atom(*span) for c, span in zip(row, self.spans)) == row[-1]
+        if not self.rows:
+            # rank 0 (as at k = 0): no atom is evaluated
+            return True
+        deltas = q.deltas()
+        return all(sum(c * deltas[span] for c, span in zip(row, self.spans)) == row[-1]
                    for row in self.rows)
 
 
@@ -209,8 +213,10 @@ class HomChecker:
         and R_beta the root-sum term k (x.beta)(y.beta) sum_{l in beta} E_l,
         x.beta = sum_i x_i (E_i.beta) in H*(S).  So R_0 is the only ring
         product, and the E_l rows of a beta column are one base product per
-        pair and span (zero at k = 0).  Each nonzero component gives one row
-        of the system, which is row-reduced exactly."""
+        pair and span, formed only where k (x.beta) and y.beta are both
+        nonzero: never for a pullback image, and never at k = 0.  Each
+        nonzero component gives one row of the system, which is row-reduced
+        exactly."""
         n = self.geom.n
         spans = all_spans(n)
         if len(matrix) != n:
@@ -229,11 +235,13 @@ class HomChecker:
         labels, rows = [], []
         for (i, j), xy in self.products.items():
             rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
-            roots = [kx * y for kx, y in zip(kdots[i], dots[j])]
+            # None: a zero root product, not formed
+            roots = [None if kx.is_zero() or y.is_zero() else kx * y
+                     for kx, y in zip(kdots[i], dots[j])]
             for c, (comp, val) in enumerate(_components(rhs, ResolutionRing.letter)):
                 # component c is the h^p coefficient of generator g = l + 1, E_l
                 g, p = divmod(c, self.geom.base.rank)
-                row = [root.coeffs[p] if r <= g - 1 <= s else zero
+                row = [root.coeffs[p] if root is not None and r <= g - 1 <= s else zero
                        for (r, s), root in zip(spans, roots)] + [val]
                 if not all(scalar_is_zero(v) for v in row):
                     labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", comp))

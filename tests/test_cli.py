@@ -360,3 +360,36 @@ def test_non_object_classes_exits_2(tmp_path, classes):
     code, text = invoke(["orb-table", "--config", _write_config(tmp_path, data)])
     assert code == 2
     assert "classes must be a JSON object" in json.loads(text)["error"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", "0.5"), ("k", "1e3"), ("k", " 1_0 "), ("k", "+1"), ("k", 1.5), ("k", 1.0),
+    ("k", " 1"), ("k", True), ("k", None), ("l", "2.0"), ("m", "4/2.0"),
+], ids=["decimal", "exponent", "underscore", "plus", "float", "integral-float", "space",
+        "bool", "null", "l-decimal", "m-decimal-denominator"])
+def test_config_class_tokens_follow_the_q_grammar(tmp_path, field, value):
+    # the same spellings exit 2 in --q, so they exit 2 in a config too
+    with open(A2) as fh:
+        data = json.load(fh)
+    data["classes"][field] = value
+    code, text = invoke(["res-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert json.loads(text)["error"].startswith(f"invalid config: classes.{field}: ")
+
+
+@pytest.mark.parametrize("classes", [
+    {"l": 1, "m": 2, "k": 1},
+    {"l": "-3", "m": "6", "k": "1"},
+    {"l": "2/3", "m": "7/3", "k": 1},
+], ids=["integers", "negative", "fraction"])
+def test_config_class_tokens_in_either_spelling(tmp_path, classes):
+    # a JSON integer and its string token give the same answer
+    with open(A2) as fh:
+        data = json.load(fh)
+    data["classes"] = classes
+    code, text = invoke(["res-table", "--config", _write_config(tmp_path, data)])
+    canonical = {key: str(value) for key, value in classes.items()}
+    data["classes"] = canonical
+    assert code == 0
+    assert json.loads(text)["geometry"]["classes"] == canonical
+    assert (code, text) == invoke(["res-table", "--config", _write_config(tmp_path, data)])

@@ -26,11 +26,6 @@ def test_base_ring_product_and_integral():
     assert pt.one().integrate() == 1
 
 
-def test_degenerate_top_scale():
-    ring = BaseRing("point", top_scale=Fraction(0))
-    assert ring.one().integrate() == 0
-
-
 def test_square_zero_model():
     geom = default_geometry(1, p1())
     ring = geom.base

@@ -58,13 +58,13 @@ def test_classical_ring_evaluates_no_series(monkeypatch):
 
 def test_atoms_and_poles():
     z3 = CycNum.zeta(3)
-    q = QPoint([z3, z3])
-    assert q.atom(1, 1) == (z3 - 1) / 3
-    assert q.atom(1, 2) == (CycNum.zeta(3, 2) - 1) / 3
+    deltas = QPoint([z3, z3]).deltas()
+    assert deltas[(1, 1)] == (z3 - 1) / 3
+    assert deltas[(1, 2)] == (CycNum.zeta(3, 2) - 1) / 3
+    assert QPoint([Fraction(-1)]).deltas() == {(1, 1): Fraction(-1, 2)}
     minus = QPoint([Fraction(-1), Fraction(-1)])
-    assert minus.atom(1, 1) == Fraction(-1, 2)
     with pytest.raises(PoleError) as err:
-        minus.atom(1, 2)
+        minus.deltas()
     assert err.value.span == (1, 2)
     assert minus.poles() == [(1, 2)]
     assert QPoint([Fraction(1)]).poles() == [(1, 1)]
@@ -192,7 +192,7 @@ def test_at_deltas_matches_q_point(n, values, base):
     # included
     geom = default_geometry(n, base)
     q = QPoint(values[:n])
-    deltas = {(r, s): q.atom(r, s) for r in range(1, n + 1) for s in range(r, n + 1)}
+    deltas = q.deltas()
     assert (_coefficient_tuples(AtomRing(geom, deltas))
             == _coefficient_tuples(QuantumRing(geom, q)))
 
@@ -262,4 +262,8 @@ def test_deltas_invert_nothing_before_a_pole(monkeypatch):
     # a pole-free point inverts once per span and gives the same atoms
     deltas = QPoint(free).deltas()
     assert len(inverted) == 15
-    assert deltas == {span: QPoint(free).atom(*span) for span in all_spans(5)}
+    for r, s in all_spans(5):
+        product = Fraction(1)
+        for v in free[r - 1:s]:
+            product = product * v
+        assert deltas[(r, s)] == product / (1 - product)

@@ -303,6 +303,13 @@ def test_affine_system_below_full_rank_tests_the_atoms():
     assert not system.holds_at(QPoint([CycNum.zeta(5), CycNum.zeta(5, 2)]))
     assert not AffineSystem(Fraction(0), system.spans).holds_at(QPoint([Fraction(2)] * 2))
 
+    # a system of rank 0 holds at every pole-free point without its atoms
+    class NoAtoms(QPoint):
+        def deltas(self):
+            raise AssertionError("atoms evaluated")
+
+    assert AffineSystem(Fraction(1), system.spans, rank=0).holds_at(NoAtoms([Fraction(2)] * 2))
+
 
 def test_solve_agrees_with_check_on_a1():
     geom = default_geometry(1)
@@ -357,10 +364,19 @@ def test_pairing_nondegenerate():
 
 
 def test_pairing_degenerate_base_detected():
-    base = BaseRing("projective_space", 1, top_scale=Fraction(0))
-    geom = Geometry(2, base, TautClasses(2, Fraction(1), Fraction(2), Fraction(1)))
-    out = check_pairing_nondegenerate(OrbifoldRing(geom))
-    assert not out["nondegenerate"]
+    # twisted sectors whose products vanish pair to zero with every basis
+    # element, so their rows of the Gram matrix vanish
+    class ZeroSectorProducts(OrbifoldRing):
+        def _compute_ee(self, i, j):
+            return SectorClass(self.geom, (self.geom.base.zero(),) * (self.geom.n + 2))
+
+    ring = ZeroSectorProducts(default_geometry(2))
+    basis = ring.basis()
+    twisted = [x for label, x in basis if "e_" in label]
+    assert len(twisted) == 4
+    assert all(ring.pairing(x, y) == 0 for x in twisted for _, y in basis)
+    out = check_pairing_nondegenerate(ring)
+    assert not out["nondegenerate"] and out["gram_det"] == "0"
 
 
 def test_one_structure_constant_table_serves_every_ring():
@@ -408,7 +424,7 @@ def test_derived_table_two_parameter(q):
                           - classical.pairing(classical.ee_product(i, j), e[p - 1]))
             assert correction == sum(
                 gw_invariant(geom, curve_class(2, r, s), [e[i - 1], e[j - 1], e[p - 1]])
-                * q.atom(r, s) for r, s in ((1, 1), (1, 2), (2, 2))), (i, j, p)
+                * deltas[(r, s)] for r, s in ((1, 1), (1, 2), (2, 2))), (i, j, p)
 
 
 def test_printed_table_misprints_break_associativity():
