@@ -30,6 +30,19 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_object(value, name: str) -> dict:
+    """A config field that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _required(data: dict, key: str, name: str):
+    if key not in data:
+        raise ValueError(f"{name} is required")
+    return data[key]
+
+
 def _class_token(value, name: str) -> Fraction:
     """A config class l, m or k: a JSON integer or a rational token with
     the grammar of `--q`; the error names the field."""
@@ -79,7 +92,9 @@ class BaseRing:
 
     @classmethod
     def from_json(cls, data) -> "BaseRing":
-        return cls(model=data["model"], dim=_json_int(data.get("dim", 0), "dim"))
+        data = _json_object(data, "base")
+        return cls(model=_required(data, "model", "base.model"),
+                   dim=_json_int(data.get("dim", 0), "dim"))
 
 
 @dataclass(frozen=True)
@@ -226,16 +241,16 @@ class Geometry:
 
     @classmethod
     def from_json(cls, data) -> "Geometry":
-        n = _json_int(data["n"], "n")
-        base = BaseRing.from_json(data["base"])
-        raw = data.get("classes", {})
-        if not isinstance(raw, dict):
-            raise ValueError(f"classes must be a JSON object, got {raw!r}")
+        data = _json_object(data, "the config")
+        n = _json_int(_required(data, "n", "n"), "n")
+        base = BaseRing.from_json(_required(data, "base", "base"))
+        raw = _json_object(data.get("classes", {}), "classes")
         k = _class_token(raw.get("k", "0"), "k")
         if n == 1:
             taut = TautClasses(n, None, None, k)
         else:
-            taut = TautClasses(n, _class_token(raw["l"], "l"), _class_token(raw["m"], "m"), k)
+            l, m = (_class_token(_required(raw, c, f"classes.{c}"), c) for c in "lm")
+            taut = TautClasses(n, l, m, k)
         return cls(n=n, base=base, taut=taut)
 
 

@@ -386,28 +386,32 @@ def parse_rational(text) -> Fraction:
 
 
 _SCALAR_FACTOR = re.compile(
-    r"^(?P<sign>-)?(?P<body>zeta(?P<n>\d+)(\^(?P<k>\d+))?|i|\d+(/\d+)?)(/(?P<den>\d+))?$"
+    r"(?P<sign>-)?(?:(?P<rational>\d+(?:/\d+)?)"
+    r"|(?P<unit>zeta(?P<n>\d+)(?:\^(?P<k>\d+))?|i)(?:/(?P<den>\d+))?)"
 )
 
 
 def parse_scalar(text: str):
     """Parse exact scalar expressions like `-1`, `2/3`, `zeta3^2`, `i/2`,
-    or products such as `1/2*zeta8`.  Returns a Fraction or CycNum."""
-    text = text.strip().replace(" ", "")
+    or products such as `1/2*zeta8`.  Returns a Fraction or CycNum.
+
+    Each `*`-separated factor is `-?N(/D)?`, `-?zetaN(^K)?(/D)?` or
+    `-?i(/D)?`: at most one denominator and no space inside; only space
+    around the whole expression is ignored."""
+    text = text.strip()
     if not text:
         raise ValueError("empty scalar")
     value = ONE
     for part in text.split("*"):
-        m = _SCALAR_FACTOR.match(part)
+        m = _SCALAR_FACTOR.fullmatch(part)
         if not m:
             raise ValueError(f"cannot parse scalar factor {part!r}")
-        body = m.group("body")
-        if body == "i":
+        if m.group("rational"):
+            factor = parse_rational(m.group("rational"))
+        elif m.group("unit") == "i":
             factor = CycNum.zeta(4)
-        elif body.startswith("zeta"):
-            factor = CycNum.zeta(int(m.group("n")), int(m.group("k") or 1))
         else:
-            factor = parse_rational(body)
+            factor = CycNum.zeta(int(m.group("n")), int(m.group("k") or 1))
         if m.group("den"):
             den = parse_rational(m.group("den"))
             if den == 0:

@@ -4,9 +4,11 @@ and the quantum-corrected resolution ring, at one parameter point
 (`HomChecker.solve`: the quantum product is affine in the atoms delta_rs,
 so the condition is one exact linear system in them); the A_2
 symmetric-ansatz solver, one such solve per candidate; associativity and
-nondegeneracy checks; and the reconciliation of the derived A_2 quantum
-products with their independently printed form.  Every determinant and
-every reduced system comes from one exact row reduction, `_row_reduce`.
+nondegeneracy checks, both read off one sparse table of basis structure
+constants (`structure_table`); and the reconciliation of the derived A_2
+quantum products with their independently printed form.  Every
+determinant and every reduced system comes from one exact row reduction,
+`_row_reduce`.
 """
 
 from __future__ import annotations
@@ -342,36 +344,71 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
     return A2SolveResult(solutions=solutions, excluded=excluded, candidates=candidates)
 
 
+def structure_table(ring) -> dict:
+    """The basis structure constants {(i, j): {m: c_ij^m}}, b_i b_j =
+    sum_m c_ij^m b_m over the nonzero c_ij^m, for both orders of every
+    basis pair.  The basis element h^p g is b_m with m = g rank + p, so m
+    is also the index of its coefficient in `_components`.  `SectorRing.mul`
+    is commutative by construction (`ee_product` is keyed on (min, max)), so
+    the one product `products()` forms per unordered pair serves both."""
+    rank = ring.geom.base.rank
+    table = {}
+    for (i, j), xy in ring.products().items():
+        table[(i, j)] = table[(j, i)] = {
+            g * rank + p: c for g, alpha in enumerate(xy.coords)
+            for p, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}
+    return table
+
+
+def _sum_rows(terms) -> dict:
+    """sum c row over (c, row) pairs of sparse rows, exact."""
+    out = {}
+    for c, row in terms:
+        for p, v in row.items():
+            out[p] = out[p] + c * v if p in out else c * v
+    return out
+
+
 def check_associativity(ring) -> HomReport:
-    """(x y) z = x (y z) over all basis triples, exact.  Each violation
-    names the first nonzero component of (x y) z - x (y z) and its value."""
+    """(x y) z = x (y z) over all basis triples i <= j <= k, exact, read off
+    the structure table: (b_i b_j) b_k = sum_m c_ij^m b_m b_k and
+    b_i (b_j b_k) = sum_m c_jk^m b_i b_m, so no ring product is formed per
+    triple.  Each violation names the first nonzero component of
+    (x y) z - x (y z) and its value."""
     report = HomReport(passed=True)
-    basis = ring.basis()
-    products = ring.products()
-    for i, (lx, x) in enumerate(basis):
-        for j in range(i, len(basis)):
-            ly, y = basis[j]
-            xy = products[(i, j)]
-            for k in range(j, len(basis)):
-                lz, z = basis[k]
-                lhs = ring.mul(xy, z)
-                rhs = ring.mul(x, products[(j, k)])
-                if not lhs == rhs:
-                    report.passed = False
-                    comp, diff = next((c, v) for c, v in _components(lhs - rhs, ring.letter)
-                                      if not scalar_is_zero(v))
-                    report.violations.append((f"({lx}, {ly}, {lz})", comp, diff))
+    labels = [label for label, _ in ring.basis()]
+    names = [comp for comp, _ in _components(ring.one(), ring.letter)]
+    table = structure_table(ring)
+    zero = Fraction(0)
+    for i, lx in enumerate(labels):
+        for j in range(i, len(labels)):
+            xy = table[(i, j)].items()
+            for k in range(j, len(labels)):
+                lhs = _sum_rows((c, table[(m, k)]) for m, c in xy)
+                rhs = _sum_rows((c, table[(i, m)]) for m, c in table[(j, k)].items())
+                for p in sorted(lhs.keys() | rhs.keys()):
+                    diff = lhs.get(p, zero) - rhs.get(p, zero)
+                    if not scalar_is_zero(diff):
+                        report.passed = False
+                        report.violations.append(
+                            (f"({lx}, {labels[j]}, {labels[k]})", names[p], diff))
+                        break
     return report
 
 
 def check_pairing_nondegenerate(ring) -> dict:
-    """Exact Gram determinant of the Poincare pairing on the model basis."""
-    basis = ring.basis()
-    det = _row_reduce([[ring.pairing(x, y) for _, y in basis] for _, x in basis],
-                      len(basis)).det
+    """Exact Gram determinant of the Poincare pairing on the model basis.
+    The pairing of b_i and b_j is the integral of b_i b_j, its sigma h^dim
+    coefficient, read off the structure table."""
+    table = structure_table(ring)
+    size = len(ring.basis())
+    top = 2 * ring.geom.base.rank - 1
+    zero = Fraction(0)
+    det = _row_reduce([[table[(i, j)].get(top, zero) for j in range(size)]
+                       for i in range(size)], size).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),
-            "rank": len(basis)}
+            "rank": size}
 
 
 # -- reconciliation of the derived A_2 quantum table with the printed one --

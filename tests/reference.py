@@ -20,12 +20,19 @@ from crepant.quantum import (
     evaluate,
     structure_constants,
 )
-from crepant.scalars import CycNum, cyclotomic_polynomial, euler_phi, scalar_is_zero
+from crepant.scalars import (
+    CycNum,
+    cyclotomic_polynomial,
+    euler_phi,
+    scalar_is_zero,
+    scalar_to_json,
+)
 from crepant.verify import (
     A2Solution,
     A2SolveResult,
     AffineSystem,
     HomChecker,
+    HomReport,
     _components,
     _point,
     _roots_of_unity,
@@ -595,3 +602,36 @@ def solve_by_unit_rings(checker, matrix):
         system.solution = dict(zip(spans, delta))
         system.point = _point(geom, system.solution)
     return system
+
+
+def associativity_by_mul(ring):
+    """`verify.check_associativity` as a sweep of ring products: (x y) z
+    and x (y z) formed with `ring.mul` for every basis triple."""
+    report = HomReport(passed=True)
+    basis = ring.basis()
+    products = ring.products()
+    for i, (lx, x) in enumerate(basis):
+        for j in range(i, len(basis)):
+            ly, y = basis[j]
+            xy = products[(i, j)]
+            for k in range(j, len(basis)):
+                lz, z = basis[k]
+                lhs = ring.mul(xy, z)
+                rhs = ring.mul(x, products[(j, k)])
+                if not lhs == rhs:
+                    report.passed = False
+                    comp, diff = next((c, v) for c, v in _components(lhs - rhs, ring.letter)
+                                      if not scalar_is_zero(v))
+                    report.violations.append((f"({lx}, {ly}, {lz})", comp, diff))
+    return report
+
+
+def pairing_by_gram(ring):
+    """`verify.check_pairing_nondegenerate` with every Gram entry formed by
+    `ring.pairing`, over all ordered basis pairs."""
+    basis = ring.basis()
+    det = _row_reduce([[ring.pairing(x, y) for _, y in basis] for _, x in basis],
+                      len(basis)).det
+    return {"nondegenerate": not scalar_is_zero(det),
+            "gram_det": scalar_to_json(det),
+            "rank": len(basis)}

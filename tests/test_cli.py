@@ -393,3 +393,33 @@ def test_config_class_tokens_in_either_spelling(tmp_path, classes):
     assert code == 0
     assert json.loads(text)["geometry"]["classes"] == canonical
     assert (code, text) == invoke(["res-table", "--config", _write_config(tmp_path, data)])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["classes"].pop("l"), "invalid config: classes.l is required"),
+    (lambda data: data["classes"].pop("m"), "invalid config: classes.m is required"),
+    (lambda data: data.update(base="point"),
+     "invalid config: base must be a JSON object, got 'point'"),
+    (lambda data: data["base"].pop("model"), "invalid config: base.model is required"),
+    (lambda data: data.pop("n"), "invalid config: n is required"),
+], ids=["no-l", "no-m", "string-base", "no-model", "no-n"])
+def test_config_shape_errors_name_the_field(tmp_path, edit, message):
+    with open(A2) as fh:
+        data = json.load(fh)
+    edit(data)
+    code, text = invoke(["orb-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert json.loads(text)["error"] == message
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--q", "1/2/3"), ("--q", " 1 / 2 "), ("--q", "zeta 3"), ("--q", "- 1"),
+    ("--q", "1\n*2"), ("--scalar", "1/2 * zeta8"), ("--scalar", "2/3/0"),
+], ids=["double-denominator", "inner-spaces", "zeta-space", "sign-space", "newline",
+        "spaced-product", "double-denominator-zero"])
+def test_scalar_grammar_rejects_inner_space_and_second_denominator(option, value):
+    argv = ["verify-a1", "--config", A1, "--q", "-1", "--scalar", "1"]
+    argv[argv.index(option) + 1] = value
+    code, text = invoke(argv)
+    assert code == 2
+    assert "cannot parse scalar factor" in json.loads(text)["error"]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from crepant.cartan import curve_class
 from crepant.geometry import BaseRing, Geometry, SectorClass, SectorRing, TautClasses, default_geometry
 from crepant.gw import gw_invariant
-from crepant.orbifold import ConventionFlags, OrbifoldRing
+from crepant.orbifold import TWIST_SELF_CHOICES, ConventionFlags, OrbifoldRing
 from crepant.quantum import QPoint, QuantumRing, evaluate, structure_constants
 from crepant.resolution import ResolutionRing
-from crepant.scalars import CycNum, scalar_is_zero
+from crepant.scalars import CycNum, scalar_is_zero, scalar_to_json
 from crepant.verify import (
     PRINTED_A2_TABLE,
     AffineSystem,
@@ -23,13 +23,16 @@ from crepant.verify import (
     derived_a2_table,
     reconcile_6_2,
     solve_a2_symmetric,
+    structure_table,
 )
 from reference import (
     A2TableRing,
     a1_scalar_sweep,
+    associativity_by_mul,
     det_by_cofactors,
     fourier_map,
     key,
+    pairing_by_gram,
     reflect_a2_table,
     repair_a2_table,
     solve_a2_sweep,
@@ -341,6 +344,90 @@ def test_associativity_violation_names_component_and_difference():
         {"pair": "(e_1, e_1, e_2)", "component": "e_1.h^2", "difference": "2/9"},
         {"pair": "(e_1, e_2, e_2)", "component": "e_2.h^2", "difference": "-2/9"},
     ]
+
+
+BASES = {"point": BaseRing("point", 0), "P1": BaseRing("projective_space", 1),
+         "P2": BaseRing("projective_space", 2), "P3": BaseRing("projective_space", 3)}
+# q_1..q_5 at conductors 5, 3 and 4 between rationals; no span product is 1
+MIXED_Q = [CycNum.zeta(5), Fraction(1, 2), CycNum.zeta(3), Fraction(-2), CycNum.zeta(4)]
+
+
+class CyclotomicPairingRing(OrbifoldRing):
+    """The orbifold ring with every sector product scaled by zeta_5 + zeta_3,
+    so that the Gram determinant is not rational and its JSON carries a
+    conductor."""
+
+    def _compute_ee(self, i, j):
+        return super()._compute_ee(i, j).scale(CycNum.zeta(5) + CycNum.zeta(3))
+
+
+def _table_rings(geom, base):
+    """The orbifold ring under every twist_self flag, the classical ring and
+    the quantum ring at a rational and at a mixed-conductor point.  Over P^2
+    and P^3, where the reference sweep is slow, one orbifold flag and one
+    resolution ring per n, which the n sweep rotates through."""
+    n = geom.n
+    orbs = [OrbifoldRing(geom, ConventionFlags(t)) for t in TWIST_SELF_CHOICES]
+    resolutions = [ResolutionRing(geom),
+                   QuantumRing(geom, QPoint([Fraction(a + 2) for a in range(n)])),
+                   QuantumRing(geom, QPoint(MIXED_Q[:n]))]
+    if base in ("point", "P1"):
+        return orbs + resolutions
+    return [orbs[n % 4], resolutions[n % 3]]
+
+
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_table_checks_match_the_product_sweep(base, n):
+    # the table-based checks against the by-mul sweep and the B^2-pairing
+    # Gram they replace, JSON byte for byte: order, labels, components and
+    # values with their conductors; over P^2 and P^3 there are violations
+    geom = default_geometry(n, BASES[base])
+    for ring in _table_rings(geom, base):
+        assert check_associativity(ring).to_json() == associativity_by_mul(ring).to_json(), ring
+        assert check_pairing_nondegenerate(ring) == pairing_by_gram(ring), ring
+    if base in ("P2", "P3") and n > 1:
+        assert not check_associativity(OrbifoldRing(geom)).passed
+
+
+@pytest.mark.parametrize("q", [[Fraction(3)] * 2, [Fraction(2), Fraction(3)],
+                               [CycNum.zeta(5), CycNum.zeta(5)]],
+                         ids=["q=(3,3)", "q=(2,3)", "q=(zeta5,zeta5)"])
+def test_table_checks_match_the_product_sweep_on_the_printed_table(q):
+    ring = A2TableRing(default_geometry(2), PRINTED_A2_TABLE, QPoint(q))
+    report = check_associativity(ring)
+    assert not report.passed
+    assert report.to_json() == associativity_by_mul(ring).to_json()
+    assert check_pairing_nondegenerate(ring) == pairing_by_gram(ring)
+
+
+def test_gram_det_json_keeps_its_conductor():
+    for n in (1, 2, 3):
+        ring = CyclotomicPairingRing(default_geometry(n))
+        out = check_pairing_nondegenerate(ring)
+        assert out == pairing_by_gram(ring)
+        assert out["nondegenerate"] and isinstance(out["gram_det"], dict)
+    ring = QuantumRing(default_geometry(3), QPoint(MIXED_Q[:3]))
+    assert check_pairing_nondegenerate(ring) == pairing_by_gram(ring)
+
+
+@pytest.mark.parametrize("base", list(BASES))
+def test_structure_table_holds_both_orders(base):
+    # b_i b_j = b_j b_i by construction of SectorRing.mul, so the table
+    # copies each product to the mirrored pair; check that copy against the
+    # product in that order, conductors included
+    geom = default_geometry(3, BASES[base])
+    rank = geom.base.rank
+    for ring in (OrbifoldRing(geom), QuantumRing(geom, QPoint(MIXED_Q[:3]))):
+        basis = [x for _, x in ring.basis()]
+        table = structure_table(ring)
+        assert len(table) == len(basis) ** 2
+        for (i, j), row in table.items():
+            product = ring.mul(basis[i], basis[j])
+            assert {p: scalar_to_json(c) for p, c in row.items()} == {
+                g * rank + h: scalar_to_json(c)
+                for g, alpha in enumerate(product.coords)
+                for h, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}, (i, j)
 
 
 SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3),
