@@ -10,7 +10,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
-from .geometry import Geometry, SectorClass
+from .geometry import Geometry, SectorClass, _json_object
 from .gw import gw_invariant, gw_metadata
 from .mckay import (
     GroupSpec,
@@ -47,8 +47,8 @@ class CliError(Exception):
 
 def parse_q_spec(text: str, n: int) -> QPoint:
     """Comma-separated exact tokens: zetaN, zetaN^k, integer, or p/q.
-    Decimal literals are rejected (exactness contract)."""
-    tokens = [t.strip() for t in text.split(",")]
+    Decimal literals and space are rejected (exactness contract)."""
+    tokens = text.split(",")
     if len(tokens) == 1 and n > 1:
         tokens = tokens * n
     if len(tokens) != n:
@@ -69,7 +69,10 @@ def load_config(path: str):
         raise CliError(f"cannot read config {path}: {exc}") from None
     try:
         geom = Geometry.from_json(data)
-        flags = ConventionFlags(**data.get("flags", {}))
+        raw = _json_object(data.get("flags", {}), "flags")
+        for key in sorted(raw.keys() - {"twist_self"}):  # the first unknown flag
+            raise ValueError(f"flags.{key}: unknown flag")
+        flags = ConventionFlags(**raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}") from None
     if not 1 <= geom.n <= MAX_CARTAN_N:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add
 
 from .scalars import CycNum, format_rational, parse_rational, scalar_is_zero, scalar_to_json
 
@@ -291,6 +289,21 @@ class SectorClass:
             raise ValueError(f"sector index out of range: {a}")
         return cls.generator(geom, a + 1, alpha)
 
+    @classmethod
+    def from_flat(cls, geom: Geometry, row: dict) -> "SectorClass":
+        """The class with flat coordinates `row`, the inverse of `flat`."""
+        rank, coords = geom.base.rank, [geom.base.zero()] * (geom.n + 2)
+        for g in {m // rank for m in row}:
+            coords[g] = GradedClass(geom.base, tuple(row.get(g * rank + p, Fraction(0))
+                                                     for p in range(rank)))
+        return cls(geom, tuple(coords))
+
+    def flat(self) -> dict:
+        """{m: c} over the nonzero coefficients c of b_m = h^p g, m = g rank + p."""
+        rank = self.geom.base.rank
+        return {g * rank + p: c for g, alpha in enumerate(self.coords)
+                for p, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}
+
     def __add__(self, other):
         return SectorClass(self.geom, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -317,6 +330,15 @@ class SectorClass:
         return {d + s for s, a in zip(shifts, self.coords) for d in a.degrees()}
 
 
+def sum_rows(terms) -> dict:
+    """sum c row over (c, row) pairs of sparse rows {m: v}, exact."""
+    out = {}
+    for c, row in terms:
+        for m, v in row.items():
+            out[m] = out[m] + c * v if m in out else c * v
+    return out
+
+
 class SectorRing:
     """The free H*(S)-module on 1, sigma and n sector generators g_a.
 
@@ -324,7 +346,8 @@ class SectorRing:
     this shape and differ only in the product of two sector generators.  A
     subclass supplies that product as `_compute_ee(i, j)` for i <= j, and
     sets `letter`, the sector label in the basis, and `json_keys`, the JSON
-    names of the (1, sigma) part and of the sector list."""
+    names of the (1, sigma) part and of the sector list.  That fixes the
+    basis products `product(i, j)`, and `mul` is read off them."""
 
     letter: str
     json_keys: tuple
@@ -332,6 +355,7 @@ class SectorRing:
     def __init__(self, geom: Geometry):
         self.geom = geom
         self._ee = {}
+        self._rows = {}
 
     def one(self) -> SectorClass:
         return SectorClass.generator(self.geom, 0)
@@ -346,27 +370,31 @@ class SectorRing:
     def _compute_ee(self, i: int, j: int) -> SectorClass:
         raise NotImplementedError
 
+    def product(self, i: int, j: int) -> dict:
+        """b_i b_j as sparse {m: c} over `basis()`, c nonzero; built once."""
+        key = (min(i, j), max(i, j))
+        if key not in self._rows:
+            self._rows[key] = self._basis_product(*key)
+        return self._rows[key]
+
+    def _basis_product(self, i: int, j: int) -> dict:
+        """b_i b_j = h^(p+q) g g' for b_i = h^p g, b_j = h^q g', i <= j, 0 past h^dim:
+        1 is the identity, sigma g' = 0 for g' != 1 (i^* sigma = 0), g_a g_b = `ee_product`."""
+        rank = self.geom.base.rank
+        (g, p), (g2, q) = divmod(i, rank), divmod(j, rank)
+        if g == 1 or p + q >= rank:
+            return {}
+        if g == 0:
+            return {g2 * rank + p + q: Fraction(1)}
+        ee, h = self.ee_product(g - 1, g2 - 1), self.geom.base.h_power(p + q)
+        return {k * rank + t: c for k, alpha in enumerate(ee.coords) if not alpha.is_zero()
+                for t, c in enumerate((alpha * h).coeffs) if not scalar_is_zero(c)}
+
     def mul(self, x: SectorClass, y: SectorClass) -> SectorClass:
-        """Sum of x_a y_b g_a g_b over the nonzero coordinates: 1 is the
-        identity, sigma g_b = 0 for b > 0 (i^* sigma = 0), and g_i g_j is
-        `ee_product(i, j)`.  A zero coordinate of g_i g_j is skipped:
-        GradedClass.__mul__ skips zero scalars, so it would add only
-        rational zeros and change no value and no conductor."""
-        terms = [[] for _ in x.coords]
-        ys = [(b, beta) for b, beta in enumerate(y.coords) if not beta.is_zero()]
-        for a, alpha in enumerate(x.coords):
-            if alpha.is_zero():
-                continue
-            for b, beta in ys:
-                if a == 0 or b == 0:
-                    terms[a + b].append(alpha * beta)
-                elif a > 1 and b > 1:
-                    coeff = alpha * beta
-                    for k, e in enumerate(self.ee_product(a - 1, b - 1).coords):
-                        if not e.is_zero():
-                            terms[k].append(e * coeff)
-        zero = self.geom.base.zero()
-        return SectorClass(self.geom, tuple(reduce(add, t) if t else zero for t in terms))
+        """sum x_i y_j b_i b_j over the nonzero flat coordinates of x and y."""
+        xs, ys = x.flat().items(), y.flat().items()
+        return SectorClass.from_flat(self.geom, sum_rows(
+            (a * b, row) for i, a in xs for j, b in ys if (row := self.product(i, j))))
 
     def pairing(self, x: SectorClass, y: SectorClass):
         """Poincare pairing: the integral over Y of the product, which only
@@ -388,9 +416,9 @@ class SectorRing:
 
     def products(self) -> dict:
         """{(i, j): b_i b_j} over the basis b = `basis()`, for i <= j."""
-        basis = [x for _, x in self.basis()]
-        return {(i, j): self.mul(x, basis[j])
-                for i, x in enumerate(basis) for j in range(i, len(basis))}
+        size = (self.geom.n + 2) * self.geom.base.rank
+        return {(i, j): SectorClass.from_flat(self.geom, self.product(i, j))
+                for i in range(size) for j in range(i, size)}
 
     def to_json(self, x: SectorClass):
         y_key, sectors_key = self.json_keys

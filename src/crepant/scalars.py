@@ -396,9 +396,7 @@ def parse_scalar(text: str):
     or products such as `1/2*zeta8`.  Returns a Fraction or CycNum.
 
     Each `*`-separated factor is `-?N(/D)?`, `-?zetaN(^K)?(/D)?` or
-    `-?i(/D)?`: at most one denominator and no space inside; only space
-    around the whole expression is ignored."""
-    text = text.strip()
+    `-?i(/D)?`: at most one denominator and no space anywhere."""
     if not text:
         raise ValueError("empty scalar")
     value = ONE

@@ -4,11 +4,10 @@ and the quantum-corrected resolution ring, at one parameter point
 (`HomChecker.solve`: the quantum product is affine in the atoms delta_rs,
 so the condition is one exact linear system in them); the A_2
 symmetric-ansatz solver, one such solve per candidate; associativity and
-nondegeneracy checks, both read off one sparse table of basis structure
-constants (`structure_table`); and the reconciliation of the derived A_2
-quantum products with their independently printed form.  Every
-determinant and every reduced system comes from one exact row reduction,
-`_row_reduce`.
+nondegeneracy checks, both read off the ring's basis products
+(`SectorRing.product`); and the reconciliation of the derived A_2 quantum
+products with their independently printed form.  Every determinant and
+every reduced system comes from one exact row reduction, `_row_reduce`.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from operator import add
 from typing import NamedTuple
 
 from .cartan import span_weights
-from .geometry import Geometry, SectorClass
+from .geometry import Geometry, SectorClass, sum_rows
 from .orbifold import ConventionFlags, OrbifoldRing
 from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
 from .resolution import ResolutionRing
@@ -95,7 +94,7 @@ def apply_candidate(matrix, x: SectorClass) -> SectorClass:
 
 
 def _components(x: SectorClass, letter: str):
-    """(label, scalar) for every coordinate, sectors labelled by `letter`."""
+    """(label, scalar) per coefficient, that of h^p g m-th, m = g rank + p; sectors `letter`_a."""
     names = ["pure", "sigma"] + [f"{letter}_{a}" for a in range(1, x.geom.n + 1)]
     for name, alpha in zip(names, x.coords):
         for j, c in enumerate(alpha.coeffs):
@@ -344,48 +343,21 @@ def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
     return A2SolveResult(solutions=solutions, excluded=excluded, candidates=candidates)
 
 
-def structure_table(ring) -> dict:
-    """The basis structure constants {(i, j): {m: c_ij^m}}, b_i b_j =
-    sum_m c_ij^m b_m over the nonzero c_ij^m, for both orders of every
-    basis pair.  The basis element h^p g is b_m with m = g rank + p, so m
-    is also the index of its coefficient in `_components`.  `SectorRing.mul`
-    is commutative by construction (`ee_product` is keyed on (min, max)), so
-    the one product `products()` forms per unordered pair serves both."""
-    rank = ring.geom.base.rank
-    table = {}
-    for (i, j), xy in ring.products().items():
-        table[(i, j)] = table[(j, i)] = {
-            g * rank + p: c for g, alpha in enumerate(xy.coords)
-            for p, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}
-    return table
-
-
-def _sum_rows(terms) -> dict:
-    """sum c row over (c, row) pairs of sparse rows, exact."""
-    out = {}
-    for c, row in terms:
-        for p, v in row.items():
-            out[p] = out[p] + c * v if p in out else c * v
-    return out
-
-
 def check_associativity(ring) -> HomReport:
     """(x y) z = x (y z) over all basis triples i <= j <= k, exact, read off
-    the structure table: (b_i b_j) b_k = sum_m c_ij^m b_m b_k and
-    b_i (b_j b_k) = sum_m c_jk^m b_i b_m, so no ring product is formed per
-    triple.  Each violation names the first nonzero component of
-    (x y) z - x (y z) and its value."""
+    `ring.product` (b_i b_j = sum_m c_ij^m b_m): (b_i b_j) b_k = sum_m c_ij^m b_m b_k
+    and b_i (b_j b_k) = sum_m c_jk^m b_i b_m, so no ring product is formed per triple.
+    Each violation names the first nonzero component of the difference and its value."""
     report = HomReport(passed=True)
     labels = [label for label, _ in ring.basis()]
     names = [comp for comp, _ in _components(ring.one(), ring.letter)]
-    table = structure_table(ring)
     zero = Fraction(0)
     for i, lx in enumerate(labels):
         for j in range(i, len(labels)):
-            xy = table[(i, j)].items()
+            xy = ring.product(i, j).items()
             for k in range(j, len(labels)):
-                lhs = _sum_rows((c, table[(m, k)]) for m, c in xy)
-                rhs = _sum_rows((c, table[(i, m)]) for m, c in table[(j, k)].items())
+                lhs = sum_rows((c, ring.product(m, k)) for m, c in xy)
+                rhs = sum_rows((c, ring.product(i, m)) for m, c in ring.product(j, k).items())
                 for p in sorted(lhs.keys() | rhs.keys()):
                     diff = lhs.get(p, zero) - rhs.get(p, zero)
                     if not scalar_is_zero(diff):
@@ -399,12 +371,11 @@ def check_associativity(ring) -> HomReport:
 def check_pairing_nondegenerate(ring) -> dict:
     """Exact Gram determinant of the Poincare pairing on the model basis.
     The pairing of b_i and b_j is the integral of b_i b_j, its sigma h^dim
-    coefficient, read off the structure table."""
-    table = structure_table(ring)
+    coefficient, read off `ring.product`."""
     size = len(ring.basis())
     top = 2 * ring.geom.base.rank - 1
     zero = Fraction(0)
-    det = _row_reduce([[table[(i, j)].get(top, zero) for j in range(size)]
+    det = _row_reduce([[ring.product(i, j).get(top, zero) for j in range(size)]
                        for i in range(size)], size).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),

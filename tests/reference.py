@@ -5,8 +5,9 @@ independent route to a value the package computes another way.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import add
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
 from crepant.geometry import SectorClass, SectorRing
@@ -604,20 +605,44 @@ def solve_by_unit_rings(checker, matrix):
     return system
 
 
+def mul_by_generators(ring, x, y):
+    """`SectorRing.mul` as a sum over pairs of module generators: x_a y_b
+    g_a g_b over the nonzero H*(S) coordinates, with 1 the identity,
+    sigma g_b = 0 for b > 0 and g_i g_j = `ring.ee_product(i, j)`.  No
+    basis product table is read."""
+    terms = [[] for _ in x.coords]
+    ys = [(b, beta) for b, beta in enumerate(y.coords) if not beta.is_zero()]
+    for a, alpha in enumerate(x.coords):
+        if alpha.is_zero():
+            continue
+        for b, beta in ys:
+            if a == 0 or b == 0:
+                terms[a + b].append(alpha * beta)
+            elif a > 1 and b > 1:
+                coeff = alpha * beta
+                for k, e in enumerate(ring.ee_product(a - 1, b - 1).coords):
+                    if not e.is_zero():
+                        terms[k].append(e * coeff)
+    zero = ring.geom.base.zero()
+    return SectorClass(ring.geom, tuple(reduce(add, t) if t else zero for t in terms))
+
+
 def associativity_by_mul(ring):
-    """`verify.check_associativity` as a sweep of ring products: (x y) z
-    and x (y z) formed with `ring.mul` for every basis triple."""
+    """`verify.check_associativity` as a sweep of products by
+    `mul_by_generators`: b_i b_j, then (x y) z and x (y z), for every basis
+    triple."""
     report = HomReport(passed=True)
     basis = ring.basis()
-    products = ring.products()
+    products = {(i, j): mul_by_generators(ring, x, basis[j][1])
+                for i, (_, x) in enumerate(basis) for j in range(i, len(basis))}
     for i, (lx, x) in enumerate(basis):
         for j in range(i, len(basis)):
             ly, y = basis[j]
             xy = products[(i, j)]
             for k in range(j, len(basis)):
                 lz, z = basis[k]
-                lhs = ring.mul(xy, z)
-                rhs = ring.mul(x, products[(j, k)])
+                lhs = mul_by_generators(ring, xy, z)
+                rhs = mul_by_generators(ring, x, products[(j, k)])
                 if not lhs == rhs:
                     report.passed = False
                     comp, diff = next((c, v) for c, v in _components(lhs - rhs, ring.letter)
@@ -627,11 +652,12 @@ def associativity_by_mul(ring):
 
 
 def pairing_by_gram(ring):
-    """`verify.check_pairing_nondegenerate` with every Gram entry formed by
-    `ring.pairing`, over all ordered basis pairs."""
+    """`verify.check_pairing_nondegenerate` with every Gram entry the
+    integral of a `mul_by_generators` product, over all ordered basis
+    pairs."""
     basis = ring.basis()
-    det = _row_reduce([[ring.pairing(x, y) for _, y in basis] for _, x in basis],
-                      len(basis)).det
+    det = _row_reduce([[mul_by_generators(ring, x, y).coords[1].integrate() for _, y in basis]
+                       for _, x in basis], len(basis)).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),
             "rank": len(basis)}

@@ -412,11 +412,41 @@ def test_config_shape_errors_name_the_field(tmp_path, edit, message):
     assert json.loads(text)["error"] == message
 
 
+@pytest.mark.parametrize("flags, message", [
+    ("x", "invalid config: flags must be a JSON object, got 'x'"),
+    (["1"], "invalid config: flags must be a JSON object, got ['1']"),
+    ({"y": 1}, "invalid config: flags.y: unknown flag"),
+    ({"twist_self": "1", "y": 1}, "invalid config: flags.y: unknown flag"),
+    ({"z": 1, "y": 1}, "invalid config: flags.y: unknown flag"),
+    ({"twist_self": "2"}, "invalid config: twist_self must be one of "
+                          "('1', '-1', '1/(n+1)', '-1/(n+1)')"),
+    ({"twist_self": 1}, "invalid config: twist_self must be one of "
+                        "('1', '-1', '1/(n+1)', '-1/(n+1)')"),
+], ids=["string", "list", "unknown", "unknown-beside-known", "two-unknown", "bad-twist",
+        "integer-twist"])
+def test_config_flags_errors_name_the_field(tmp_path, flags, message):
+    with open(A2) as fh:
+        data = json.load(fh)
+    data["flags"] = flags
+    code, text = invoke(["orb-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert json.loads(text)["error"] == message
+
+
+def test_space_after_a_q_comma_exits_2():
+    # a --q component follows the grammar of a config class token: no space
+    code, text = invoke(["qc-table", "--config", A2, "--q", "2, 3"])
+    assert code == 2
+    assert "cannot parse scalar factor ' 3'" in json.loads(text)["error"]
+
+
 @pytest.mark.parametrize("option, value", [
     ("--q", "1/2/3"), ("--q", " 1 / 2 "), ("--q", "zeta 3"), ("--q", "- 1"),
     ("--q", "1\n*2"), ("--scalar", "1/2 * zeta8"), ("--scalar", "2/3/0"),
+    ("--q", " 1/2 "), ("--q", "-1 "), ("--scalar", " i/2"), ("--scalar", "i/2 "),
 ], ids=["double-denominator", "inner-spaces", "zeta-space", "sign-space", "newline",
-        "spaced-product", "double-denominator-zero"])
+        "spaced-product", "double-denominator-zero", "q-surrounding-space",
+        "q-trailing-space", "scalar-leading-space", "scalar-trailing-space"])
 def test_scalar_grammar_rejects_inner_space_and_second_denominator(option, value):
     argv = ["verify-a1", "--config", A1, "--q", "-1", "--scalar", "1"]
     argv[argv.index(option) + 1] = value

@@ -71,13 +71,13 @@ def test_parse_scalar():
     assert parse_scalar("zeta3^2") == CycNum.zeta(3, 2)
     assert parse_scalar("1/2*zeta8") == CycNum.zeta(8) / 2
     assert parse_scalar("-zeta12^5/7*-1/2") == CycNum.zeta(12, 5) / 14
-    assert parse_scalar(" 2/3 ") == Fraction(2, 3)
     with pytest.raises(ValueError):
         parse_scalar("0.5")
 
 
 @pytest.mark.parametrize("text", ["1/2/3", "1 / 2", "1/2 * zeta8", "zeta 3", "- 1",
-                                  "i/2/3", "zeta3/2/3", "1\n*2", "*", ""])
+                                  "i/2/3", "zeta3/2/3", "1\n*2", "*", "", " 2/3 ", "2/3 ",
+                                  " zeta3", "\t1"])
 def test_parse_scalar_rejects_inner_space_and_second_denominator(text):
     with pytest.raises(ValueError):
         parse_scalar(text)

@@ -1,12 +1,21 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crepant.cartan import curve_class
-from crepant.geometry import BaseRing, Geometry, SectorClass, SectorRing, TautClasses, default_geometry
+from crepant.geometry import (
+    BaseRing,
+    Geometry,
+    GradedClass,
+    SectorClass,
+    SectorRing,
+    TautClasses,
+    default_geometry,
+)
 from crepant.gw import gw_invariant
 from crepant.orbifold import TWIST_SELF_CHOICES, ConventionFlags, OrbifoldRing
 from crepant.quantum import QPoint, QuantumRing, evaluate, structure_constants
@@ -23,7 +32,6 @@ from crepant.verify import (
     derived_a2_table,
     reconcile_6_2,
     solve_a2_symmetric,
-    structure_table,
 )
 from reference import (
     A2TableRing,
@@ -32,6 +40,7 @@ from reference import (
     det_by_cofactors,
     fourier_map,
     key,
+    mul_by_generators,
     pairing_by_gram,
     reflect_a2_table,
     repair_a2_table,
@@ -122,17 +131,18 @@ def test_solve_a2_exact_solutions():
 
 
 def test_solve_a2_computes_orbifold_products_once(monkeypatch):
-    # the orbifold side does not depend on q: one product per unordered pair
-    # of the 8 basis elements, shared by every root and candidate
+    # the orbifold side does not depend on q: one basis product row per
+    # unordered pair of the 8 basis elements, shared by every root and
+    # candidate
     calls = []
-    mul = SectorRing.mul
+    build = SectorRing._basis_product
 
-    def counting_mul(self, x, y):
+    def counting_build(self, i, j):
         if isinstance(self, OrbifoldRing):
-            calls.append((x, y))
-        return mul(self, x, y)
+            calls.append((i, j))
+        return build(self, i, j)
 
-    monkeypatch.setattr(SectorRing, "mul", counting_mul)
+    monkeypatch.setattr(SectorRing, "_basis_product", counting_build)
     solve_a2_symmetric(default_geometry(2), max_order=6)
     assert len(calls) == 8 * 9 // 2
 
@@ -413,21 +423,73 @@ def test_gram_det_json_keeps_its_conductor():
 
 @pytest.mark.parametrize("base", list(BASES))
 def test_structure_table_holds_both_orders(base):
-    # b_i b_j = b_j b_i by construction of SectorRing.mul, so the table
-    # copies each product to the mirrored pair; check that copy against the
-    # product in that order, conductors included
+    # SectorRing.product builds b_i b_j once per unordered pair and serves
+    # it for both orders; check each order against the product by
+    # generators in that order, conductors included
     geom = default_geometry(3, BASES[base])
     rank = geom.base.rank
     for ring in (OrbifoldRing(geom), QuantumRing(geom, QPoint(MIXED_Q[:3]))):
         basis = [x for _, x in ring.basis()]
-        table = structure_table(ring)
-        assert len(table) == len(basis) ** 2
-        for (i, j), row in table.items():
-            product = ring.mul(basis[i], basis[j])
+        for i, j in itertools.product(range(len(basis)), repeat=2):
+            row = ring.product(i, j)
+            product = mul_by_generators(ring, basis[i], basis[j])
             assert {p: scalar_to_json(c) for p, c in row.items()} == {
                 g * rank + h: scalar_to_json(c)
                 for g, alpha in enumerate(product.coords)
                 for h, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}, (i, j)
+
+
+def _pool(conductor):
+    """Scalars of Q(zeta_conductor), rationals for conductor 1; zero twice,
+    so that classes have zero coordinates."""
+    pool = [Fraction(0), Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]
+    if conductor == 1:
+        return pool
+    z = CycNum.zeta(conductor)
+    return pool + [z, z * Fraction(-1, 2), 1 + z * z, z - 3]
+
+
+@st.composite
+def rings_and_classes(draw):
+    """(ring, x, y, one conductor): the orbifold ring under one twist_self
+    flag, the classical or the quantum ring, for n = 1..5 over each base,
+    with x, y and q drawn from one cyclotomic field or from three."""
+    n = draw(st.integers(1, 5))
+    geom = default_geometry(n, BASES[draw(st.sampled_from(list(BASES)))])
+    conductor = draw(st.sampled_from([1, 3, 4, 5, None]))
+    pool = _pool(conductor) if conductor else _pool(3) + _pool(4)[5:] + _pool(5)[5:]
+    kind = draw(st.sampled_from(TWIST_SELF_CHOICES + ("classical", "quantum")))
+    if kind == "classical":
+        ring = ResolutionRing(geom)
+    elif kind == "quantum":
+        q = QPoint(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        assume(not q.poles())
+        ring = QuantumRing(geom, q)
+    else:
+        ring = OrbifoldRing(geom, ConventionFlags(kind))
+    rank = geom.base.rank
+
+    def draw_class():
+        coeffs = draw(st.lists(st.sampled_from(pool), min_size=(n + 2) * rank,
+                               max_size=(n + 2) * rank))
+        return SectorClass(geom, tuple(GradedClass(geom.base, tuple(coeffs[g:g + rank]))
+                                       for g in range(0, len(coeffs), rank)))
+
+    return ring, draw_class(), draw_class(), conductor is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rings_and_classes())
+def test_mul_matches_the_product_by_generators(case):
+    # SectorRing.mul reads every product off the basis product table; the
+    # reference multiplies module generators.  The values agree; the JSON
+    # also agrees when every scalar lies in one field, where no sum can
+    # change a conductor.
+    ring, x, y, one_conductor = case
+    got, want = ring.mul(x, y), mul_by_generators(ring, x, y)
+    assert got == want
+    if one_conductor:
+        assert ring.to_json(got) == ring.to_json(want)
 
 
 SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3),
