@@ -1,7 +1,7 @@
 """Exact verification toolkit for orbifold and quantum-corrected cohomology
 of transversal A_n singularities, plus McKay correspondence utilities."""
 
-from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class, intersection
+from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import (
     BaseRing,
     Geometry,

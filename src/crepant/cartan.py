@@ -88,9 +88,3 @@ def curve_class(n: int, i: int, j: int) -> CurveClass:
     if not (1 <= i <= j <= n):
         raise ValueError(f"need 1 <= i <= j <= n, got ({i},{j})")
     return CurveClass(n, tuple(1 if i <= t + 1 <= j else 0 for t in range(n)))
-
-
-def intersection(n: int, l: int, beta: CurveClass) -> int:
-    """E_l . beta, extended linearly from E_l . beta_m = (c_n)_{lm}."""
-    c = cartan_matrix(n)
-    return sum(c[l - 1][m] * beta.mult[m] for m in range(n))

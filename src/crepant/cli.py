@@ -24,7 +24,7 @@ from .mckay import (
 from .orbifold import ConventionFlags, OrbifoldRing, age
 from .quantum import PoleError, QPoint, QuantumRing
 from .resolution import ResolutionRing
-from .scalars import conductor_cap, format_rational, parse_scalar, scalar_to_json
+from .scalars import conductor_cap, format_rational, parse_int, parse_scalar, scalar_to_json
 from .verify import (
     HomChecker,
     check_associativity,
@@ -175,7 +175,7 @@ def _ee_table(ring) -> dict:
 @command("orb-table", "orbifold basis multiplication table")
 def cmd_orb_table(args, geom, flags) -> dict:
     ring = OrbifoldRing(geom, flags)
-    labels = [label for label, _ in ring.basis()]
+    labels = ring.labels()
     table = {f"{labels[i]} * {labels[j]}": ring.to_json(xy)
              for (i, j), xy in ring.products().items()}
     return {"table": table}
@@ -188,12 +188,12 @@ def cmd_res_table(args, geom, flags) -> dict:
 
 @command("gw", "three-point invariant in a fiber curve class",
          option("--span", required=True, help="curve span i,j (1-based)"),
-         option("--multiple", type=int, default=1),
+         option("--multiple", type=parse_int, default=1),
          option("--insert", required=True,
                 help="comma-separated insertions, e.g. E1,E1,E2 (or 'sigma')"))
 def cmd_gw(args, geom, flags) -> dict:
     try:
-        i, j = (int(t) for t in args.span.split(","))
+        i, j = (parse_int(t) for t in args.span.split(","))
     except ValueError:
         raise CliError("span must be two comma-separated integers") from None
     if args.multiple < 1:
@@ -202,8 +202,7 @@ def cmd_gw(args, geom, flags) -> dict:
     beta = CurveClass(geom.n, tuple(args.multiple * m for m in base.mult))
     insertions = []
     for tok in args.insert.split(","):
-        tok = tok.strip()
-        if tok.upper().startswith("E") and tok[1:].isdigit():
+        if tok.upper().startswith("E") and tok[1:].isascii() and tok[1:].isdigit():
             l = int(tok[1:])
             if not 1 <= l <= geom.n:
                 raise CliError(f"divisor index out of range: {l}")
@@ -216,7 +215,7 @@ def cmd_gw(args, geom, flags) -> dict:
         raise CliError("exactly three insertions required")
     value = gw_invariant(geom, beta, insertions)
     return {"curve_class": {"span": [i, j], "multiple": args.multiple},
-            "insertions": [t.strip() for t in args.insert.split(",")],
+            "insertions": args.insert.split(","),
             "value": format_rational(value),
             "metadata": gw_metadata(geom)}
 
@@ -241,7 +240,7 @@ def cmd_verify_a1(args, geom, flags) -> dict:
 
 
 @command("solve-a2", "solve the symmetric A_2 ansatz",
-         option("--max-order", type=int, default=12))
+         option("--max-order", type=parse_int, default=12))
 def cmd_solve_a2(args, geom, flags) -> dict:
     if geom.n != 2:
         raise CliError(f"{args.command} needs an n = 2 geometry")
@@ -298,7 +297,7 @@ def cmd_mckay(args) -> dict:
 
 
 @command("cartan", "intersection matrix and its inverse",
-         option("--n", type=int, required=True), config=False)
+         option("--n", type=parse_int, required=True), config=False)
 def cmd_cartan(args) -> dict:
     if args.n < 1:
         raise CliError("need n >= 1")
@@ -311,13 +310,13 @@ def cmd_cartan(args) -> dict:
 
 
 @command("age", "age of a diagonal group element",
-         option("--order", type=int, required=True),
+         option("--order", type=parse_int, required=True),
          option("--exponents", required=True, help="comma-separated integers"), config=False)
 def cmd_age(args) -> dict:
     if args.order < 1:
         raise CliError("order must be >= 1")
     try:
-        exps = [int(t) for t in args.exponents.split(",")]
+        exps = [parse_int(t) for t in args.exponents.split(",")]
     except ValueError:
         raise CliError("exponents must be comma-separated integers") from None
     return {"order": args.order, "exponents": exps,

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
-from .scalars import CycNum, format_rational, parse_rational, scalar_is_zero, scalar_to_json
+from .scalars import (ONE, ZERO, CycNum, format_rational, parse_rational, scalar_is_zero,
+                      scalar_to_json)
 
 POINT = "point"
 PROJECTIVE = "projective_space"
@@ -111,10 +113,6 @@ class GradedClass:
         self._check(other)
         return GradedClass(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other):
-        self._check(other)
-        return GradedClass(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def scale(self, scalar) -> "GradedClass":
         return GradedClass(self.ring, tuple(scalar * a for a in self.coeffs))
 
@@ -149,13 +147,6 @@ class GradedClass:
 
     __hash__ = None
 
-    def degrees(self):
-        """Real cohomological degrees present, {2j : coeff of h^j nonzero}."""
-        return {2 * j for j, c in enumerate(self.coeffs) if not scalar_is_zero(c)}
-
-    def to_json(self):
-        return [scalar_to_json(c) for c in self.coeffs]
-
 
 @dataclass(frozen=True)
 class TautClasses:
@@ -181,19 +172,6 @@ class TautClasses:
                 raise ValueError("for n >= 2 both l and m are required")
             if self.l + self.m != (self.n + 1) * self.k:
                 raise ValueError("need l + m = (n+1) k")
-
-    def ell(self, ring: BaseRing) -> GradedClass:
-        if self.l is None:
-            raise ValueError("l is undefined for n = 1")
-        return ring.h_power(1, self.l)
-
-    def em(self, ring: BaseRing) -> GradedClass:
-        if self.m is None:
-            raise ValueError("m is undefined for n = 1")
-        return ring.h_power(1, self.m)
-
-    def kap(self, ring: BaseRing) -> GradedClass:
-        return ring.h_power(1, self.k)
 
     def to_json(self):
         if self.n == 1:
@@ -221,13 +199,17 @@ class Geometry:
         return self.base.dim >= 2
 
     def ell(self) -> GradedClass:
-        return self.taut.ell(self.base)
+        if self.taut.l is None:
+            raise ValueError("l is undefined for n = 1")
+        return self.base.h_power(1, self.taut.l)
 
     def em(self) -> GradedClass:
-        return self.taut.em(self.base)
+        if self.taut.m is None:
+            raise ValueError("m is undefined for n = 1")
+        return self.base.h_power(1, self.taut.m)
 
     def kap(self) -> GradedClass:
-        return self.taut.kap(self.base)
+        return self.base.h_power(1, self.taut.k)
 
     def symplectic(self) -> bool:
         """True when the class k vanishes on S (so all quantum corrections do)."""
@@ -241,8 +223,15 @@ class Geometry:
     def from_json(cls, data) -> "Geometry":
         data = _json_object(data, "the config")
         n = _json_int(_required(data, "n", "n"), "n")
-        base = BaseRing.from_json(_required(data, "base", "base"))
+        base = _json_object(_required(data, "base", "base"), "base")
         raw = _json_object(data.get("classes", {}), "classes")
+        # `flags` is the CLI's ConventionFlags; l and m exist only for n >= 2
+        unknown = sorted(prefix + key for prefix, obj, known in (
+            ("", data, {"n", "base", "classes", "flags"}), ("base.", base, {"model", "dim"}),
+            ("classes.", raw, {"k", "l", "m"} if n >= 2 else {"k"})) for key in obj.keys() - known)
+        if unknown:
+            raise ValueError(f"{unknown[0]}: unknown key")
+        base = BaseRing.from_json(base)
         k = _class_token(raw.get("k", "0"), "k")
         if n == 1:
             taut = TautClasses(n, None, None, k)
@@ -266,13 +255,27 @@ def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
 
 @dataclass(frozen=True)
 class SectorClass:
-    """A class of a sector ring: one H*(S) coordinate per generator of the
-    free H*(S)-module with basis 1, sigma, g_1..g_n.  sigma = i_*(1) has
-    degree 4; the sector generators g_a are the twisted sectors e_a of the
-    orbifold or the exceptional divisors E_a of the resolution, of degree 2."""
+    """A class of a sector ring, in the free H*(S)-module with basis 1,
+    sigma, g_1..g_n.  sigma = i_*(1) has degree 4; the sector generators g_a
+    are the twisted sectors e_a of the orbifold or the exceptional divisors
+    E_a of the resolution, of degree 2.  Stored flat: `coeffs[m]` is the
+    coefficient of the vector-space basis element b_m = h^p g,
+    m = g rank + p, the index of `SectorRing.product`."""
 
     geom: Geometry
-    coords: tuple  # n + 2 GradedClass entries: 1, sigma, g_1..g_n
+    coeffs: tuple  # (n + 2) rank scalars
+
+    @classmethod
+    def from_coords(cls, geom: Geometry, coords) -> "SectorClass":
+        """The class with one H*(S) coordinate per generator 1, sigma, g_1..g_n."""
+        return cls(geom, tuple(c for alpha in coords for c in alpha.coeffs))
+
+    @property
+    def coords(self) -> tuple:
+        """The n + 2 H*(S) coordinates, of 1, sigma, g_1..g_n; built on each read."""
+        base = self.geom.base
+        return tuple(GradedClass(base, self.coeffs[m:m + base.rank])
+                     for m in range(0, len(self.coeffs), base.rank))
 
     @classmethod
     def generator(cls, geom: Geometry, k: int, alpha: GradedClass | None = None) -> "SectorClass":
@@ -280,7 +283,7 @@ class SectorClass:
         k = a + 1 is g_a); alpha defaults to 1."""
         coords = [geom.base.zero()] * (geom.n + 2)
         coords[k] = geom.base.one() if alpha is None else alpha
-        return cls(geom, tuple(coords))
+        return cls.from_coords(geom, coords)
 
     @classmethod
     def sector(cls, geom: Geometry, a: int, alpha: GradedClass | None = None) -> "SectorClass":
@@ -289,45 +292,24 @@ class SectorClass:
             raise ValueError(f"sector index out of range: {a}")
         return cls.generator(geom, a + 1, alpha)
 
-    @classmethod
-    def from_flat(cls, geom: Geometry, row: dict) -> "SectorClass":
-        """The class with flat coordinates `row`, the inverse of `flat`."""
-        rank, coords = geom.base.rank, [geom.base.zero()] * (geom.n + 2)
-        for g in {m // rank for m in row}:
-            coords[g] = GradedClass(geom.base, tuple(row.get(g * rank + p, Fraction(0))
-                                                     for p in range(rank)))
-        return cls(geom, tuple(coords))
-
-    def flat(self) -> dict:
-        """{m: c} over the nonzero coefficients c of b_m = h^p g, m = g rank + p."""
-        rank = self.geom.base.rank
-        return {g * rank + p: c for g, alpha in enumerate(self.coords)
-                for p, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}
-
     def __add__(self, other):
-        return SectorClass(self.geom, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return SectorClass(self.geom, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        return SectorClass(self.geom, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return SectorClass(self.geom, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def scale(self, scalar) -> "SectorClass":
-        return SectorClass(self.geom, tuple(a.scale(scalar) for a in self.coords))
+        return SectorClass(self.geom, tuple(scalar * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coords)
+        return all(scalar_is_zero(c) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, SectorClass):
             return NotImplemented
-        return all(a == b for a, b in zip(self.coords, other.coords))
+        return self.geom == other.geom and self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def degrees(self):
-        """Real degrees present, each coordinate shifted up by the degree of
-        its generator."""
-        shifts = (0, 4) + (2,) * self.geom.n
-        return {d + s for s, a in zip(shifts, self.coords) for d in a.degrees()}
 
 
 def sum_rows(terms) -> dict:
@@ -354,11 +336,10 @@ class SectorRing:
 
     def __init__(self, geom: Geometry):
         self.geom = geom
+        self.size = (geom.n + 2) * geom.base.rank  # the number of basis elements b_m
         self._ee = {}
+        self._ee_parts = {}
         self._rows = {}
-
-    def one(self) -> SectorClass:
-        return SectorClass.generator(self.geom, 0)
 
     def ee_product(self, i: int, j: int) -> SectorClass:
         """The product of the i-th and j-th sector generators; cached."""
@@ -385,42 +366,46 @@ class SectorRing:
         if g == 1 or p + q >= rank:
             return {}
         if g == 0:
-            return {g2 * rank + p + q: Fraction(1)}
-        ee, h = self.ee_product(g - 1, g2 - 1), self.geom.base.h_power(p + q)
-        return {k * rank + t: c for k, alpha in enumerate(ee.coords) if not alpha.is_zero()
+            return {g2 * rank + p + q: ONE}
+        key = (g - 1, g2 - 1)
+        if key not in self._ee_parts:
+            # the nonzero H*(S) coordinates of g_a g_b, read once per generator pair
+            self._ee_parts[key] = [(k, alpha) for k, alpha in enumerate(self.ee_product(*key).coords)
+                                   if not alpha.is_zero()]
+        h = self.geom.base.h_power(p + q)
+        return {k * rank + t: c for k, alpha in self._ee_parts[key]
                 for t, c in enumerate((alpha * h).coeffs) if not scalar_is_zero(c)}
 
+    def _element(self, row: dict) -> SectorClass:
+        """The class with the sparse coefficients `row` {m: c}."""
+        return SectorClass(self.geom, tuple(row.get(m, ZERO) for m in range(self.size)))
+
     def mul(self, x: SectorClass, y: SectorClass) -> SectorClass:
-        """sum x_i y_j b_i b_j over the nonzero flat coordinates of x and y."""
-        xs, ys = x.flat().items(), y.flat().items()
-        return SectorClass.from_flat(self.geom, sum_rows(
+        """sum x_i y_j b_i b_j over the nonzero coefficients x_i of x and y_j of y."""
+        xs, ys = ([(m, c) for m, c in enumerate(z.coeffs) if not scalar_is_zero(c)] for z in (x, y))
+        return self._element(sum_rows(
             (a * b, row) for i, a in xs for j, b in ys if (row := self.product(i, j))))
 
-    def pairing(self, x: SectorClass, y: SectorClass):
-        """Poincare pairing: the integral over Y of the product, which only
-        its compactly supported sigma coordinate contributes to."""
-        return self.mul(x, y).coords[1].integrate()
+    def labels(self) -> list:
+        """The label of each basis element b_m = h^p g, in the order of m."""
+        names = ["1", "sigma"] + [f"{self.letter}_{a}" for a in range(1, self.geom.n + 1)]
+        return [name if p == 0 else {"1": f"h^{p}", "sigma": f"sigma*h^{p}"}.get(
+                    name, f"h^{p}*{name}")
+                for name in names for p in range(self.geom.base.rank)]
 
     def basis(self):
-        """Labelled vector-space basis over the scalars: h^j times each
-        module generator."""
-        geom = self.geom
-        names = ["1", "sigma"] + [f"{self.letter}_{a}" for a in range(1, geom.n + 1)]
-        out = []
-        for k, name in enumerate(names):
-            for j in range(geom.base.rank):
-                label = name if j == 0 else {"1": f"h^{j}", "sigma": f"sigma*h^{j}"}.get(
-                    name, f"h^{j}*{name}")
-                out.append((label, SectorClass.generator(geom, k, geom.base.h_power(j))))
-        return out
+        """Labelled vector-space basis over the scalars: (label, b_m) in the order of m."""
+        return [(label, SectorClass(self.geom, (ZERO,) * m + (ONE,) + (ZERO,) * (self.size - m - 1)))
+                for m, label in enumerate(self.labels())]
 
     def products(self) -> dict:
         """{(i, j): b_i b_j} over the basis b = `basis()`, for i <= j."""
-        size = (self.geom.n + 2) * self.geom.base.rank
-        return {(i, j): SectorClass.from_flat(self.geom, self.product(i, j))
-                for i in range(size) for j in range(i, size)}
+        return {(i, j): self._element(self.product(i, j))
+                for i in range(self.size) for j in range(i, self.size)}
 
     def to_json(self, x: SectorClass):
         y_key, sectors_key = self.json_keys
-        pure, sigma, *sectors = (a.to_json() for a in x.coords)
+        rank = self.geom.base.rank
+        pure, sigma, *sectors = ([scalar_to_json(c) for c in x.coeffs[m:m + rank]]
+                                 for m in range(0, self.size, rank))
         return {y_key: {"pure": pure, "sigma": sigma}, sectors_key: sectors}

@@ -208,4 +208,4 @@ class QuantumRing(SectorRing):
             term = geom.kap().scale(ck)
             # m is undefined for n = 1, where cm is always 0
             exc.append(geom.em().scale(cm) + term if cm else term)
-        return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))
+        return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))

@@ -21,13 +21,10 @@ constructor, `zeta`, a lift to a larger conductor and the table build),
 before any table or anything else of size N is built.  The result of an
 operation has an operand's conductor or one its lift has checked, so it is
 not checked again.
-
-No floating point is used anywhere except the display helper `to_complex`.
 """
 
 from __future__ import annotations
 
-import cmath
 import os
 import re
 from fractions import Fraction
@@ -153,10 +150,6 @@ class CycNum:
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value) -> "CycNum":
-        return cls(1, [Fraction(value)])
 
     @classmethod
     def zeta(cls, n: int, power: int = 1) -> "CycNum":
@@ -311,11 +304,6 @@ class CycNum:
 
     # -- rendering ---------------------------------------------------------
 
-    def to_complex(self) -> complex:
-        """Float rendering for display only; never used in core arithmetic."""
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(c) * z ** e for e, c in enumerate(self.coeffs))
-
     def __repr__(self):
         terms = []
         for e, c in enumerate(self.coeffs):
@@ -333,12 +321,8 @@ class CycNum:
         return {"conductor": self.conductor,
                 "coeffs": [format_rational(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, data) -> "CycNum":
-        return cls(data["conductor"], [parse_rational(c) for c in data["coeffs"]])
 
-
-ONE = Fraction(1)
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def scalar_is_zero(x) -> bool:
@@ -367,14 +351,23 @@ def format_rational(r) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
-_RATIONAL_TOKEN = re.compile(r"-?\d+(/\d+)?")
+_INTEGER = r"-?[0-9]+"  # not \d, which also matches other scripts' digits
+_RATIONAL_TOKEN = re.compile(_INTEGER + r"(/[0-9]+)?")
+
+
+def parse_int(text) -> int:
+    """An integer token `-?N`, the integer half of `parse_rational`'s grammar:
+    a `+` sign, an underscore, space or a non-ASCII digit is a ValueError."""
+    if not isinstance(text, str) or not re.fullmatch(_INTEGER, text):
+        raise ValueError(f"not an integer token (-?N): {text!r}")
+    return int(text)
 
 
 def parse_rational(text) -> Fraction:
     """An exact rational: an integer (not a boolean) or a token such as
     `-3` or `2/3`, the rational grammar of `--q`.  A decimal, an exponent,
-    a `+` sign, an underscore, surrounding space, a float and a zero
-    denominator are each a ValueError."""
+    a `+` sign, an underscore, surrounding space, a non-ASCII digit, a float
+    and a zero denominator are each a ValueError."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_TOKEN.fullmatch(text):
@@ -387,7 +380,7 @@ def parse_rational(text) -> Fraction:
 
 _SCALAR_FACTOR = re.compile(
     r"(?P<sign>-)?(?:(?P<rational>\d+(?:/\d+)?)"
-    r"|(?P<unit>zeta(?P<n>\d+)(?:\^(?P<k>\d+))?|i)(?:/(?P<den>\d+))?)"
+    r"|(?P<unit>zeta(?P<n>\d+)(?:\^(?P<k>\d+))?|i)(?:/(?P<den>\d+))?)", re.ASCII
 )
 
 

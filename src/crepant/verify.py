@@ -24,7 +24,7 @@ from .geometry import Geometry, SectorClass, sum_rows
 from .orbifold import ConventionFlags, OrbifoldRing
 from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
 from .resolution import ResolutionRing
-from .scalars import CycNum, scalar_is_zero, scalar_to_json
+from .scalars import ZERO, CycNum, scalar_is_zero, scalar_to_json
 
 
 @dataclass
@@ -83,22 +83,21 @@ def _row_reduce(rows, width: int) -> Reduction:
 
 
 def apply_candidate(matrix, x: SectorClass) -> SectorClass:
-    """Image of x under the candidate map: 1 and sigma are fixed, and the
-    a-th sector generator goes to sum_l matrix[a][l] E_l."""
-    geom = x.geom
-    coords = list(x.coords[:2])
+    """Image of x under the candidate map: 1 and sigma are fixed, and the a-th sector
+    generator goes to sum_l matrix[a][l] E_l, so h^p E_l gets sum_a matrix[a][l] x_(a, p)."""
+    rank = x.geom.base.rank
+    coeffs = list(x.coeffs[:2 * rank])
     for column in zip(*matrix):
-        terms = [alpha.scale(c) for c, alpha in zip(column, x.coords[2:]) if not scalar_is_zero(c)]
-        coords.append(reduce(add, terms) if terms else geom.base.zero())
-    return SectorClass(geom, tuple(coords))
+        terms = [(c, (a + 2) * rank) for a, c in enumerate(column) if not scalar_is_zero(c)]
+        coeffs += [reduce(add, [c * x.coeffs[g + p] for c, g in terms]) if terms else ZERO
+                   for p in range(rank)]
+    return SectorClass(x.geom, tuple(coeffs))
 
 
-def _components(x: SectorClass, letter: str):
-    """(label, scalar) per coefficient, that of h^p g m-th, m = g rank + p; sectors `letter`_a."""
-    names = ["pure", "sigma"] + [f"{letter}_{a}" for a in range(1, x.geom.n + 1)]
-    for name, alpha in zip(names, x.coords):
-        for j, c in enumerate(alpha.coeffs):
-            yield (f"{name}.h^{j}", c)
+def _component_names(geom: Geometry, letter: str) -> list:
+    """The label of each coefficient, that of h^p g the m-th, m = g rank + p; sectors `letter`_a."""
+    names = ["pure", "sigma"] + [f"{letter}_{a}" for a in range(1, geom.n + 1)]
+    return [f"{name}.h^{p}" for name in names for p in range(geom.base.rank)]
 
 
 @dataclass
@@ -195,7 +194,7 @@ class HomChecker:
                 if lhs == rhs:
                     continue
                 diff = lhs - rhs
-                for comp, val in _components(diff, quantum.letter):
+                for comp, val in zip(_component_names(self.geom, quantum.letter), diff.coeffs):
                     if not scalar_is_zero(val):
                         report.passed = False
                         report.violations.append((f"{lx} * {ly}", comp, val))
@@ -228,24 +227,24 @@ class HomChecker:
         classical = ResolutionRing(self.geom)
         images = [apply_candidate(matrix, x) for _, x in self.basis]
         # dots[a][s] = images[a].beta_s, and kdots the same times k
-        dots = [[reduce(add, (x.coords[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
-                 for span in spans] for x in images]
+        dots = [[reduce(add, (coords[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
+                 for span in spans] for coords in (x.coords for x in images)]
         kap = self.geom.kap()
         kdots = [[kap * d for d in row] for row in dots]
-        zero = Fraction(0)
+        names = _component_names(self.geom, ResolutionRing.letter)
         labels, rows = [], []
         for (i, j), xy in self.products.items():
             rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
             # None: a zero root product, not formed
             roots = [None if kx.is_zero() or y.is_zero() else kx * y
                      for kx, y in zip(kdots[i], dots[j])]
-            for c, (comp, val) in enumerate(_components(rhs, ResolutionRing.letter)):
-                # component c is the h^p coefficient of generator g = l + 1, E_l
-                g, p = divmod(c, self.geom.base.rank)
-                row = [root.coeffs[p] if root is not None and r <= g - 1 <= s else zero
+            for m, val in enumerate(rhs.coeffs):
+                # coefficient m is that of h^p g, of the generator g = l + 1, E_l
+                g, p = divmod(m, self.geom.base.rank)
+                row = [root.coeffs[p] if root is not None and r <= g - 1 <= s else ZERO
                        for (r, s), root in zip(spans, roots)] + [val]
                 if not all(scalar_is_zero(v) for v in row):
-                    labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", comp))
+                    labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", names[m]))
                     rows.append(row)
         red = _row_reduce(rows, len(spans))
         rank = len(red.pivots)
@@ -349,9 +348,8 @@ def check_associativity(ring) -> HomReport:
     and b_i (b_j b_k) = sum_m c_jk^m b_i b_m, so no ring product is formed per triple.
     Each violation names the first nonzero component of the difference and its value."""
     report = HomReport(passed=True)
-    labels = [label for label, _ in ring.basis()]
-    names = [comp for comp, _ in _components(ring.one(), ring.letter)]
-    zero = Fraction(0)
+    labels = ring.labels()
+    names = _component_names(ring.geom, ring.letter)
     for i, lx in enumerate(labels):
         for j in range(i, len(labels)):
             xy = ring.product(i, j).items()
@@ -359,7 +357,7 @@ def check_associativity(ring) -> HomReport:
                 lhs = sum_rows((c, ring.product(m, k)) for m, c in xy)
                 rhs = sum_rows((c, ring.product(i, m)) for m, c in ring.product(j, k).items())
                 for p in sorted(lhs.keys() | rhs.keys()):
-                    diff = lhs.get(p, zero) - rhs.get(p, zero)
+                    diff = lhs.get(p, ZERO) - rhs.get(p, ZERO)
                     if not scalar_is_zero(diff):
                         report.passed = False
                         report.violations.append(
@@ -372,10 +370,9 @@ def check_pairing_nondegenerate(ring) -> dict:
     """Exact Gram determinant of the Poincare pairing on the model basis.
     The pairing of b_i and b_j is the integral of b_i b_j, its sigma h^dim
     coefficient, read off `ring.product`."""
-    size = len(ring.basis())
+    size = ring.size
     top = 2 * ring.geom.base.rank - 1
-    zero = Fraction(0)
-    det = _row_reduce([[ring.product(i, j).get(top, zero) for j in range(size)]
+    det = _row_reduce([[ring.product(i, j).get(top, ZERO) for j in range(size)]
                        for i in range(size)], size).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),

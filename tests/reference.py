@@ -4,12 +4,13 @@ None of these is on a computation path of the package: each is an
 independent route to a value the package computes another way.
 """
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import add
 
-from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, intersection
+from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class
 from crepant.geometry import SectorClass, SectorRing
 from crepant.orbifold import ConventionFlags
 from crepant.quantum import (
@@ -25,6 +26,7 @@ from crepant.scalars import (
     CycNum,
     cyclotomic_polynomial,
     euler_phi,
+    parse_rational,
     scalar_is_zero,
     scalar_to_json,
 )
@@ -34,12 +36,10 @@ from crepant.verify import (
     AffineSystem,
     HomChecker,
     HomReport,
-    _components,
     _point,
     _roots_of_unity,
     _row_reduce,
     a2_candidates,
-    apply_candidate,
 )
 
 
@@ -201,6 +201,17 @@ class FractionCycNum:
         return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
 
 
+def to_complex(x: CycNum) -> complex:
+    """The value of x as a float complex number, to check a value numerically."""
+    z = cmath.exp(2j * cmath.pi / x.conductor)
+    return sum(float(c) * z ** e for e, c in enumerate(x.coeffs))
+
+
+def cycnum_from_json(data) -> CycNum:
+    """The CycNum that `CycNum.to_json` wrote as `data`."""
+    return CycNum(data["conductor"], [parse_rational(c) for c in data["coeffs"]])
+
+
 def _is_prime(p: int) -> bool:
     return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
@@ -357,7 +368,13 @@ class ContractedAlphaRing(SectorRing):
         # m is undefined for n = 1, where every cm is 0
         exc = tuple((geom.em().scale(cm) if cm else geom.base.zero()) + geom.kap().scale(ck)
                     for cm, ck in contracted_alpha(n, i, j))
-        return SectorClass(geom, (geom.base.zero(), sigma, *exc))
+        return SectorClass.from_coords(geom, (geom.base.zero(), sigma, *exc))
+
+
+def intersection(n: int, l: int, beta) -> int:
+    """E_l . beta, extended linearly from E_l . beta_m = (c_n)_{lm}."""
+    c = cartan_matrix(n)
+    return sum(c[l - 1][m] * beta.mult[m] for m in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -496,8 +513,8 @@ class A2TableRing(SectorRing):
             geom.ell().scale(evaluate(m_part, self.deltas) * Fraction(1, 3))
             + geom.em().scale(evaluate(l_part, self.deltas) * Fraction(1, 3))
             for m_part, l_part in (entry["E1"], entry["E2"]))
-        return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(entry["sigma"]),
-                                  *sectors))
+        return SectorClass.from_coords(geom, (geom.base.zero(),
+                                              geom.base.one().scale(entry["sigma"]), *sectors))
 
 
 def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
@@ -555,7 +572,8 @@ class AtomRing(SectorRing):
         exc = tuple((geom.em().scale(cm) if cm else geom.base.zero())
                     + geom.kap().scale(evaluate(series, self.deltas))
                     for cm, series in slots)
-        return SectorClass(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))
+        return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma),
+                                              *exc))
 
 
 def unit_delta_rings(geom):
@@ -564,6 +582,32 @@ def unit_delta_rings(geom):
     zero = {span: Fraction(0) for span in all_spans(geom.n)}
     return AtomRing(geom, zero), [AtomRing(geom, {**zero, span: Fraction(1)})
                                   for span in all_spans(geom.n)]
+
+
+def apply_candidate_by_coords(matrix, x):
+    """`verify.apply_candidate` on the H*(S) coordinates: 1 and sigma are
+    fixed, and the a-th sector generator goes to sum_l matrix[a][l] E_l."""
+    geom = x.geom
+    coords = list(x.coords[:2])
+    for column in zip(*matrix):
+        terms = [alpha.scale(c) for c, alpha in zip(column, x.coords[2:]) if not scalar_is_zero(c)]
+        coords.append(reduce(add, terms) if terms else geom.base.zero())
+    return SectorClass.from_coords(geom, coords)
+
+
+def components_by_coords(x, letter):
+    """(label, scalar) per coefficient, walking the H*(S) coordinates: the
+    h^p coefficient of generator g is `g.h^p`, sectors `letter`_a."""
+    names = ["pure", "sigma"] + [f"{letter}_{a}" for a in range(1, x.geom.n + 1)]
+    for name, alpha in zip(names, x.coords):
+        for j, c in enumerate(alpha.coeffs):
+            yield (f"{name}.h^{j}", c)
+
+
+def pairing(ring, x, y):
+    """Poincare pairing: the integral over Y of the product, which only
+    its compactly supported sigma coordinate contributes to."""
+    return ring.mul(x, y).coords[1].integrate()
 
 
 def solve_by_unit_rings(checker, matrix):
@@ -576,13 +620,13 @@ def solve_by_unit_rings(checker, matrix):
     if scalar_is_zero(det):
         return AffineSystem(det, spans)
     origin, units = unit_delta_rings(geom)
-    images = [apply_candidate(matrix, x) for _, x in checker.basis]
+    images = [apply_candidate_by_coords(matrix, x) for _, x in checker.basis]
     labels, rows = [], []
     for (i, j), xy in checker.products.items():
         r0 = origin.mul(images[i], images[j])
         parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
-        parts.append(apply_candidate(matrix, xy) - r0)
-        for entries in zip(*(_components(part, "E") for part in parts)):
+        parts.append(apply_candidate_by_coords(matrix, xy) - r0)
+        for entries in zip(*(components_by_coords(part, "E") for part in parts)):
             row = [val for _, val in entries]
             if not all(scalar_is_zero(val) for val in row):
                 labels.append((f"{checker.basis[i][0]} * {checker.basis[j][0]}", entries[0][0]))
@@ -624,7 +668,7 @@ def mul_by_generators(ring, x, y):
                     if not e.is_zero():
                         terms[k].append(e * coeff)
     zero = ring.geom.base.zero()
-    return SectorClass(ring.geom, tuple(reduce(add, t) if t else zero for t in terms))
+    return SectorClass.from_coords(ring.geom, [reduce(add, t) if t else zero for t in terms])
 
 
 def associativity_by_mul(ring):
@@ -645,7 +689,8 @@ def associativity_by_mul(ring):
                 rhs = mul_by_generators(ring, x, products[(j, k)])
                 if not lhs == rhs:
                     report.passed = False
-                    comp, diff = next((c, v) for c, v in _components(lhs - rhs, ring.letter)
+                    comp, diff = next((c, v) for c, v in components_by_coords(lhs - rhs,
+                                                                              ring.letter)
                                       if not scalar_is_zero(v))
                     report.violations.append((f"({lx}, {ly}, {lz})", comp, diff))
     return report

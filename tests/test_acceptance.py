@@ -105,8 +105,8 @@ def test_criterion_03_symplectic_degeneration():
     result = solve_a2_symmetric(geom, max_order=12)
     pole_free = [r for r in _roots_of_unity(12) if not QPoint([r, r]).poles()]
     accepted = {key(s.q) if isinstance(s.q, CycNum)
-                else key(CycNum.from_rational(s.q)) for s in result.solutions}
-    ok = all((key(r) if isinstance(r, CycNum) else key(CycNum.from_rational(r)))
+                else key(CycNum(1, [s.q])) for s in result.solutions}
+    ok = all((key(r) if isinstance(r, CycNum) else key(CycNum(1, [r])))
              in accepted for r in pole_free)
     elapsed = time.perf_counter() - start
     report(3, ok and elapsed < 10.0,

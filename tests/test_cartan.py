@@ -8,9 +8,8 @@ from crepant.cartan import (
     cartan_inverse_entry,
     cartan_matrix,
     curve_class,
-    intersection,
 )
-from reference import cartan_inverse_by_elimination, is_span
+from reference import cartan_inverse_by_elimination, intersection, is_span
 
 
 def test_matrix_shape():

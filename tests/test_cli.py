@@ -453,3 +453,69 @@ def test_scalar_grammar_rejects_inner_space_and_second_denominator(option, value
     code, text = invoke(argv)
     assert code == 2
     assert "cannot parse scalar factor" in json.loads(text)["error"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data["base"].update(dimm=2), "base.dimm: unknown key"),
+    (lambda data: data["classes"].update(kk="7"), "classes.kk: unknown key"),
+    (lambda data: data.update(z=1), "z: unknown key"),
+    (lambda data: (data["base"].update(dimm=2), data["classes"].update(kk="7")),
+     "base.dimm: unknown key"),
+    (lambda data: (data.update(a=1), data["base"].update(dimm=2)), "a: unknown key"),
+], ids=["base", "classes", "top-level", "first-sorted", "top-level-sorted-first"])
+def test_unknown_config_keys_exit_2(tmp_path, edit, message):
+    with open(A2) as fh:
+        data = json.load(fh)
+    edit(data)
+    code, text = invoke(["res-table", "--config", _write_config(tmp_path, data)])
+    assert code == 2
+    assert json.loads(text)["error"] == f"invalid config: {message}"
+
+
+def test_l_and_m_are_unknown_keys_at_n_1(tmp_path):
+    # the config of the parent's report: it used to run as P^0 with "dimm"
+    # and "kk" ignored, and l is not a class for n = 1
+    data = {"n": 1, "base": {"model": "projective_space", "dimm": 2},
+            "classes": {"k": "1", "kk": "7"}}
+    code, text = invoke(["res-table", "--config", _write_config(tmp_path, data)])
+    assert (code, json.loads(text)["error"]) == (2, "invalid config: base.dimm: unknown key")
+    for key in "lm":
+        data = {"n": 1, "base": {"model": "projective_space", "dim": 1},
+                "classes": {"k": "1", key: "5"}}
+        code, text = invoke(["res-table", "--config", _write_config(tmp_path, data)])
+        assert (code, json.loads(text)["error"]) == (2, f"invalid config: classes.{key}: unknown key")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gw", "--config", A2, "--span", " 1,2", "--insert", "E1,E2,E2"],
+    ["gw", "--config", A2, "--span", "+1,2", "--insert", "E1,E2,E2"],
+    ["gw", "--config", A2, "--span", "1,2 ", "--insert", "E1,E2,E2"],
+    ["gw", "--config", A2, "--span", "1,٢", "--insert", "E1,E2,E2"],
+    ["gw", "--config", A2, "--span", "1,2", "--insert", "E1, E2,E2"],
+    ["gw", "--config", A2, "--span", "1,2", "--insert", "E1,E2,E2 "],
+    ["gw", "--config", A2, "--span", "1,2", "--insert", "E1,E2,E٢"],
+    ["gw", "--config", A2, "--span", "1,2", "--multiple", " 2", "--insert", "E1,E2,E2"],
+    ["gw", "--config", A2, "--span", "1,2", "--multiple", "1_0", "--insert", "E1,E2,E2"],
+    ["age", "--order", "3", "--exponents", " 1,+2"],
+    ["age", "--order", "3", "--exponents", "1,+2"],
+    ["age", "--order", "+3", "--exponents", "1,2"],
+    ["cartan", "--n", " 2"],
+    ["cartan", "--n", "٢"],
+    ["cartan", "--n", ""],
+    ["solve-a2", "--config", A2, "--max-order", "1_2"],
+    ["qc-table", "--config", A2, "--q", "٣"],
+], ids=["span-leading-space", "span-plus", "span-trailing-space", "span-arabic-digit",
+        "insert-space", "insert-trailing-space", "insert-arabic-digit", "multiple-space",
+        "multiple-underscore", "exponents-space-and-plus", "exponents-plus", "order-plus",
+        "n-space", "n-arabic-digit", "n-empty", "max-order-underscore", "q-arabic-digit"])
+def test_cli_integers_follow_one_grammar(argv):
+    # every CLI integer is -?N in ASCII digits, as parse_int reads it
+    assert invoke(argv)[0] == 2
+
+
+def test_insertions_echo_the_input():
+    code, text = invoke(["gw", "--config", A2, "--span", "1,2", "--insert", "e1,E2,sigma"])
+    assert code == 0
+    assert json.loads(text)["insertions"] == ["e1", "E2", "sigma"]
+    code, text = invoke(["age", "--order", "3", "--exponents", "-1,2"])
+    assert (code, json.loads(text)["exponents"]) == (0, [-1, 2])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crepant.cartan import curve_class, intersection
+from crepant.cartan import curve_class
 from crepant.geometry import BaseRing, Geometry, GradedClass, TautClasses, default_geometry
 from crepant import quantum
 from crepant.quantum import (
@@ -18,7 +18,7 @@ from crepant.quantum import (
 from crepant.geometry import SectorClass
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum
-from reference import AtomRing, contracted_correction, r_poly, unit_delta_rings
+from reference import AtomRing, contracted_correction, intersection, r_poly, unit_delta_rings
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
 
@@ -213,8 +213,8 @@ def class_pairs(draw):
     coeffs = st.lists(st.integers(-3, 3).map(Fraction), min_size=base.rank, max_size=base.rank)
 
     def sector_class():
-        return SectorClass(geom, tuple(GradedClass(base, tuple(draw(coeffs)))
-                                       for _ in range(n + 2)))
+        return SectorClass.from_coords(geom, [GradedClass(base, tuple(draw(coeffs)))
+                                              for _ in range(n + 2)])
 
     return geom, sector_class(), sector_class()
 
@@ -236,7 +236,7 @@ def test_unit_delta_adds_the_rank_one_root_term(case):
         expected = [geom.base.zero()] * (n + 2)
         for l in range(r, s + 1):
             expected[l + 1] = term
-        assert unit.mul(x, y) - classical == SectorClass(geom, tuple(expected))
+        assert unit.mul(x, y) - classical == SectorClass.from_coords(geom, expected)
 
 
 def test_deltas_invert_nothing_before_a_pole(monkeypatch):

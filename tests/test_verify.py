@@ -25,6 +25,7 @@ from crepant.verify import (
     PRINTED_A2_TABLE,
     AffineSystem,
     HomChecker,
+    apply_candidate,
     check_associativity,
     check_pairing_nondegenerate,
     _row_reduce,
@@ -36,11 +37,13 @@ from crepant.verify import (
 from reference import (
     A2TableRing,
     a1_scalar_sweep,
+    apply_candidate_by_coords,
     associativity_by_mul,
     det_by_cofactors,
     fourier_map,
     key,
     mul_by_generators,
+    pairing,
     pairing_by_gram,
     reflect_a2_table,
     repair_a2_table,
@@ -472,8 +475,8 @@ def rings_and_classes(draw):
     def draw_class():
         coeffs = draw(st.lists(st.sampled_from(pool), min_size=(n + 2) * rank,
                                max_size=(n + 2) * rank))
-        return SectorClass(geom, tuple(GradedClass(geom.base, tuple(coeffs[g:g + rank]))
-                                       for g in range(0, len(coeffs), rank)))
+        return SectorClass.from_coords(geom, [GradedClass(geom.base, tuple(coeffs[g:g + rank]))
+                                              for g in range(0, len(coeffs), rank)])
 
     return ring, draw_class(), draw_class(), conductor is not None
 
@@ -490,6 +493,34 @@ def test_mul_matches_the_product_by_generators(case):
     assert got == want
     if one_conductor:
         assert ring.to_json(got) == ring.to_json(want)
+
+
+@st.composite
+def matrices_and_classes(draw):
+    """(matrix, x): an n x n candidate matrix and a class, for n = 1..5 over
+    each base, with every scalar drawn from one cyclotomic field or from three."""
+    n = draw(st.integers(1, 5))
+    geom = default_geometry(n, BASES[draw(st.sampled_from(list(BASES)))])
+    conductor = draw(st.sampled_from([1, 3, 4, 5, None]))
+    scalars = st.sampled_from(_pool(conductor) if conductor
+                              else _pool(3) + _pool(4)[5:] + _pool(5)[5:])
+    matrix = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
+    size = (n + 2) * geom.base.rank
+    return matrix, SectorClass(geom, tuple(draw(st.lists(scalars, min_size=size,
+                                                         max_size=size))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices_and_classes())
+def test_apply_candidate_matches_the_coordinate_walk(case):
+    # apply_candidate indexes the flat coefficients; the reference walks the
+    # H*(S) coordinates.  Both form each coefficient as the same sum in the
+    # same order, so the JSON agrees too, even across fields.
+    matrix, x = case
+    got, want = apply_candidate(matrix, x), apply_candidate_by_coords(matrix, x)
+    assert got == want
+    ring = ResolutionRing(x.geom)
+    assert ring.to_json(got) == ring.to_json(want)
 
 
 SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3),
@@ -517,13 +548,13 @@ def test_pairing_degenerate_base_detected():
     # element, so their rows of the Gram matrix vanish
     class ZeroSectorProducts(OrbifoldRing):
         def _compute_ee(self, i, j):
-            return SectorClass(self.geom, (self.geom.base.zero(),) * (self.geom.n + 2))
+            return SectorClass.from_coords(self.geom, (self.geom.base.zero(),) * (self.geom.n + 2))
 
     ring = ZeroSectorProducts(default_geometry(2))
     basis = ring.basis()
     twisted = [x for label, x in basis if "e_" in label]
     assert len(twisted) == 4
-    assert all(ring.pairing(x, y) == 0 for x in twisted for _, y in basis)
+    assert all(pairing(ring, x, y) == 0 for x in twisted for _, y in basis)
     out = check_pairing_nondegenerate(ring)
     assert not out["nondegenerate"] and out["gram_det"] == "0"
 
@@ -569,8 +600,8 @@ def test_derived_table_two_parameter(q):
             assert product.coords[l + 1] == (geom.em().scale(evaluate(m_part, deltas))
                                               + geom.ell().scale(evaluate(l_part, deltas)))
         for p in (1, 2):
-            correction = (quantum.pairing(product, e[p - 1])
-                          - classical.pairing(classical.ee_product(i, j), e[p - 1]))
+            correction = (pairing(quantum, product, e[p - 1])
+                          - pairing(classical, classical.ee_product(i, j), e[p - 1]))
             assert correction == sum(
                 gw_invariant(geom, curve_class(2, r, s), [e[i - 1], e[j - 1], e[p - 1]])
                 * deltas[(r, s)] for r, s in ((1, 1), (1, 2), (2, 2))), (i, j, p)
