@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -137,7 +138,11 @@ def command(name: str, help: str, *options, config: bool = True):
     return declare
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command table, built on the first `run`: parsing
+    and printing leave it unchanged (argparse reads sys.stdout, sys.stderr
+    and the terminal width when it prints, not when it builds)."""
     parser = argparse.ArgumentParser(prog="crepant", add_help=True)
     parser.add_argument("--output", choices=OUTPUTS, default="json")
     sub = parser.add_subparsers(dest="command")

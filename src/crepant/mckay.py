@@ -14,9 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import gcd
-from operator import add
+from operator import add, mul
 
-from .scalars import CycNum, scalar_conj
+from .scalars import CycNum, parse_int, scalar_conj
+
+
+def _cyc_first(op):
+    """A commutative op with a CycNum operand on the left: a Fraction on the
+    left would take the CycNum through Fraction's operator fallback first."""
+    return lambda x, y: op(y, x) if isinstance(y, CycNum) else op(x, y)
+
+
+_add, _mul = _cyc_first(add), _cyc_first(mul)
 
 
 @dataclass(frozen=True)
@@ -55,10 +64,16 @@ class GroupSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
-        text = text.strip().upper()
-        if not text or text[0] not in "ADE" or not text[1:].isdigit():
+        """A series letter in either case, then unsigned `parse_int` digits:
+        a sign, space and a non-ASCII digit are a ValueError."""
+        series, digits = text[:1].upper(), text[1:]
+        try:
+            n = parse_int(digits) if digits[:1] != "-" else None
+        except ValueError:
+            n = None
+        if series not in ("A", "D", "E") or n is None:
             raise ValueError(f"cannot parse group label {text!r}")
-        return cls(text[0], int(text[1:]))
+        return cls(series, n)
 
 
 @dataclass(frozen=True)
@@ -75,17 +90,17 @@ class CharacterTable:
     q_character: tuple
 
     @cached_property
-    def _conj_rows(self):
-        return tuple(tuple(scalar_conj(v) for v in row) for row in self.values)
+    def _weighted_rows(self):
+        """w_i(c) = |c| conj(chi_i(c)) / |G|, one row per character."""
+        weights = [Fraction(size, self.group.order) for size in self.class_sizes]
+        return tuple(tuple(map(_mul, weights, map(scalar_conj, row))) for row in self.values)
 
     def inner(self, f, i):
-        """<f, chi_i> = (1/|G|) sum_c |c| f(c) conj(chi_i(c)) for a class
-        function f given by its values on the classes; exact, and rational
-        for a character f."""
-        # summed from the first term: a Fraction(0) start would send every
-        # cyclotomic sum through Fraction.__add__ before CycNum.__radd__
-        terms = (size * (x * y) for size, x, y in zip(self.class_sizes, f, self._conj_rows[i]))
-        return reduce(add, terms) / self.group.order
+        """<f, chi_i> = sum_c f(c) w_i(c) for a class function f given by its
+        values on the classes; exact, and rational for a character f."""
+        # summed from the first term, CycNum first: a Fraction(0) start or a
+        # Fraction left operand would send a CycNum through Fraction's methods
+        return reduce(_add, map(_mul, f, self._weighted_rows[i]))
 
     def dims(self):
         out = []
@@ -151,7 +166,7 @@ def binary_dihedral_table(n: int) -> CharacterTable:
         for k in range(1, m):
             row.append(eps_a ** k)
         row.append(eps_x)
-        row.append(eps_a * eps_x)
+        row.append(_mul(eps_a, eps_x))
         rows.append(tuple(row))
     # 2-dimensional characters chi_j(a^k) = zeta^(jk) + zeta^(-jk), zero on x
     for j in range(1, m):
@@ -272,7 +287,7 @@ def mckay_graph(spec: GroupSpec) -> McKayGraph:
     # the multiplicity matrix is symmetric (Q is self-dual), so fill i <= j
     entries = [[0] * r for _ in range(r)]
     for j, row in enumerate(table.values):
-        q_row = [x * y for x, y in zip(table.q_character, row)]
+        q_row = list(map(_mul, table.q_character, row))
         for i in range(j + 1):
             a = table.inner(q_row, i)
             if isinstance(a, CycNum):

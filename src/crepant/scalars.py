@@ -36,14 +36,15 @@ DEFAULT_MAX_CONDUCTOR = 120
 
 def conductor_cap() -> int:
     """Largest allowed conductor; override with CREPANT_MAX_CONDUCTOR, an
-    integer >= 1.  Read on every call; a CycNum checks it only where its
-    conductor first appears, so a lowered cap does not reject numbers that
-    already exist, nor results at their conductors."""
+    integer >= 1 as `parse_int` reads it (no space, `+` or `_`).  Read on
+    every call; a CycNum checks it only where its conductor first appears,
+    so a lowered cap does not reject numbers that already exist, nor results
+    at their conductors."""
     raw = os.environ.get("CREPANT_MAX_CONDUCTOR")
     if raw is None:
         return DEFAULT_MAX_CONDUCTOR
     try:
-        cap = int(raw)
+        cap = parse_int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
@@ -319,7 +320,7 @@ class CycNum:
 
     def to_json(self):
         return {"conductor": self.conductor,
-                "coeffs": [format_rational(c) for c in self.coeffs]}
+                "coeffs": [_format_ratio(c, self.den) for c in self.nums]}
 
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -339,16 +340,19 @@ def scalar_conj(x):
 
 def scalar_to_json(x):
     if isinstance(x, CycNum):
-        r = x.as_rational()
-        if r is not None:
-            return format_rational(r)
-        return x.to_json()
+        return x.to_json() if any(x.nums[1:]) else _format_ratio(x.nums[0], x.den)
     return format_rational(x)
 
 
 def format_rational(r) -> str:
     r = Fraction(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    return _format_ratio(r.numerator, r.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, written `N` or `N/D`."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 _INTEGER = r"-?[0-9]+"  # not \d, which also matches other scripts' digits

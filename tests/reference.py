@@ -27,6 +27,7 @@ from crepant.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     parse_rational,
+    scalar_conj,
     scalar_is_zero,
     scalar_to_json,
 )
@@ -535,6 +536,16 @@ def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
             if checker.check(matrix, quantum, stop_early=True).passed:
                 solutions.append(A2Solution(q=root, a=a, b=b))
     return A2SolveResult(solutions=solutions, excluded=excluded)
+
+
+def inner_by_definition(table, f, i):
+    """<f, chi_i> = (1/|G|) sum_c |c| f(c) conj(chi_i(c)), summed term by term
+    from 0 as written: the definition `CharacterTable.inner` reads off its
+    pre-weighted rows."""
+    total = Fraction(0)
+    for size, x, y in zip(table.class_sizes, f, table.values[i]):
+        total = total + size * x * scalar_conj(y)
+    return total / table.group.order
 
 
 def fourier_map(n: int):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -80,8 +81,10 @@ AGE = ["age", "--order", "3", "--exponents", "1,2"]
 # every command validates the variable, also those that build no CycNum
 @pytest.mark.parametrize("value, argv", [
     ("abc", QC_ZETA3), ("0", QC_ZETA3), ("abc", CARTAN), ("0", CARTAN),
-    ("abc", AGE), ("0", AGE),
-], ids=["abc", "0", "cartan-abc", "cartan-0", "age-abc", "age-0"])
+    ("abc", AGE), ("0", AGE), (" 1_20", CARTAN), ("+120", CARTAN), ("1_20", QC_ZETA3),
+    ("120 ", QC_ZETA3), ("١٢٠", CARTAN),
+], ids=["abc", "0", "cartan-abc", "cartan-0", "age-abc", "age-0", "cartan-space-underscore",
+        "cartan-plus", "underscore", "trailing-space", "cartan-arabic-digits"])
 def test_invalid_conductor_cap_exits_2(monkeypatch, value, argv):
     monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", value)
     code, text = invoke(argv)
@@ -205,6 +208,35 @@ def test_mckay_command():
     assert data["dimension_vector_in_kernel"]
     code, _ = invoke(["mckay", "--group", "E9"])
     assert code == 2
+
+
+def test_mckay_group_label_spellings():
+    # the series letter in either case, then ASCII digits (a leading 0 too)
+    reference = invoke(["mckay", "--group", "A3"])
+    assert reference[0] == 0
+    assert invoke(["mckay", "--group", "a3"]) == reference
+    assert invoke(["mckay", "--group", "A03"]) == reference
+    code, text = invoke(["mckay", "--group", "A٣"])
+    assert (code, json.loads(text)["error"]) == (2, "cannot parse group label 'A٣'")
+
+
+def test_later_runs_build_no_parser(monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    cli.build_parser.cache_clear()
+    assert invoke(CARTAN)[0] == 0
+    assert calls
+    calls.clear()
+    for argv in (CARTAN, AGE, ["--help"], ["cartan", "--help"], ["no-such-command"],
+                 ["cartan"], ["mckay", "--group", "A2"]):
+        invoke(argv)
+    assert calls == []
 
 
 def test_mckay_command_builds_the_graph_once(monkeypatch):
@@ -504,10 +536,17 @@ def test_l_and_m_are_unknown_keys_at_n_1(tmp_path):
     ["cartan", "--n", ""],
     ["solve-a2", "--config", A2, "--max-order", "1_2"],
     ["qc-table", "--config", A2, "--q", "٣"],
+    ["mckay", "--group", "A٣"],
+    ["mckay", "--group", "E８"],
+    ["mckay", "--group", " A3"],
+    ["mckay", "--group", "E8 "],
+    ["mckay", "--group", "A-0"],
 ], ids=["span-leading-space", "span-plus", "span-trailing-space", "span-arabic-digit",
         "insert-space", "insert-trailing-space", "insert-arabic-digit", "multiple-space",
         "multiple-underscore", "exponents-space-and-plus", "exponents-plus", "order-plus",
-        "n-space", "n-arabic-digit", "n-empty", "max-order-underscore", "q-arabic-digit"])
+        "n-space", "n-arabic-digit", "n-empty", "max-order-underscore", "q-arabic-digit",
+        "group-arabic-digit", "group-fullwidth-digit", "group-leading-space",
+        "group-trailing-space", "group-sign"])
 def test_cli_integers_follow_one_grammar(argv):
     # every CLI integer is -?N in ASCII digits, as parse_int reads it
     assert invoke(argv)[0] == 2

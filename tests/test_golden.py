@@ -10,12 +10,14 @@ class-function inner product, and the `reconcile-6-2` digests before the
 derived A_2 table was read from the shared structure-constant table.
 """
 
+import contextlib
 import hashlib
 import io
 import os
 
 import pytest
 
+from crepant import cli
 from crepant.cli import run
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -86,11 +88,15 @@ GOLDEN = [
 ]
 
 
+def _argv(case):
+    command, config, *rest = case.split()
+    return [command, "--config", _cfg(config), *rest]
+
+
 @pytest.mark.parametrize("case, digest", GOLDEN, ids=[case for case, _ in GOLDEN])
 def test_golden_stdout(case, digest):
-    command, config, *rest = case.split()
     out = io.StringIO()
-    assert run([command, "--config", _cfg(config), *rest], stdout=out) == 0
+    assert run(_argv(case), stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
@@ -128,3 +134,37 @@ def test_golden_reconcile_stdout(output, digest):
     out = io.StringIO()
     assert run(["--output", output, "reconcile-6-2"], stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def _captured(argv):
+    """(exit code, stdout, stderr) of one `run`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, stdout=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+# help, usage and a usage error: the paths where argparse itself prints
+ARGPARSE_PATHS = [["--help"], ["no-such-command"], ["qc-table", "--config", _cfg("a2_p1")]]
+
+
+def test_one_parser_serves_every_run(monkeypatch):
+    # `run` builds its parser once per process; printing help, usage and a
+    # usage error through it must leave every later answer as a fresh parser
+    # gives it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    fresh = []
+    for argv in ARGPARSE_PATHS:
+        cli.build_parser.cache_clear()
+        fresh.append(_captured(argv))
+    assert [code for code, _, _ in fresh] == [0, 1, 2]
+    assert "--q" in fresh[2][2]
+    cli.build_parser.cache_clear()
+    assert [_captured(argv) for argv in ARGPARSE_PATHS] == fresh
+    golden = ([(_argv(case), digest) for case, digest in GOLDEN]
+              + [(["mckay", "--group", group], digest) for group, digest in MCKAY_GOLDEN]
+              + [(["--output", output, "reconcile-6-2"], digest)
+                 for output, digest in RECONCILE_GOLDEN])
+    for argv, digest in golden:
+        code, out, err = _captured(argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, ""), argv

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from crepant.mckay import (
     resolution_graph,
 )
 from crepant.scalars import CycNum
+from reference import inner_by_definition
 
 
 def test_group_spec_parsing():
@@ -30,6 +32,40 @@ def test_character_tables_validate(label):
     table = character_table(spec)  # validate() runs inside
     assert sum(table.class_sizes) == spec.order
     assert table.class_orders[0] == 1
+
+
+@pytest.mark.parametrize("label", [f"A{n}" for n in range(13)] + [f"D{n}" for n in range(4, 13)]
+                         + ["E6", "E7", "E8"])
+def test_inner_matches_the_definition(label):
+    # the pre-weighted rows against the inner product as written, on every
+    # pair of characters and on the products chi_Q chi_j the McKay graph reads
+    table = character_table(GroupSpec.parse(label))
+    products = [[q * x for q, x in zip(table.q_character, row)] for row in table.values]
+    for f in (*table.values, *products):
+        for i in range(len(table.values)):
+            assert table.inner(f, i) == inner_by_definition(table, f, i)
+
+
+@pytest.mark.parametrize("label", ["D5", "E6", "E7", "E8"])
+def test_mckay_graph_sends_no_cycnum_through_fraction(monkeypatch, label):
+    # a Fraction left operand hands a CycNum to Fraction.__mul__/__add__,
+    # which return NotImplemented before CycNum's reflected method runs
+    seen = []
+
+    def watch(name):
+        method = getattr(Fraction, name)
+
+        def watched(self, other):
+            seen.append((name, type(other)))
+            return method(self, other)
+        return watched
+
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(Fraction, name, watch(name))
+    character_table.cache_clear()  # build and validate the table inside too
+    mckay_graph(GroupSpec.parse(label))
+    assert seen  # the watch is live
+    assert [call for call in seen if call[1] is CycNum] == []
 
 
 def test_validate_rejects_a_corrupted_entry():

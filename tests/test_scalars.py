@@ -14,6 +14,7 @@ from crepant.scalars import (
     parse_int,
     parse_rational,
     parse_scalar,
+    scalar_to_json,
 )
 from reference import FractionCycNum, cycnum_from_json, minimal, reduce_mod_cyclotomic, to_complex
 
@@ -367,3 +368,17 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     assert built == []
     assert x * r * x.inv() == r and (x + r) - r == x
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_json_is_written_from_the_integers(data):
+    # to_json formats each numerator over den directly; the Fraction route
+    # it replaces normalises one Fraction per coefficient
+    n = data.draw(st.sampled_from(MIXED_CONDUCTORS), label="conductor")
+    raw = data.draw(st.lists(wide_coefficient, max_size=euler_phi(n) + 3), label="coeffs")
+    x = CycNum(n, raw)
+    coeffs = [format_rational(Fraction(c, x.den)) for c in x.nums]
+    assert x.to_json() == {"conductor": n, "coeffs": coeffs}
+    r = x.as_rational()
+    assert scalar_to_json(x) == (x.to_json() if r is None else format_rational(r))
