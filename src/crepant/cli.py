@@ -7,6 +7,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -371,7 +372,16 @@ def run(argv, stdout=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`crepant mckay --group E8 | head`):
+        # exit 0 with no traceback, and point stdout at devnull so the flush
+        # at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,20 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from math import gcd
-from operator import add, mul
 
-from .scalars import CycNum, parse_int, scalar_conj
-
-
-def _cyc_first(op):
-    """A commutative op with a CycNum operand on the left: a Fraction on the
-    left would take the CycNum through Fraction's operator fallback first."""
-    return lambda x, y: op(y, x) if isinstance(y, CycNum) else op(x, y)
+from .scalars import CycNum, dot, parse_int, scalar_conj
 
 
-_add, _mul = _cyc_first(add), _cyc_first(mul)
+def _mul(x, y):
+    """x y with a CycNum operand on the left: a Fraction on the left would
+    take the CycNum through Fraction's operator fallback first."""
+    return y * x if isinstance(y, CycNum) else x * y
 
 
 @dataclass(frozen=True)
@@ -97,10 +93,9 @@ class CharacterTable:
 
     def inner(self, f, i):
         """<f, chi_i> = sum_c f(c) w_i(c) for a class function f given by its
-        values on the classes; exact, and rational for a character f."""
-        # summed from the first term, CycNum first: a Fraction(0) start or a
-        # Fraction left operand would send a CycNum through Fraction's methods
-        return reduce(_add, map(_mul, f, self._weighted_rows[i]))
+        values on the classes; exact, and rational for a character f.  One
+        `dot`, which sends no CycNum through Fraction's methods."""
+        return dot(f, self._weighted_rows[i])
 
     def dims(self):
         out = []
@@ -166,7 +161,7 @@ def binary_dihedral_table(n: int) -> CharacterTable:
         for k in range(1, m):
             row.append(eps_a ** k)
         row.append(eps_x)
-        row.append(_mul(eps_a, eps_x))
+        row.append(eps_x * eps_a)  # eps_a is rational: a CycNum stays on the left
         rows.append(tuple(row))
     # 2-dimensional characters chi_j(a^k) = zeta^(jk) + zeta^(-jk), zero on x
     for j in range(1, m):

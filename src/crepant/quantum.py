@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorClass, SectorRing
-from .scalars import format_rational, scalar_is_zero
+from .scalars import dot, format_rational, scalar_is_zero
 
 
 class PoleError(ArithmeticError):
@@ -170,11 +170,10 @@ def structure_constants(n: int) -> MappingProxyType:
 
 
 def evaluate(series: QSeries, deltas):
-    """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}."""
-    total = series.const
-    for span, c in series.atoms:
-        total = total + c * deltas[span]
-    return total
+    """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}: one
+    `dot` of (1, c_beta...) with (const, delta_beta...)."""
+    return dot((1, *(c for _, c in series.atoms)),
+               (series.const, *(deltas[span] for span, _ in series.atoms)))
 
 
 class QuantumRing(SectorRing):

@@ -2,6 +2,9 @@ import argparse
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -558,3 +561,17 @@ def test_insertions_echo_the_input():
     assert json.loads(text)["insertions"] == ["e1", "E2", "sigma"]
     code, text = invoke(["age", "--order", "3", "--exponents", "-1,2"])
     assert (code, json.loads(text)["exponents"]) == (0, [-1, 2])
+
+
+def test_closed_stdout_exits_0_without_a_traceback():
+    # the reader goes away before any output (`crepant mckay --group E8 |
+    # head -c 20` once head has its bytes): exit 0, nothing on stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "crepant.cli", "mckay", "--group", "E8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

@@ -1,6 +1,11 @@
+import json
+import os
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import add, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +14,7 @@ from crepant import scalars
 from crepant.scalars import (
     CycNum,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     format_rational,
     parse_int,
@@ -382,3 +388,134 @@ def test_json_is_written_from_the_integers(data):
     assert x.to_json() == {"conductor": n, "coeffs": coeffs}
     r = x.as_rational()
     assert scalar_to_json(x) == (x.to_json() if r is None else format_rational(r))
+
+
+# -- dot against the term-by-term sum ----------------------------------------
+
+def termwise(xs, ys):
+    return reduce(add, map(mul, xs, ys))
+
+
+def with_cap(cap, fn, *args):
+    """fn(*args), or the ValueError it raises, with CREPANT_MAX_CONDUCTOR
+    set to `cap` (None: unset) and the environment restored after."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CREPANT_MAX_CONDUCTOR", None)
+        if cap is not None:
+            os.environ["CREPANT_MAX_CONDUCTOR"] = str(cap)
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            return exc
+
+
+def assert_same_sum(got, want):
+    """The same value, type, conductor, spelling and JSON bytes, or the same
+    error text."""
+    assert type(got) is type(want)
+    if isinstance(want, ValueError):
+        assert str(got) == str(want)
+        return
+    assert got == want
+    if isinstance(want, CycNum):
+        assert (got.conductor, got.nums, got.den) == (want.conductor, want.nums, want.den)
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        assert_lowest_terms(got)
+    else:
+        assert json.dumps(scalar_to_json(got)) == json.dumps(scalar_to_json(want))
+
+
+@st.composite
+def dot_operands(draw):
+    """Two equally long lists of int, Fraction and CycNum operands, mixed on
+    both sides, at conductors from MIXED_CONDUCTORS whose lcm is within the
+    default cap; each CycNum also as the same FractionCycNum."""
+    size = draw(st.integers(min_value=1, max_value=6), label="length")
+    common, ours, reference = 1, [], []
+    for _ in range(2 * size):
+        kind = draw(st.sampled_from(["int", "fraction", "cycnum", "cycnum"]), label="kind")
+        if kind == "int":
+            v = draw(st.integers(min_value=-60, max_value=60))
+            ours.append(v)
+            reference.append(v)
+        elif kind == "fraction":
+            v = draw(st.fractions(min_value=-60, max_value=60, max_denominator=36))
+            ours.append(v)
+            reference.append(v)
+        else:
+            n = draw(st.sampled_from([d for d in MIXED_CONDUCTORS if lcm(common, d) <= 120]),
+                     label="conductor")
+            common = lcm(common, n)
+            # an empty list is a zero CycNum, which still carries its conductor
+            raw = draw(st.lists(wide_coefficient, max_size=euler_phi(n) + 3), label="coeffs")
+            ours.append(CycNum(n, raw))
+            reference.append(FractionCycNum(n, raw))
+    return (ours[::2], ours[1::2]), (reference[::2], reference[1::2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_operands(), st.one_of(st.none(), st.integers(min_value=1, max_value=120)))
+def test_dot_matches_the_term_by_term_sum(operands, cap):
+    (xs, ys), (rxs, rys) = operands
+    # the operands exist under the default cap; a lowered cap rejects a lift
+    # to a new conductor over it, at the first running lcm that needs one
+    got, want = with_cap(cap, dot, xs, ys), with_cap(cap, termwise, xs, ys)
+    assert_same_sum(got, want)
+    if isinstance(want, ValueError):
+        return
+    ref = termwise(rxs, rys)
+    if isinstance(want, CycNum):
+        assert (got.conductor, got.coeffs) == (ref.conductor, ref.coeffs)
+        assert got.to_json() == ref.to_json()
+    else:
+        assert got == ref
+
+
+def test_dot_keeps_the_conductor_of_a_zero_operand():
+    # a sum takes the lcm of its operands' conductors, zero ones too
+    zero24 = CycNum(24, [])
+    for xs, ys in (([CycNum.zeta(3), zero24], [Fraction(1, 2), CycNum.zeta(8)]),
+                   ([CycNum.zeta(3), 0], [Fraction(1, 2), CycNum.zeta(24)]),
+                   ([zero24], [2])):
+        got, want = dot(xs, ys), termwise(xs, ys)
+        assert_same_sum(got, want)
+        assert got.conductor == 24
+
+
+def test_dot_of_rationals_keeps_the_rational_type():
+    assert_same_sum(dot([1, 2, 3], [4, 5, -6]), -4)
+    assert_same_sum(dot([Fraction(1, 2), 3], [2, Fraction(1, 3)]), Fraction(2))
+    assert_same_sum(dot((1, Fraction(1, 3)), (Fraction(-2, 5), 6)), Fraction(8, 5))
+    with pytest.raises(TypeError):
+        dot([], [])
+
+
+@pytest.mark.parametrize("cap", ["10", "23", "7", "+120"])
+def test_dot_raises_the_cap_error_of_the_term_by_term_sum(cap):
+    z3, z5, z8 = CycNum.zeta(3), CycNum.zeta(5), CycNum.zeta(8)
+    z24, z120 = CycNum.zeta(24), CycNum.zeta(120)
+    cases = [([z8, z3, z5], [1, 1, 1]),            # 24 before 120
+             ([z8], [z3]),                          # a product lifts
+             ([Fraction(1, 2), z24], [z5, z3]),     # a sum of a product lifts
+             ([z120, CycNum(8, [])], [2, 3]),       # a zero operand lifts too
+             ([z120, 3], [z120, Fraction(1, 2)])]   # no lift: no check
+    for xs, ys in cases:
+        got, want = with_cap(cap, dot, xs, ys), with_cap(cap, termwise, xs, ys)
+        assert_same_sum(got, want)
+    assert str(with_cap("10", dot, [z8, z3, z5], [1, 1, 1])) == (
+        "conductor 24 exceeds cap 10 (set CREPANT_MAX_CONDUCTOR to raise it)")
+
+
+def test_dot_sends_no_cycnum_through_fraction(monkeypatch):
+    seen = []
+    for name in ("__mul__", "__add__", "__rmul__", "__radd__"):
+        method = getattr(Fraction, name)
+
+        def watched(self, other, method=method, name=name):
+            seen.append((name, type(other)))
+            return method(self, other)
+        monkeypatch.setattr(Fraction, name, watched)
+    got = dot([Fraction(1, 2), CycNum.zeta(3)], [CycNum.zeta(4), Fraction(2, 3)])
+    monkeypatch.undo()
+    assert [call for call in seen if call[1] is CycNum] == []
+    assert got == CycNum.zeta(4) / 2 + CycNum.zeta(3) * Fraction(2, 3)
