@@ -171,7 +171,10 @@ def structure_constants(n: int) -> MappingProxyType:
 
 def evaluate(series: QSeries, deltas):
     """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}: one
-    `dot` of (1, c_beta...) with (const, delta_beta...)."""
+    `dot` of (1, c_beta...) with (const, delta_beta...), or the constant
+    itself, what that `dot` returns, when there is no atom."""
+    if not series.atoms:
+        return series.const
     return dot((1, *(c for _, c in series.atoms)),
                (series.const, *(deltas[span] for span, _ in series.atoms)))
 

@@ -8,6 +8,14 @@ nondegeneracy checks, both read off the ring's basis products
 (`SectorRing.product`); and the reconciliation of the derived A_2 quantum
 products with their independently printed form.  Every determinant and
 every reduced system comes from one exact row reduction, `_row_reduce`.
+
+Every sector ring is a free H*(S)-module on the n + 2 generators 1, sigma,
+g_1..g_n (basis indices g rank), its product is H*(S)-bilinear and a
+candidate map is H*(S)-linear.  So the hom check, the solve and the
+associativity sweep work on generator pairs or triples only: the residual
+of b_i = h^p g, b_j = h^q g' (and b_k = h^r g'') is that of g, g' (and g'')
+times h^s, s = p + q (+ r), which `_shift` reads off by moving each
+component h^t to h^(t+s), dropped past h^dim.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement
 from math import gcd
 from operator import add
 from typing import NamedTuple
@@ -52,10 +61,13 @@ class Reduction(NamedTuple):
 def _row_reduce(rows, width: int) -> Reduction:
     """Exact Gaussian elimination of `rows` on their first `width` columns;
     any later column (a right-hand side) rides along.  Column by column,
-    the first row from the next pivot position down with a nonzero entry is
-    swapped up and clears the rows below it; a pivot is inverted only when
-    a row below it has to be cleared.  For a square matrix `det` is the
-    determinant.  The one linear-algebra routine of this module."""
+    the first row from the next pivot position down with a nonzero entry
+    moves up to it and clears the rows below it; a pivot is inverted only
+    when a row below it has to be cleared.  The rows it passes keep their
+    order, so a row that repeats an earlier row never becomes a pivot and
+    reduces to zero: the result does not change when such rows are dropped.
+    For a square matrix `det` is the determinant.  The one linear-algebra
+    routine of this module."""
     mat = [list(row) for row in rows]
     order = list(range(len(mat)))
     pivots = []
@@ -66,9 +78,10 @@ def _row_reduce(rows, width: int) -> Reduction:
         if piv is None:
             continue
         if piv != top:
-            mat[top], mat[piv] = mat[piv], mat[top]
-            order[top], order[piv] = order[piv], order[top]
-            det = -det
+            mat.insert(top, mat.pop(piv))
+            order.insert(top, order.pop(piv))
+            if (piv - top) % 2:
+                det = -det
         pivot = mat[top][col]
         det = det * pivot
         inv = None
@@ -100,6 +113,13 @@ def _component_names(geom: Geometry, letter: str) -> list:
     return [f"{name}.h^{p}" for name in names for p in range(geom.base.rank)]
 
 
+def _shift(items, s: int, rank: int):
+    """h^s times the class with the nonzero coefficients `items` (m, c):
+    each h^t g component, m = g rank + t, moves to h^(t+s) and is dropped
+    past h^dim; nothing lands below h^s."""
+    return ((m + s, c) for m, c in items if m % rank + s < rank)
+
+
 @dataclass
 class AffineSystem:
     """A candidate map's ring-isomorphism condition as one exact linear
@@ -111,8 +131,11 @@ class AffineSystem:
     A consistent system of full rank has the one `solution`
     {span: delta}, and `point` is the (q_1..q_n) it comes from, or None if
     no point gives those deltas.  An inconsistent one names its first row
-    0 = value != 0 as (product, component, value).  A singular matrix gets
-    no system: rank None."""
+    that reduces to 0 = value != 0 as (product, component, value).  The
+    rows are those of the generator pairs, so the product is one of those:
+    the rows of every other basis pair repeat them, and `_row_reduce`
+    reaches the same pivot rows and names the same row with or without the
+    repeats.  A singular matrix gets no system: rank None."""
 
     det: object
     spans: list
@@ -157,19 +180,31 @@ class HomChecker:
 
     A candidate is an n x n matrix of Fraction or CycNum entries: the map is
     the identity on untwisted classes and sends the twisted sector e_a to
-    sum_l matrix[a][l] * E_l.  The orbifold basis products do not depend on
-    q, so they are computed once and shared by every check and solve."""
+    sum_l matrix[a][l] * E_l.  Both products are H*(S)-bilinear and the map
+    is H*(S)-linear, so every condition is one on a pair of the n + 2
+    module generators, at basis indices `generators`.  The orbifold
+    products of those pairs do not depend on q, so they are computed once
+    and shared by every check and solve."""
 
     def __init__(self, geom: Geometry, flags: ConventionFlags = ConventionFlags()):
         self.geom = geom
+        self.flags = flags
         orb = OrbifoldRing(geom, flags)
         self.basis = orb.basis()
-        self.products = orb.products()
+        self.generators = range(0, orb.size, geom.base.rank)
+        self.products = orb.products(self.generators)
+
+    def _images(self, matrix) -> dict:
+        """{i: the candidate's image of b_i} over the generator indices i."""
+        return {i: apply_candidate(matrix, self.basis[i][1]) for i in self.generators}
 
     def check(self, matrix, quantum: QuantumRing, stop_early: bool = False) -> HomReport:
         """Exact multiplicativity of the candidate map into `quantum` on all
         unordered pairs of orbifold basis elements, plus invertibility of
-        the matrix."""
+        the matrix.  The difference of a pair b_i = h^p g, b_j = h^q g' is
+        that of the generator pair g, g' shifted by h^(p+q), so one
+        difference is formed per generator pair, when the walk first needs
+        it."""
         if len(matrix) != self.geom.n:
             raise ValueError("candidate matrix has the wrong size")
         if quantum.geom != self.geom:
@@ -181,23 +216,25 @@ class HomChecker:
             report.passed = False
             report.violations.append(("matrix", "det", det))
             return report
-        images = [apply_candidate(matrix, x) for _, x in self.basis]
+        images = self._images(matrix)
+        names = _component_names(self.geom, quantum.letter)
+        rank = self.geom.base.rank
+        diffs = {}
         size = len(self.basis)
         # twisted sectors sit at the end of the basis; checking those pairs
         # first lets failing candidates exit quickly
         for i in range(size - 1, -1, -1):
             lx = self.basis[i][0]
             for j in range(size - 1, i - 1, -1):
-                ly = self.basis[j][0]
-                lhs = apply_candidate(matrix, self.products[(i, j)])
-                rhs = quantum.mul(images[i], images[j])
-                if lhs == rhs:
-                    continue
-                diff = lhs - rhs
-                for comp, val in zip(_component_names(self.geom, quantum.letter), diff.coeffs):
-                    if not scalar_is_zero(val):
-                        report.passed = False
-                        report.violations.append((f"{lx} * {ly}", comp, val))
+                key = (i - i % rank, j - j % rank)
+                if key not in diffs:
+                    lhs = apply_candidate(matrix, self.products[key])
+                    rhs = quantum.mul(images[key[0]], images[key[1]])
+                    diffs[key] = [] if lhs == rhs else [
+                        (m, c) for m, c in enumerate((lhs - rhs).coeffs) if not scalar_is_zero(c)]
+                for m, val in _shift(diffs[key], i % rank + j % rank, rank):
+                    report.passed = False
+                    report.violations.append((f"{lx} * {self.basis[j][0]}", names[m], val))
                 if stop_early and not report.passed:
                     return report
         return report
@@ -211,12 +248,14 @@ class HomChecker:
         residual apply(M, b_i b_j) - x y is L - R_0 - sum_beta delta_beta
         R_beta: L from the shared orbifold products, R_0 the classical x y,
         and R_beta the root-sum term k (x.beta)(y.beta) sum_{l in beta} E_l,
-        x.beta = sum_i x_i (E_i.beta) in H*(S).  So R_0 is the only ring
-        product, and the E_l rows of a beta column are one base product per
-        pair and span, formed only where k (x.beta) and y.beta are both
-        nonzero: never for a pullback image, and never at k = 0.  Each
-        nonzero component gives one row of the system, which is row-reduced
-        exactly."""
+        x.beta = sum_i x_i (E_i.beta) in H*(S).  All three are
+        H*(S)-bilinear, so the rows of b_i = h^p g, b_j = h^q g' are those
+        of the generator pair g, g' moved up by h^(p+q): only generator
+        pairs give rows.  R_0 is the only ring product, and the E_l rows of
+        a beta column are one base product per pair and span, formed only
+        where k (x.beta) and y.beta are both nonzero: never for a pullback
+        image, and never at k = 0.  Each nonzero component gives one row of
+        the system, which is row-reduced exactly."""
         n = self.geom.n
         spans = all_spans(n)
         if len(matrix) != n:
@@ -225,12 +264,12 @@ class HomChecker:
         if scalar_is_zero(det):
             return AffineSystem(det, spans)
         classical = ResolutionRing(self.geom)
-        images = [apply_candidate(matrix, x) for _, x in self.basis]
-        # dots[a][s] = images[a].beta_s, and kdots the same times k
-        dots = [[reduce(add, (coords[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
-                 for span in spans] for coords in (x.coords for x in images)]
+        images = self._images(matrix)
+        # dots[i][s] = images[i].beta_s, and kdots the same times k
+        dots = {i: [reduce(add, (x.coords[a + 1].scale(w) for a, w in span_weights(n)[span].items()))
+                    for span in spans] for i, x in images.items()}
         kap = self.geom.kap()
-        kdots = [[kap * d for d in row] for row in dots]
+        kdots = {i: [kap * d for d in row] for i, row in dots.items()}
         names = _component_names(self.geom, ResolutionRing.letter)
         labels, rows = [], []
         for (i, j), xy in self.products.items():
@@ -346,23 +385,31 @@ def check_associativity(ring) -> HomReport:
     """(x y) z = x (y z) over all basis triples i <= j <= k, exact, read off
     `ring.product` (b_i b_j = sum_m c_ij^m b_m): (b_i b_j) b_k = sum_m c_ij^m b_m b_k
     and b_i (b_j b_k) = sum_m c_jk^m b_i b_m, so no ring product is formed per triple.
+    The difference is formed once per generator triple, and that of b_i = h^p g,
+    b_j = h^q g', b_k = h^r g'' is the one of g, g', g'' shifted by h^(p+q+r).
     Each violation names the first nonzero component of the difference and its value."""
     report = HomReport(passed=True)
     labels = ring.labels()
     names = _component_names(ring.geom, ring.letter)
+    rank = ring.geom.base.rank
+    diffs = {}
+    for i, j, k in combinations_with_replacement(range(0, ring.size, rank), 3):
+        lhs = sum_rows((c, ring.product(m, k)) for m, c in ring.product(i, j).items())
+        rhs = sum_rows((c, ring.product(i, m)) for m, c in ring.product(j, k).items())
+        diffs[i, j, k] = [(p, d) for p in sorted(lhs.keys() | rhs.keys())
+                          if not scalar_is_zero(d := lhs.get(p, ZERO) - rhs.get(p, ZERO))]
+    if not any(diffs.values()):
+        # associative: no basis triple has a violation to report
+        return report
     for i, lx in enumerate(labels):
         for j in range(i, len(labels)):
-            xy = ring.product(i, j).items()
             for k in range(j, len(labels)):
-                lhs = sum_rows((c, ring.product(m, k)) for m, c in xy)
-                rhs = sum_rows((c, ring.product(i, m)) for m, c in ring.product(j, k).items())
-                for p in sorted(lhs.keys() | rhs.keys()):
-                    diff = lhs.get(p, ZERO) - rhs.get(p, ZERO)
-                    if not scalar_is_zero(diff):
-                        report.passed = False
-                        report.violations.append(
-                            (f"({lx}, {labels[j]}, {labels[k]})", names[p], diff))
-                        break
+                first = next(_shift(diffs[i - i % rank, j - j % rank, k - k % rank],
+                                    i % rank + j % rank + k % rank, rank), None)
+                if first is not None:
+                    report.passed = False
+                    report.violations.append(
+                        (f"({lx}, {labels[j]}, {labels[k]})", names[first[0]], first[1]))
     return report
 
 

@@ -10,9 +10,9 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import add
 
-from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class
-from crepant.geometry import SectorClass, SectorRing
-from crepant.orbifold import ConventionFlags
+from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
+from crepant.geometry import SectorClass, SectorRing, sum_rows
+from crepant.orbifold import ConventionFlags, OrbifoldRing
 from crepant.quantum import (
     PoleError,
     QPoint,
@@ -22,7 +22,9 @@ from crepant.quantum import (
     evaluate,
     structure_constants,
 )
+from crepant.resolution import ResolutionRing
 from crepant.scalars import (
+    ZERO,
     CycNum,
     cyclotomic_polynomial,
     euler_phi,
@@ -37,10 +39,12 @@ from crepant.verify import (
     AffineSystem,
     HomChecker,
     HomReport,
+    _component_names,
     _point,
     _roots_of_unity,
     _row_reduce,
     a2_candidates,
+    apply_candidate,
 )
 
 
@@ -621,27 +625,13 @@ def pairing(ring, x, y):
     return ring.mul(x, y).coords[1].integrate()
 
 
-def solve_by_unit_rings(checker, matrix):
-    """`HomChecker.solve` with the delta_beta column of each basis pair
-    computed as a ring product: the product at delta_beta = 1 minus the
-    product at delta = 0, one product per pair and span."""
-    geom = checker.geom
+def reduced_system(geom, matrix, labels, rows):
+    """The AffineSystem that `HomChecker.solve` makes of a candidate's
+    labelled rows, reduced here by the same steps."""
     spans = all_spans(geom.n)
     det = _row_reduce(matrix, geom.n).det
     if scalar_is_zero(det):
         return AffineSystem(det, spans)
-    origin, units = unit_delta_rings(geom)
-    images = [apply_candidate_by_coords(matrix, x) for _, x in checker.basis]
-    labels, rows = [], []
-    for (i, j), xy in checker.products.items():
-        r0 = origin.mul(images[i], images[j])
-        parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
-        parts.append(apply_candidate_by_coords(matrix, xy) - r0)
-        for entries in zip(*(components_by_coords(part, "E") for part in parts)):
-            row = [val for _, val in entries]
-            if not all(scalar_is_zero(val) for val in row):
-                labels.append((f"{checker.basis[i][0]} * {checker.basis[j][0]}", entries[0][0]))
-                rows.append(row)
     red = _row_reduce(rows, len(spans))
     rank = len(red.pivots)
     system = AffineSystem(det, spans, rank, red.rows[:rank])
@@ -658,6 +648,114 @@ def solve_by_unit_rings(checker, matrix):
         system.solution = dict(zip(spans, delta))
         system.point = _point(geom, system.solution)
     return system
+
+
+def unit_ring_rows(checker, matrix):
+    """(labels, rows) of the isomorphism condition over every unordered
+    orbifold basis pair, in the order of `OrbifoldRing.products()`, with the
+    delta_beta column of each pair computed as a ring product: the product
+    at delta_beta = 1 minus the product at delta = 0, one product per pair
+    and span."""
+    geom = checker.geom
+    orb = OrbifoldRing(geom, checker.flags)
+    basis = orb.basis()
+    origin, units = unit_delta_rings(geom)
+    images = [apply_candidate_by_coords(matrix, x) for _, x in basis]
+    labels, rows = [], []
+    for (i, j), xy in orb.products().items():
+        r0 = origin.mul(images[i], images[j])
+        parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
+        parts.append(apply_candidate_by_coords(matrix, xy) - r0)
+        for entries in zip(*(components_by_coords(part, "E") for part in parts)):
+            row = [val for _, val in entries]
+            if not all(scalar_is_zero(val) for val in row):
+                labels.append((f"{basis[i][0]} * {basis[j][0]}", entries[0][0]))
+                rows.append(row)
+    return labels, rows
+
+
+def all_pairs_rows(checker, matrix):
+    """(labels, rows) of `HomChecker.solve`'s system built over every
+    unordered orbifold basis pair, not only the generator pairs: per pair,
+    the classical product of the two images and the root sum
+    k (x.beta)(y.beta) sum_{l in beta} E_l per span, read component by
+    component."""
+    geom, n = checker.geom, checker.geom.n
+    spans = all_spans(n)
+    orb = OrbifoldRing(geom, checker.flags)
+    basis = orb.basis()
+    classical = ResolutionRing(geom)
+    images = [apply_candidate(matrix, x) for _, x in basis]
+    dots = [[reduce(add, (coords[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
+             for span in spans] for coords in (x.coords for x in images)]
+    kap = geom.kap()
+    kdots = [[kap * d for d in row] for row in dots]
+    names = _component_names(geom, ResolutionRing.letter)
+    labels, rows = [], []
+    for (i, j), xy in orb.products().items():
+        rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
+        roots = [None if kx.is_zero() or y.is_zero() else kx * y
+                 for kx, y in zip(kdots[i], dots[j])]
+        for m, val in enumerate(rhs.coeffs):
+            g, p = divmod(m, geom.base.rank)
+            row = [root.coeffs[p] if root is not None and r <= g - 1 <= s else ZERO
+                   for (r, s), root in zip(spans, roots)] + [val]
+            if not all(scalar_is_zero(v) for v in row):
+                labels.append((f"{basis[i][0]} * {basis[j][0]}", names[m]))
+                rows.append(row)
+    return labels, rows
+
+
+def check_all_pairs(checker, matrix, quantum, stop_early=False):
+    """`HomChecker.check` with one difference formed per unordered orbifold
+    basis pair, from products and images of every basis element, walked in
+    the same order (twisted sectors first)."""
+    geom = checker.geom
+    orb = OrbifoldRing(geom, checker.flags)
+    basis, products = orb.basis(), orb.products()
+    report = HomReport(passed=True)
+    det = _row_reduce(matrix, geom.n).det
+    report.notes["det"] = scalar_to_json(det)
+    if scalar_is_zero(det):
+        report.passed = False
+        report.violations.append(("matrix", "det", det))
+        return report
+    images = [apply_candidate(matrix, x) for _, x in basis]
+    names = _component_names(geom, quantum.letter)
+    for i in range(len(basis) - 1, -1, -1):
+        for j in range(len(basis) - 1, i - 1, -1):
+            diff = apply_candidate(matrix, products[(i, j)]) - quantum.mul(images[i], images[j])
+            for comp, val in zip(names, diff.coeffs):
+                if not scalar_is_zero(val):
+                    report.passed = False
+                    report.violations.append((f"{basis[i][0]} * {basis[j][0]}", comp, val))
+            if stop_early and not report.passed:
+                return report
+    return report
+
+
+def associativity_all_triples(ring):
+    """`verify.check_associativity` with the difference formed for every
+    basis triple i <= j <= k from the structure constants, not only for
+    generator triples: sum_m c_ij^m b_m b_k - sum_m c_jk^m b_i b_m, and its
+    first nonzero component."""
+    report = HomReport(passed=True)
+    labels = ring.labels()
+    names = _component_names(ring.geom, ring.letter)
+    for i, lx in enumerate(labels):
+        for j in range(i, len(labels)):
+            xy = ring.product(i, j).items()
+            for k in range(j, len(labels)):
+                lhs = sum_rows((c, ring.product(m, k)) for m, c in xy)
+                rhs = sum_rows((c, ring.product(i, m)) for m, c in ring.product(j, k).items())
+                for p in sorted(lhs.keys() | rhs.keys()):
+                    diff = lhs.get(p, ZERO) - rhs.get(p, ZERO)
+                    if not scalar_is_zero(diff):
+                        report.passed = False
+                        report.violations.append(
+                            (f"({lx}, {labels[j]}, {labels[k]})", names[p], diff))
+                        break
+    return report
 
 
 def mul_by_generators(ring, x, y):

@@ -17,7 +17,7 @@ from crepant.quantum import (
 )
 from crepant.geometry import SectorClass
 from crepant.resolution import ResolutionRing
-from crepant.scalars import CycNum
+from crepant.scalars import CycNum, dot, scalar_to_json
 from reference import AtomRing, contracted_correction, intersection, r_poly, unit_delta_rings
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
@@ -89,6 +89,17 @@ def test_evaluate():
     series = QSeries.from_dict(Fraction(2), {D11: Fraction(4), D12: Fraction(1)})
     q = QPoint([CycNum.zeta(3), CycNum.zeta(3)])
     assert evaluate(series, q.deltas()) == CycNum.zeta(3)  # 2 + 4 d1 + d3 at zeta3
+
+
+@pytest.mark.parametrize("const", [Fraction(0), Fraction(-7, 3), Fraction(5), 0, 4])
+def test_evaluate_without_atoms_is_the_dot(const):
+    # an atom-free series returns its constant without a dot: the same value,
+    # type and JSON as dot((1,), (const,)), at any atom values
+    series = QSeries(const)
+    deltas = QPoint([CycNum.zeta(5), CycNum.zeta(3)]).deltas()
+    got, want = evaluate(series, deltas), dot((1,), (const,))
+    assert got == want and type(got) is type(want)
+    assert scalar_to_json(got) == scalar_to_json(want)
 
 
 def test_quantum_product_a2_frozen():

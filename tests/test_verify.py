@@ -37,8 +37,11 @@ from crepant.verify import (
 from reference import (
     A2TableRing,
     a1_scalar_sweep,
+    all_pairs_rows,
     apply_candidate_by_coords,
+    associativity_all_triples,
     associativity_by_mul,
+    check_all_pairs,
     det_by_cofactors,
     fourier_map,
     key,
@@ -46,9 +49,10 @@ from reference import (
     pairing,
     pairing_by_gram,
     reflect_a2_table,
+    reduced_system,
     repair_a2_table,
     solve_a2_sweep,
-    solve_by_unit_rings,
+    unit_ring_rows,
 )
 
 
@@ -135,8 +139,8 @@ def test_solve_a2_exact_solutions():
 
 def test_solve_a2_computes_orbifold_products_once(monkeypatch):
     # the orbifold side does not depend on q: one basis product row per
-    # unordered pair of the 8 basis elements, shared by every root and
-    # candidate
+    # unordered pair of the 4 module generators 1, sigma, e_1, e_2, shared
+    # by every root and candidate; the other basis pairs are h-multiples
     calls = []
     build = SectorRing._basis_product
 
@@ -147,7 +151,7 @@ def test_solve_a2_computes_orbifold_products_once(monkeypatch):
 
     monkeypatch.setattr(SectorRing, "_basis_product", counting_build)
     solve_a2_symmetric(default_geometry(2), max_order=6)
-    assert len(calls) == 8 * 9 // 2
+    assert len(calls) == 4 * 5 // 2
 
 
 def test_solve_a2_flags_reach_the_checker():
@@ -194,9 +198,9 @@ def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
 
     monkeypatch.setattr(SectorRing, "mul", counting_mul)
     solve_a2_symmetric(A2_SYMPLECTIC, max_order=12)
-    # at k = 0 no delta enters a product: 36 basis pairs at delta = 0 for
-    # each of the 4 candidates, and none at a unit delta
-    assert len(calls) == 36 * 4
+    # at k = 0 no delta enters a product: 10 generator pairs at delta = 0
+    # for each of the 4 candidates, and none at a unit delta
+    assert len(calls) == 10 * 4
 
 
 @pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
@@ -225,45 +229,76 @@ def test_solve_computes_no_product_per_root(monkeypatch):
         calls.clear()
         solve_a2_symmetric(default_geometry(2), max_order=max_order)
         counts.append(len(calls))
-    # 36 basis pairs, each at delta = 0 only, for each of the 4 candidates:
-    # the delta columns are read off the root sum, with no ring product
-    assert counts == [36 * 4] * 2
+    # 10 generator pairs, each at delta = 0 only, for each of the 4
+    # candidates: the delta columns are read off the root sum, with no ring
+    # product
+    assert counts == [10 * 4] * 2
+
+
+def _shape(v):
+    """A value with its type and conductor; zeros, rational or cyclotomic, as 0."""
+    if scalar_is_zero(v):
+        return 0
+    return ("cyc", v.conductor, v.coeffs) if isinstance(v, CycNum) else v
 
 
 def _nonzero_shapes(system):
-    """Every value of an AffineSystem with its type and conductor; zeros,
-    rational or cyclotomic, as 0."""
-    def shape(v):
-        if scalar_is_zero(v):
-            return 0
-        return ("cyc", v.conductor, v.coeffs) if isinstance(v, CycNum) else v
+    """Every value of an AffineSystem with its type and conductor."""
+    return (_shape(system.det), system.rank, [[_shape(v) for v in row] for row in system.rows],
+            system.solution and {span: _shape(v) for span, v in system.solution.items()},
+            system.point and [_shape(v) for v in system.point],
+            system.inconsistent and (*system.inconsistent[:2], _shape(system.inconsistent[2])))
 
-    return (shape(system.det), system.rank, [[shape(v) for v in row] for row in system.rows],
-            system.solution and {span: shape(v) for span, v in system.solution.items()},
-            system.point and [shape(v) for v in system.point],
-            system.inconsistent and (*system.inconsistent[:2], shape(system.inconsistent[2])))
+
+def _forward_reduced(row, pivot_rows, width):
+    """`row` reduced by each pivot row in turn, as `_row_reduce` reduces a
+    row below them: the pivot of a row is its first nonzero entry."""
+    row = list(row)
+    for pivot_row in pivot_rows:
+        col = next(c for c in range(width) if not scalar_is_zero(pivot_row[c]))
+        if not scalar_is_zero(row[col]):
+            f = row[col] * (Fraction(1) / pivot_row[col])
+            row[col:] = [x - f * y for x, y in zip(row[col:], pivot_row[col:])]
+    return row
+
+
+def _assert_solve_matches(checker, matrix, labelled_rows):
+    """`checker.solve(matrix)` equals the system reduced from the reference
+    rows `labelled_rows(checker, matrix)` of every basis pair, field by
+    field, every nonzero value with its type and conductor; the witness of
+    an inconsistency is one of those rows, and the pivot rows reduce it to
+    exactly 0 = value."""
+    labels, rows = labelled_rows(checker, matrix)
+    system = checker.solve(matrix)
+    reference = reduced_system(checker.geom, matrix, labels, rows)
+    assert system == reference
+    assert _nonzero_shapes(system) == _nonzero_shapes(reference)
+    if system.inconsistent is not None:
+        *label, value = system.inconsistent
+        reduced = _forward_reduced(rows[labels.index(tuple(label))], system.rows,
+                                   len(system.spans))
+        assert all(scalar_is_zero(v) for v in reduced[:-1])
+        assert reduced[-1] == value and _shape(reduced[-1]) == _shape(value)
+    return system
 
 
 @pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
                          ids=[f"{g.base.model}-{g.taut.l},{g.taut.m},{g.taut.k}-{t}"
                               for g, t, _ in SOLVE_CASES])
 def test_solve_matches_unit_delta_rings_on_a2(geom, twist, max_order):
-    # rank, rows in order, solution, point and inconsistent row agree with the
-    # system built from one ring per unit delta; every nonzero value also
-    # has the same conductor
+    # rank, rows in order, solution, point and inconsistency agree with the
+    # system built over every basis pair from one ring per unit delta;
+    # every nonzero value also has the same conductor
     checker = HomChecker(geom, ConventionFlags(twist))
     for _, _, matrix in a2_candidates():
-        system, reference = checker.solve(matrix), solve_by_unit_rings(checker, matrix)
-        assert system == reference
-        assert _nonzero_shapes(system) == _nonzero_shapes(reference)
+        _assert_solve_matches(checker, matrix, unit_ring_rows)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_solve_matches_unit_delta_rings_on_fourier_maps(n):
     # a consistent system of full rank, solved at q = (zeta_{n+1}, ...)
     checker = HomChecker(default_geometry(n))
-    system = checker.solve(fourier_map(n))
-    assert system == solve_by_unit_rings(checker, fourier_map(n))
+    system = _assert_solve_matches(checker, fourier_map(n), unit_ring_rows)
     assert system.rank == len(system.spans) and system.inconsistent is None
     assert system.point == (CycNum.zeta(n + 1),) * n
 
@@ -279,7 +314,7 @@ def test_solve_matches_unit_delta_rings_on_random_maps(n, kind):
     for base in (BaseRing("projective_space", 1), BaseRing("point")):
         checker = HomChecker(default_geometry(n, base))
         matrix = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
-        assert checker.solve(matrix) == solve_by_unit_rings(checker, matrix)
+        _assert_solve_matches(checker, matrix, unit_ring_rows)
 
 
 def test_solve_reports_why_each_candidate_passed_or_failed():
@@ -363,6 +398,70 @@ BASES = {"point": BaseRing("point", 0), "P1": BaseRing("projective_space", 1),
          "P2": BaseRing("projective_space", 2), "P3": BaseRing("projective_space", 3)}
 # q_1..q_5 at conductors 5, 3 and 4 between rationals; no span product is 1
 MIXED_Q = [CycNum.zeta(5), Fraction(1, 2), CycNum.zeta(3), Fraction(-2), CycNum.zeta(4)]
+# the default twist_self flag and one other, for the generator-sweep differentials
+TWO_FLAGS = ("-1/(n+1)", "1")
+
+
+def _candidates(n, seed):
+    """(kind, matrix, q) for A_n: the Fourier map at its point
+    (zeta_{n+1}, ...), conductor 2(n + 1), which passes over P^1; a random
+    rational matrix at a rational point; and a random matrix of mixed
+    conductors 3, 4 and 5 at the mixed-conductor point."""
+    rng = random.Random(seed)
+    z = CycNum.zeta
+    rationals = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+    mixed = [Fraction(1), Fraction(-1, 2), z(3), z(4), z(5, 2), z(3, 2) + z(4), 1 + z(5)]
+    return [("fourier", fourier_map(n), [z(n + 1)] * n),
+            ("rational", [[rng.choice(rationals) for _ in range(n)] for _ in range(n)],
+             [Fraction(a + 2) for a in range(n)]),
+            ("cyclotomic", [[rng.choice(mixed) for _ in range(n)] for _ in range(n)],
+             MIXED_Q[:n])]
+
+
+@pytest.mark.parametrize("twist", TWO_FLAGS)
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_check_matches_the_all_pairs_check(n, base, twist):
+    # one difference per generator pair, shifted, against one per basis
+    # pair: the JSON byte for byte (violation order, components, values and
+    # conductors), with and without stop_early
+    checker = HomChecker(default_geometry(n, BASES[base]), ConventionFlags(twist))
+    for kind, matrix, q in _candidates(n, 10 * n + len(base)):
+        quantum = QuantumRing(checker.geom, QPoint(q))
+        for stop_early in (False, True):
+            got = checker.check(matrix, quantum, stop_early)
+            assert got.to_json() == check_all_pairs(checker, matrix, quantum,
+                                                    stop_early).to_json(), (kind, stop_early)
+            if kind == "fourier" and base == "P1" and twist == TWO_FLAGS[0]:
+                assert got.passed
+
+
+@pytest.mark.parametrize("twist", TWO_FLAGS)
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_solve_matches_the_all_pairs_solve(n, base, twist):
+    # the rows of the generator pairs against the rows of every basis pair
+    checker = HomChecker(default_geometry(n, BASES[base]), ConventionFlags(twist))
+    for _, matrix, _ in _candidates(n, 10 * n + len(base)):
+        _assert_solve_matches(checker, matrix, all_pairs_rows)
+
+
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_associativity_matches_the_all_triples_sweep(n, base):
+    # one difference per generator triple, shifted, against one per basis
+    # triple, JSON byte for byte; over P^2 the orbifold and classical rings
+    # of A_2 are not associative
+    geom = default_geometry(n, BASES[base])
+    rings = ([OrbifoldRing(geom, ConventionFlags(t)) for t in TWO_FLAGS]
+             + [ResolutionRing(geom), QuantumRing(geom, QPoint(MIXED_Q[:n]))])
+    passed = []
+    for ring in rings:
+        report = check_associativity(ring)
+        assert report.to_json() == associativity_all_triples(ring).to_json(), ring
+        passed.append(report.passed)
+    if base == "P2" and n == 2:
+        assert passed[:3] == [False] * 3
 
 
 class CyclotomicPairingRing(OrbifoldRing):
@@ -411,6 +510,7 @@ def test_table_checks_match_the_product_sweep_on_the_printed_table(q):
     report = check_associativity(ring)
     assert not report.passed
     assert report.to_json() == associativity_by_mul(ring).to_json()
+    assert report.to_json() == associativity_all_triples(ring).to_json()
     assert check_pairing_nondegenerate(ring) == pairing_by_gram(ring)
 
 
