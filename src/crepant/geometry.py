@@ -198,16 +198,6 @@ class Geometry:
         """True when dim_C S >= 2, where the square-zero model is only formal."""
         return self.base.dim >= 2
 
-    def ell(self) -> GradedClass:
-        if self.taut.l is None:
-            raise ValueError("l is undefined for n = 1")
-        return self.base.h_power(1, self.taut.l)
-
-    def em(self) -> GradedClass:
-        if self.taut.m is None:
-            raise ValueError("m is undefined for n = 1")
-        return self.base.h_power(1, self.taut.m)
-
     def kap(self) -> GradedClass:
         return self.base.h_power(1, self.taut.k)
 

@@ -146,7 +146,11 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     2(n-2)) and x with x^2 = a^(n-2).  McKay graph is the extended D_n."""
     spec = GroupSpec("D", n)
     m = n - 2  # a has order 2m
+    linear = _bd_linear_characters(m)
     z = lambda k: CycNum.zeta(2 * m, k % (2 * m))
+    # the conductor cap, after the zeta_4 of the linear characters, before
+    # any list of size m
+    z(0)
     # classes: 1, a^m, {a^k, a^-k} for k=1..m-1, x-coset evens, x-coset odds
     class_sizes = (1, 1) + (2,) * (m - 1) + (m, m)
     class_orders = tuple(
@@ -155,7 +159,7 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     rows = []
     # four 1-dimensional characters: lambda(a) = eps, lambda(x)^2 = eps^m
     one = Fraction(1)
-    for eps_a, eps_x in _bd_linear_characters(m):
+    for eps_a, eps_x in linear:
         row = [one]
         row.append(eps_a ** m)
         for k in range(1, m):

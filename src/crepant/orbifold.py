@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Geometry, SectorClass, SectorRing
+from .scalars import ZERO
 
 TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 
@@ -79,11 +80,16 @@ class OrbifoldRing(SectorRing):
     def _compute_ee(self, i: int, j: int) -> SectorClass:
         """Inverse twists land in the pushforward with the 1/(n+1) gerbe
         factor; otherwise the obstruction class, scaled by t, sits in the
-        sector i + j mod n+1."""
-        geom = self.geom
+        sector i + j mod n+1.  Written as its flat row: 1/(n+1) at sigma
+        (index rank), or t l or t m at h^1 of that sector (index
+        ((i + j) mod (n+1) + 1) rank + 1), zero over a point."""
+        geom, rank = self.geom, self.geom.base.rank
         n = geom.n
+        coeffs = [ZERO] * self.size
         obstruction = obstruction_class(n, i, j)
         if obstruction is None:
-            return SectorClass.generator(geom, 1, geom.base.one().scale(Fraction(1, n + 1)))
-        alpha = geom.ell() if obstruction == "ell" else geom.em()
-        return SectorClass.sector(geom, (i + j) % (n + 1), alpha.scale(self.t))
+            coeffs[rank] = Fraction(1, n + 1)
+        elif rank > 1:
+            alpha = geom.taut.l if obstruction == "ell" else geom.taut.m
+            coeffs[((i + j) % (n + 1) + 1) * rank + 1] = self.t * alpha
+        return SectorClass(geom, tuple(coeffs))

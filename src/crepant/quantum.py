@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorClass, SectorRing
-from .scalars import dot, format_rational, scalar_is_zero
+from .scalars import ZERO, CycNum, dot, format_rational, scalar_is_zero
 
 
 class PoleError(ArithmeticError):
@@ -169,16 +169,6 @@ def structure_constants(n: int) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def evaluate(series: QSeries, deltas):
-    """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}: one
-    `dot` of (1, c_beta...) with (const, delta_beta...), or the constant
-    itself, what that `dot` returns, when there is no atom."""
-    if not series.atoms:
-        return series.const
-    return dot((1, *(c for _, c in series.atoms)),
-               (series.const, *(deltas[span] for span, _ in series.atoms)))
-
-
 class QuantumRing(SectorRing):
     """The quantum-corrected ring at a fixed exact parameter point.
 
@@ -202,12 +192,26 @@ class QuantumRing(SectorRing):
                            and not all(scalar_is_zero(d) for d in self._deltas.values()))
 
     def _compute_ee(self, i: int, j: int) -> SectorClass:
-        geom = self.geom
+        """E_i E_j as its flat row: c_ij at sigma (index rank) and, per E_l,
+        cm m + k (const + sum_beta c_beta delta_beta) at h^1 E_l (index
+        (l + 1) rank + 1), one `dot` of (1, k c_beta...) with
+        (cm m + k const, delta_beta...), or that rational when no series is
+        evaluated.  A CycNum value puts CycNum zeros at its conductor at the
+        other powers of h of its slot: a sum with the class keeps the lcm
+        conductor of its terms, zero ones too."""
+        geom, rank = self.geom, self.geom.base.rank
+        taut = geom.taut
         sigma, slots = structure_constants(geom.n)[(i, j)]
-        exc = []
-        for cm, series in slots:
-            ck = evaluate(series, self._deltas) if self._corrected else series.const
-            term = geom.kap().scale(ck)
+        coeffs = [ZERO] * self.size
+        coeffs[rank] = sigma
+        for g, (cm, series) in enumerate(slots, start=2):
             # m is undefined for n = 1, where cm is always 0
-            exc.append(geom.em().scale(cm) + term if cm else term)
-        return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))
+            value = (cm * taut.m if cm else ZERO) + taut.k * series.const
+            if self._corrected and series.atoms:
+                value = dot((1, *(taut.k * c for _, c in series.atoms)),
+                            (value, *(self._deltas[span] for span, _ in series.atoms)))
+            if isinstance(value, CycNum):
+                coeffs[g * rank:(g + 1) * rank] = [value * ZERO] * rank
+            if rank > 1:
+                coeffs[g * rank + 1] = value
+        return SectorClass(geom, tuple(coeffs))

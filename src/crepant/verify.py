@@ -15,7 +15,8 @@ candidate map is H*(S)-linear.  So the hom check, the solve and the
 associativity sweep work on generator pairs or triples only: the residual
 of b_i = h^p g, b_j = h^q g' (and b_k = h^r g'') is that of g, g' (and g'')
 times h^s, s = p + q (+ r), which `_shift` reads off by moving each
-component h^t to h^(t+s), dropped past h^dim.
+component h^t to h^(t+s), dropped past h^dim.  The Gram matrix of the
+pairing reads each entry off a generator pair's product the same way.
 """
 
 from __future__ import annotations
@@ -416,10 +417,14 @@ def check_associativity(ring) -> HomReport:
 def check_pairing_nondegenerate(ring) -> dict:
     """Exact Gram determinant of the Poincare pairing on the model basis.
     The pairing of b_i and b_j is the integral of b_i b_j, its sigma h^dim
-    coefficient, read off `ring.product`."""
-    size = ring.size
-    top = 2 * ring.geom.base.rank - 1
-    det = _row_reduce([[ring.product(i, j).get(top, ZERO) for j in range(size)]
+    coefficient.  The product is H*(S)-bilinear, so for b_i = h^p g and
+    b_j = h^q g' that is the sigma h^(dim-p-q) coefficient of g g', read off
+    `ring.product` of the generator pair, and 0 when p + q > dim: only the
+    generator pairs' rows are built."""
+    size, rank = ring.size, ring.geom.base.rank
+    top = 2 * rank - 1
+    det = _row_reduce([[ring.product(i - i % rank, j - j % rank).get(top - s, ZERO)
+                        if (s := i % rank + j % rank) < rank else ZERO for j in range(size)]
                        for i in range(size)], size).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),

@@ -12,14 +12,13 @@ from operator import add
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
 from crepant.geometry import SectorClass, SectorRing, sum_rows
-from crepant.orbifold import ConventionFlags, OrbifoldRing
+from crepant.orbifold import ConventionFlags, OrbifoldRing, obstruction_class
 from crepant.quantum import (
     PoleError,
     QPoint,
     QSeries,
     QuantumRing,
     all_spans,
-    evaluate,
     structure_constants,
 )
 from crepant.resolution import ResolutionRing
@@ -27,6 +26,7 @@ from crepant.scalars import (
     ZERO,
     CycNum,
     cyclotomic_polynomial,
+    dot,
     euler_phi,
     parse_rational,
     scalar_conj,
@@ -46,6 +46,20 @@ from crepant.verify import (
     a2_candidates,
     apply_candidate,
 )
+
+
+def ell(geom):
+    """The class l as an element of H*(S): l h."""
+    if geom.taut.l is None:
+        raise ValueError("l is undefined for n = 1")
+    return geom.base.h_power(1, geom.taut.l)
+
+
+def em(geom):
+    """The class m as an element of H*(S): m h."""
+    if geom.taut.m is None:
+        raise ValueError("m is undefined for n = 1")
+    return geom.base.h_power(1, geom.taut.m)
 
 
 def reduce_mod_cyclotomic(coeffs, n):
@@ -371,7 +385,7 @@ class ContractedAlphaRing(SectorRing):
         n = geom.n
         sigma = geom.base.one().scale(Fraction(cartan_matrix(n)[i - 1][j - 1]))
         # m is undefined for n = 1, where every cm is 0
-        exc = tuple((geom.em().scale(cm) if cm else geom.base.zero()) + geom.kap().scale(ck)
+        exc = tuple((em(geom).scale(cm) if cm else geom.base.zero()) + geom.kap().scale(ck)
                     for cm, ck in contracted_alpha(n, i, j))
         return SectorClass.from_coords(geom, (geom.base.zero(), sigma, *exc))
 
@@ -515,8 +529,8 @@ class A2TableRing(SectorRing):
         geom = self.geom
         entry = self.table[(i, j)]
         sectors = tuple(
-            geom.ell().scale(evaluate(m_part, self.deltas) * Fraction(1, 3))
-            + geom.em().scale(evaluate(l_part, self.deltas) * Fraction(1, 3))
+            ell(geom).scale(evaluate(m_part, self.deltas) * Fraction(1, 3))
+            + em(geom).scale(evaluate(l_part, self.deltas) * Fraction(1, 3))
             for m_part, l_part in (entry["E1"], entry["E2"]))
         return SectorClass.from_coords(geom, (geom.base.zero(),
                                               geom.base.one().scale(entry["sigma"]), *sectors))
@@ -567,6 +581,43 @@ def fourier_map(n: int):
              for l in range(1, n + 1)] for k in range(1, n + 1)]
 
 
+def evaluate(series: QSeries, deltas):
+    """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}: one
+    `dot` of (1, c_beta...) with (const, delta_beta...), or the constant
+    itself, what that `dot` returns, when there is no atom."""
+    if not series.atoms:
+        return series.const
+    return dot((1, *(c for _, c in series.atoms)),
+               (series.const, *(deltas[span] for span, _ in series.atoms)))
+
+
+def quantum_ee_by_coords(geom, q, i, j):
+    """`QuantumRing(geom, q).ee_product(i, j)` through H*(S) classes: per E_l,
+    em().scale(cm) + kap().scale(ck), ck the series evaluated at q's atoms,
+    or its constant when the ring is uncorrected (k = 0, a point base or
+    every delta 0)."""
+    deltas = q.deltas()
+    corrected = not geom.symplectic() and not all(scalar_is_zero(d) for d in deltas.values())
+    sigma, slots = structure_constants(geom.n)[(i, j)]
+    exc = []
+    for cm, series in slots:
+        term = geom.kap().scale(evaluate(series, deltas) if corrected else series.const)
+        # m is undefined for n = 1, where cm is always 0
+        exc.append(em(geom).scale(cm) + term if cm else term)
+    return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))
+
+
+def orbifold_ee_by_coords(ring, i, j):
+    """`OrbifoldRing.ee_product(i, j)` through H*(S) classes: 1/(n+1) sigma
+    for inverse twists, else t l or t m in the sector i + j mod n+1."""
+    geom, n = ring.geom, ring.geom.n
+    obstruction = obstruction_class(n, i, j)
+    if obstruction is None:
+        return SectorClass.generator(geom, 1, geom.base.one().scale(Fraction(1, n + 1)))
+    alpha = ell(geom) if obstruction == "ell" else em(geom)
+    return SectorClass.sector(geom, (i + j) % (n + 1), alpha.scale(ring.t))
+
+
 class AtomRing(SectorRing):
     """The resolution ring at given atom values {(r, s): delta_rs}, one for
     every span, with no pole check: `structure_constants(n)` evaluated at
@@ -584,7 +635,7 @@ class AtomRing(SectorRing):
         geom = self.geom
         sigma, slots = structure_constants(geom.n)[(i, j)]
         # m is undefined for n = 1, where every cm is 0
-        exc = tuple((geom.em().scale(cm) if cm else geom.base.zero())
+        exc = tuple((em(geom).scale(cm) if cm else geom.base.zero())
                     + geom.kap().scale(evaluate(series, self.deltas))
                     for cm, series in slots)
         return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma),
@@ -803,6 +854,14 @@ def associativity_by_mul(ring):
                                       if not scalar_is_zero(v))
                     report.violations.append((f"({lx}, {ly}, {lz})", comp, diff))
     return report
+
+
+def gram_all_pairs(ring):
+    """The Gram matrix of the pairing with every entry the sigma h^dim
+    coefficient of `ring.product(i, j)`, over all ordered basis pairs."""
+    top = 2 * ring.geom.base.rank - 1
+    return [[ring.product(i, j).get(top, ZERO) for j in range(ring.size)]
+            for i in range(ring.size)]
 
 
 def pairing_by_gram(ring):

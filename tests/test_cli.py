@@ -213,6 +213,30 @@ def test_mckay_command():
     assert code == 2
 
 
+# a D_n label over the cap exits 2 with the error of its first conductor
+# over the cap, before any list of size n: for odd n - 2 the zeta_4 of the
+# linear characters is checked first, then zeta_(2(n-2)).  No label here is
+# in `character_table`'s cache.
+@pytest.mark.parametrize("label, cap, conductor", [
+    ("D2000000", None, 3999996), ("D15", "3", 4), ("D13", "20", 22), ("D14", "20", 24),
+])
+def test_dihedral_label_over_the_cap_exits_2_before_any_size_n_work(monkeypatch, label,
+                                                                     cap, conductor):
+    def fail(*args):
+        raise AssertionError("a list of size n was built before the cap check")
+
+    if cap is None:
+        monkeypatch.delenv("CREPANT_MAX_CONDUCTOR", raising=False)
+    else:
+        monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", cap)
+    # the class orders are the first list of size n that calls gcd
+    monkeypatch.setattr(mckay, "gcd", fail)
+    code, text = invoke(["mckay", "--group", label])
+    assert code == 2
+    assert json.loads(text) == {"error": f"conductor {conductor} exceeds cap {cap or 120} "
+                                         "(set CREPANT_MAX_CONDUCTOR to raise it)"}
+
+
 def test_mckay_group_label_spellings():
     # the series letter in either case, then ASCII digits (a leading 0 too)
     reference = invoke(["mckay", "--group", "A3"])

@@ -9,8 +9,14 @@ from crepant.geometry import (
     TautClasses,
     default_geometry,
 )
-from crepant.orbifold import ConventionFlags, OrbifoldRing, age, obstruction_class
-from reference import pairing, surface_table
+from crepant.orbifold import (
+    TWIST_SELF_CHOICES,
+    ConventionFlags,
+    OrbifoldRing,
+    age,
+    obstruction_class,
+)
+from reference import orbifold_ee_by_coords, pairing, surface_table
 
 
 def test_age():
@@ -116,3 +122,24 @@ def test_flag_variants_change_product():
     flipped = OrbifoldRing(geom, ConventionFlags("1")).mul(e1, e1)
     assert flipped.coords[3].coeffs == (Fraction(0), Fraction(1))
     assert default.coords[3].coeffs == (Fraction(0), Fraction(-1, 3))
+
+
+@pytest.mark.parametrize("twist_self", TWIST_SELF_CHOICES)
+@pytest.mark.parametrize("dim", [None, 1, 2, 3], ids=["point", "P1", "P2", "P3"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flat_ee_matches_the_graded_class_route(n, dim, twist_self):
+    # the one coefficient written into the flat row against the H*(S) route,
+    # value and type, at integral and non-integral classes
+    base = BaseRing("point") if dim is None else BaseRing("projective_space", dim)
+    geoms = [default_geometry(n, base)]
+    if n > 1:
+        l, k = Fraction(2, 3), Fraction(1, 2)
+        geoms.append(Geometry(n, base, TautClasses(n, l, (n + 1) * k - l, k)))
+    for geom in geoms:
+        ring = OrbifoldRing(geom, ConventionFlags(twist_self))
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                got, want = ring.ee_product(i, j), orbifold_ee_by_coords(ring, i, j)
+                assert got == want
+                assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+                assert ring.to_json(got) == ring.to_json(want)

@@ -12,13 +12,20 @@ from crepant.quantum import (
     QSeries,
     QuantumRing,
     all_spans,
-    evaluate,
     structure_constants,
 )
 from crepant.geometry import SectorClass
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum, dot, scalar_to_json
-from reference import AtomRing, contracted_correction, intersection, r_poly, unit_delta_rings
+from reference import (
+    AtomRing,
+    contracted_correction,
+    evaluate,
+    intersection,
+    quantum_ee_by_coords,
+    r_poly,
+    unit_delta_rings,
+)
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
 
@@ -48,7 +55,7 @@ def test_classical_ring_evaluates_no_series(monkeypatch):
     def fail(*args):
         raise RuntimeError("a series was evaluated")
 
-    monkeypatch.setattr(quantum, "evaluate", fail)
+    monkeypatch.setattr(quantum, "dot", fail)
     geom = default_geometry(7)
     ResolutionRing(geom).products()
     # the patch is live: a corrected ring does evaluate its series
@@ -278,3 +285,62 @@ def test_deltas_invert_nothing_before_a_pole(monkeypatch):
         for v in free[r - 1:s]:
             product = product * v
         assert deltas[(r, s)] == product / (1 - product)
+
+
+def _assert_same_scalars(got, want):
+    """Equal classes whose every coefficient has the same value, Python type,
+    conductor and JSON."""
+    assert len(got.coeffs) == len(want.coeffs)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert a == b and type(a) is type(b)
+        assert getattr(a, "conductor", None) == getattr(b, "conductor", None)
+        assert scalar_to_json(a) == scalar_to_json(b)
+
+
+BASES = [BaseRing("point"), BaseRing("projective_space", 1), BaseRing("projective_space", 2),
+         BaseRing("projective_space", 3)]
+BASE_IDS = ["point", "P1", "P2", "P3"]
+
+
+def _points(n):
+    """Pole-free points of length n: q = 0 as rationals and as cyclotomic
+    zeros, rational, cyclotomic, and mixed conductors with lcm up to 120,
+    one of them with some q = 0."""
+    z = CycNum.zeta
+    candidates = [
+        [Fraction(0)] * n,
+        [z(3) * 0] * n,
+        [Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(-4), Fraction(3), Fraction(7, 5)],
+        [z(5), z(5, 2), z(5, 4), z(5), z(5, 3), z(5, 2)],
+        [z(5), z(8), z(3), z(12, 5), Fraction(1, 2), z(4)],
+        [z(3), Fraction(0), z(8, 3), Fraction(-2), z(5, 4), z(12)],
+    ]
+    points = [QPoint(values[:n]) for values in candidates]
+    return [q for q in points if not q.poles()]
+
+
+def _geometries(n, base):
+    """The default classes, k = 0, and non-integral ones."""
+    if n == 1:
+        tauts = [TautClasses(1, None, None, Fraction(1)), TautClasses(1, None, None, Fraction(0)),
+                 TautClasses(1, None, None, Fraction(-5, 3))]
+    else:
+        tauts = [TautClasses(n, Fraction(1), Fraction(n), Fraction(1)),
+                 TautClasses(n, Fraction(2), Fraction(-2), Fraction(0)),
+                 TautClasses(n, Fraction(1, 3), (n + 1) * Fraction(3, 4) - Fraction(1, 3),
+                             Fraction(3, 4))]
+    return [Geometry(n, base, taut) for taut in tauts]
+
+
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flat_ee_matches_the_graded_class_route(n, base):
+    # the fused dot per slot against em().scale(cm) + kap().scale(evaluate(...)):
+    # every coefficient's value, type, conductor and JSON, at k = 0 and q = 0 too
+    points = _points(n)
+    assert len(points) >= 4
+    for geom in _geometries(n, base):
+        for q in points:
+            ring = QuantumRing(geom, q)
+            for i, j in all_spans(n):
+                _assert_same_scalars(ring.ee_product(i, j), quantum_ee_by_coords(geom, q, i, j))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crepant import verify
 from crepant.cartan import curve_class
 from crepant.geometry import (
     BaseRing,
@@ -18,7 +19,7 @@ from crepant.geometry import (
 )
 from crepant.gw import gw_invariant
 from crepant.orbifold import TWIST_SELF_CHOICES, ConventionFlags, OrbifoldRing
-from crepant.quantum import QPoint, QuantumRing, evaluate, structure_constants
+from crepant.quantum import QPoint, QuantumRing, structure_constants
 from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum, scalar_is_zero, scalar_to_json
 from crepant.verify import (
@@ -43,7 +44,11 @@ from reference import (
     associativity_by_mul,
     check_all_pairs,
     det_by_cofactors,
+    ell,
+    em,
+    evaluate,
     fourier_map,
+    gram_all_pairs,
     key,
     mul_by_generators,
     pairing,
@@ -473,6 +478,17 @@ class CyclotomicPairingRing(OrbifoldRing):
         return super()._compute_ee(i, j).scale(CycNum.zeta(5) + CycNum.zeta(3))
 
 
+class PureSectorRing(OrbifoldRing):
+    """The orbifold ring with 1 + h + ... + h^dim added to every sector
+    product: a Gram entry of h^p g, h^q g' with p + q > dim read off the
+    generator product at sigma h^(dim-p-q) would land on it."""
+
+    def _compute_ee(self, i, j):
+        base = self.geom.base
+        pure = GradedClass(base, (Fraction(1),) * base.rank)
+        return super()._compute_ee(i, j) + SectorClass.generator(self.geom, 0, pure)
+
+
 def _table_rings(geom, base):
     """The orbifold ring under every twist_self flag, the classical ring and
     the quantum ring at a rational and at a mixed-conductor point.  Over P^2
@@ -522,6 +538,32 @@ def test_gram_det_json_keeps_its_conductor():
         assert out["nondegenerate"] and isinstance(out["gram_det"], dict)
     ring = QuantumRing(default_geometry(3), QPoint(MIXED_Q[:3]))
     assert check_pairing_nondegenerate(ring) == pairing_by_gram(ring)
+
+
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_is_read_off_the_generator_pairs(monkeypatch, base, n):
+    # the Gram matrix read off the generator rows against every ordered
+    # basis pair's sigma h^dim coefficient, entry by entry with its type and
+    # conductor; a fresh ring builds only the (n+2)(n+3)/2 generator rows
+    geom = default_geometry(n, BASES[base])
+    rings = [lambda: OrbifoldRing(geom, ConventionFlags("1")), lambda: OrbifoldRing(geom),
+             lambda: ResolutionRing(geom), lambda: QuantumRing(geom, QPoint(MIXED_Q[:n])),
+             lambda: CyclotomicPairingRing(geom), lambda: PureSectorRing(geom)]
+    grams = []
+    reduce_rows = verify._row_reduce
+    monkeypatch.setattr(verify, "_row_reduce",
+                        lambda rows, width: grams.append(rows) or reduce_rows(rows, width))
+    for make in rings:
+        ring = make()
+        check_pairing_nondegenerate(ring)
+        assert len(ring._rows) == (n + 2) * (n + 3) // 2
+        got, want = grams.pop(), gram_all_pairs(make())
+        assert len(got) == len(want) == ring.size
+        for row, expected in zip(got, want):
+            assert row == expected
+            assert [(type(v), getattr(v, "conductor", None)) for v in row] == [
+                (type(v), getattr(v, "conductor", None)) for v in expected]
 
 
 @pytest.mark.parametrize("base", list(BASES))
@@ -697,8 +739,8 @@ def test_derived_table_two_parameter(q):
         product = quantum.ee_product(i, j)
         for l in (1, 2):
             m_part, l_part = entry[f"E{l}"]
-            assert product.coords[l + 1] == (geom.em().scale(evaluate(m_part, deltas))
-                                              + geom.ell().scale(evaluate(l_part, deltas)))
+            assert product.coords[l + 1] == (em(geom).scale(evaluate(m_part, deltas))
+                                              + ell(geom).scale(evaluate(l_part, deltas)))
         for p in (1, 2):
             correction = (pairing(quantum, product, e[p - 1])
                           - pairing(classical, classical.ee_product(i, j), e[p - 1]))
