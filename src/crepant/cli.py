@@ -42,11 +42,6 @@ OUTPUTS = ("json", "text")
 MAX_CARTAN_N = 100
 
 
-class CliError(Exception):
-    """Validation failure: maps to exit code 2, as does a ValueError from
-    the library (a malformed token, span or group name)."""
-
-
 def parse_q_spec(text: str, n: int) -> QPoint:
     """Comma-separated exact tokens: zetaN, zetaN^k, integer, or p/q.
     Decimal literals and space are rejected (exactness contract)."""
@@ -54,11 +49,11 @@ def parse_q_spec(text: str, n: int) -> QPoint:
     if len(tokens) == 1 and n > 1:
         tokens = tokens * n
     if len(tokens) != n:
-        raise CliError(f"expected {n} q components, got {len(tokens)}")
+        raise ValueError(f"expected {n} q components, got {len(tokens)}")
     values = []
     for tok in tokens:
         if "." in tok:
-            raise CliError(f"decimal literal {tok!r} not accepted; use exact tokens")
+            raise ValueError(f"decimal literal {tok!r} not accepted; use exact tokens")
         values.append(parse_scalar(tok))
     return QPoint(values)
 
@@ -68,7 +63,7 @@ def load_config(path: str):
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     try:
         geom = Geometry.from_json(data)
         raw = _json_object(data.get("flags", {}), "flags")
@@ -76,11 +71,11 @@ def load_config(path: str):
             raise ValueError(f"flags.{key}: unknown flag")
         flags = ConventionFlags(**raw)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"invalid config: {exc}") from None
+        raise ValueError(f"invalid config: {exc}") from None
     if not 1 <= geom.n <= MAX_CARTAN_N:
-        raise CliError(f"invalid config: need 1 <= n <= {MAX_CARTAN_N}")
+        raise ValueError(f"invalid config: need 1 <= n <= {MAX_CARTAN_N}")
     if not 0 <= geom.base.dim <= MAX_CARTAN_N:
-        raise CliError(f"invalid config: need 0 <= dim <= {MAX_CARTAN_N}")
+        raise ValueError(f"invalid config: need 0 <= dim <= {MAX_CARTAN_N}")
     return geom, flags
 
 
@@ -201,9 +196,9 @@ def cmd_gw(args, geom, flags) -> dict:
     try:
         i, j = (parse_int(t) for t in args.span.split(","))
     except ValueError:
-        raise CliError("span must be two comma-separated integers") from None
+        raise ValueError("span must be two comma-separated integers") from None
     if args.multiple < 1:
-        raise CliError("multiple must be >= 1")
+        raise ValueError("multiple must be >= 1")
     base = curve_class(geom.n, i, j)
     beta = CurveClass(geom.n, tuple(args.multiple * m for m in base.mult))
     insertions = []
@@ -211,14 +206,14 @@ def cmd_gw(args, geom, flags) -> dict:
         if tok.upper().startswith("E") and tok[1:].isascii() and tok[1:].isdigit():
             l = int(tok[1:])
             if not 1 <= l <= geom.n:
-                raise CliError(f"divisor index out of range: {l}")
+                raise ValueError(f"divisor index out of range: {l}")
             insertions.append(SectorClass.sector(geom, l))
         elif tok == "sigma":
             insertions.append(SectorClass.generator(geom, 1))
         else:
-            raise CliError(f"unknown insertion {tok!r}")
+            raise ValueError(f"unknown insertion {tok!r}")
     if len(insertions) != 3:
-        raise CliError("exactly three insertions required")
+        raise ValueError("exactly three insertions required")
     value = gw_invariant(geom, beta, insertions)
     return {"curve_class": {"span": [i, j], "multiple": args.multiple},
             "insertions": args.insert.split(","),
@@ -238,7 +233,7 @@ def cmd_qc_table(args, geom, flags) -> dict:
          option("--scalar", required=True))
 def cmd_verify_a1(args, geom, flags) -> dict:
     if geom.n != 1:
-        raise CliError(f"{args.command} needs an n = 1 geometry")
+        raise ValueError(f"{args.command} needs an n = 1 geometry")
     q = parse_q_spec(args.q, 1)
     c = parse_scalar(args.scalar)
     report = HomChecker(geom, flags).check(((c,),), QuantumRing(geom, q))
@@ -249,13 +244,13 @@ def cmd_verify_a1(args, geom, flags) -> dict:
          option("--max-order", type=parse_int, default=12))
 def cmd_solve_a2(args, geom, flags) -> dict:
     if geom.n != 2:
-        raise CliError(f"{args.command} needs an n = 2 geometry")
+        raise ValueError(f"{args.command} needs an n = 2 geometry")
     # a root of order d meets the Q(zeta_3) candidates in conductor
     # lcm(3, d) <= 3 max_order
     cap = conductor_cap()
     if args.max_order < 1 or 3 * args.max_order > cap:
-        raise CliError(f"max-order must be between 1 and {cap // 3} "
-                       f"(3 * max-order may not exceed the conductor cap {cap})")
+        raise ValueError(f"max-order must be between 1 and {cap // 3} "
+                         f"(3 * max-order may not exceed the conductor cap {cap})")
     result = solve_a2_symmetric(geom, max_order=args.max_order, flags=flags)
     return {"max_order": args.max_order, "result": result.to_json()}
 
@@ -270,7 +265,7 @@ def cmd_check_assoc(args, geom, flags) -> dict:
         ring = ResolutionRing(geom)
     else:
         if not args.q:
-            raise CliError("--ring quantum needs --q")
+            raise ValueError("--ring quantum needs --q")
         ring = QuantumRing(geom, parse_q_spec(args.q, geom.n))
     return {"ring": args.ring, "report": check_associativity(ring).to_json()}
 
@@ -306,9 +301,9 @@ def cmd_mckay(args) -> dict:
          option("--n", type=parse_int, required=True), config=False)
 def cmd_cartan(args) -> dict:
     if args.n < 1:
-        raise CliError("need n >= 1")
+        raise ValueError("need n >= 1")
     if args.n > MAX_CARTAN_N:
-        raise CliError(f"need n <= {MAX_CARTAN_N}")
+        raise ValueError(f"need n <= {MAX_CARTAN_N}")
     return {"n": args.n,
             "matrix": [[str(v) for v in row] for row in cartan_matrix(args.n)],
             "inverse": [[format_rational(v) for v in row]
@@ -320,11 +315,11 @@ def cmd_cartan(args) -> dict:
          option("--exponents", required=True, help="comma-separated integers"), config=False)
 def cmd_age(args) -> dict:
     if args.order < 1:
-        raise CliError("order must be >= 1")
+        raise ValueError("order must be >= 1")
     try:
         exps = [parse_int(t) for t in args.exponents.split(",")]
     except ValueError:
-        raise CliError("exponents must be comma-separated integers") from None
+        raise ValueError("exponents must be comma-separated integers") from None
     return {"order": args.order, "exponents": exps,
             "age": format_rational(age(args.order, exps))}
 
@@ -349,6 +344,10 @@ def run(argv, stdout=None) -> int:
     cmd = COMMAND_TABLE[args.command]
     report = {"command": args.command}
     try:
+        # argparse 3.10 and 3.11 read the value of `--n=--` as an empty list
+        for dest, value in vars(args).items():
+            if value == []:
+                raise ValueError(f"--{dest.replace('_', '-')}: '--' is not a value")
         conductor_cap()
         context = ()
         if cmd.config:
@@ -357,9 +356,6 @@ def run(argv, stdout=None) -> int:
             report["conventions"] = conventions_block(geom, flags)
             context = (geom, flags)
         report.update(cmd.handler(args, *context))
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}), file=stdout)
-        return 2
     except PoleError as exc:
         print(json.dumps({"error": "pole", "span": list(exc.span),
                           "detail": str(exc)}), file=stdout)

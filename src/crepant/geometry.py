@@ -316,10 +316,12 @@ class SectorRing:
 
     The orbifold ring and the classical and quantum resolution rings share
     this shape and differ only in the product of two sector generators.  A
-    subclass supplies that product as `_compute_ee(i, j)` for i <= j, and
+    subclass supplies g_i g_j, for i <= j, as `_compute_ee(i, j)`: the
+    sparse row {m: c} of its nonzero coefficients over `basis()`.  It also
     sets `letter`, the sector label in the basis, and `json_keys`, the JSON
     names of the (1, sigma) part and of the sector list.  That fixes the
-    basis products `product(i, j)`, and `mul` is read off them."""
+    basis products `product(i, j)`, the one store of products, and `mul`
+    and `ee_product` are read off them."""
 
     letter: str
     json_keys: tuple
@@ -327,18 +329,14 @@ class SectorRing:
     def __init__(self, geom: Geometry):
         self.geom = geom
         self.size = (geom.n + 2) * geom.base.rank  # the number of basis elements b_m
-        self._ee = {}
-        self._ee_parts = {}
         self._rows = {}
 
     def ee_product(self, i: int, j: int) -> SectorClass:
-        """The product of the i-th and j-th sector generators; cached."""
-        key = (min(i, j), max(i, j))
-        if key not in self._ee:
-            self._ee[key] = self._compute_ee(*key)
-        return self._ee[key]
+        """The product of the i-th and j-th sector generators."""
+        rank = self.geom.base.rank
+        return self._element(self.product((i + 1) * rank, (j + 1) * rank))
 
-    def _compute_ee(self, i: int, j: int) -> SectorClass:
+    def _compute_ee(self, i: int, j: int) -> dict:
         raise NotImplementedError
 
     def product(self, i: int, j: int) -> dict:
@@ -350,21 +348,27 @@ class SectorRing:
 
     def _basis_product(self, i: int, j: int) -> dict:
         """b_i b_j = h^(p+q) g g' for b_i = h^p g, b_j = h^q g', i <= j, 0 past h^dim:
-        1 is the identity, sigma g' = 0 for g' != 1 (i^* sigma = 0), g_a g_b = `ee_product`."""
-        rank = self.geom.base.rank
+        1 is the identity, sigma g' = 0 for g' != 1 (i^* sigma = 0), and g_a g_b
+        is the row `_compute_ee(a, b)`.  An h-multiple (p + q > 0) of g_a g_b is
+        read off the stored row `product(g rank, g' rank)`, one H*(S)
+        coordinate at a time."""
+        base = self.geom.base
+        rank = base.rank
         (g, p), (g2, q) = divmod(i, rank), divmod(j, rank)
         if g == 1 or p + q >= rank:
             return {}
         if g == 0:
             return {g2 * rank + p + q: ONE}
-        key = (g - 1, g2 - 1)
-        if key not in self._ee_parts:
-            # the nonzero H*(S) coordinates of g_a g_b, read once per generator pair
-            self._ee_parts[key] = [(k, alpha) for k, alpha in enumerate(self.ee_product(*key).coords)
-                                   if not alpha.is_zero()]
-        h = self.geom.base.h_power(p + q)
-        return {k * rank + t: c for k, alpha in self._ee_parts[key]
-                for t, c in enumerate((alpha * h).coeffs) if not scalar_is_zero(c)}
+        if p + q == 0:
+            return self._compute_ee(g - 1, g2 - 1)
+        coords = {}
+        for m, c in self.product(g * rank, g2 * rank).items():
+            coords.setdefault(m - m % rank, [ZERO] * rank)[m % rank] = c
+        # an index shift by p + q in effect; ROADMAP G1 writes it as one
+        h = base.h_power(p + q)
+        return {k + t: c for k, alpha in coords.items()
+                for t, c in enumerate((GradedClass(base, tuple(alpha)) * h).coeffs)
+                if not scalar_is_zero(c)}
 
     def _element(self, row: dict) -> SectorClass:
         """The class with the sparse coefficients `row` {m: c}."""

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Geometry, SectorClass, SectorRing
-from .scalars import ZERO
+from .geometry import Geometry, SectorRing
 
 TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 
@@ -77,19 +76,16 @@ class OrbifoldRing(SectorRing):
         self.flags = flags or ConventionFlags()
         self.t = self.flags.twist_self_value(geom.n)
 
-    def _compute_ee(self, i: int, j: int) -> SectorClass:
+    def _compute_ee(self, i: int, j: int) -> dict:
         """Inverse twists land in the pushforward with the 1/(n+1) gerbe
         factor; otherwise the obstruction class, scaled by t, sits in the
-        sector i + j mod n+1.  Written as its flat row: 1/(n+1) at sigma
-        (index rank), or t l or t m at h^1 of that sector (index
-        ((i + j) mod (n+1) + 1) rank + 1), zero over a point."""
-        geom, rank = self.geom, self.geom.base.rank
-        n = geom.n
-        coeffs = [ZERO] * self.size
+        sector i + j mod n+1.  As a sparse row: 1/(n+1) at sigma (index
+        rank), or t l or t m at h^1 of that sector (index
+        ((i + j) mod (n+1) + 1) rank + 1), nothing over a point or where
+        that class is 0."""
+        rank, n = self.geom.base.rank, self.geom.n
         obstruction = obstruction_class(n, i, j)
         if obstruction is None:
-            coeffs[rank] = Fraction(1, n + 1)
-        elif rank > 1:
-            alpha = geom.taut.l if obstruction == "ell" else geom.taut.m
-            coeffs[((i + j) % (n + 1) + 1) * rank + 1] = self.t * alpha
-        return SectorClass(geom, tuple(coeffs))
+            return {rank: Fraction(1, n + 1)}
+        alpha = self.geom.taut.l if obstruction == "ell" else self.geom.taut.m
+        return {((i + j) % (n + 1) + 1) * rank + 1: self.t * alpha} if rank > 1 and alpha else {}

@@ -22,8 +22,8 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
-from .geometry import Geometry, SectorClass, SectorRing
-from .scalars import ZERO, CycNum, dot, format_rational, scalar_is_zero
+from .geometry import Geometry, SectorRing
+from .scalars import ZERO, dot, format_rational, scalar_is_zero
 
 
 class PoleError(ArithmeticError):
@@ -191,27 +191,24 @@ class QuantumRing(SectorRing):
         self._corrected = (not geom.symplectic()
                            and not all(scalar_is_zero(d) for d in self._deltas.values()))
 
-    def _compute_ee(self, i: int, j: int) -> SectorClass:
-        """E_i E_j as its flat row: c_ij at sigma (index rank) and, per E_l,
+    def _compute_ee(self, i: int, j: int) -> dict:
+        """E_i E_j as a sparse row: c_ij at sigma (index rank) and, per E_l,
         cm m + k (const + sum_beta c_beta delta_beta) at h^1 E_l (index
         (l + 1) rank + 1), one `dot` of (1, k c_beta...) with
         (cm m + k const, delta_beta...), or that rational when no series is
-        evaluated.  A CycNum value puts CycNum zeros at its conductor at the
-        other powers of h of its slot: a sum with the class keeps the lcm
-        conductor of its terms, zero ones too."""
-        geom, rank = self.geom, self.geom.base.rank
-        taut = geom.taut
-        sigma, slots = structure_constants(geom.n)[(i, j)]
-        coeffs = [ZERO] * self.size
-        coeffs[rank] = sigma
+        evaluated.  Zero coefficients are left out, and over a point every
+        E_l coefficient is."""
+        rank, taut = self.geom.base.rank, self.geom.taut
+        sigma, slots = structure_constants(self.geom.n)[(i, j)]
+        row = {rank: sigma} if sigma else {}
+        if rank == 1:
+            return row
         for g, (cm, series) in enumerate(slots, start=2):
             # m is undefined for n = 1, where cm is always 0
             value = (cm * taut.m if cm else ZERO) + taut.k * series.const
             if self._corrected and series.atoms:
                 value = dot((1, *(taut.k * c for _, c in series.atoms)),
                             (value, *(self._deltas[span] for span, _ in series.atoms)))
-            if isinstance(value, CycNum):
-                coeffs[g * rank:(g + 1) * rank] = [value * ZERO] * rank
-            if rank > 1:
-                coeffs[g * rank + 1] = value
-        return SectorClass(geom, tuple(coeffs))
+            if not scalar_is_zero(value):
+                row[g * rank + 1] = value
+        return row

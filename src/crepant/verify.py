@@ -249,14 +249,16 @@ class HomChecker:
         residual apply(M, b_i b_j) - x y is L - R_0 - sum_beta delta_beta
         R_beta: L from the shared orbifold products, R_0 the classical x y,
         and R_beta the root-sum term k (x.beta)(y.beta) sum_{l in beta} E_l,
-        x.beta = sum_i x_i (E_i.beta) in H*(S).  All three are
-        H*(S)-bilinear, so the rows of b_i = h^p g, b_j = h^q g' are those
-        of the generator pair g, g' moved up by h^(p+q): only generator
-        pairs give rows.  R_0 is the only ring product, and the E_l rows of
-        a beta column are one base product per pair and span, formed only
-        where k (x.beta) and y.beta are both nonzero: never for a pullback
-        image, and never at k = 0.  Each nonzero component gives one row of
-        the system, which is row-reduced exactly."""
+        x.beta = sum_i x_i (E_i.beta).  All three are H*(S)-bilinear, so
+        the rows of b_i = h^p g, b_j = h^q g' are those of the generator
+        pair g, g' moved up by h^(p+q): only generator pairs give rows.
+        The image of a generator lies in h^0, so x.beta is one scalar and
+        a beta column is the one scalar k (x.beta)(y.beta) at the h^1 E_l
+        rows, l in beta, and nothing over a point.  R_0 is the only ring
+        product, and that scalar is formed only where k (x.beta) and
+        y.beta are both nonzero: never for a pullback image, and never at
+        k = 0.  Each nonzero component gives one row of the system, which
+        is row-reduced exactly."""
         n = self.geom.n
         spans = all_spans(n)
         if len(matrix) != n:
@@ -266,22 +268,27 @@ class HomChecker:
             return AffineSystem(det, spans)
         classical = ResolutionRing(self.geom)
         images = self._images(matrix)
-        # dots[i][s] = images[i].beta_s, and kdots the same times k
-        dots = {i: [reduce(add, (x.coords[a + 1].scale(w) for a, w in span_weights(n)[span].items()))
-                    for span in spans] for i, x in images.items()}
-        kap = self.geom.kap()
-        kdots = {i: [kap * d for d in row] for i, row in dots.items()}
+        rank = self.geom.base.rank
+        # a generator's image lies in h^0, so dots[i][s] = images[i].beta_s is
+        # one scalar, and the root term k (x.beta)(y.beta) lies in h^1
+        dots = {i: [reduce(add, (w * x.coeffs[(a + 1) * rank]
+                                 for a, w in span_weights(n)[span].items())) for span in spans]
+                for i, x in images.items()}
+        # k (x.beta), formed where it is nonzero: never over a point, where k h = 0
+        k = self.geom.taut.k if rank > 1 else ZERO
+        kdots = {i: [k * d if k and not scalar_is_zero(d) else ZERO for d in row]
+                 for i, row in dots.items()}
         names = _component_names(self.geom, ResolutionRing.letter)
         labels, rows = [], []
         for (i, j), xy in self.products.items():
             rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
             # None: a zero root product, not formed
-            roots = [None if kx.is_zero() or y.is_zero() else kx * y
+            roots = [None if scalar_is_zero(kx) or scalar_is_zero(y) else kx * y
                      for kx, y in zip(kdots[i], dots[j])]
             for m, val in enumerate(rhs.coeffs):
                 # coefficient m is that of h^p g, of the generator g = l + 1, E_l
-                g, p = divmod(m, self.geom.base.rank)
-                row = [root.coeffs[p] if root is not None and r <= g - 1 <= s else ZERO
+                g, p = divmod(m, rank)
+                row = [root if root is not None and p == 1 and r <= g - 1 <= s else ZERO
                        for (r, s), root in zip(spans, roots)] + [val]
                 if not all(scalar_is_zero(v) for v in row):
                     labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", names[m]))
@@ -495,24 +502,20 @@ def reconcile_6_2(printed=None, q1_equals_q2: bool = True) -> dict:
     printed = PRINTED_A2_TABLE if printed is None else printed
     specialize = _merge_d2 if q1_equals_q2 else (lambda series: series)
     derived = derived_a2_table()
-
-    def residuals(key, l, name):
-        got = _transform(derived[key][f"E{l}"], name)
-        return tuple(specialize(want) - specialize(have)
-                     for want, have in zip(printed[key][f"E{l}"], got))
-
+    keys = ((1, 1), (1, 2), (2, 2))
     report = {"transformations": {}, "slots": []}
-    all_match = []
     for name in TRANSFORMATIONS:
         mismatches = []
-        for key in ((1, 1), (1, 2), (2, 2)):
+        for key in keys:
             prod_label = f"E{key[0]}*E{key[1]}"
             # sigma slots are normalization-independent
             if printed[key]["sigma"] != derived[key]["sigma"]:
                 mismatches.append({"slot": f"{prod_label}.sigma",
                                    "residual": {"const": str(printed[key]["sigma"] - derived[key]["sigma"])}})
             for l in (1, 2):
-                res_m, res_l = residuals(key, l, name)
+                got = _transform(derived[key][f"E{l}"], name)
+                res_m, res_l = (specialize(want) - specialize(have)
+                                for want, have in zip(printed[key][f"E{l}"], got))
                 if not (res_m.is_zero() and res_l.is_zero()):
                     mismatches.append({"slot": f"{prod_label}.E{l}",
                                        "residual_M": res_m.to_json(),
@@ -521,18 +524,18 @@ def reconcile_6_2(printed=None, q1_equals_q2: bool = True) -> dict:
             "matches_all": not mismatches,
             "mismatches": mismatches,
         }
-        if not mismatches:
-            all_match.append(name)
-    report["matching"] = all_match
+    report["matching"] = [name for name in TRANSFORMATIONS
+                          if report["transformations"][name]["matches_all"]]
     best = min(TRANSFORMATIONS,
                key=lambda t: len(report["transformations"][t]["mismatches"]))
-    report["best"] = {"transformation": best,
-                      "mismatch_count": len(report["transformations"][best]["mismatches"])}
-    # slot-by-slot summary under the best transformation
-    for key in ((1, 1), (1, 2), (2, 2)):
-        entry = {"product": f"E{key[0]}*E{key[1]}",
-                 "sigma_matches": printed[key]["sigma"] == derived[key]["sigma"]}
+    best_mismatches = report["transformations"][best]["mismatches"]
+    report["best"] = {"transformation": best, "mismatch_count": len(best_mismatches)}
+    # slot-by-slot summary under the best transformation, read off its mismatches
+    failed = {m["slot"] for m in best_mismatches}
+    for key in keys:
+        prod_label = f"E{key[0]}*E{key[1]}"
+        entry = {"product": prod_label, "sigma_matches": f"{prod_label}.sigma" not in failed}
         for l in (1, 2):
-            entry[f"E{l}_matches"] = all(r.is_zero() for r in residuals(key, l, best))
+            entry[f"E{l}_matches"] = f"{prod_label}.E{l}" not in failed
         report["slots"].append(entry)
     return report

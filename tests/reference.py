@@ -372,6 +372,12 @@ def contracted_alpha(n: int, i: int, j: int):
     return out
 
 
+def as_row(x):
+    """The sparse row {m: c} of the nonzero coefficients of the class x: the
+    form in which `SectorRing._compute_ee` returns a generator product."""
+    return {m: c for m, c in enumerate(x.coeffs) if not scalar_is_zero(c)}
+
+
 class ContractedAlphaRing(SectorRing):
     """The classical resolution ring built independently of
     `quantum.structure_constants`: E_i E_j is (c_n)_ij sigma plus, per
@@ -387,7 +393,7 @@ class ContractedAlphaRing(SectorRing):
         # m is undefined for n = 1, where every cm is 0
         exc = tuple((em(geom).scale(cm) if cm else geom.base.zero()) + geom.kap().scale(ck)
                     for cm, ck in contracted_alpha(n, i, j))
-        return SectorClass.from_coords(geom, (geom.base.zero(), sigma, *exc))
+        return as_row(SectorClass.from_coords(geom, (geom.base.zero(), sigma, *exc)))
 
 
 def intersection(n: int, l: int, beta) -> int:
@@ -532,8 +538,8 @@ class A2TableRing(SectorRing):
             ell(geom).scale(evaluate(m_part, self.deltas) * Fraction(1, 3))
             + em(geom).scale(evaluate(l_part, self.deltas) * Fraction(1, 3))
             for m_part, l_part in (entry["E1"], entry["E2"]))
-        return SectorClass.from_coords(geom, (geom.base.zero(),
-                                              geom.base.one().scale(entry["sigma"]), *sectors))
+        return as_row(SectorClass.from_coords(
+            geom, (geom.base.zero(), geom.base.one().scale(entry["sigma"]), *sectors)))
 
 
 def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
@@ -638,8 +644,8 @@ class AtomRing(SectorRing):
         exc = tuple((em(geom).scale(cm) if cm else geom.base.zero())
                     + geom.kap().scale(evaluate(series, self.deltas))
                     for cm, series in slots)
-        return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma),
-                                              *exc))
+        return as_row(SectorClass.from_coords(
+            geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc)))
 
 
 def unit_delta_rings(geom):

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crepant import cli, mckay
 from crepant.cli import run
@@ -599,3 +601,77 @@ def test_closed_stdout_exits_0_without_a_traceback():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+def _near_tokens(alphabet, max_size):
+    """Arbitrary text, or text over `alphabet`, which reaches the option's
+    parser past its first character more often."""
+    return st.text(max_size=10) | st.text(alphabet=alphabet, max_size=max_size)
+
+
+# each free-text option of the CLI, with the argv and config around it and
+# strings that often come close to its grammar; labels have one digit at
+# most, because a valid large McKay label is slow, not wrong
+FUZZED_OPTIONS = {
+    "--q": (["qc-table"], A2, _near_tokens("0123456789-+/*^,.zetai ", 14)),
+    "--scalar": (["verify-a1", "--q=-1"], A1, _near_tokens("0123456789-+/*^,.zetai ", 14)),
+    "--group": (["mckay"], None, _near_tokens("ADEFade-+ ", 2)
+                | st.from_regex(r"\A[ADEade][0-9]\Z")),
+    "--span": (["gw", "--insert", "E1,E1,E2"], A2, _near_tokens("0123456789,- ", 6)),
+    "--insert": (["gw", "--span", "1,2"], A2, _near_tokens("Ee0123sigma, ", 12)),
+    "--exponents": (["age", "--order", "3"], None, _near_tokens("0123456789,-+_ ", 12)),
+    "--max-order": (["solve-a2"], A2, _near_tokens("0123456789-+_ ", 3)),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _assert_run_contract(argv):
+    """Exit 0, 2 or 3 with one JSON document on stdout, {"error": ...} on
+    exit 2; or argparse's usage error, on stderr, for a value its `type`
+    rejects."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if not text:
+        assert code == 2 and "usage:" in err.getvalue(), argv
+        return
+    report = json.loads(text)
+    if code == 2:
+        assert list(report) == ["error"], (argv, report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_keeps_its_contract_on_arbitrary_input(tmp_path_factory, data):
+    # arbitrary strings for every free-text option, and arbitrary JSON
+    # values for the config field classes.l: no exception escapes `run`
+    option = data.draw(st.sampled_from([*FUZZED_OPTIONS, "classes.l"]))
+    if option == "classes.l":
+        config = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
+        config.write_text(json.dumps({"n": 2, "base": {"model": "projective_space", "dim": 1},
+                                      "classes": {"l": data.draw(JSON_VALUES), "m": "2",
+                                                  "k": "1"}}))
+        _assert_run_contract(["orb-table", "--config", str(config)])
+        return
+    argv, config, values = FUZZED_OPTIONS[option]
+    _assert_run_contract([*argv, f"{option}={data.draw(values)}"]
+                         + (["--config", config] if config else []))
+
+
+@pytest.mark.parametrize("argv", [
+    ["mckay", "--group=--"],
+    ["cartan", "--n=--"],
+    ["orb-table", "--config=--"],
+    ["check-assoc", "--config", A2, "--ring=--"],
+    ["--output=--", "cartan", "--n", "2"],
+], ids=["group", "n", "config", "ring", "output"])
+def test_double_dash_as_a_value_exits_2(argv):
+    # argparse reads `--n=--` as an empty list, which no handler can take
+    code, text = invoke(argv)
+    assert code == 2
+    assert json.loads(text)["error"].endswith("'--' is not a value")

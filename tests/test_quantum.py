@@ -15,8 +15,9 @@ from crepant.quantum import (
     structure_constants,
 )
 from crepant.geometry import SectorClass
+from crepant.orbifold import TWIST_SELF_CHOICES, ConventionFlags, OrbifoldRing
 from crepant.resolution import ResolutionRing
-from crepant.scalars import CycNum, dot, scalar_to_json
+from crepant.scalars import CycNum, dot, scalar_is_zero, scalar_to_json
 from reference import (
     AtomRing,
     contracted_correction,
@@ -288,13 +289,14 @@ def test_deltas_invert_nothing_before_a_pole(monkeypatch):
 
 
 def _assert_same_scalars(got, want):
-    """Equal classes whose every coefficient has the same value, Python type,
-    conductor and JSON."""
+    """Equal classes whose every coefficient has the same value and JSON, and
+    every nonzero one the same Python type and conductor too."""
     assert len(got.coeffs) == len(want.coeffs)
     for a, b in zip(got.coeffs, want.coeffs):
-        assert a == b and type(a) is type(b)
-        assert getattr(a, "conductor", None) == getattr(b, "conductor", None)
-        assert scalar_to_json(a) == scalar_to_json(b)
+        assert a == b and scalar_to_json(a) == scalar_to_json(b)
+        if not scalar_is_zero(b):
+            assert type(a) is type(b)
+            assert getattr(a, "conductor", None) == getattr(b, "conductor", None)
 
 
 BASES = [BaseRing("point"), BaseRing("projective_space", 1), BaseRing("projective_space", 2),
@@ -333,10 +335,33 @@ def _geometries(n, base):
 
 
 @pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_generator_rows_leave_out_zero_entries(n, base):
+    # l = 0, k = 0, q = 0 and a point base give zero coefficients; each
+    # generator product is stored as the row of its nonzero ones, and
+    # ee_product reads that row back
+    geoms = _geometries(n, base)
+    if n > 1:
+        geoms.append(Geometry(n, base, TautClasses(n, Fraction(0), Fraction(n + 1), Fraction(1))))
+    for geom in geoms:
+        rings = ([OrbifoldRing(geom, ConventionFlags(t)) for t in TWIST_SELF_CHOICES]
+                 + [QuantumRing(geom, q) for q in _points(n)])
+        for ring in rings:
+            rank = geom.base.rank
+            for i, j in all_spans(n):
+                row = ring.product((i + 1) * rank, (j + 1) * rank)
+                assert row == ring._compute_ee(i, j)
+                assert not any(scalar_is_zero(c) for c in row.values())
+                assert row == {m: c for m, c in enumerate(ring.ee_product(i, j).coeffs)
+                               if not scalar_is_zero(c)}
+
+
+@pytest.mark.parametrize("base", BASES, ids=BASE_IDS)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_flat_ee_matches_the_graded_class_route(n, base):
     # the fused dot per slot against em().scale(cm) + kap().scale(evaluate(...)):
-    # every coefficient's value, type, conductor and JSON, at k = 0 and q = 0 too
+    # every coefficient's value and JSON, and every nonzero one's type and
+    # conductor, at k = 0 and q = 0 too
     points = _points(n)
     assert len(points) >= 4
     for geom in _geometries(n, base):
