@@ -1,5 +1,11 @@
 """Exact verification toolkit for orbifold and quantum-corrected cohomology
-of transversal A_n singularities, plus McKay correspondence utilities."""
+of transversal A_n singularities, plus McKay correspondence utilities.
+
+The frozen value types are `collections.namedtuple` subclasses that check
+their fields in `__init__`, after the tuple is built (`_replace` skips the
+check).  The package imports no `dataclasses` (which loads `inspect`) and
+no `typing`: they would more than double the import time that every CLI
+process pays."""
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import (

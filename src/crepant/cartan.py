@@ -7,7 +7,7 @@ diagonal -2, off-diagonal 1 for adjacent indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -57,15 +57,13 @@ def cartan_inverse_entry(n: int, i: int, j: int) -> Fraction:
     return cartan_inverse(n)[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(namedtuple("CurveClass", "n mult")):
     """An effective fiber curve class: nonnegative multiplicities of the
     exceptional fiber components beta_1..beta_n."""
 
-    n: int
-    mult: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if len(self.mult) != self.n:
             raise ValueError("multiplicity vector has the wrong length")
         if any(m < 0 for m in self.mult):

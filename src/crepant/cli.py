@@ -4,12 +4,12 @@ deterministic JSON (or aligned text)."""
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import Geometry, SectorClass, _json_object
@@ -106,11 +106,9 @@ def render(report: dict, output: str) -> str:
     return "\n".join(lines)
 
 
-class Command(NamedTuple):
-    help: str
-    options: tuple  # (flags, keyword arguments) of each add_argument call
-    handler: Callable
-    config: bool  # takes --config; the handler then gets (args, geom, flags)
+# options: (flags, keyword arguments) of each add_argument call; config:
+# the command takes --config, and the handler then gets (args, geom, flags)
+Command = collections.namedtuple("Command", "help options handler config")
 
 
 # name -> Command, in declaration order: the subparsers, the known-command

@@ -11,7 +11,7 @@ are flagged model-dependent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 
@@ -52,14 +52,12 @@ def _class_token(value, name: str) -> Fraction:
         raise ValueError(f"classes.{name}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class BaseRing:
+class BaseRing(namedtuple("BaseRing", "model dim", defaults=(POINT, 0))):
     """H*(S) for S a point or P^dim, basis h^0..h^dim."""
 
-    model: str = POINT
-    dim: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.model == POINT:
             if self.dim != 0:
                 raise ValueError("a point has dimension 0")
@@ -97,13 +95,11 @@ class BaseRing:
                    dim=_json_int(data.get("dim", 0), "dim"))
 
 
-@dataclass(frozen=True)
-class GradedClass:
+class GradedClass(namedtuple("GradedClass", "ring coeffs")):
     """An element of H*(S): coefficients of h^0..h^dim, rationals or
     cyclotomic numbers."""
 
-    ring: BaseRing
-    coeffs: tuple
+    __slots__ = ()
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -145,23 +141,23 @@ class GradedClass:
         self._check(other)
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
     __hash__ = None
 
 
-@dataclass(frozen=True)
-class TautClasses:
+class TautClasses(namedtuple("TautClasses", "n l m k")):
     """Degree-2 tautological classes on S, as rational multiples of h.
 
     For n >= 2 the classes l, m, k satisfy l + m = (n+1) k; for n = 1 only
-    k is defined (l and m are not separately visible).
+    k is defined (l and m are not separately visible): l and m are None.
     """
 
-    n: int
-    l: Fraction | None
-    m: Fraction | None
-    k: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.n < 1:
             raise ValueError("need n >= 1")
         if self.n == 1:
@@ -180,16 +176,13 @@ class TautClasses:
                 "k": format_rational(self.k)}
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(namedtuple("Geometry", "n base taut")):
     """A transversal A_n fibration datum: singularity type n, base S, and
     the tautological degree-2 classes."""
 
-    n: int
-    base: BaseRing
-    taut: TautClasses
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.taut.n != self.n:
             raise ValueError("tautological classes built for a different n")
 
@@ -243,17 +236,15 @@ def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
     return Geometry(n=n, base=base, taut=taut)
 
 
-@dataclass(frozen=True)
-class SectorClass:
+class SectorClass(namedtuple("SectorClass", "geom coeffs")):
     """A class of a sector ring, in the free H*(S)-module with basis 1,
     sigma, g_1..g_n.  sigma = i_*(1) has degree 4; the sector generators g_a
     are the twisted sectors e_a of the orbifold or the exceptional divisors
     E_a of the resolution, of degree 2.  Stored flat: `coeffs[m]` is the
     coefficient of the vector-space basis element b_m = h^p g,
-    m = g rank + p, the index of `SectorRing.product`."""
+    m = g rank + p, the index of `SectorRing.product`: (n + 2) rank scalars."""
 
-    geom: Geometry
-    coeffs: tuple  # (n + 2) rank scalars
+    __slots__ = ()
 
     @classmethod
     def from_coords(cls, geom: Geometry, coords) -> "SectorClass":
@@ -293,11 +284,6 @@ class SectorClass:
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, SectorClass):
-            return NotImplemented
-        return self.geom == other.geom and self.coeffs == other.coeffs
 
     __hash__ = None
 

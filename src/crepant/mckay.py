@@ -10,7 +10,7 @@ trivial vertex gives the resolution graph of the rational double point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -24,15 +24,13 @@ def _mul(x, y):
     return y * x if isinstance(y, CycNum) else x * y
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "series n")):
     """ADE label: A_n is cyclic of order n+1, D_n binary dihedral of order
     4(n-2), E6/E7/E8 the binary tetrahedral/octahedral/icosahedral groups."""
 
-    series: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.series == "A":
             # n = 0 is the trivial group, kept for cyclic-family sweeps
             if self.n < 0:
@@ -72,18 +70,14 @@ class GroupSpec:
         return cls(series, n)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable",
+                                "group class_sizes class_orders values q_character")):
     """Rows are irreducible characters, columns conjugacy classes.
 
-    values[i][c] is chi_i on class c; chi_0 is trivial and q_character is
-    the character of the defining 2-dimensional representation Q."""
-
-    group: GroupSpec
-    class_sizes: tuple
-    class_orders: tuple
-    values: tuple  # rows of CycNum/Fraction entries
-    q_character: tuple
+    values[i][c] is chi_i on class c, a CycNum or Fraction; chi_0 is
+    trivial and q_character is the character of the defining 2-dimensional
+    representation Q.  No `__slots__`: the instance dict holds the weighted
+    rows, built on the first `inner` of each table."""
 
     @cached_property
     def _weighted_rows(self):
@@ -262,13 +256,11 @@ def character_table(spec: GroupSpec) -> CharacterTable:
     return table
 
 
-@dataclass(frozen=True)
-class McKayGraph:
+class McKayGraph(namedtuple("McKayGraph", "dims adjacency")):
     """Vertices are irreducible representations with their dimensions;
     adjacency[i][j] = dim Hom(rho_i, Q (x) rho_j)."""
 
-    dims: tuple
-    adjacency: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {"vertices": [{"id": i, "dim": int(d)} for i, d in enumerate(self.dims)],

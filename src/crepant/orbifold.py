@@ -9,7 +9,7 @@ two obstruction-bundle cases picking up the degree-2 classes l and m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .geometry import Geometry, SectorRing
@@ -17,8 +17,7 @@ from .geometry import Geometry, SectorRing
 TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 
 
-@dataclass(frozen=True)
-class ConventionFlags:
+class ConventionFlags(namedtuple("ConventionFlags", "twist_self", defaults=("-1/(n+1)",))):
     """Normalization conventions for the orbifold product.
 
     twist_self fixes the sign/scale of the obstruction term in the product
@@ -26,9 +25,9 @@ class ConventionFlags:
     -1/(n+1) is the choice consistent with the crepant resolution match.
     """
 
-    twist_self: str = "-1/(n+1)"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.twist_self not in TWIST_SELF_CHOICES:
             raise ValueError(f"twist_self must be one of {TWIST_SELF_CHOICES}")
 

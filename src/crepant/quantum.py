@@ -16,7 +16,7 @@ and each ring evaluates them at its geometry and point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from types import MappingProxyType
@@ -34,12 +34,11 @@ class PoleError(ArithmeticError):
         super().__init__(f"pole of delta at span {span}: q_{span[0]}...q_{span[1]} = 1")
 
 
-@dataclass(frozen=True)
-class QSeries:
-    """A rational constant plus a rational combination of atoms delta_{rs}."""
+class QSeries(namedtuple("QSeries", "const atoms", defaults=(Fraction(0), ()))):
+    """A rational constant plus a rational combination of atoms delta_{rs}:
+    `atoms` holds sorted ((r, s), Fraction) pairs."""
 
-    const: Fraction = Fraction(0)
-    atoms: tuple = ()  # sorted ((r, s), Fraction) pairs
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, const=Fraction(0), atoms=None) -> "QSeries":

@@ -21,13 +21,12 @@ pairing reads each entry off a generator pair's product the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd
 from operator import add
-from typing import NamedTuple
 
 from .cartan import span_weights
 from .geometry import Geometry, SectorClass, sum_rows
@@ -37,11 +36,27 @@ from .resolution import ResolutionRing
 from .scalars import ZERO, CycNum, scalar_is_zero, scalar_to_json
 
 
-@dataclass
-class HomReport:
-    passed: bool
-    violations: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+class _Record:
+    """A mutable result record: equal to a record of its own class field by
+    field, and shown with its fields in the order `__init__` sets them."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class HomReport(_Record):
+    """A hom check's verdict: each violation is (pair, component, difference)."""
+
+    def __init__(self, passed: bool, violations: list | None = None, notes: dict | None = None):
+        self.passed = passed
+        self.violations = [] if violations is None else violations
+        self.notes = {} if notes is None else notes
 
     def to_json(self):
         return {"passed": self.passed,
@@ -52,11 +67,10 @@ class HomReport:
                 "notes": self.notes}
 
 
-class Reduction(NamedTuple):
-    rows: list    # the reduced rows; the first len(pivots) are the pivot rows
-    order: list   # the input index of each row
-    pivots: list  # the pivot column of each pivot row
-    det: object   # the signed product of the pivots; 0 if a column has none
+# rows: the reduced rows, the first len(pivots) of them the pivot rows;
+# order: the input index of each row; pivots: the pivot column of each
+# pivot row; det: the signed product of the pivots, 0 if a column has none
+Reduction = namedtuple("Reduction", "rows order pivots det")
 
 
 def _row_reduce(rows, width: int) -> Reduction:
@@ -121,8 +135,7 @@ def _shift(items, s: int, rank: int):
     return ((m + s, c) for m, c in items if m % rank + s < rank)
 
 
-@dataclass
-class AffineSystem:
+class AffineSystem(_Record):
     """A candidate map's ring-isomorphism condition as one exact linear
     system in the atoms delta_rs, row-reduced (`HomChecker.solve`).
 
@@ -138,13 +151,16 @@ class AffineSystem:
     reaches the same pivot rows and names the same row with or without the
     repeats.  A singular matrix gets no system: rank None."""
 
-    det: object
-    spans: list
-    rank: int | None = None
-    rows: list = field(default_factory=list)
-    solution: dict | None = None
-    point: tuple | None = None
-    inconsistent: tuple | None = None
+    def __init__(self, det, spans: list, rank: int | None = None, rows: list | None = None,
+                 solution: dict | None = None, point: tuple | None = None,
+                 inconsistent: tuple | None = None):
+        self.det = det
+        self.spans = spans
+        self.rank = rank
+        self.rows = [] if rows is None else rows
+        self.solution = solution
+        self.point = point
+        self.inconsistent = inconsistent
 
     def holds_at(self, q: QPoint) -> bool:
         """True when the map is a ring isomorphism at the pole-free q."""
@@ -312,23 +328,27 @@ class HomChecker:
         return system
 
 
-@dataclass
-class A2Solution:
-    q: object  # the common value q1 = q2
-    a: object
-    b: object
+class A2Solution(_Record):
+    """A solution (a, b) of the symmetric ansatz at the common value q = q1 = q2."""
+
+    def __init__(self, q, a, b):
+        self.q = q
+        self.a = a
+        self.b = b
 
     def to_json(self):
         return {"q": scalar_to_json(self.q), "a": scalar_to_json(self.a),
                 "b": scalar_to_json(self.b)}
 
 
-@dataclass
-class A2SolveResult:
-    solutions: list
-    excluded: list  # (q, span) pole exclusions
-    # (a, b, AffineSystem) per candidate: why it passed or failed; not in to_json
-    candidates: list = field(default_factory=list)
+class A2SolveResult(_Record):
+    """The solutions, the (q, span) pole exclusions and, not in `to_json`,
+    (a, b, AffineSystem) per candidate: why it passed or failed."""
+
+    def __init__(self, solutions: list, excluded: list, candidates: list | None = None):
+        self.solutions = solutions
+        self.excluded = excluded
+        self.candidates = [] if candidates is None else candidates
 
     def to_json(self):
         return {"solutions": [s.to_json() for s in self.solutions],

@@ -603,6 +603,16 @@ def test_closed_stdout_exits_0_without_a_traceback():
     assert stderr == b""
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: no site hook may import these first; each adds to every command's start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, crepant.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def _near_tokens(alphabet, max_size):
     """Arbitrary text, or text over `alphabet`, which reaches the option's
     parser past its first character more often."""

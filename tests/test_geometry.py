@@ -48,6 +48,24 @@ def test_taut_relation_validated():
         TautClasses(1, Fraction(1), Fraction(1), Fraction(1))
 
 
+@pytest.mark.parametrize("model,dim,message", [
+    ("point", 1, "a point has dimension 0"),
+    ("projective_space", -1, "projective space needs dim >= 0"),
+    ("torus", 1, "unknown base model 'torus'"),
+])
+def test_base_ring_validated(model, dim, message):
+    with pytest.raises(ValueError, match=message):
+        BaseRing(model, dim)
+    with pytest.raises(ValueError, match=message):
+        BaseRing(model=model, dim=dim)
+
+
+def test_geometry_n_must_match_its_classes():
+    taut = TautClasses(2, Fraction(1), Fraction(2), Fraction(1))
+    with pytest.raises(ValueError, match="tautological classes built for a different n"):
+        Geometry(3, BaseRing("projective_space", 1), taut)
+
+
 def test_geometry_json_round_trip():
     geom = default_geometry(2)
     again = Geometry.from_json(geom.to_json())

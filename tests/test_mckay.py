@@ -1,8 +1,8 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from crepant import mckay
 from crepant.mckay import (
     GroupSpec,
     ade_equation,
@@ -23,6 +23,32 @@ def test_group_spec_parsing():
     for bad in ("F4", "E5", "D3", "", "Ax"):
         with pytest.raises(ValueError):
             GroupSpec.parse(bad)
+
+
+@pytest.mark.parametrize("series,n,message", [
+    ("A", -1, "A_n needs n >= 0"),
+    ("D", 3, "D_n needs n >= 4"),
+    ("E", 5, r"E_n needs n in \{6, 7, 8\}"),
+    ("F", 4, "unknown series 'F'"),
+])
+def test_group_spec_validated(series, n, message):
+    with pytest.raises(ValueError, match=message):
+        GroupSpec(series, n)
+    with pytest.raises(ValueError, match=message):
+        GroupSpec(series=series, n=n)
+
+
+def test_weighted_rows_built_once_per_table(monkeypatch):
+    calls, conj = [], mckay.scalar_conj
+    monkeypatch.setattr(mckay, "scalar_conj", lambda x: calls.append(x) or conj(x))
+    table = mckay.cyclic_table(5)
+    row = table.values[2]
+    first = [table.inner(row, i) for i in range(5)]
+    assert len(calls) == 25  # one conjugate per entry, on the first `inner`
+    assert [table.inner(row, i) for i in range(5)] == first == [0, 0, 1, 0, 0]
+    assert len(calls) == 25
+    table._replace(values=table.values).inner(row, 0)  # a new table weighs its own rows
+    assert len(calls) == 50
 
 
 @pytest.mark.parametrize("label", ["A0", "A1", "A2", "A5", "D4", "D5", "D7",
@@ -74,20 +100,20 @@ def test_validate_rejects_a_corrupted_entry():
     assert rows[1][3] == CycNum.zeta(3)
     rows[1][3] = CycNum.zeta(3, 2)
     with pytest.raises(ValueError, match="row orthogonality fails at"):
-        replace(table, values=tuple(map(tuple, rows))).validate()
+        table._replace(values=tuple(map(tuple, rows))).validate()
 
 
 def test_validate_rejects_a_table_that_is_not_square():
     table = character_table(GroupSpec("E", 6))
     with pytest.raises(ValueError, match="not square"):
-        replace(table, values=table.values[:-1]).validate()
+        table._replace(values=table.values[:-1]).validate()
 
 
 @pytest.mark.parametrize("label", ["A3", "E6"])
 def test_validate_rejects_q_of_degree_other_than_2(label):
     table = character_table(GroupSpec.parse(label))
     with pytest.raises(ValueError, match="2-dimensional"):
-        replace(table, q_character=table.values[-1]).validate()
+        table._replace(q_character=table.values[-1]).validate()
 
 
 @pytest.mark.parametrize("label,verdict", [

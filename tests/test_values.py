@@ -1,0 +1,103 @@
+"""The contracts of the package's value types: frozen namedtuples that
+validate, hash and compare by value, and mutable result records with their
+own default containers and field-wise equality."""
+
+from fractions import Fraction
+
+import pytest
+
+from crepant.cartan import CurveClass
+from crepant.geometry import BaseRing, Geometry, GradedClass, SectorClass, TautClasses, default_geometry
+from crepant.mckay import GroupSpec, character_table, mckay_graph
+from crepant.orbifold import ConventionFlags
+from crepant.quantum import QSeries
+from crepant.verify import A2Solution, A2SolveResult, AffineSystem, HomReport
+
+
+def frozen_values():
+    geom = default_geometry(2)
+    return [geom.base, geom.base.one(), geom.taut, geom, SectorClass.generator(geom, 1),
+            CurveClass(2, (1, 1)), ConventionFlags(), QSeries(Fraction(1)), GroupSpec("E", 6),
+            character_table(GroupSpec("A", 2)), mckay_graph(GroupSpec("A", 2))]
+
+
+@pytest.mark.parametrize("value", frozen_values(), ids=lambda v: type(v).__name__)
+def test_fields_of_a_frozen_value_cannot_be_assigned(value):
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GroupSpec("E", 6),
+    lambda: default_geometry(3),
+    lambda: BaseRing("projective_space", 2),
+    lambda: ConventionFlags("1/(n+1)"),
+], ids=["GroupSpec", "Geometry", "BaseRing", "ConventionFlags"])
+def test_values_hash_and_compare_by_value(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_values_differ_by_any_field():
+    assert GroupSpec("E", 6) != GroupSpec("E", 7)
+    assert default_geometry(2) != default_geometry(2, BaseRing("point"))
+    assert ConventionFlags() != ConventionFlags("1")
+    assert BaseRing("projective_space", 1) != BaseRing("projective_space", 2)
+
+
+def test_character_table_cache_keys_on_the_spec_value():
+    assert character_table(GroupSpec("E", 6)) is character_table(GroupSpec.parse("e6"))
+
+
+def test_classes_are_unhashable():
+    geom = default_geometry(2)
+    for value in (geom.base.one(), SectorClass.generator(geom, 0)):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_graded_classes_over_different_bases_do_not_compare():
+    one, other = BaseRing("projective_space", 1).one(), BaseRing("projective_space", 2).one()
+    for compare in (one.__eq__, one.__ne__):
+        with pytest.raises(ValueError, match="different bases"):
+            compare(other)
+    assert one != one.ring.zero() and not one != one.ring.one()
+    assert (one == GradedClass(one.ring, one.coeffs)) is True
+
+
+def test_records_get_their_own_containers():
+    a, b = HomReport(True), HomReport(True)
+    a.violations.append(("1 * 1", "pure.h^0", 1))
+    a.notes["det"] = "1"
+    assert (b.violations, b.notes) == ([], {})
+    first, second = AffineSystem(Fraction(1), []), AffineSystem(Fraction(1), [])
+    first.rows.append([Fraction(1)])
+    assert second.rows == []
+    first, second = A2SolveResult([], []), A2SolveResult([], [])
+    first.candidates.append(None)
+    assert second.candidates == []
+
+
+def test_affine_systems_compare_field_by_field():
+    spans = [(1, 1), (1, 2), (2, 2)]
+    system = AffineSystem(Fraction(1), spans, rank=1, rows=[[1, 0, 0, 2]])
+    assert system == AffineSystem(Fraction(1), list(spans), 1, [[1, 0, 0, 2]])
+    for field, value in [("det", Fraction(2)), ("spans", spans[:2]), ("rank", 2),
+                         ("rows", [[1, 0, 0, 3]]), ("solution", {}), ("point", ()),
+                         ("inconsistent", ("1 * 1", "pure.h^0", 1))]:
+        other = AffineSystem(Fraction(1), spans, rank=1, rows=[[1, 0, 0, 2]])
+        setattr(other, field, value)
+        assert system != other, field
+    assert system != HomReport(True)
+    with pytest.raises(TypeError):
+        hash(system)
+
+
+def test_records_show_their_fields():
+    assert repr(HomReport(False)) == "HomReport(passed=False, violations=[], notes={})"
+    assert repr(A2Solution(1, 2, 3)) == "A2Solution(q=1, a=2, b=3)"
+    assert A2Solution(1, 2, 3) == A2Solution(1, 2, 3) != A2Solution(1, 2, 4)
