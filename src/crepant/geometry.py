@@ -88,12 +88,6 @@ class BaseRing(namedtuple("BaseRing", "model dim", defaults=(POINT, 0))):
     def to_json(self):
         return {"model": self.model, "dim": self.dim}
 
-    @classmethod
-    def from_json(cls, data) -> "BaseRing":
-        data = _json_object(data, "base")
-        return cls(model=_required(data, "model", "base.model"),
-                   dim=_json_int(data.get("dim", 0), "dim"))
-
 
 class GradedClass(namedtuple("GradedClass", "ring coeffs")):
     """An element of H*(S): coefficients of h^0..h^dim, rationals or
@@ -214,7 +208,8 @@ class Geometry(namedtuple("Geometry", "n base taut")):
             ("classes.", raw, {"k", "l", "m"} if n >= 2 else {"k"})) for key in obj.keys() - known)
         if unknown:
             raise ValueError(f"{unknown[0]}: unknown key")
-        base = BaseRing.from_json(base)
+        base = BaseRing(_required(base, "model", "base.model"),
+                        _json_int(base.get("dim", 0), "dim"))
         k = _class_token(raw.get("k", "0"), "k")
         if n == 1:
             taut = TautClasses(n, None, None, k)

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorRing
-from .scalars import ZERO, dot, format_rational, scalar_is_zero
+from .scalars import ZERO, dot, format_rational, scalar_is_zero, scalar_to_json
 
 
 class PoleError(ArithmeticError):
@@ -121,7 +121,6 @@ class QPoint:
         return {span: self.span_product(*span) / denom for span, denom in denoms.items()}
 
     def to_json(self):
-        from .scalars import scalar_to_json
         return [scalar_to_json(v) for v in self.values]
 
 

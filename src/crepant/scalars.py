@@ -427,64 +427,60 @@ def _format_ratio(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-_INTEGER = r"-?[0-9]+"  # not \d, which also matches other scripts' digits
-_RATIONAL_TOKEN = re.compile(_INTEGER + r"(/[0-9]+)?")
+# One factor token in ASCII digits (not \d, which also matches other
+# scripts' digits): groups sign, N, zeta's N and K, i, and D.
+_FACTOR = re.compile(r"(-)?(?:([0-9]+)|zeta([0-9]+)(?:\^([0-9]+))?|(i))(?:/([0-9]+))?")
+
+
+def _factor(text, error: str, units: bool = True, den: bool = True):
+    """The value of a factor `-?N`, `-?zetaN(^K)?` or `-?i`, each with an
+    optional `/D`: an int for `-?N`, a Fraction for `-?N/D`, else a CycNum.
+    ValueError(error) unless `text` is a str and a factor, with no `zeta` or
+    `i` unless `units` and no `/D` unless `den`, before anything is built.
+    A zero D is named with the whole token, after any CycNum is built."""
+    m = _FACTOR.fullmatch(text) if isinstance(text, str) else None
+    if not m or not (units or m[2]) or (m[6] and not den):
+        raise ValueError(error)
+    sign, num, n, k, unit, d = m.groups()
+    if num:
+        value = int(num)
+    else:
+        value = CycNum.zeta(4) if unit else CycNum.zeta(int(n), int(k or 1))
+    if d:
+        d = int(d)
+        if not d:
+            raise ValueError(f"zero denominator in {text!r}")
+        value = value * Fraction(1, d)
+    return -value if sign else value
 
 
 def parse_int(text) -> int:
-    """An integer token `-?N`, the integer half of `parse_rational`'s grammar:
+    """An integer token `-?N`, a factor with no unit and no denominator:
     a `+` sign, an underscore, space or a non-ASCII digit is a ValueError."""
-    if not isinstance(text, str) or not re.fullmatch(_INTEGER, text):
-        raise ValueError(f"not an integer token (-?N): {text!r}")
-    return int(text)
+    return _factor(text, f"not an integer token (-?N): {text!r}", units=False, den=False)
 
 
 def parse_rational(text) -> Fraction:
     """An exact rational: an integer (not a boolean) or a token such as
-    `-3` or `2/3`, the rational grammar of `--q`.  A decimal, an exponent,
-    a `+` sign, an underscore, surrounding space, a non-ASCII digit, a float
-    and a zero denominator are each a ValueError."""
+    `-3` or `2/3`, a factor with no unit, the rational grammar of `--q`.  A
+    decimal, an exponent, a `+` sign, an underscore, surrounding space, a
+    non-ASCII digit, a float, a unit and a zero denominator are each a
+    ValueError."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not _RATIONAL_TOKEN.fullmatch(text):
-        raise ValueError(f"not an exact rational token (-?N or -?N/D): {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-_SCALAR_FACTOR = re.compile(
-    r"(?P<sign>-)?(?:(?P<rational>\d+(?:/\d+)?)"
-    r"|(?P<unit>zeta(?P<n>\d+)(?:\^(?P<k>\d+))?|i)(?:/(?P<den>\d+))?)", re.ASCII
-)
+    return Fraction(_factor(
+        text, f"not an exact rational token (-?N or -?N/D): {text!r}", units=False))
 
 
 def parse_scalar(text: str):
     """Parse exact scalar expressions like `-1`, `2/3`, `zeta3^2`, `i/2`,
     or products such as `1/2*zeta8`.  Returns a Fraction or CycNum.
 
-    Each `*`-separated factor is `-?N(/D)?`, `-?zetaN(^K)?(/D)?` or
-    `-?i(/D)?`: at most one denominator and no space anywhere."""
+    Each `*`-separated factor is `-?N`, `-?zetaN(^K)?` or `-?i`, with at
+    most one `/D`: no space anywhere."""
     if not text:
         raise ValueError("empty scalar")
     value = ONE
     for part in text.split("*"):
-        m = _SCALAR_FACTOR.fullmatch(part)
-        if not m:
-            raise ValueError(f"cannot parse scalar factor {part!r}")
-        if m.group("rational"):
-            factor = parse_rational(m.group("rational"))
-        elif m.group("unit") == "i":
-            factor = CycNum.zeta(4)
-        else:
-            factor = CycNum.zeta(int(m.group("n")), int(m.group("k") or 1))
-        if m.group("den"):
-            den = parse_rational(m.group("den"))
-            if den == 0:
-                raise ValueError(f"zero denominator in {part!r}")
-            factor = factor / den
-        if m.group("sign"):
-            factor = -factor
-        value = value * factor
+        value = value * _factor(part, f"cannot parse scalar factor {part!r}")
     return value

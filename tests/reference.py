@@ -557,7 +557,7 @@ def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
             excluded.extend((root, span) for span in q.poles())
             continue
         for a, b, matrix in candidates:
-            if checker.check(matrix, quantum, stop_early=True).passed:
+            if checker.check(matrix, quantum).passed:
                 solutions.append(A2Solution(q=root, a=a, b=b))
     return A2SolveResult(solutions=solutions, excluded=excluded)
 
@@ -763,7 +763,7 @@ def all_pairs_rows(checker, matrix):
     return labels, rows
 
 
-def check_all_pairs(checker, matrix, quantum, stop_early=False):
+def check_all_pairs(checker, matrix, quantum):
     """`HomChecker.check` with one difference formed per unordered orbifold
     basis pair, from products and images of every basis element, walked in
     the same order (twisted sectors first)."""
@@ -786,8 +786,6 @@ def check_all_pairs(checker, matrix, quantum, stop_early=False):
                 if not scalar_is_zero(val):
                     report.passed = False
                     report.violations.append((f"{basis[i][0]} * {basis[j][0]}", comp, val))
-            if stop_early and not report.passed:
-                return report
     return report
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from crepant import cli, mckay
 from crepant.cli import run
+from crepant.scalars import format_rational
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 A1 = os.path.join(CONFIGS, "a1_p1.json")
@@ -369,6 +370,15 @@ def test_zero_denominator_exits_2(argv):
     assert "zero denominator" in json.loads(text)["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["qc-table", "--config", A2, "--q=-1/0"],
+    ["verify-a1", "--config", A1, "--q=-1", "--scalar=-1/0"],
+], ids=["q", "scalar"])
+def test_zero_denominator_names_the_signed_token(argv):
+    # the whole factor, sign included, as for `-i/0` and a config token
+    assert invoke(argv) == (2, '{"error": "zero denominator in \'-1/0\'"}\n')
+
+
 def _write_config(tmp_path, data):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
@@ -671,6 +681,101 @@ def test_run_keeps_its_contract_on_arbitrary_input(tmp_path_factory, data):
     argv, config, values = FUZZED_OPTIONS[option]
     _assert_run_contract([*argv, f"{option}={data.draw(values)}"]
                          + (["--config", config] if config else []))
+
+
+def _zeros(draw):
+    return "0" * draw(st.integers(0, 2))
+
+
+def _rational(draw, value):
+    """The Fraction `value` respelt: leading zeros, `-0` for zero, and a
+    fraction scaled by 1 to 3 or over 1."""
+    scale = draw(st.integers(1, 3))
+    sign = "-" if value < 0 or (value == 0 and draw(st.booleans())) else ""
+    num = f"{sign}{_zeros(draw)}{abs(value.numerator) * scale}"
+    den = value.denominator * scale
+    return num if den == 1 and draw(st.booleans()) else f"{num}/{_zeros(draw)}{den}"
+
+
+RATIONALS = st.fractions(-4, 4, max_denominator=6)
+
+
+@st.composite
+def _scalar_spellings(draw):
+    """(canonical, respelt) tokens of one value, type and conductor: a
+    rational, or c zeta_n^k as a product in either order, or as a signed
+    unit over D when c = +-1/D; the unit with leading zeros, a power k + jn,
+    and `i` for zeta4."""
+    c = draw(RATIONALS)
+    if c == 0 or draw(st.booleans()):
+        return format_rational(c), _rational(draw, c)
+    n, k = draw(st.sampled_from([(4, 1), (8, 1), (3, 2), (4, 3), (5, 2), (8, 5)]))
+    power = k + n * draw(st.integers(0, 2))
+    unit = "i" if (n, k) == (4, 1) and draw(st.booleans()) else (
+        f"zeta{_zeros(draw)}{n}" + ("" if power == 1 and draw(st.booleans()) else f"^{power}"))
+    canonical = f"{format_rational(c)}*zeta{n}^{k}"
+    if abs(c.numerator) == 1 and draw(st.booleans()):
+        den = f"/{c.denominator}" if c.denominator > 1 else ""
+        return canonical, ("-" if c < 0 else "") + unit + den
+    return canonical, "*".join(draw(st.permutations([_rational(draw, c), unit])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_scalar_spelling_gives_the_canonical_answer(data):
+    # one value, type and conductor per `--q` and `--scalar` token, in its
+    # canonical and another spelling: the same exit code and stdout
+    (a, a2), (b, b2) = data.draw(_scalar_spellings()), data.draw(_scalar_spellings())
+    for canonical, respelt in ((["qc-table", "--config", A2, f"--q={a},{b}"],
+                                ["qc-table", "--config", A2, f"--q={a2},{b2}"]),
+                               (["verify-a1", "--config", A1, f"--q={a}", f"--scalar={b}"],
+                                ["verify-a1", "--config", A1, f"--q={a2}", f"--scalar={b2}"])):
+        assert invoke(respelt) == invoke(canonical), respelt
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_integer_spelling_gives_the_canonical_answer(data):
+    # every CLI integer and a McKay label, canonical and with leading zeros
+    # (the label's letter in either case); `gw --insert` is left out, since
+    # `gw` echoes its tokens verbatim
+    def ints(low, high, count=1):
+        values = [data.draw(st.integers(low, high)) for _ in range(count)]
+        return ",".join(map(str, values)), ",".join(_zeros(data.draw) + str(v) for v in values)
+
+    series = data.draw(st.sampled_from("ADE"))
+    n, n2 = ints(*{"A": (1, 8), "D": (4, 8), "E": (6, 8)}[series])
+    commands = {
+        "solve-a2": ["--config", A2, ("--max-order", ints(1, 6))],
+        "gw": ["--config", A2, ("--span", ints(1, 2, 2)), ("--multiple", ints(1, 3)),
+               "--insert=E1,E1,E2"],
+        "age": [("--order", ints(1, 6)), ("--exponents", ints(0, 6, 2))],
+        "cartan": [("--n", ints(1, 8))],
+        "mckay": [("--group", (series + n, data.draw(st.sampled_from([series, series.lower()]))
+                               + n2))],
+    }
+    command = data.draw(st.sampled_from(sorted(commands)))
+    canonical, respelt = ([command, *(arg if isinstance(arg, str) else f"{arg[0]}={arg[1][side]}"
+                                      for arg in commands[command])] for side in (0, 1))
+    assert invoke(respelt) == invoke(canonical), respelt
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_every_config_class_spelling_gives_the_canonical_answer(tmp_path_factory, data):
+    # a JSON integer, its string and any respelling of the string, on
+    # classes with l + m = 3k, which A_2 needs
+    l, k = data.draw(RATIONALS), data.draw(RATIONALS)
+    values = [l, 3 * k - l, k]
+    spelt = [v.numerator if v.denominator == 1 and data.draw(st.booleans())
+             else _rational(data.draw, v) for v in values]
+    outputs = []
+    for tokens in ([format_rational(v) for v in values], spelt):
+        config = tmp_path_factory.getbasetemp() / "spelt_config.json"
+        config.write_text(json.dumps({"n": 2, "base": {"model": "projective_space", "dim": 1},
+                                      "classes": dict(zip("lmk", tokens))}))
+        outputs.append(invoke(["res-table", "--config", str(config)]))
+    assert outputs[0] == outputs[1], spelt
 
 
 @pytest.mark.parametrize("argv", [

@@ -76,7 +76,7 @@ def test_a1_wrong_scalars_fail():
     q = QPoint([Fraction(-1)])
     checker, quantum = HomChecker(geom), QuantumRing(geom, q)
     for c in a1_scalar_sweep(20):
-        report = checker.check(((c,),), quantum, stop_early=True)
+        report = checker.check(((c,),), quantum)
         assert not report.passed
         assert report.violations
 
@@ -429,16 +429,14 @@ def _candidates(n, seed):
 def test_check_matches_the_all_pairs_check(n, base, twist):
     # one difference per generator pair, shifted, against one per basis
     # pair: the JSON byte for byte (violation order, components, values and
-    # conductors), with and without stop_early
+    # conductors)
     checker = HomChecker(default_geometry(n, BASES[base]), ConventionFlags(twist))
     for kind, matrix, q in _candidates(n, 10 * n + len(base)):
         quantum = QuantumRing(checker.geom, QPoint(q))
-        for stop_early in (False, True):
-            got = checker.check(matrix, quantum, stop_early)
-            assert got.to_json() == check_all_pairs(checker, matrix, quantum,
-                                                    stop_early).to_json(), (kind, stop_early)
-            if kind == "fourier" and base == "P1" and twist == TWO_FLAGS[0]:
-                assert got.passed
+        got = checker.check(matrix, quantum)
+        assert got.to_json() == check_all_pairs(checker, matrix, quantum).to_json(), kind
+        if kind == "fourier" and base == "P1" and twist == TWO_FLAGS[0]:
+            assert got.passed
 
 
 @pytest.mark.parametrize("twist", TWO_FLAGS)
