@@ -11,7 +11,6 @@ from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import (
     BaseRing,
     Geometry,
-    GradedClass,
     SectorClass,
     SectorRing,
     TautClasses,

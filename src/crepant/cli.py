@@ -50,12 +50,7 @@ def parse_q_spec(text: str, n: int) -> QPoint:
         tokens = tokens * n
     if len(tokens) != n:
         raise ValueError(f"expected {n} q components, got {len(tokens)}")
-    values = []
-    for tok in tokens:
-        if "." in tok:
-            raise ValueError(f"decimal literal {tok!r} not accepted; use exact tokens")
-        values.append(parse_scalar(tok))
-    return QPoint(values)
+    return QPoint([parse_scalar(tok) for tok in tokens])
 
 
 def load_config(path: str):
@@ -187,7 +182,7 @@ def cmd_res_table(args, geom, flags) -> dict:
 
 @command("gw", "three-point invariant in a fiber curve class",
          option("--span", required=True, help="curve span i,j (1-based)"),
-         option("--multiple", type=parse_int, default=1),
+         option("--multiple", default="1"),
          option("--insert", required=True,
                 help="comma-separated insertions, e.g. E1,E1,E2 (or 'sigma')"))
 def cmd_gw(args, geom, flags) -> dict:
@@ -195,17 +190,18 @@ def cmd_gw(args, geom, flags) -> dict:
         i, j = (parse_int(t) for t in args.span.split(","))
     except ValueError:
         raise ValueError("span must be two comma-separated integers") from None
-    if args.multiple < 1:
+    multiple = parse_int(args.multiple)
+    if multiple < 1:
         raise ValueError("multiple must be >= 1")
     base = curve_class(geom.n, i, j)
-    beta = CurveClass(geom.n, tuple(args.multiple * m for m in base.mult))
+    beta = CurveClass(geom.n, tuple(multiple * m for m in base.mult))
     insertions = []
     for tok in args.insert.split(","):
         if tok.upper().startswith("E") and tok[1:].isascii() and tok[1:].isdigit():
             l = int(tok[1:])
             if not 1 <= l <= geom.n:
                 raise ValueError(f"divisor index out of range: {l}")
-            insertions.append(SectorClass.sector(geom, l))
+            insertions.append(SectorClass.generator(geom, l + 1))
         elif tok == "sigma":
             insertions.append(SectorClass.generator(geom, 1))
         else:
@@ -213,7 +209,7 @@ def cmd_gw(args, geom, flags) -> dict:
     if len(insertions) != 3:
         raise ValueError("exactly three insertions required")
     value = gw_invariant(geom, beta, insertions)
-    return {"curve_class": {"span": [i, j], "multiple": args.multiple},
+    return {"curve_class": {"span": [i, j], "multiple": multiple},
             "insertions": args.insert.split(","),
             "value": format_rational(value),
             "metadata": gw_metadata(geom)}
@@ -239,18 +235,19 @@ def cmd_verify_a1(args, geom, flags) -> dict:
 
 
 @command("solve-a2", "solve the symmetric A_2 ansatz",
-         option("--max-order", type=parse_int, default=12))
+         option("--max-order", default="12"))
 def cmd_solve_a2(args, geom, flags) -> dict:
     if geom.n != 2:
         raise ValueError(f"{args.command} needs an n = 2 geometry")
     # a root of order d meets the Q(zeta_3) candidates in conductor
     # lcm(3, d) <= 3 max_order
     cap = conductor_cap()
-    if args.max_order < 1 or 3 * args.max_order > cap:
+    max_order = parse_int(args.max_order)
+    if max_order < 1 or 3 * max_order > cap:
         raise ValueError(f"max-order must be between 1 and {cap // 3} "
                          f"(3 * max-order may not exceed the conductor cap {cap})")
-    result = solve_a2_symmetric(geom, max_order=args.max_order, flags=flags)
-    return {"max_order": args.max_order, "result": result.to_json()}
+    result = solve_a2_symmetric(geom, max_order=max_order, flags=flags)
+    return {"max_order": max_order, "result": result.to_json()}
 
 
 @command("check-assoc", "associativity check on basis triples",
@@ -296,30 +293,30 @@ def cmd_mckay(args) -> dict:
 
 
 @command("cartan", "intersection matrix and its inverse",
-         option("--n", type=parse_int, required=True), config=False)
+         option("--n", required=True), config=False)
 def cmd_cartan(args) -> dict:
-    if args.n < 1:
+    n = parse_int(args.n)
+    if n < 1:
         raise ValueError("need n >= 1")
-    if args.n > MAX_CARTAN_N:
+    if n > MAX_CARTAN_N:
         raise ValueError(f"need n <= {MAX_CARTAN_N}")
-    return {"n": args.n,
-            "matrix": [[str(v) for v in row] for row in cartan_matrix(args.n)],
-            "inverse": [[format_rational(v) for v in row]
-                        for row in cartan_inverse(args.n)]}
+    return {"n": n,
+            "matrix": [[str(v) for v in row] for row in cartan_matrix(n)],
+            "inverse": [[format_rational(v) for v in row] for row in cartan_inverse(n)]}
 
 
 @command("age", "age of a diagonal group element",
-         option("--order", type=parse_int, required=True),
+         option("--order", required=True),
          option("--exponents", required=True, help="comma-separated integers"), config=False)
 def cmd_age(args) -> dict:
-    if args.order < 1:
+    order = parse_int(args.order)
+    if order < 1:
         raise ValueError("order must be >= 1")
     try:
         exps = [parse_int(t) for t in args.exponents.split(",")]
     except ValueError:
         raise ValueError("exponents must be comma-separated integers") from None
-    return {"order": args.order, "exponents": exps,
-            "age": format_rational(age(args.order, exps))}
+    return {"order": order, "exponents": exps, "age": format_rational(age(order, exps))}
 
 
 def run(argv, stdout=None) -> int:

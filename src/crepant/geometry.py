@@ -15,8 +15,7 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import (ONE, ZERO, CycNum, format_rational, parse_rational, scalar_is_zero,
-                      scalar_to_json)
+from .scalars import ONE, ZERO, format_rational, parse_rational, scalar_is_zero, scalar_to_json
 
 POINT = "point"
 PROJECTIVE = "projective_space"
@@ -71,46 +70,20 @@ class BaseRing(namedtuple("BaseRing", "model dim", defaults=(POINT, 0))):
     def rank(self) -> int:
         return self.dim + 1
 
-    def zero(self) -> "GradedClass":
-        return GradedClass(self, (Fraction(0),) * self.rank)
-
-    def one(self) -> "GradedClass":
-        return GradedClass(self, (Fraction(1),) + (Fraction(0),) * self.dim)
-
-    def h_power(self, j: int, coeff=Fraction(1)) -> "GradedClass":
-        """coeff * h^j, the zero class when h^j is above the top degree."""
-        if j > self.dim:
-            return self.zero()
-        coeffs = [Fraction(0)] * self.rank
-        coeffs[j] = coeffs[j] + coeff
-        return GradedClass(self, tuple(coeffs))
-
     def to_json(self):
         return {"model": self.model, "dim": self.dim}
 
 
 class GradedClass(namedtuple("GradedClass", "ring coeffs")):
     """An element of H*(S): coefficients of h^0..h^dim, rationals or
-    cyclotomic numbers."""
+    cyclotomic numbers.  Only the cup product is defined."""
 
     __slots__ = ()
 
-    def _check(self, other):
+    def __mul__(self, other):
+        """Cup product, truncated above h^dim."""
         if self.ring != other.ring:
             raise ValueError("classes live over different bases")
-
-    def __add__(self, other):
-        self._check(other)
-        return GradedClass(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, scalar) -> "GradedClass":
-        return GradedClass(self.ring, tuple(scalar * a for a in self.coeffs))
-
-    def __mul__(self, other):
-        """Cup product; scalars also accepted."""
-        if isinstance(other, (int, Fraction, CycNum)):
-            return self.scale(other)
-        self._check(other)
         out = [Fraction(0)] * self.ring.rank
         for i, a in enumerate(self.coeffs):
             if scalar_is_zero(a):
@@ -119,25 +92,6 @@ class GradedClass(namedtuple("GradedClass", "ring coeffs")):
                 if i + j <= self.ring.dim and not scalar_is_zero(b):
                     out[i + j] = out[i + j] + a * b
         return GradedClass(self.ring, tuple(out))
-
-    __rmul__ = __mul__
-
-    def integrate(self):
-        """Integral over S: the h^top coefficient."""
-        return self.coeffs[self.ring.dim]
-
-    def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        self._check(other)
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 
@@ -185,12 +139,10 @@ class Geometry(namedtuple("Geometry", "n base taut")):
         """True when dim_C S >= 2, where the square-zero model is only formal."""
         return self.base.dim >= 2
 
-    def kap(self) -> GradedClass:
-        return self.base.h_power(1, self.taut.k)
-
     def symplectic(self) -> bool:
-        """True when the class k vanishes on S (so all quantum corrections do)."""
-        return self.kap().is_zero()
+        """True when the class k h vanishes on S (so all quantum corrections
+        do): over a point, or at k = 0."""
+        return self.base.dim == 0 or self.taut.k == 0
 
     def to_json(self):
         return {"n": self.n, "base": self.base.to_json(),
@@ -242,31 +194,12 @@ class SectorClass(namedtuple("SectorClass", "geom coeffs")):
     __slots__ = ()
 
     @classmethod
-    def from_coords(cls, geom: Geometry, coords) -> "SectorClass":
-        """The class with one H*(S) coordinate per generator 1, sigma, g_1..g_n."""
-        return cls(geom, tuple(c for alpha in coords for c in alpha.coeffs))
-
-    @property
-    def coords(self) -> tuple:
-        """The n + 2 H*(S) coordinates, of 1, sigma, g_1..g_n; built on each read."""
-        base = self.geom.base
-        return tuple(GradedClass(base, self.coeffs[m:m + base.rank])
-                     for m in range(0, len(self.coeffs), base.rank))
-
-    @classmethod
-    def generator(cls, geom: Geometry, k: int, alpha: GradedClass | None = None) -> "SectorClass":
-        """alpha times the k-th module generator (k = 0 is 1, k = 1 is sigma,
-        k = a + 1 is g_a); alpha defaults to 1."""
-        coords = [geom.base.zero()] * (geom.n + 2)
-        coords[k] = geom.base.one() if alpha is None else alpha
-        return cls.from_coords(geom, coords)
-
-    @classmethod
-    def sector(cls, geom: Geometry, a: int, alpha: GradedClass | None = None) -> "SectorClass":
-        """alpha times the a-th sector generator (alpha defaults to 1)."""
-        if not 1 <= a <= geom.n:
-            raise ValueError(f"sector index out of range: {a}")
-        return cls.generator(geom, a + 1, alpha)
+    def generator(cls, geom: Geometry, k: int) -> "SectorClass":
+        """The k-th module generator: k = 0 is 1, k = 1 is sigma, k = a + 1 is g_a."""
+        if not 0 <= k <= geom.n + 1:
+            raise ValueError(f"generator index out of range: {k}")
+        rank = geom.base.rank
+        return cls(geom, (ZERO,) * (k * rank) + (ONE,) + (ZERO,) * ((geom.n + 2 - k) * rank - 1))
 
     def __add__(self, other):
         return SectorClass(self.geom, tuple(map(add, self.coeffs, other.coeffs)))
@@ -342,12 +275,12 @@ class SectorRing:
             return {g2 * rank + p + q: ONE}
         if p + q == 0:
             return self._compute_ee(g - 1, g2 - 1)
-        coords = {}
+        blocks = {}
         for m, c in self.product(g * rank, g2 * rank).items():
-            coords.setdefault(m - m % rank, [ZERO] * rank)[m % rank] = c
+            blocks.setdefault(m - m % rank, [ZERO] * rank)[m % rank] = c
         # an index shift by p + q in effect; ROADMAP G1 writes it as one
-        h = base.h_power(p + q)
-        return {k + t: c for k, alpha in coords.items()
+        h = GradedClass(base, (ZERO,) * (p + q) + (ONE,) + (ZERO,) * (base.dim - p - q))
+        return {k + t: c for k, alpha in blocks.items()
                 for t, c in enumerate((GradedClass(base, tuple(alpha)) * h).coeffs)
                 if not scalar_is_zero(c)}
 

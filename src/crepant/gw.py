@@ -11,23 +11,29 @@ and assumed in general; results carry that assumption as metadata.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .cartan import CurveClass, span_weights
-from .geometry import Geometry, SectorClass
+from .geometry import Geometry, GradedClass, SectorClass
+from .scalars import scalar_is_zero
 
 ASSUMPTION_NOTE = "three-point values in fiber classes assumed for all base dimensions"
 
 
 def classify_insertion(x: SectorClass):
-    """Split a monomial class into ('pullback', x) or ('exceptional', l, alpha).
+    """Split a monomial class into ('pullback', x) or ('exceptional', l, alpha),
+    alpha the H*(S) coefficients h^0..h^dim of E_l.
 
     Raises ValueError for classes that are neither."""
-    # coordinate k >= 2 is the coefficient of E_{k-1}
-    nonzero = [(k - 1, alpha) for k, alpha in enumerate(x.coords) if not alpha.is_zero()]
-    if all(l < 1 for l, _ in nonzero):
+    rank = x.geom.base.rank
+    # generator g >= 2 is E_{g-1}
+    gens = {m // rank for m, c in enumerate(x.coeffs) if not scalar_is_zero(c)}
+    if all(g < 2 for g in gens):
         return ("pullback", x)
-    if len(nonzero) == 1:
-        return ("exceptional", *nonzero[0])
+    if len(gens) == 1:
+        (g,) = gens
+        return ("exceptional", g - 1, x.coeffs[g * rank:(g + 1) * rank])
     raise ValueError("insertion must be a pullback class or a single alpha*E_l")
 
 
@@ -37,7 +43,9 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
     Vanishes unless beta is a positive multiple of a span beta_{ij} and all
     insertions are exceptional; otherwise the product of the intersection
     numbers E_{l_t} . beta_{ij} times the integral of the coefficient
-    classes cupped with k.  The value does not depend on the multiple."""
+    classes cupped with k h: k times the h^(dim-1) coefficient of
+    alpha_1 alpha_2 alpha_3, 0 over a point.  The value does not depend on
+    the multiple."""
     if beta.n != geom.n:
         raise ValueError("curve class built for a different n")
     if len(insertions) != 3:
@@ -47,16 +55,16 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
         return Fraction(0)
     weights = span_weights(geom.n)[span[1]]
     parts = [classify_insertion(x) for x in insertions]
-    if any(p[0] != "exceptional" for p in parts):
+    if any(p[0] != "exceptional" for p in parts) or geom.base.dim == 0:
         # Divisor-axiom degenerate cases are out of scope; fiber-class
-        # three-point invariants with pullback insertions vanish.
+        # three-point invariants with pullback insertions vanish, and over
+        # a point k h = 0.
         return Fraction(0)
     factor = Fraction(1)
-    coeff = geom.base.one()
-    for kind, l, alpha in parts:
+    for _, l, _ in parts:
         factor *= weights.get(l, 0)
-        coeff = coeff * alpha
-    return factor * (coeff * geom.kap()).integrate()
+    alpha = reduce(mul, (GradedClass(geom.base, a) for _, _, a in parts))
+    return factor * geom.taut.k * alpha.coeffs[geom.base.dim - 1]
 
 
 def gw_metadata(geom: Geometry):

@@ -215,13 +215,20 @@ class HomChecker:
         """{i: the candidate's image of b_i} over the generator indices i."""
         return {i: apply_candidate(matrix, self.basis[i][1]) for i in self.generators}
 
+    def _residual(self, matrix, images, ring, i: int, j: int) -> dict:
+        """apply(M, b_i b_j) - (M b_i)(M b_j) in `ring`, for generator indices
+        i <= j, as its nonzero coefficients {m: c}: one subtraction per
+        coefficient where the two sides differ."""
+        lhs = apply_candidate(matrix, self.products[(i, j)]).coeffs
+        rhs = ring.mul(images[i], images[j]).coeffs
+        return {m: a - b for m, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
+
     def check(self, matrix, quantum: QuantumRing) -> HomReport:
         """Exact multiplicativity of the candidate map into `quantum` on all
         unordered pairs of orbifold basis elements, plus invertibility of
         the matrix.  The difference of a pair b_i = h^p g, b_j = h^q g' is
         that of the generator pair g, g' shifted by h^(p+q), so one
-        difference is formed per generator pair, when the walk first needs
-        it."""
+        difference is formed per generator pair."""
         if len(matrix) != self.geom.n:
             raise ValueError("candidate matrix has the wrong size")
         if quantum.geom != self.geom:
@@ -236,7 +243,8 @@ class HomChecker:
         images = self._images(matrix)
         names = _component_names(self.geom, quantum.letter)
         rank = self.geom.base.rank
-        diffs = {}
+        diffs = {key: self._residual(matrix, images, quantum, *key).items()
+                 for key in self.products}
         size = len(self.basis)
         # twisted sectors first, from the end of the basis: `verify-a1`
         # prints the violations in this order, which the golden digests pin
@@ -244,11 +252,6 @@ class HomChecker:
             lx = self.basis[i][0]
             for j in range(size - 1, i - 1, -1):
                 key = (i - i % rank, j - j % rank)
-                if key not in diffs:
-                    lhs = apply_candidate(matrix, self.products[key])
-                    rhs = quantum.mul(images[key[0]], images[key[1]])
-                    diffs[key] = [] if lhs == rhs else [
-                        (m, c) for m, c in enumerate((lhs - rhs).coeffs) if not scalar_is_zero(c)]
                 for m, val in _shift(diffs[key], i % rank + j % rank, rank):
                     report.passed = False
                     report.violations.append((f"{lx} * {self.basis[j][0]}", names[m], val))
@@ -294,12 +297,13 @@ class HomChecker:
                  for i, row in dots.items()}
         names = _component_names(self.geom, ResolutionRing.letter)
         labels, rows = [], []
-        for (i, j), xy in self.products.items():
-            rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
+        for i, j in self.products:
+            rhs = self._residual(matrix, images, classical, i, j)
             # None: a zero root product, not formed
             roots = [None if scalar_is_zero(kx) or scalar_is_zero(y) else kx * y
                      for kx, y in zip(kdots[i], dots[j])]
-            for m, val in enumerate(rhs.coeffs):
+            for m in range(len(self.basis)):
+                val = rhs.get(m, ZERO)
                 # coefficient m is that of h^p g, of the generator g = l + 1, E_l
                 g, p = divmod(m, rank)
                 row = [root if root is not None and p == 1 and r <= g - 1 <= s else ZERO

@@ -48,18 +48,104 @@ from crepant.verify import (
 )
 
 
+class HClass:
+    """An element of H*(S) = Q[h]/h^(dim+1) over `base`: its coefficients of
+    h^0..h^dim, rationals or cyclotomic numbers.  The tests' route through
+    H*(S) coordinates; the package stores classes flat instead."""
+
+    __slots__ = ("base", "coeffs")
+    __hash__ = None
+
+    def __init__(self, base, coeffs):
+        self.base = base
+        self.coeffs = tuple(coeffs)
+
+    def __add__(self, other):
+        return HClass(self.base, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def scale(self, scalar):
+        return HClass(self.base, (scalar * a for a in self.coeffs))
+
+    def __mul__(self, other):
+        """Cup product, truncated above h^dim; a scalar scales."""
+        if not isinstance(other, HClass):
+            return self.scale(other)
+        out = [Fraction(0)] * len(self.coeffs)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                if i + j < len(out) and not scalar_is_zero(a) and not scalar_is_zero(b):
+                    out[i + j] = out[i + j] + a * b
+        return HClass(self.base, out)
+
+    __rmul__ = __mul__
+
+    def integrate(self):
+        """Integral over S: the h^dim coefficient."""
+        return self.coeffs[-1]
+
+    def is_zero(self):
+        return all(scalar_is_zero(c) for c in self.coeffs)
+
+    def __eq__(self, other):
+        return self.base == other.base and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __repr__(self):
+        return f"HClass({self.base!r}, {self.coeffs!r})"
+
+
+def h_power(base, j, coeff=Fraction(1)):
+    """coeff h^j in H*(base), the zero class when h^j is above the top degree."""
+    coeffs = [Fraction(0)] * (base.dim + 1)
+    if j <= base.dim:
+        coeffs[j] = coeffs[j] + coeff
+    return HClass(base, coeffs)
+
+
+def one(base):
+    return h_power(base, 0)
+
+
+def zero(base):
+    return h_power(base, 0, Fraction(0))
+
+
+def coords(x):
+    """The n + 2 H*(S) coordinates of a sector class, of 1, sigma, g_1..g_n."""
+    rank = x.geom.base.rank
+    return tuple(HClass(x.geom.base, x.coeffs[m:m + rank])
+                 for m in range(0, len(x.coeffs), rank))
+
+
+def from_coords(geom, parts):
+    """The sector class with one H*(S) coordinate per generator 1, sigma, g_1..g_n."""
+    return SectorClass(geom, tuple(c for alpha in parts for c in alpha.coeffs))
+
+
+def times_generator(geom, k, alpha):
+    """alpha times the k-th module generator (k = 0 is 1, k = 1 is sigma,
+    k = a + 1 is g_a)."""
+    parts = [zero(geom.base)] * (geom.n + 2)
+    parts[k] = alpha
+    return from_coords(geom, parts)
+
+
+def kap(geom):
+    """The class k as an element of H*(S): k h."""
+    return h_power(geom.base, 1, geom.taut.k)
+
+
 def ell(geom):
     """The class l as an element of H*(S): l h."""
     if geom.taut.l is None:
         raise ValueError("l is undefined for n = 1")
-    return geom.base.h_power(1, geom.taut.l)
+    return h_power(geom.base, 1, geom.taut.l)
 
 
 def em(geom):
     """The class m as an element of H*(S): m h."""
     if geom.taut.m is None:
         raise ValueError("m is undefined for n = 1")
-    return geom.base.h_power(1, geom.taut.m)
+    return h_power(geom.base, 1, geom.taut.m)
 
 
 def reduce_mod_cyclotomic(coeffs, n):
@@ -389,11 +475,11 @@ class ContractedAlphaRing(SectorRing):
     def _compute_ee(self, i, j):
         geom = self.geom
         n = geom.n
-        sigma = geom.base.one().scale(Fraction(cartan_matrix(n)[i - 1][j - 1]))
+        sigma = one(geom.base).scale(Fraction(cartan_matrix(n)[i - 1][j - 1]))
         # m is undefined for n = 1, where every cm is 0
-        exc = tuple((em(geom).scale(cm) if cm else geom.base.zero()) + geom.kap().scale(ck)
+        exc = tuple((em(geom).scale(cm) if cm else zero(geom.base)) + kap(geom).scale(ck)
                     for cm, ck in contracted_alpha(n, i, j))
-        return as_row(SectorClass.from_coords(geom, (geom.base.zero(), sigma, *exc)))
+        return as_row(from_coords(geom, (zero(geom.base), sigma, *exc)))
 
 
 def intersection(n: int, l: int, beta) -> int:
@@ -426,6 +512,23 @@ def contracted_correction(n: int, i: int, j: int, l: int) -> QSeries:
         if c:
             series = series + c * r_poly(n, i, j, m)
     return series
+
+
+def gw_by_coords(geom, span, insertions):
+    """`gw.gw_invariant` in a multiple of beta_span through H*(S)
+    coordinates: 0 if an insertion is a pullback class (zero included),
+    else the product of the E_l . beta_span of the insertions alpha_t E_l
+    times the integral of alpha_1 alpha_2 alpha_3 k h."""
+    beta = curve_class(geom.n, *span)
+    value, alpha = Fraction(1), kap(geom)
+    for x in insertions:
+        parts = [(g, a) for g, a in enumerate(coords(x)) if not a.is_zero()]
+        if all(g < 2 for g, _ in parts):
+            return Fraction(0)
+        (g, a), = parts
+        value *= intersection(geom.n, g - 1, beta)
+        alpha = alpha * a
+    return value * alpha.integrate()
 
 
 def a1_scalar_sweep(count: int = 200):
@@ -538,8 +641,8 @@ class A2TableRing(SectorRing):
             ell(geom).scale(evaluate(m_part, self.deltas) * Fraction(1, 3))
             + em(geom).scale(evaluate(l_part, self.deltas) * Fraction(1, 3))
             for m_part, l_part in (entry["E1"], entry["E2"]))
-        return as_row(SectorClass.from_coords(
-            geom, (geom.base.zero(), geom.base.one().scale(entry["sigma"]), *sectors)))
+        return as_row(from_coords(
+            geom, (zero(geom.base), one(geom.base).scale(entry["sigma"]), *sectors)))
 
 
 def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
@@ -603,14 +706,14 @@ def quantum_ee_by_coords(geom, q, i, j):
     or its constant when the ring is uncorrected (k = 0, a point base or
     every delta 0)."""
     deltas = q.deltas()
-    corrected = not geom.symplectic() and not all(scalar_is_zero(d) for d in deltas.values())
+    corrected = not kap(geom).is_zero() and not all(scalar_is_zero(d) for d in deltas.values())
     sigma, slots = structure_constants(geom.n)[(i, j)]
     exc = []
     for cm, series in slots:
-        term = geom.kap().scale(evaluate(series, deltas) if corrected else series.const)
+        term = kap(geom).scale(evaluate(series, deltas) if corrected else series.const)
         # m is undefined for n = 1, where cm is always 0
         exc.append(em(geom).scale(cm) + term if cm else term)
-    return SectorClass.from_coords(geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc))
+    return from_coords(geom, (zero(geom.base), one(geom.base).scale(sigma), *exc))
 
 
 def orbifold_ee_by_coords(ring, i, j):
@@ -619,9 +722,9 @@ def orbifold_ee_by_coords(ring, i, j):
     geom, n = ring.geom, ring.geom.n
     obstruction = obstruction_class(n, i, j)
     if obstruction is None:
-        return SectorClass.generator(geom, 1, geom.base.one().scale(Fraction(1, n + 1)))
+        return times_generator(geom, 1, one(geom.base).scale(Fraction(1, n + 1)))
     alpha = ell(geom) if obstruction == "ell" else em(geom)
-    return SectorClass.sector(geom, (i + j) % (n + 1), alpha.scale(ring.t))
+    return times_generator(geom, (i + j) % (n + 1) + 1, alpha.scale(ring.t))
 
 
 class AtomRing(SectorRing):
@@ -641,11 +744,10 @@ class AtomRing(SectorRing):
         geom = self.geom
         sigma, slots = structure_constants(geom.n)[(i, j)]
         # m is undefined for n = 1, where every cm is 0
-        exc = tuple((em(geom).scale(cm) if cm else geom.base.zero())
-                    + geom.kap().scale(evaluate(series, self.deltas))
+        exc = tuple((em(geom).scale(cm) if cm else zero(geom.base))
+                    + kap(geom).scale(evaluate(series, self.deltas))
                     for cm, series in slots)
-        return as_row(SectorClass.from_coords(
-            geom, (geom.base.zero(), geom.base.one().scale(sigma), *exc)))
+        return as_row(from_coords(geom, (zero(geom.base), one(geom.base).scale(sigma), *exc)))
 
 
 def unit_delta_rings(geom):
@@ -660,18 +762,18 @@ def apply_candidate_by_coords(matrix, x):
     """`verify.apply_candidate` on the H*(S) coordinates: 1 and sigma are
     fixed, and the a-th sector generator goes to sum_l matrix[a][l] E_l."""
     geom = x.geom
-    coords = list(x.coords[:2])
+    parts = list(coords(x)[:2])
     for column in zip(*matrix):
-        terms = [alpha.scale(c) for c, alpha in zip(column, x.coords[2:]) if not scalar_is_zero(c)]
-        coords.append(reduce(add, terms) if terms else geom.base.zero())
-    return SectorClass.from_coords(geom, coords)
+        terms = [alpha.scale(c) for c, alpha in zip(column, coords(x)[2:]) if not scalar_is_zero(c)]
+        parts.append(reduce(add, terms) if terms else zero(geom.base))
+    return from_coords(geom, parts)
 
 
 def components_by_coords(x, letter):
     """(label, scalar) per coefficient, walking the H*(S) coordinates: the
     h^p coefficient of generator g is `g.h^p`, sectors `letter`_a."""
     names = ["pure", "sigma"] + [f"{letter}_{a}" for a in range(1, x.geom.n + 1)]
-    for name, alpha in zip(names, x.coords):
+    for name, alpha in zip(names, coords(x)):
         for j, c in enumerate(alpha.coeffs):
             yield (f"{name}.h^{j}", c)
 
@@ -679,7 +781,7 @@ def components_by_coords(x, letter):
 def pairing(ring, x, y):
     """Poincare pairing: the integral over Y of the product, which only
     its compactly supported sigma coordinate contributes to."""
-    return ring.mul(x, y).coords[1].integrate()
+    return coords(ring.mul(x, y))[1].integrate()
 
 
 def reduced_system(geom, matrix, labels, rows):
@@ -743,10 +845,10 @@ def all_pairs_rows(checker, matrix):
     basis = orb.basis()
     classical = ResolutionRing(geom)
     images = [apply_candidate(matrix, x) for _, x in basis]
-    dots = [[reduce(add, (coords[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
-             for span in spans] for coords in (x.coords for x in images)]
-    kap = geom.kap()
-    kdots = [[kap * d for d in row] for row in dots]
+    dots = [[reduce(add, (parts[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
+             for span in spans] for parts in (coords(x) for x in images)]
+    k = kap(geom)
+    kdots = [[k * d for d in row] for row in dots]
     names = _component_names(geom, ResolutionRing.letter)
     labels, rows = [], []
     for (i, j), xy in orb.products().items():
@@ -818,9 +920,9 @@ def mul_by_generators(ring, x, y):
     g_a g_b over the nonzero H*(S) coordinates, with 1 the identity,
     sigma g_b = 0 for b > 0 and g_i g_j = `ring.ee_product(i, j)`.  No
     basis product table is read."""
-    terms = [[] for _ in x.coords]
-    ys = [(b, beta) for b, beta in enumerate(y.coords) if not beta.is_zero()]
-    for a, alpha in enumerate(x.coords):
+    terms = [[] for _ in coords(x)]
+    ys = [(b, beta) for b, beta in enumerate(coords(y)) if not beta.is_zero()]
+    for a, alpha in enumerate(coords(x)):
         if alpha.is_zero():
             continue
         for b, beta in ys:
@@ -828,11 +930,10 @@ def mul_by_generators(ring, x, y):
                 terms[a + b].append(alpha * beta)
             elif a > 1 and b > 1:
                 coeff = alpha * beta
-                for k, e in enumerate(ring.ee_product(a - 1, b - 1).coords):
+                for k, e in enumerate(coords(ring.ee_product(a - 1, b - 1))):
                     if not e.is_zero():
                         terms[k].append(e * coeff)
-    zero = ring.geom.base.zero()
-    return SectorClass.from_coords(ring.geom, [reduce(add, t) if t else zero for t in terms])
+    return from_coords(ring.geom, [reduce(add, t) if t else zero(ring.geom.base) for t in terms])
 
 
 def associativity_by_mul(ring):
@@ -873,7 +974,7 @@ def pairing_by_gram(ring):
     integral of a `mul_by_generators` product, over all ordered basis
     pairs."""
     basis = ring.basis()
-    det = _row_reduce([[mul_by_generators(ring, x, y).coords[1].integrate() for _, y in basis]
+    det = _row_reduce([[coords(mul_by_generators(ring, x, y))[1].integrate() for _, y in basis]
                        for _, x in basis], len(basis)).det
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),

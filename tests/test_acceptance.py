@@ -42,8 +42,10 @@ from reference import (
     a1_scalar_sweep,
     cartan_inverse_by_elimination,
     contracted_alpha,
+    h_power,
     key,
     repair_a2_table,
+    times_generator,
 )
 
 
@@ -192,15 +194,15 @@ def test_criterion_08_gw_table():
     start = time.perf_counter()
     ok = True
     geom1 = default_geometry(1)  # integral of kap over P^1 is 1
-    e = SectorClass.sector(geom1, 1)
+    e = SectorClass.generator(geom1, 2)
     for a in range(1, 6):
         ok = ok and gw_invariant(geom1, CurveClass(1, (a,)), [e, e, e]) == -8
     geom2 = default_geometry(2)
-    e1 = SectorClass.sector(geom2, 1)
-    e2 = SectorClass.sector(geom2, 2)
+    e1 = SectorClass.generator(geom2, 2)
+    e2 = SectorClass.generator(geom2, 3)
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, e2]) == 4
     sigma = SectorClass.generator(geom2, 1)
-    h = SectorClass.generator(geom2, 0, geom2.base.h_power(1))
+    h = times_generator(geom2, 0, h_power(geom2.base, 1))
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, sigma]) == 0
     ok = ok and gw_invariant(geom2, curve_class(2, 1, 1), [e1, e1, h]) == 0
     ok = ok and gw_invariant(geom2, CurveClass(2, (1, 2)), [e1, e1, e2]) == 0

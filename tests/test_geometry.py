@@ -5,12 +5,13 @@ import pytest
 from crepant.geometry import (
     BaseRing,
     Geometry,
+    GradedClass,
     SectorClass,
     SectorRing,
     TautClasses,
     default_geometry,
 )
-from reference import ell
+from reference import coords, ell, h_power, kap, one, times_generator
 
 
 def p1():
@@ -19,12 +20,16 @@ def p1():
 
 def test_base_ring_product_and_integral():
     ring = BaseRing("projective_space", 2)
-    h = ring.h_power(1)
-    assert (h * h).integrate() == 1
-    assert (h * h * h).is_zero()  # truncated above the top degree
-    assert ring.one().integrate() == 0
+    h = GradedClass(ring, (Fraction(0), Fraction(1), Fraction(0)))
+    assert (h * h).coeffs == (Fraction(0), Fraction(0), Fraction(1))
+    assert (h * h * h).coeffs == (Fraction(0),) * 3  # truncated above the top degree
     pt = BaseRing("point")
-    assert pt.one().integrate() == 1
+    assert (GradedClass(pt, (Fraction(2),)) * GradedClass(pt, (Fraction(3),))).coeffs == (6,)
+    # the test-side H*(S) class that the reference routes use
+    assert (h_power(ring, 1) * h_power(ring, 1)).integrate() == 1
+    assert (h_power(ring, 1) * h_power(ring, 1) * h_power(ring, 1)).is_zero()
+    assert one(ring).integrate() == 0
+    assert one(pt).integrate() == 1
 
 
 def test_square_zero_model():
@@ -33,11 +38,11 @@ def test_square_zero_model():
     model = SectorRing(geom)
     sigma = SectorClass.generator(geom, 1)
     assert model.mul(sigma, sigma).is_zero()
-    assert sigma.coords[0].is_zero()
-    h = SectorClass.generator(geom, 0, ring.h_power(1))
+    assert sigma.coeffs[:2] == (0, 0)  # rank 2: generator g holds coeffs[2 g:2 g + 2]
+    h = times_generator(geom, 0, h_power(ring, 1))
     prod = model.mul(h, sigma)
-    assert prod.coords[1] == ring.h_power(1)
-    assert prod.coords[1].integrate() == 1
+    assert coords(prod)[1] == h_power(ring, 1)
+    assert coords(prod)[1].integrate() == 1
 
 
 def test_taut_relation_validated():
@@ -78,6 +83,7 @@ def test_point_base_classes_vanish():
     geom = Geometry(2, BaseRing("point"),
                     TautClasses(2, Fraction(1), Fraction(2), Fraction(1)))
     assert ell(geom).is_zero()
+    assert kap(geom).is_zero()
     assert geom.symplectic()
 
 

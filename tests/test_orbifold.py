@@ -16,7 +16,14 @@ from crepant.orbifold import (
     age,
     obstruction_class,
 )
-from reference import orbifold_ee_by_coords, pairing, surface_table
+from reference import (
+    coords,
+    h_power,
+    orbifold_ee_by_coords,
+    pairing,
+    surface_table,
+    times_generator,
+)
 
 
 def test_age():
@@ -60,43 +67,43 @@ def test_surface_table_matches_ring_over_point():
     table = surface_table(n)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            prod = ring.mul(SectorClass.sector(geom, a), SectorClass.sector(geom, b))
-            assert prod.coords[1].coeffs[0] == table[(a, b)]
+            prod = ring.mul(SectorClass.generator(geom, a + 1), SectorClass.generator(geom, b + 1))
+            assert prod.coeffs[1] == table[(a, b)]  # rank 1: one coefficient per generator
             if (a + b) % (n + 1) == 0:
-                assert all(t.is_zero() for t in prod.coords[2:])
+                assert all(c == 0 for c in prod.coeffs[2:])
 
 
 def test_product_cases_a2():
     geom = default_geometry(2)  # ell = h, em = 2h, kap = h
     ring = OrbifoldRing(geom)
-    e1 = SectorClass.sector(geom, 1)
-    e2 = SectorClass.sector(geom, 2)
+    e1 = SectorClass.generator(geom, 2)
+    e2 = SectorClass.generator(geom, 3)
 
     # inverse twists: (1/3) * pushforward
     p = ring.mul(e1, e2)
-    assert p.coords[1].coeffs == (Fraction(1, 3), Fraction(0))
-    assert all(t.is_zero() for t in p.coords[2:])
+    assert p.coeffs[2:4] == (Fraction(1, 3), Fraction(0))  # rank 2: generator g at 2g, 2g + 1
+    assert all(c == 0 for c in p.coeffs[4:])
 
     # wrap-below: obstruction class ell, default coefficient -1/3
     p = ring.mul(e1, e1)
-    assert all(t.is_zero() for t in p.coords[:2])
-    assert p.coords[3].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert all(c == 0 for c in p.coeffs[:4])
+    assert p.coeffs[6:8] == (Fraction(0), Fraction(-1, 3))
 
     # wrap-above: obstruction class em = 2h
     p = ring.mul(e2, e2)
-    assert p.coords[2].coeffs == (Fraction(0), Fraction(-2, 3))
+    assert p.coeffs[4:6] == (Fraction(0), Fraction(-2, 3))
 
 
 def test_untwisted_action():
     geom = default_geometry(2)
     ring = OrbifoldRing(geom)
     sigma = SectorClass.generator(geom, 1)
-    e1 = SectorClass.sector(geom, 1)
+    e1 = SectorClass.generator(geom, 2)
     # sigma restricts to zero on the singular locus, so it kills sectors
     assert ring.mul(sigma, e1).is_zero()
-    h = SectorClass.generator(geom, 0, geom.base.h_power(1))
+    h = times_generator(geom, 0, h_power(geom.base, 1))
     p = ring.mul(h, e1)
-    assert p.coords[2].coeffs == (Fraction(0), Fraction(1))
+    assert p.coeffs[4:6] == (Fraction(0), Fraction(1))
 
 
 def test_pairing_and_integral_compatible():
@@ -108,20 +115,21 @@ def test_pairing_and_integral_compatible():
     basis = ring.basis()
     for _, x in basis:
         for _, y in basis:
-            want = (x.coords[0] * y.coords[1] + y.coords[0] * x.coords[1]).integrate() + sum(
-                Fraction(1, n + 1) * (x.coords[a + 1] * y.coords[n - a + 2]).integrate()
+            xc, yc = coords(x), coords(y)
+            want = (xc[0] * yc[1] + yc[0] * xc[1]).integrate() + sum(
+                Fraction(1, n + 1) * (xc[a + 1] * yc[n - a + 2]).integrate()
                 for a in range(1, n + 1))
             assert pairing(ring, x, y) == want
-            assert pairing(ring, x, y) == ring.mul(x, y).coords[1].integrate()
+            assert pairing(ring, x, y) == coords(ring.mul(x, y))[1].integrate()
 
 
 def test_flag_variants_change_product():
     geom = default_geometry(2)
-    e1 = SectorClass.sector(geom, 1)
+    e1 = SectorClass.generator(geom, 2)
     default = OrbifoldRing(geom).mul(e1, e1)
     flipped = OrbifoldRing(geom, ConventionFlags("1")).mul(e1, e1)
-    assert flipped.coords[3].coeffs == (Fraction(0), Fraction(1))
-    assert default.coords[3].coeffs == (Fraction(0), Fraction(-1, 3))
+    assert flipped.coeffs[6:8] == (Fraction(0), Fraction(1))
+    assert default.coeffs[6:8] == (Fraction(0), Fraction(-1, 3))
 
 
 @pytest.mark.parametrize("twist_self", TWIST_SELF_CHOICES)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crepant.cartan import curve_class
-from crepant.geometry import BaseRing, Geometry, GradedClass, TautClasses, default_geometry
+from crepant.geometry import BaseRing, Geometry, TautClasses, default_geometry
 from crepant import quantum
 from crepant.quantum import (
     PoleError,
@@ -20,12 +20,19 @@ from crepant.resolution import ResolutionRing
 from crepant.scalars import CycNum, dot, scalar_is_zero, scalar_to_json
 from reference import (
     AtomRing,
+    HClass,
     contracted_correction,
+    coords,
     evaluate,
+    from_coords,
+    h_power,
     intersection,
+    kap,
     quantum_ee_by_coords,
     r_poly,
+    times_generator,
     unit_delta_rings,
+    zero,
 )
 
 D11, D22, D12 = (1, 1), (2, 2), (1, 2)
@@ -115,17 +122,18 @@ def test_quantum_product_a2_frozen():
     z3 = CycNum.zeta(3)
     ring = QuantumRing(geom, QPoint([z3, z3]))
     ee = ring.ee_product(1, 1)
-    assert ee.coords[1].coeffs[0] == -2
-    assert ee.coords[2].coeffs[1] == Fraction(2, 3) + z3
-    assert ee.coords[3].coeffs[1] == Fraction(1, 3)
+    # over P^1 the h^p coefficient of generator g is coeffs[2 g + p]
+    assert ee.coeffs[2] == -2
+    assert ee.coeffs[5] == Fraction(2, 3) + z3
+    assert ee.coeffs[7] == Fraction(1, 3)
 
 
 def test_a1_correction_vanishes_at_minus_one():
     geom = default_geometry(1)
     ring = QuantumRing(geom, QPoint([Fraction(-1)]))
     ee = ring.ee_product(1, 1)
-    assert ee.coords[1].coeffs[0] == -2
-    assert ee.coords[2].is_zero()  # 2 + 4 delta = 0 at q = -1
+    assert ee.coeffs[2] == -2
+    assert all(c == 0 for c in ee.coeffs[4:6])  # 2 + 4 delta = 0 at q = -1
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -145,7 +153,7 @@ def test_distant_divisors_get_corrections():
     q = QPoint([CycNum.zeta(5)] * 3)
     ring = QuantumRing(geom, q)
     ee = ring.ee_product(1, 3)
-    assert all(t.is_zero() for t in ee.coords[:2])
+    assert all(c == 0 for c in ee.coeffs[:4])
     assert not ee.is_zero()
 
 
@@ -153,8 +161,8 @@ def test_pullback_products_uncorrected():
     geom = default_geometry(2)
     q = QPoint([CycNum.zeta(3), CycNum.zeta(3)])
     ring = QuantumRing(geom, q)
-    h = SectorClass.generator(geom, 0, geom.base.h_power(1))
-    e1 = SectorClass.sector(geom, 1)
+    h = times_generator(geom, 0, h_power(geom.base, 1))
+    e1 = SectorClass.generator(geom, 2)
     classical = ResolutionRing(geom)
     assert ring.mul(h, e1) == classical.mul(h, e1)
 
@@ -175,16 +183,16 @@ def test_reflection_symmetry():
         for j in range(i, n + 1):
             ee = ring.ee_product(i, j)
             em = ring_m.ee_product(n + 1 - j, n + 1 - i)
-            assert ee.coords[:2] == em.coords[:2]
+            assert ee.coeffs[:4] == em.coeffs[:4]
             for l in range(1, n + 1):
-                assert ee.coords[l + 1] == em.coords[n - l + 2]
+                assert ee.coeffs[2 * l + 2:2 * l + 4] == em.coeffs[2 * (n - l) + 4:2 * (n - l) + 6]
 
 
 def test_quantum_mul_helper():
     geom = default_geometry(1)
-    e = SectorClass.sector(geom, 1)
+    e = SectorClass.generator(geom, 2)
     out = QuantumRing(geom, QPoint([Fraction(-1)])).mul(e, e)
-    assert out.coords[1].coeffs[0] == -2
+    assert out.coeffs[2] == -2
 
 
 def _coefficient_tuples(ring):
@@ -195,8 +203,7 @@ def _coefficient_tuples(ring):
             return ("cyc", c.conductor, c.coeffs)
         return (type(c).__name__, c)
 
-    return {pair: [[shape(c) for c in alpha.coeffs] for alpha in x.coords]
-            for pair, x in ring.products().items()}
+    return {pair: [shape(c) for c in x.coeffs] for pair, x in ring.products().items()}
 
 
 @pytest.mark.parametrize("base", [BaseRing("projective_space", 1), BaseRing("point")],
@@ -232,8 +239,7 @@ def class_pairs(draw):
     coeffs = st.lists(st.integers(-3, 3).map(Fraction), min_size=base.rank, max_size=base.rank)
 
     def sector_class():
-        return SectorClass.from_coords(geom, [GradedClass(base, tuple(draw(coeffs)))
-                                              for _ in range(n + 2)])
+        return from_coords(geom, [HClass(base, draw(coeffs)) for _ in range(n + 2)])
 
     return geom, sector_class(), sector_class()
 
@@ -249,13 +255,13 @@ def test_unit_delta_adds_the_rank_one_root_term(case):
     _, units = unit_delta_rings(geom)
     for (r, s), unit in zip(all_spans(n), units):
         beta = curve_class(n, r, s)
-        xb, yb = (sum((z.coords[i + 1].scale(intersection(n, i, beta))
-                       for i in range(1, n + 1)), geom.base.zero()) for z in (x, y))
-        term = geom.kap() * xb * yb
-        expected = [geom.base.zero()] * (n + 2)
+        xb, yb = (sum((coords(z)[i + 1].scale(intersection(n, i, beta))
+                       for i in range(1, n + 1)), zero(geom.base)) for z in (x, y))
+        term = kap(geom) * xb * yb
+        expected = [zero(geom.base)] * (n + 2)
         for l in range(r, s + 1):
             expected[l + 1] = term
-        assert unit.mul(x, y) - classical == SectorClass.from_coords(geom, expected)
+        assert unit.mul(x, y) - classical == from_coords(geom, expected)
 
 
 def test_deltas_invert_nothing_before_a_pole(monkeypatch):

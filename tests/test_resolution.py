@@ -5,7 +5,7 @@ import pytest
 from crepant.geometry import BaseRing, Geometry, SectorClass, TautClasses, default_geometry
 from crepant.quantum import QPoint, QuantumRing, structure_constants
 from crepant.resolution import ResolutionRing
-from reference import ContractedAlphaRing, contracted_alpha, pairing
+from reference import ContractedAlphaRing, contracted_alpha, h_power, pairing, times_generator
 
 
 def classical_part(n, i, j):
@@ -18,8 +18,9 @@ def test_a1_self_intersection():
     geom = default_geometry(1)  # kap = h on P^1
     ring = ResolutionRing(geom)
     ee = ring.ee_product(1, 1)
-    assert ee.coords[1].coeffs == (Fraction(-2), Fraction(0))
-    assert ee.coords[2].coeffs == (Fraction(0), Fraction(2))  # 2 kap E
+    # over P^1 generator g holds coeffs[2 g:2 g + 2]
+    assert ee.coeffs[2:4] == (Fraction(-2), Fraction(0))
+    assert ee.coeffs[4:6] == (Fraction(0), Fraction(2))  # 2 kap E
 
 
 def test_a2_products_frozen():
@@ -27,14 +28,14 @@ def test_a2_products_frozen():
     ring = ResolutionRing(geom)
     # E1 E1 = -2 sigma + ((1/3) em + 2 kap) E1 + (2/3) em E2
     ee = ring.ee_product(1, 1)
-    assert ee.coords[1].coeffs[0] == -2
-    assert ee.coords[2].coeffs == (Fraction(0), Fraction(8, 3))
-    assert ee.coords[3].coeffs == (Fraction(0), Fraction(4, 3))
+    assert ee.coeffs[2] == -2
+    assert ee.coeffs[4:6] == (Fraction(0), Fraction(8, 3))
+    assert ee.coeffs[6:8] == (Fraction(0), Fraction(4, 3))
     # E1 E2 = sigma + ((1/3) em - kap) E1 - (1/3) em E2
     ee = ring.ee_product(1, 2)
-    assert ee.coords[1].coeffs[0] == 1
-    assert ee.coords[2].coeffs == (Fraction(0), Fraction(-1, 3))
-    assert ee.coords[3].coeffs == (Fraction(0), Fraction(-2, 3))
+    assert ee.coeffs[2] == 1
+    assert ee.coeffs[4:6] == (Fraction(0), Fraction(-1, 3))
+    assert ee.coeffs[6:8] == (Fraction(0), Fraction(-2, 3))
     # distant divisors multiply to zero classically
     geom3 = default_geometry(3)
     assert ResolutionRing(geom3).ee_product(1, 3).is_zero()
@@ -75,7 +76,7 @@ def test_pullback_is_ring_map():
     geom = default_geometry(2)
     ring = ResolutionRing(geom)
     sigma = SectorClass.generator(geom, 1)
-    e1 = SectorClass.sector(geom, 1)
+    e1 = SectorClass.generator(geom, 2)
     assert ring.mul(sigma, e1).is_zero()  # i^* sigma = 0
     assert ring.mul(sigma, sigma).is_zero()
 
@@ -83,16 +84,16 @@ def test_pullback_is_ring_map():
 def test_pairing_blocks():
     geom = default_geometry(2)
     ring = ResolutionRing(geom)
-    e1 = SectorClass.sector(geom, 1)
-    e2 = SectorClass.sector(geom, 2)
-    h = geom.base.h_power(1)
-    assert pairing(ring, e1, SectorClass.sector(geom, 1, h)) == -2
-    assert pairing(ring, e1, SectorClass.sector(geom, 2, h)) == 1
+    e1 = SectorClass.generator(geom, 2)
+    e2 = SectorClass.generator(geom, 3)
+    h = h_power(geom.base, 1)
+    assert pairing(ring, e1, times_generator(geom, 2, h)) == -2
+    assert pairing(ring, e1, times_generator(geom, 3, h)) == 1
     assert pairing(ring, e1, e2) == 0  # degree reasons on a threefold
     one = SectorClass.generator(geom, 0)
     sigma = SectorClass.generator(geom, 1)
     assert pairing(ring, one, ring.mul(
-        sigma, SectorClass.generator(geom, 0, h))) == 1
+        sigma, times_generator(geom, 0, h))) == 1
 
 
 def test_associative_classical():

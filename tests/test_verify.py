@@ -11,7 +11,6 @@ from crepant.cartan import curve_class
 from crepant.geometry import (
     BaseRing,
     Geometry,
-    GradedClass,
     SectorClass,
     SectorRing,
     TautClasses,
@@ -43,6 +42,7 @@ from reference import (
     associativity_all_triples,
     associativity_by_mul,
     check_all_pairs,
+    coords,
     det_by_cofactors,
     ell,
     em,
@@ -570,16 +570,14 @@ def test_structure_table_holds_both_orders(base):
     # it for both orders; check each order against the product by
     # generators in that order, conductors included
     geom = default_geometry(3, BASES[base])
-    rank = geom.base.rank
     for ring in (OrbifoldRing(geom), QuantumRing(geom, QPoint(MIXED_Q[:3]))):
         basis = [x for _, x in ring.basis()]
         for i, j in itertools.product(range(len(basis)), repeat=2):
             row = ring.product(i, j)
             product = mul_by_generators(ring, basis[i], basis[j])
             assert {p: scalar_to_json(c) for p, c in row.items()} == {
-                g * rank + h: scalar_to_json(c)
-                for g, alpha in enumerate(product.coords)
-                for h, c in enumerate(alpha.coeffs) if not scalar_is_zero(c)}, (i, j)
+                m: scalar_to_json(c) for m, c in enumerate(product.coeffs)
+                if not scalar_is_zero(c)}, (i, j)
 
 
 def _pool(conductor):
@@ -610,13 +608,11 @@ def rings_and_classes(draw):
         ring = QuantumRing(geom, q)
     else:
         ring = OrbifoldRing(geom, ConventionFlags(kind))
-    rank = geom.base.rank
+    size = (n + 2) * geom.base.rank
 
     def draw_class():
-        coeffs = draw(st.lists(st.sampled_from(pool), min_size=(n + 2) * rank,
-                               max_size=(n + 2) * rank))
-        return SectorClass.from_coords(geom, [GradedClass(geom.base, tuple(coeffs[g:g + rank]))
-                                              for g in range(0, len(coeffs), rank)])
+        return SectorClass(geom, tuple(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                                     max_size=size))))
 
     return ring, draw_class(), draw_class(), conductor is not None
 
@@ -731,13 +727,13 @@ def test_derived_table_two_parameter(q):
     # invariants: sum over spans beta of <E_i, E_j, E_p>_beta delta_beta.
     geom = default_geometry(2)
     quantum, classical = QuantumRing(geom, q), ResolutionRing(geom)
-    e = [SectorClass.sector(geom, a) for a in (1, 2)]
+    e = [SectorClass.generator(geom, a + 1) for a in (1, 2)]
     deltas = q.deltas()
     for (i, j), entry in derived_a2_table().items():
         product = quantum.ee_product(i, j)
         for l in (1, 2):
             m_part, l_part = entry[f"E{l}"]
-            assert product.coords[l + 1] == (em(geom).scale(evaluate(m_part, deltas))
+            assert coords(product)[l + 1] == (em(geom).scale(evaluate(m_part, deltas))
                                               + ell(geom).scale(evaluate(l_part, deltas)))
         for p in (1, 2):
             correction = (pairing(quantum, product, e[p - 1])
