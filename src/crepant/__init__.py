@@ -3,9 +3,11 @@ of transversal A_n singularities, plus McKay correspondence utilities.
 
 The frozen value types are `collections.namedtuple` subclasses that check
 their fields in `__init__`, after the tuple is built (`_replace` skips the
-check).  The package imports no `dataclasses` (which loads `inspect`) and
-no `typing`: they would more than double the import time that every CLI
-process pays."""
+check).  Each holds a datum once and defines only the operators the package
+calls; a class value type sets the tuple operators it does not define to
+None, so `+` and `*` raise TypeError instead of concatenating.  The package
+imports no `dataclasses` (which loads `inspect`) and no `typing`: they would
+more than double the import time that every CLI process pays."""
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import (
@@ -13,7 +15,6 @@ from .geometry import (
     Geometry,
     SectorClass,
     SectorRing,
-    TautClasses,
     default_geometry,
 )
 from .gw import gw_invariant

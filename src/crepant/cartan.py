@@ -57,17 +57,19 @@ def cartan_inverse_entry(n: int, i: int, j: int) -> Fraction:
     return cartan_inverse(n)[i - 1][j - 1]
 
 
-class CurveClass(namedtuple("CurveClass", "n mult")):
+class CurveClass(namedtuple("CurveClass", "mult")):
     """An effective fiber curve class: nonnegative multiplicities of the
     exceptional fiber components beta_1..beta_n."""
 
     __slots__ = ()
 
     def __init__(self, *args, **kwargs):
-        if len(self.mult) != self.n:
-            raise ValueError("multiplicity vector has the wrong length")
         if any(m < 0 for m in self.mult):
             raise ValueError("curve classes here are effective")
+
+    @property
+    def n(self) -> int:
+        return len(self.mult)
 
     def as_multiple_of_span(self):
         """(a, (i, j)) if the class is a * beta_{ij} with a >= 1, else None."""
@@ -85,4 +87,4 @@ def curve_class(n: int, i: int, j: int) -> CurveClass:
     """beta_{ij} = beta_i + beta_{i+1} + ... + beta_j, 1 <= i <= j <= n."""
     if not (1 <= i <= j <= n):
         raise ValueError(f"need 1 <= i <= j <= n, got ({i},{j})")
-    return CurveClass(n, tuple(1 if i <= t + 1 <= j else 0 for t in range(n)))
+    return CurveClass(tuple(1 if i <= t + 1 <= j else 0 for t in range(n)))

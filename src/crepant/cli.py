@@ -194,7 +194,7 @@ def cmd_gw(args, geom, flags) -> dict:
     if multiple < 1:
         raise ValueError("multiple must be >= 1")
     base = curve_class(geom.n, i, j)
-    beta = CurveClass(geom.n, tuple(multiple * m for m in base.mult))
+    beta = CurveClass(tuple(multiple * m for m in base.mult))
     insertions = []
     for tok in args.insert.split(","):
         if tok.upper().startswith("E") and tok[1:].isascii() and tok[1:].isdigit():
@@ -254,6 +254,8 @@ def cmd_solve_a2(args, geom, flags) -> dict:
          option("--ring", choices=("orb", "classical", "quantum"), default="orb"),
          option("--q", help="required for --ring quantum"))
 def cmd_check_assoc(args, geom, flags) -> dict:
+    if args.ring != "quantum" and args.q is not None:
+        raise ValueError(f"--q applies only to --ring quantum, not --ring {args.ring}")
     if args.ring == "orb":
         ring = OrbifoldRing(geom, flags)
     elif args.ring == "classical":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, sub
 
 from .scalars import ONE, ZERO, format_rational, parse_rational, scalar_is_zero, scalar_to_json
 
@@ -93,15 +92,14 @@ class GradedClass(namedtuple("GradedClass", "ring coeffs")):
                     out[i + j] = out[i + j] + a * b
         return GradedClass(self.ring, tuple(out))
 
-    __hash__ = None
+    __add__ = __rmul__ = __hash__ = None
 
 
-class TautClasses(namedtuple("TautClasses", "n l m k")):
-    """Degree-2 tautological classes on S, as rational multiples of h.
-
-    For n >= 2 the classes l, m, k satisfy l + m = (n+1) k; for n = 1 only
-    k is defined (l and m are not separately visible): l and m are None.
-    """
+class Geometry(namedtuple("Geometry", "n base l m k")):
+    """A transversal A_n fibration datum: singularity type n, base S, and
+    the tautological degree-2 classes l, m, k on S as rational multiples of
+    h, with l + m = (n+1) k; for n = 1 only k is defined (l and m are not
+    separately visible): l and m are None."""
 
     __slots__ = ()
 
@@ -117,23 +115,6 @@ class TautClasses(namedtuple("TautClasses", "n l m k")):
             if self.l + self.m != (self.n + 1) * self.k:
                 raise ValueError("need l + m = (n+1) k")
 
-    def to_json(self):
-        if self.n == 1:
-            return {"k": format_rational(self.k)}
-        return {"l": format_rational(self.l), "m": format_rational(self.m),
-                "k": format_rational(self.k)}
-
-
-class Geometry(namedtuple("Geometry", "n base taut")):
-    """A transversal A_n fibration datum: singularity type n, base S, and
-    the tautological degree-2 classes."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        if self.taut.n != self.n:
-            raise ValueError("tautological classes built for a different n")
-
     @property
     def model_dependent(self) -> bool:
         """True when dim_C S >= 2, where the square-zero model is only formal."""
@@ -142,11 +123,12 @@ class Geometry(namedtuple("Geometry", "n base taut")):
     def symplectic(self) -> bool:
         """True when the class k h vanishes on S (so all quantum corrections
         do): over a point, or at k = 0."""
-        return self.base.dim == 0 or self.taut.k == 0
+        return self.base.dim == 0 or self.k == 0
 
     def to_json(self):
+        classes = {"l": self.l, "m": self.m, "k": self.k} if self.n > 1 else {"k": self.k}
         return {"n": self.n, "base": self.base.to_json(),
-                "classes": self.taut.to_json()}
+                "classes": {c: format_rational(v) for c, v in classes.items()}}
 
     @classmethod
     def from_json(cls, data) -> "Geometry":
@@ -164,11 +146,9 @@ class Geometry(namedtuple("Geometry", "n base taut")):
                         _json_int(base.get("dim", 0), "dim"))
         k = _class_token(raw.get("k", "0"), "k")
         if n == 1:
-            taut = TautClasses(n, None, None, k)
-        else:
-            l, m = (_class_token(_required(raw, c, f"classes.{c}"), c) for c in "lm")
-            taut = TautClasses(n, l, m, k)
-        return cls(n=n, base=base, taut=taut)
+            return cls(n, base, None, None, k)
+        l, m = (_class_token(_required(raw, c, f"classes.{c}"), c) for c in "lm")
+        return cls(n, base, l, m, k)
 
 
 def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
@@ -177,10 +157,8 @@ def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
     if base is None:
         base = BaseRing(PROJECTIVE, 1)
     if n == 1:
-        taut = TautClasses(1, None, None, Fraction(1))
-    else:
-        taut = TautClasses(n, Fraction(1), Fraction(n), Fraction(1))
-    return Geometry(n=n, base=base, taut=taut)
+        return Geometry(1, base, None, None, Fraction(1))
+    return Geometry(n, base, Fraction(1), Fraction(n), Fraction(1))
 
 
 class SectorClass(namedtuple("SectorClass", "geom coeffs")):
@@ -201,19 +179,7 @@ class SectorClass(namedtuple("SectorClass", "geom coeffs")):
         rank = geom.base.rank
         return cls(geom, (ZERO,) * (k * rank) + (ONE,) + (ZERO,) * ((geom.n + 2 - k) * rank - 1))
 
-    def __add__(self, other):
-        return SectorClass(self.geom, tuple(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return SectorClass(self.geom, tuple(map(sub, self.coeffs, other.coeffs)))
-
-    def scale(self, scalar) -> "SectorClass":
-        return SectorClass(self.geom, tuple(scalar * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for c in self.coeffs)
-
-    __hash__ = None
+    __add__ = __mul__ = __rmul__ = __hash__ = None
 
 
 def sum_rows(terms) -> dict:

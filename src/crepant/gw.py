@@ -64,7 +64,7 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
     for _, l, _ in parts:
         factor *= weights.get(l, 0)
     alpha = reduce(mul, (GradedClass(geom.base, a) for _, _, a in parts))
-    return factor * geom.taut.k * alpha.coeffs[geom.base.dim - 1]
+    return factor * geom.k * alpha.coeffs[geom.base.dim - 1]
 
 
 def gw_metadata(geom: Geometry):

@@ -86,5 +86,5 @@ class OrbifoldRing(SectorRing):
         obstruction = obstruction_class(n, i, j)
         if obstruction is None:
             return {rank: Fraction(1, n + 1)}
-        alpha = self.geom.taut.l if obstruction == "ell" else self.geom.taut.m
+        alpha = self.geom.l if obstruction == "ell" else self.geom.m
         return {((i + j) % (n + 1) + 1) * rank + 1: self.t * alpha} if rank > 1 and alpha else {}

@@ -196,16 +196,16 @@ class QuantumRing(SectorRing):
         (cm m + k const, delta_beta...), or that rational when no series is
         evaluated.  Zero coefficients are left out, and over a point every
         E_l coefficient is."""
-        rank, taut = self.geom.base.rank, self.geom.taut
-        sigma, slots = structure_constants(self.geom.n)[(i, j)]
+        geom, rank = self.geom, self.geom.base.rank
+        sigma, slots = structure_constants(geom.n)[(i, j)]
         row = {rank: sigma} if sigma else {}
         if rank == 1:
             return row
         for g, (cm, series) in enumerate(slots, start=2):
             # m is undefined for n = 1, where cm is always 0
-            value = (cm * taut.m if cm else ZERO) + taut.k * series.const
+            value = (cm * geom.m if cm else ZERO) + geom.k * series.const
             if self._corrected and series.atoms:
-                value = dot((1, *(taut.k * c for _, c in series.atoms)),
+                value = dot((1, *(geom.k * c for _, c in series.atoms)),
                             (value, *(self._deltas[span] for span, _ in series.atoms)))
             if not scalar_is_zero(value):
                 row[g * rank + 1] = value

@@ -12,8 +12,8 @@ Every reduction goes through one residue table per conductor N, built on
 first use: row e holds the nonzero integer coefficients of x^e mod Phi_N
 for e = 0..N-1, and `_reduce` sums c * row[e mod N] over integer (e, c)
 terms.  The public constructor (after clearing denominators once), `zeta`
-(row k), `embed` (e -> e M/N), `conj` (e -> -e), the common-field lift and
-the high half of a product all go through it.  The inverse is an extended
+(row k), `conj` (e -> -e), the common-field lift (e -> e M/N) and the high
+half of a product all go through it.  The inverse is an extended
 Euclid of Phi_N and the numerators on integer polynomials, fraction-free.
 
 A sum of products, `dot`, is folded and divided by its gcd once, not once
@@ -169,17 +169,9 @@ class CycNum:
         algebraic integer of Q(zeta_N) is integral in the power basis."""
         if conductor == self.conductor:
             return self.nums, self.den
-        if conductor % self.conductor:
-            raise ValueError("can only embed into a multiple conductor")
         _check_conductor(conductor)
         step = conductor // self.conductor
         return tuple(_reduce(conductor, ((e * step, c) for e, c in enumerate(self.nums)))), self.den
-
-    def embed(self, conductor: int) -> "CycNum":
-        """Image in Q(zeta_conductor); own conductor must divide it."""
-        if conductor == self.conductor:
-            return self
-        return CycNum(conductor, *self._lift(conductor))
 
     def _pair(self, other):
         """(common conductor, own (nums, den), other's (nums, den)) there, or

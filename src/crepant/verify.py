@@ -215,6 +215,12 @@ class HomChecker:
         """{i: the candidate's image of b_i} over the generator indices i."""
         return {i: apply_candidate(matrix, self.basis[i][1]) for i in self.generators}
 
+    def _det(self, matrix):
+        """The determinant of the candidate matrix, which must be n x n."""
+        if {len(matrix), *map(len, matrix)} != {self.geom.n}:
+            raise ValueError("candidate matrix has the wrong size")
+        return _row_reduce(matrix, self.geom.n).det
+
     def _residual(self, matrix, images, ring, i: int, j: int) -> dict:
         """apply(M, b_i b_j) - (M b_i)(M b_j) in `ring`, for generator indices
         i <= j, as its nonzero coefficients {m: c}: one subtraction per
@@ -229,12 +235,10 @@ class HomChecker:
         the matrix.  The difference of a pair b_i = h^p g, b_j = h^q g' is
         that of the generator pair g, g' shifted by h^(p+q), so one
         difference is formed per generator pair."""
-        if len(matrix) != self.geom.n:
-            raise ValueError("candidate matrix has the wrong size")
+        det = self._det(matrix)
         if quantum.geom != self.geom:
             raise ValueError("quantum ring of another geometry")
         report = HomReport(passed=True)
-        det = _row_reduce(matrix, self.geom.n).det
         report.notes["det"] = scalar_to_json(det)
         if scalar_is_zero(det):
             report.passed = False
@@ -278,9 +282,7 @@ class HomChecker:
         is row-reduced exactly."""
         n = self.geom.n
         spans = all_spans(n)
-        if len(matrix) != n:
-            raise ValueError("candidate matrix has the wrong size")
-        det = _row_reduce(matrix, n).det
+        det = self._det(matrix)
         if scalar_is_zero(det):
             return AffineSystem(det, spans)
         classical = ResolutionRing(self.geom)
@@ -292,7 +294,7 @@ class HomChecker:
                                  for a, w in span_weights(n)[span].items())) for span in spans]
                 for i, x in images.items()}
         # k (x.beta), formed where it is nonzero: never over a point, where k h = 0
-        k = self.geom.taut.k if rank > 1 else ZERO
+        k = self.geom.k if rank > 1 else ZERO
         kdots = {i: [k * d if k and not scalar_is_zero(d) else ZERO for d in row]
                  for i, row in dots.items()}
         names = _component_names(self.geom, ResolutionRing.letter)

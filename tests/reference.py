@@ -121,6 +121,17 @@ def from_coords(geom, parts):
     return SectorClass(geom, tuple(c for alpha in parts for c in alpha.coeffs))
 
 
+def difference(x, y):
+    """x - y for sector classes, coefficient by coefficient: the package's
+    classes have no arithmetic."""
+    return SectorClass(x.geom, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
+
+
+def vanishes(x):
+    """True when every coefficient of the sector class x is zero."""
+    return all(scalar_is_zero(c) for c in x.coeffs)
+
+
 def times_generator(geom, k, alpha):
     """alpha times the k-th module generator (k = 0 is 1, k = 1 is sigma,
     k = a + 1 is g_a)."""
@@ -131,21 +142,21 @@ def times_generator(geom, k, alpha):
 
 def kap(geom):
     """The class k as an element of H*(S): k h."""
-    return h_power(geom.base, 1, geom.taut.k)
+    return h_power(geom.base, 1, geom.k)
 
 
 def ell(geom):
     """The class l as an element of H*(S): l h."""
-    if geom.taut.l is None:
+    if geom.l is None:
         raise ValueError("l is undefined for n = 1")
-    return h_power(geom.base, 1, geom.taut.l)
+    return h_power(geom.base, 1, geom.l)
 
 
 def em(geom):
     """The class m as an element of H*(S): m h."""
-    if geom.taut.m is None:
+    if geom.m is None:
         raise ValueError("m is undefined for n = 1")
-    return h_power(geom.base, 1, geom.taut.m)
+    return h_power(geom.base, 1, geom.m)
 
 
 def reduce_mod_cyclotomic(coeffs, n):
@@ -373,7 +384,7 @@ def _try_descend(x: CycNum, m: int):
         if row is not None:
             sol[col] = mat[row][-1]
     cand = CycNum(m, sol)
-    if cand.embed(x.conductor) == x:
+    if cand == x:
         return cand
     return None
 
@@ -823,8 +834,8 @@ def unit_ring_rows(checker, matrix):
     labels, rows = [], []
     for (i, j), xy in orb.products().items():
         r0 = origin.mul(images[i], images[j])
-        parts = [unit.mul(images[i], images[j]) - r0 for unit in units]
-        parts.append(apply_candidate_by_coords(matrix, xy) - r0)
+        parts = [difference(unit.mul(images[i], images[j]), r0) for unit in units]
+        parts.append(difference(apply_candidate_by_coords(matrix, xy), r0))
         for entries in zip(*(components_by_coords(part, "E") for part in parts)):
             row = [val for _, val in entries]
             if not all(scalar_is_zero(val) for val in row):
@@ -852,7 +863,7 @@ def all_pairs_rows(checker, matrix):
     names = _component_names(geom, ResolutionRing.letter)
     labels, rows = [], []
     for (i, j), xy in orb.products().items():
-        rhs = apply_candidate(matrix, xy) - classical.mul(images[i], images[j])
+        rhs = difference(apply_candidate(matrix, xy), classical.mul(images[i], images[j]))
         roots = [None if kx.is_zero() or y.is_zero() else kx * y
                  for kx, y in zip(kdots[i], dots[j])]
         for m, val in enumerate(rhs.coeffs):
@@ -883,7 +894,8 @@ def check_all_pairs(checker, matrix, quantum):
     names = _component_names(geom, quantum.letter)
     for i in range(len(basis) - 1, -1, -1):
         for j in range(len(basis) - 1, i - 1, -1):
-            diff = apply_candidate(matrix, products[(i, j)]) - quantum.mul(images[i], images[j])
+            diff = difference(apply_candidate(matrix, products[(i, j)]),
+                              quantum.mul(images[i], images[j]))
             for comp, val in zip(names, diff.coeffs):
                 if not scalar_is_zero(val):
                     report.passed = False
@@ -954,8 +966,8 @@ def associativity_by_mul(ring):
                 rhs = mul_by_generators(ring, x, products[(j, k)])
                 if not lhs == rhs:
                     report.passed = False
-                    comp, diff = next((c, v) for c, v in components_by_coords(lhs - rhs,
-                                                                              ring.letter)
+                    comp, diff = next((c, v) for c, v in components_by_coords(
+                        difference(lhs, rhs), ring.letter)
                                       if not scalar_is_zero(v))
                     report.violations.append((f"({lx}, {ly}, {lz})", comp, diff))
     return report

@@ -53,12 +53,12 @@ def test_curve_classes_and_intersections():
     assert intersection(3, 1, beta) == -1
     assert intersection(3, 2, beta) == -1
     assert intersection(3, 3, beta) == 1
-    double = CurveClass(3, (2, 2, 0))
+    double = CurveClass((2, 2, 0))
     assert double.as_multiple_of_span() == (2, (1, 2))
     assert is_span(double) is None
-    broken = CurveClass(3, (1, 0, 1))
+    broken = CurveClass((1, 0, 1))
     assert broken.as_multiple_of_span() is None
     with pytest.raises(ValueError):
         curve_class(3, 2, 1)
     with pytest.raises(ValueError):
-        CurveClass(2, (-1, 0))
+        CurveClass((-1, 0))

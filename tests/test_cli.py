@@ -229,6 +229,14 @@ def test_check_assoc_all_rings():
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["zeta3", "1.5.x", ""])
+@pytest.mark.parametrize("ring", ["orb", "classical"])
+def test_check_assoc_rejects_q_unless_the_ring_is_quantum(ring, q):
+    code, text = invoke(["check-assoc", "--config", A2, "--ring", ring, f"--q={q}"])
+    assert code == 2
+    assert json.loads(text) == {"error": f"--q applies only to --ring quantum, not --ring {ring}"}
+
+
 def test_mckay_command():
     code, text = invoke(["mckay", "--group", "D4"])
     assert code == 0

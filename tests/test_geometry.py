@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,9 @@ from crepant.geometry import (
     GradedClass,
     SectorClass,
     SectorRing,
-    TautClasses,
     default_geometry,
 )
-from reference import coords, ell, h_power, kap, one, times_generator
+from reference import coords, ell, h_power, kap, one, times_generator, vanishes
 
 
 def p1():
@@ -37,7 +37,7 @@ def test_square_zero_model():
     ring = geom.base
     model = SectorRing(geom)
     sigma = SectorClass.generator(geom, 1)
-    assert model.mul(sigma, sigma).is_zero()
+    assert vanishes(model.mul(sigma, sigma))
     assert sigma.coeffs[:2] == (0, 0)  # rank 2: generator g holds coeffs[2 g:2 g + 2]
     h = times_generator(geom, 0, h_power(ring, 1))
     prod = model.mul(h, sigma)
@@ -46,11 +46,15 @@ def test_square_zero_model():
 
 
 def test_taut_relation_validated():
-    with pytest.raises(ValueError):
-        TautClasses(2, Fraction(1), Fraction(1), Fraction(1))
-    TautClasses(2, Fraction(1), Fraction(2), Fraction(1))
-    with pytest.raises(ValueError):
-        TautClasses(1, Fraction(1), Fraction(1), Fraction(1))
+    one, two = Fraction(1), Fraction(2)
+    Geometry(2, p1(), one, two, one)
+    for args, message in [((2, p1(), one, one, one), "need l + m = (n+1) k"),
+                          ((1, p1(), one, one, one), "for n = 1 only k is defined"),
+                          ((1, p1(), None, one, one), "for n = 1 only k is defined"),
+                          ((2, p1(), None, two, one), "for n >= 2 both l and m are required"),
+                          ((0, p1(), None, None, one), "need n >= 1")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Geometry(*args)
 
 
 @pytest.mark.parametrize("model,dim,message", [
@@ -65,12 +69,6 @@ def test_base_ring_validated(model, dim, message):
         BaseRing(model=model, dim=dim)
 
 
-def test_geometry_n_must_match_its_classes():
-    taut = TautClasses(2, Fraction(1), Fraction(2), Fraction(1))
-    with pytest.raises(ValueError, match="tautological classes built for a different n"):
-        Geometry(3, BaseRing("projective_space", 1), taut)
-
-
 def test_geometry_json_round_trip():
     geom = default_geometry(2)
     again = Geometry.from_json(geom.to_json())
@@ -81,7 +79,7 @@ def test_geometry_json_round_trip():
 
 def test_point_base_classes_vanish():
     geom = Geometry(2, BaseRing("point"),
-                    TautClasses(2, Fraction(1), Fraction(2), Fraction(1)))
+                    Fraction(1), Fraction(2), Fraction(1))
     assert ell(geom).is_zero()
     assert kap(geom).is_zero()
     assert geom.symplectic()
@@ -89,6 +87,6 @@ def test_point_base_classes_vanish():
 
 def test_model_dependent_flag():
     geom = Geometry(2, BaseRing("projective_space", 2),
-                    TautClasses(2, Fraction(1), Fraction(2), Fraction(1)))
+                    Fraction(1), Fraction(2), Fraction(1))
     assert geom.model_dependent
     assert not default_geometry(2).model_dependent

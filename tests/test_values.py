@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from crepant.cartan import CurveClass
-from crepant.geometry import BaseRing, Geometry, GradedClass, SectorClass, TautClasses, default_geometry
+from crepant.geometry import BaseRing, Geometry, GradedClass, SectorClass, default_geometry
 from crepant.mckay import GroupSpec, character_table, mckay_graph
 from crepant.orbifold import ConventionFlags
 from crepant.quantum import QSeries
@@ -16,9 +16,9 @@ from crepant.verify import A2Solution, A2SolveResult, AffineSystem, HomReport
 
 def frozen_values():
     geom = default_geometry(2)
-    return [geom.base, GradedClass(geom.base, (Fraction(1), Fraction(0))), geom.taut, geom,
+    return [geom.base, GradedClass(geom.base, (Fraction(1), Fraction(0))), geom,
             SectorClass.generator(geom, 1),
-            CurveClass(2, (1, 1)), ConventionFlags(), QSeries(Fraction(1)), GroupSpec("E", 6),
+            CurveClass((1, 1)), ConventionFlags(), QSeries(Fraction(1)), GroupSpec("E", 6),
             character_table(GroupSpec("A", 2)), mckay_graph(GroupSpec("A", 2))]
 
 
@@ -60,6 +60,23 @@ def test_classes_are_unhashable():
     for value in (one, SectorClass.generator(geom, 0)):
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_each_datum_is_a_field_once():
+    assert Geometry._fields == ("n", "base", "l", "m", "k")
+    assert CurveClass._fields == ("mult",)
+    assert CurveClass((1, 0, 2)).n == 3
+
+
+def test_classes_have_no_tuple_arithmetic():
+    # a namedtuple inherits tuple + and *, which would concatenate or repeat
+    geom = default_geometry(2)
+    x = SectorClass.generator(geom, 1)
+    g = GradedClass(geom.base, (Fraction(1), Fraction(0)))
+    for op in (lambda: x + x, lambda: x * x, lambda: x * 2, lambda: 2 * x,
+               lambda: g + g, lambda: 2 * g):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_graded_classes_over_different_bases_do_not_multiply():

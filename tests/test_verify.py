@@ -13,7 +13,6 @@ from crepant.geometry import (
     Geometry,
     SectorClass,
     SectorRing,
-    TautClasses,
     default_geometry,
 )
 from crepant.gw import gw_invariant
@@ -109,6 +108,24 @@ def test_checker_rejects_quantum_ring_of_another_geometry():
         checker.check(((Fraction(1),),), other)
 
 
+@pytest.mark.parametrize("n,matrix", [
+    (1, ((CycNum.zeta(4) / 2, 0),)),
+    (1, ((CycNum.zeta(4) / 2, 5),)),
+    (1, ((Fraction(1),), (Fraction(1),))),
+    (2, ((Fraction(1), Fraction(0)), (Fraction(1),))),
+    (2, ((Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0)))),
+], ids=["wide-zero", "wide", "tall", "ragged", "wide-2"])
+def test_check_and_solve_reject_a_matrix_that_is_not_n_by_n(n, matrix):
+    # a row count of n is not enough: an extra column once passed `check`
+    # and solved to a point, or raised KeyError or IndexError
+    geom = default_geometry(n)
+    checker, quantum = HomChecker(geom), QuantumRing(geom, QPoint([CycNum.zeta(5)] * n))
+    with pytest.raises(ValueError, match="candidate matrix has the wrong size"):
+        checker.check(matrix, quantum)
+    with pytest.raises(ValueError, match="candidate matrix has the wrong size"):
+        checker.solve(matrix)
+
+
 def test_hom_direction():
     # the candidate matrix sends sectors to divisors; the A_2 solution
     # matrix is the inverse of the symmetric divisor->sector matrix
@@ -168,7 +185,7 @@ def test_solve_a2_flags_reach_the_checker():
 
 def test_solve_a2_symplectic_all_roots_pass():
     geom = Geometry(2, BaseRing("projective_space", 1),
-                    TautClasses(2, Fraction(3), Fraction(-3), Fraction(0)))
+                    Fraction(3), Fraction(-3), Fraction(0))
     result = solve_a2_symmetric(geom, max_order=4)
     # no quantum corrections: every pole-free root admits both sign choices
     roots = {key(s.q) if isinstance(s.q, CycNum) else s.q for s in result.solutions}
@@ -179,7 +196,7 @@ P1 = BaseRing("projective_space", 1)
 
 
 def _a2(l, m, k, base=P1):
-    return Geometry(2, base, TautClasses(2, Fraction(l), Fraction(m), Fraction(k)))
+    return Geometry(2, base, Fraction(l), Fraction(m), Fraction(k))
 
 
 A2_POINT = _a2(0, 0, 0, BaseRing("point"))
@@ -209,7 +226,7 @@ def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
 
 
 @pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
-                         ids=[f"{g.base.model}-{g.taut.l},{g.taut.m},{g.taut.k}-{t}-{o}"
+                         ids=[f"{g.base.model}-{g.l},{g.m},{g.k}-{t}-{o}"
                               for g, t, o in SOLVE_CASES])
 def test_solve_matches_sweep(geom, twist, max_order):
     # the affine solve reports what one full hom check per root and
@@ -288,7 +305,7 @@ def _assert_solve_matches(checker, matrix, labelled_rows):
 
 
 @pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
-                         ids=[f"{g.base.model}-{g.taut.l},{g.taut.m},{g.taut.k}-{t}"
+                         ids=[f"{g.base.model}-{g.l},{g.m},{g.k}-{t}"
                               for g, t, _ in SOLVE_CASES])
 def test_solve_matches_unit_delta_rings_on_a2(geom, twist, max_order):
     # rank, rows in order, solution, point and inconsistency agree with the
@@ -390,7 +407,7 @@ def test_associativity_violation_names_component_and_difference():
     # is not associative: (e_1 e_1) e_2 = (-h/3 e_2) e_2 = (2/9) h^2 e_1,
     # while e_1 (e_1 e_2) = e_1 sigma / 3 = 0
     geom = Geometry(2, BaseRing("projective_space", 2),
-                    TautClasses(2, Fraction(1), Fraction(2), Fraction(1)))
+                    Fraction(1), Fraction(2), Fraction(1))
     report = check_associativity(OrbifoldRing(geom))
     assert not report.passed
     assert report.to_json()["violations"] == [
