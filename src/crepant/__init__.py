@@ -4,8 +4,9 @@ of transversal A_n singularities, plus McKay correspondence utilities.
 The frozen value types are `collections.namedtuple` subclasses that check
 their fields in `__init__`, after the tuple is built (`_replace` skips the
 check).  Each holds a datum once and defines only the operators the package
-calls; a class value type sets the tuple operators it does not define to
-None, so `+` and `*` raise TypeError instead of concatenating.  The package
+calls; every other tuple `+` and `*` (also reflected) is
+`scalars.no_arithmetic`, a TypeError naming the class where the tuple
+would concatenate or repeat.  The package
 imports no `dataclasses` (which loads `inspect`) and no `typing`: they would
 more than double the import time that every CLI process pays."""
 

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
+from .scalars import no_arithmetic
+
 
 def cartan_matrix(n: int):
     """The n x n matrix c_n: -2 on the diagonal, 1 next to it."""
@@ -62,6 +64,7 @@ class CurveClass(namedtuple("CurveClass", "mult")):
     exceptional fiber components beta_1..beta_n."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     def __init__(self, *args, **kwargs):
         if any(m < 0 for m in self.mult):

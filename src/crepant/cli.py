@@ -82,9 +82,48 @@ def conventions_block(geom: Geometry, flags: ConventionFlags):
     return block
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    """Append the chunks of `value` as json.dumps(value, indent=2) writes it
+    at the indent `pad`: dicts with str keys, lists, tuples, str, int, bool
+    and None here, any other value by json.dumps, indented."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append(_JSON_CONSTANTS[value])
+    elif kind is list or kind is tuple or kind is dict and all(type(k) is str for k in value):
+        brackets = "{}" if kind is dict else "[]"
+        if not value:
+            out.append(brackets)
+            return
+        inner = pad + "  "
+        sep = brackets[0] + "\n" + inner
+        for item in value:
+            out.append(sep)
+            if kind is dict:
+                out += (_encode_str(item), ": ")
+                item = value[item]
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + brackets[1])
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+
+
 def render(report: dict, output: str) -> str:
+    """The report as `--output` asks: json is byte for byte json.dumps(report,
+    indent=2), written by `_write_json` without the pure-Python encoder
+    that json.dumps runs whenever `indent` is set."""
     if output == "json":
-        return json.dumps(report, indent=2, sort_keys=False)
+        out = []
+        _write_json(report, "", out)
+        return "".join(out)
     lines = []
 
     def walk(prefix, value):

@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, format_rational, parse_rational, scalar_is_zero, scalar_to_json
+from .scalars import (ONE, ZERO, format_rational, no_arithmetic, parse_rational, scalar_is_zero,
+                      scalar_to_json)
 
 POINT = "point"
 PROJECTIVE = "projective_space"
@@ -54,6 +55,7 @@ class BaseRing(namedtuple("BaseRing", "model dim", defaults=(POINT, 0))):
     """H*(S) for S a point or P^dim, basis h^0..h^dim."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     def __init__(self, *args, **kwargs):
         if self.model == POINT:
@@ -81,6 +83,8 @@ class GradedClass(namedtuple("GradedClass", "ring coeffs")):
 
     def __mul__(self, other):
         """Cup product, truncated above h^dim."""
+        if not isinstance(other, GradedClass):
+            return no_arithmetic(self, other)
         if self.ring != other.ring:
             raise ValueError("classes live over different bases")
         out = [Fraction(0)] * self.ring.rank
@@ -92,7 +96,8 @@ class GradedClass(namedtuple("GradedClass", "ring coeffs")):
                     out[i + j] = out[i + j] + a * b
         return GradedClass(self.ring, tuple(out))
 
-    __add__ = __rmul__ = __hash__ = None
+    __add__ = __radd__ = __rmul__ = no_arithmetic
+    __hash__ = None
 
 
 class Geometry(namedtuple("Geometry", "n base l m k")):
@@ -102,6 +107,7 @@ class Geometry(namedtuple("Geometry", "n base l m k")):
     separately visible): l and m are None."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     def __init__(self, *args, **kwargs):
         if self.n < 1:
@@ -179,7 +185,8 @@ class SectorClass(namedtuple("SectorClass", "geom coeffs")):
         rank = geom.base.rank
         return cls(geom, (ZERO,) * (k * rank) + (ONE,) + (ZERO,) * ((geom.n + 2 - k) * rank - 1))
 
-    __add__ = __mul__ = __rmul__ = __hash__ = None
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
+    __hash__ = None
 
 
 def sum_rows(terms) -> dict:

@@ -4,7 +4,7 @@ Character tables over exact cyclotomic numbers for the cyclic groups, the
 binary dihedral groups, and the three exceptional binary polyhedral groups,
 each audited on load: the table is square and its rows are orthonormal.
 Both the audit and the McKay graph, a_ij = dim Hom(rho_i, Q (x) rho_j) =
-<chi_Q chi_j, chi_i>, use one class-function inner product.  Removing the
+<chi_Q chi_j, chi_i>, read one Gram routine on integer terms.  Removing the
 trivial vertex gives the resolution graph of the rational double point.
 """
 
@@ -13,15 +13,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .scalars import CycNum, dot, parse_int, scalar_conj
-
-
-def _mul(x, y):
-    """x y with a CycNum operand on the left: a Fraction on the left would
-    take the CycNum through Fraction's operator fallback first."""
-    return y * x if isinstance(y, CycNum) else x * y
+from .scalars import CycNum, _check_conductor, _reduce, no_arithmetic, parse_int
 
 
 class GroupSpec(namedtuple("GroupSpec", "series n")):
@@ -29,6 +23,7 @@ class GroupSpec(namedtuple("GroupSpec", "series n")):
     4(n-2), E6/E7/E8 the binary tetrahedral/octahedral/icosahedral groups."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     def __init__(self, *args, **kwargs):
         if self.series == "A":
@@ -76,20 +71,57 @@ class CharacterTable(namedtuple("CharacterTable",
 
     values[i][c] is chi_i on class c, a CycNum or Fraction; chi_0 is
     trivial and q_character is the character of the defining 2-dimensional
-    representation Q.  No `__slots__`: the instance dict holds the weighted
-    rows, built on the first `inner` of each table."""
+    representation Q.  No `__slots__`: the instance dict holds the lifted
+    terms, built on the first `gram` of each table."""
+
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     @cached_property
-    def _weighted_rows(self):
-        """w_i(c) = |c| conj(chi_i(c)) / |G|, one row per character."""
-        weights = [Fraction(size, self.group.order) for size in self.class_sizes]
-        return tuple(tuple(map(_mul, weights, map(scalar_conj, row))) for row in self.values)
+    def _terms(self):
+        """(N, D, rows, q, mixed): N is the lcm of the table's conductors and
+        D of its denominators; rows[i][c] and q[c] are D chi_i(c) and D
+        chi_Q(c) as their nonzero integer (e, a) terms in Z[x]/(x^N - 1), x =
+        zeta_N, a CycNum at conductor M putting its numerators at e N/M;
+        `mixed` when the values have more than one conductor."""
+        flat = [v for row in (*self.values, self.q_character) for v in row]
+        conductors = {v.conductor for v in flat if isinstance(v, CycNum)}
+        n = lcm(*conductors)
+        d = lcm(*(v.den if isinstance(v, CycNum) else v.denominator for v in flat))
 
-    def inner(self, f, i):
-        """<f, chi_i> = sum_c f(c) w_i(c) for a class function f given by its
-        values on the classes; exact, and rational for a character f.  One
-        `dot`, which sends no CycNum through Fraction's methods."""
-        return dot(f, self._weighted_rows[i])
+        def lift(v):
+            if isinstance(v, CycNum):
+                step, scale = n // v.conductor, d // v.den
+                return tuple((e * step, a * scale) for e, a in enumerate(v.nums) if a)
+            return ((0, v.numerator * (d // v.denominator)),) if v else ()
+
+        rows = [tuple(map(lift, row)) for row in (*self.values, self.q_character)]
+        return n, d, rows[:-1], rows[-1], len(conductors) > 1
+
+    def gram(self, twisted=False):
+        """<f_i, chi_j> for i <= j, in the order (0, 0), (0, 1), ..., (1, 1),
+        ...: f_i is chi_i, or chi_Q chi_i when `twisted`.  Yields (i, j,
+        nums, den), the entry sum_e nums[e] zeta_N^e / den.
+
+        |G| D^2 <f_i, chi_j> = sum_c |c| (D f_i(c)) conj(D chi_j(c)) (one more
+        D when twisted) is summed on integers with exponents mod N, the
+        conjugate taking e to -e, and reduced mod Phi_N once per entry."""
+        n, d, rows, q, mixed = self._terms
+        if mixed:
+            # values of two conductors meet at N: the cap is checked there,
+            # on every call, before the accumulators of size N
+            _check_conductor(n)
+        den = self.group.order * d ** (3 if twisted else 2)
+        for i, row in enumerate(rows):
+            f = [[((e + e2) % n, size * a * b) for e, a in qc for e2, b in xc] if twisted
+                 else [(e, size * a) for e, a in xc]
+                 for size, qc, xc in zip(self.class_sizes, q, row)]
+            for j in range(i, len(rows)):
+                acc = [0] * n
+                for fc, xc in zip(f, rows[j]):
+                    for e, a in fc:
+                        for e2, b in xc:
+                            acc[e - e2] += a * b  # a negative index is e - e2 + N
+                yield i, j, _reduce(n, enumerate(acc)), den
 
     def dims(self):
         out = []
@@ -113,10 +145,9 @@ class CharacterTable(namedtuple("CharacterTable",
             raise ValueError("class sizes do not sum to the group order")
         if sum(int(d) * int(d) for d in self.dims()) != g:
             raise ValueError("squared dimensions do not sum to the group order")
-        for i, row in enumerate(self.values):
-            for j in range(i, k):
-                if not self.inner(row, j) == int(i == j):
-                    raise ValueError(f"row orthogonality fails at ({i},{j})")
+        for i, j, nums, den in self.gram():
+            if nums[0] != den * (i == j) or any(nums[1:]):
+                raise ValueError(f"row orthogonality fails at ({i},{j})")
         if not self.q_character[0] == 2:
             raise ValueError("Q must be 2-dimensional")
 
@@ -261,6 +292,7 @@ class McKayGraph(namedtuple("McKayGraph", "dims adjacency")):
     adjacency[i][j] = dim Hom(rho_i, Q (x) rho_j)."""
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     def to_json(self):
         return {"vertices": [{"id": i, "dim": int(d)} for i, d in enumerate(self.dims)],
@@ -275,17 +307,14 @@ def mckay_graph(spec: GroupSpec) -> McKayGraph:
     trivial representation."""
     table = character_table(spec)
     r = len(table.values)
-    # the multiplicity matrix is symmetric (Q is self-dual), so fill i <= j
+    # the multiplicity matrix is symmetric (Q is self-dual), so a_ji =
+    # <chi_Q chi_j, chi_i> fills both entries
     entries = [[0] * r for _ in range(r)]
-    for j, row in enumerate(table.values):
-        q_row = list(map(_mul, table.q_character, row))
-        for i in range(j + 1):
-            a = table.inner(q_row, i)
-            if isinstance(a, CycNum):
-                a = a.as_rational()
-            if a is None or a.denominator != 1 or a < 0:
-                raise ValueError("multiplicity must be a nonnegative integer")
-            entries[i][j] = entries[j][i] = int(a)
+    for j, i, nums, den in table.gram(twisted=True):
+        a, rest = divmod(nums[0], den)
+        if rest or a < 0 or any(nums[1:]):
+            raise ValueError("multiplicity must be a nonnegative integer")
+        entries[i][j] = entries[j][i] = a
     return McKayGraph(dims=tuple(int(d) for d in table.dims()),
                       adjacency=tuple(tuple(line) for line in entries))
 

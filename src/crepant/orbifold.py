@@ -13,6 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .geometry import Geometry, SectorRing
+from .scalars import no_arithmetic
 
 TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 
@@ -26,6 +27,7 @@ class ConventionFlags(namedtuple("ConventionFlags", "twist_self", defaults=("-1/
     """
 
     __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
 
     def __init__(self, *args, **kwargs):
         if self.twist_self not in TWIST_SELF_CHOICES:

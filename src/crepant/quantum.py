@@ -19,11 +19,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm
 from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorRing
-from .scalars import ZERO, dot, format_rational, scalar_is_zero, scalar_to_json
+from .scalars import ZERO, CycNum, euler_phi, format_rational, scalar_is_zero, scalar_to_json
 
 
 class PoleError(ArithmeticError):
@@ -110,15 +111,16 @@ class QPoint:
         return [span for span in all_spans(self.n) if scalar_is_zero(1 - self.span_product(*span))]
 
     def deltas(self) -> dict:
-        """{(r, s): delta_rs} over every span.  Every 1 - Q is formed before
-        any is inverted, so a point with a pole raises PoleError at the
-        first one, in the order of `poles()`, having inverted nothing."""
+        """{(r, s): delta_rs} over every span, delta = Q/(1 - Q) = 1/(1 - Q)
+        - 1.  Every 1 - Q is formed before any is inverted, so a point with
+        a pole raises PoleError at the first one, in the order of `poles()`,
+        having inverted nothing."""
         denoms = {}
         for span in all_spans(self.n):
             denoms[span] = 1 - self.span_product(*span)
             if scalar_is_zero(denoms[span]):
                 raise PoleError(span)
-        return {span: self.span_product(*span) / denom for span, denom in denoms.items()}
+        return {span: 1 / denom - 1 for span, denom in denoms.items()}
 
     def to_json(self):
         return [scalar_to_json(v) for v in self.values]
@@ -184,6 +186,8 @@ class QuantumRing(SectorRing):
             raise ValueError("parameter point has the wrong length")
         super().__init__(geom)
         self._deltas = q.deltas()
+        # {(span, N): delta_span at conductor N as (nums, den)}, on first use
+        self._lifted = {}
         # the correction k delta is zero when k = 0 or when every delta is
         # 0 (every q is 0): no series is evaluated then
         self._corrected = (not geom.symplectic()
@@ -192,10 +196,9 @@ class QuantumRing(SectorRing):
     def _compute_ee(self, i: int, j: int) -> dict:
         """E_i E_j as a sparse row: c_ij at sigma (index rank) and, per E_l,
         cm m + k (const + sum_beta c_beta delta_beta) at h^1 E_l (index
-        (l + 1) rank + 1), one `dot` of (1, k c_beta...) with
-        (cm m + k const, delta_beta...), or that rational when no series is
-        evaluated.  Zero coefficients are left out, and over a point every
-        E_l coefficient is."""
+        (l + 1) rank + 1), the root sum when the ring is corrected and the
+        series has atoms, else that rational.  Zero coefficients are left
+        out, and over a point every E_l coefficient is."""
         geom, rank = self.geom, self.geom.base.rank
         sigma, slots = structure_constants(geom.n)[(i, j)]
         row = {rank: sigma} if sigma else {}
@@ -205,8 +208,32 @@ class QuantumRing(SectorRing):
             # m is undefined for n = 1, where cm is always 0
             value = (cm * geom.m if cm else ZERO) + geom.k * series.const
             if self._corrected and series.atoms:
-                value = dot((1, *(geom.k * c for _, c in series.atoms)),
-                            (value, *(self._deltas[span] for span, _ in series.atoms)))
+                value = self._root_sum(value, series.atoms)
             if not scalar_is_zero(value):
                 row[g * rank + 1] = value
         return row
+
+    def _root_sum(self, const, atoms):
+        """const + sum_beta k c_beta delta_beta over the ((r, s), c_beta)
+        atoms, for a rational const, as one integer accumulation over one
+        common denominator at the lcm N of the CycNum deltas' conductors (a
+        zero one too): a CycNum at N, or a Fraction when no delta is a
+        CycNum.  Each delta is lifted to N once per ring, already a residue."""
+        deltas, lifted = self._deltas, self._lifted
+        conductors = [deltas[span].conductor for span, _ in atoms
+                      if isinstance(deltas[span], CycNum)]
+        n = lcm(*conductors)
+        terms = [(const, (1,), 1)]
+        for span, c in atoms:
+            if (span, n) not in lifted:
+                d = deltas[span]
+                lifted[span, n] = (d._lift(n) if isinstance(d, CycNum)
+                                   else ((d.numerator,), d.denominator))
+            terms.append((self.geom.k * c, *lifted[span, n]))
+        den = lcm(*[c.denominator * d for c, _, d in terms])
+        acc = [0] * euler_phi(n)
+        for c, nums, d in terms:
+            scale = c.numerator * (den // (c.denominator * d))
+            for e, x in enumerate(nums):
+                acc[e] += scale * x
+        return CycNum(n, acc, den) if conductors else Fraction(acc[0], den)

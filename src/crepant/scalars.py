@@ -16,10 +16,6 @@ terms.  The public constructor (after clearing denominators once), `zeta`
 half of a product all go through it.  The inverse is an extended
 Euclid of Phi_N and the numerators on integer polynomials, fraction-free.
 
-A sum of products, `dot`, is folded and divided by its gcd once, not once
-per term: every product goes unreduced into one integer accumulator over
-one common denominator, and only the sum goes through `_reduce`.
-
 The conductor cap is checked where a conductor first appears (the public
 constructor, `zeta`, a lift to a larger conductor and the table build),
 before any table or anything else of size N is built.  The result of an
@@ -319,75 +315,14 @@ class CycNum:
                 "coeffs": [_format_ratio(c, self.den) for c in self.nums]}
 
 
-def dot(xs, ys):
-    """sum x_k y_k over int, Fraction and CycNum operands, exactly as the
-    term-by-term sum reduce(add, map(mul, xs, ys)) gives it: the same value
-    and type, a CycNum at the lcm N of every CycNum operand's conductor (a
-    zero one too), and the same cap error, which names the first running lcm
-    over the cap.
-
-    Every product goes unreduced into one integer accumulator over one
-    common denominator, indexed by exponents at N: a CycNum at conductor M
-    puts its numerators at e N/M (its lift, not yet reduced), a rational its
-    numerator at 0.  The high half is folded once and the one CycNum built
-    divides by one gcd."""
-    pairs = list(zip(xs, ys))
-    if not pairs:
-        raise TypeError("dot() of empty sequences")
-    operands = [v for pair in pairs for v in pair]
-    conductors = [v.conductor for v in operands if isinstance(v, CycNum)]
-    n = lcm(*conductors)
-    if any(c != n for c in conductors) and n > conductor_cap():
-        _raise_first_lift_over_cap(pairs)
-    # each operand as (numerators, denominator, exponent step at n): a
-    # rational is its numerator at x^0
-    ops = [(v.nums, v.den, n // v.conductor) if isinstance(v, CycNum)
-           else ((v.numerator,), v.denominator, 0) for v in operands]
-    terms = list(zip(ops[::2], ops[1::2]))
-    # a list: unpacking a generator here raised the peak RSS of one
-    # tables_cyclotomic pass of bench/run.py by 0.18 MB
-    den = lcm(*[da * db for (_, da, _), (_, db, _) in terms])
-    acc = [0] * (2 * n - 1)
-    for (a, da, sa), (b, db, sb) in terms:
-        scale = den // (da * db)
-        for i, x in enumerate(a):
-            if x:
-                x *= scale
-                i *= sa
-                for j, y in enumerate(b):
-                    if y:
-                        acc[i + j * sb] += x * y
-    if not conductors:
-        # an int when every operand is one, as int products and sums are
-        if all(isinstance(v, int) for v in operands):
-            return acc[0]
-        return Fraction(acc[0], den)
-    # x^e for e < phi(N) is its own residue: only the rest is folded
-    phi = euler_phi(n)
-    high = _reduce(n, enumerate(acc[phi:], phi))
-    return CycNum(n, [x + y for x, y in zip(acc, high)], den)
-
-
-def _raise_first_lift_over_cap(pairs):
-    """The cap error of the term-by-term sum.  It checks the cap where two
-    CycNums of different conductors meet, in a product or a partial sum,
-    and names their lcm."""
-    def meet(a, b):
-        if a is None:
-            return b
-        if b is None or a == b:
-            return a
-        n = lcm(a, b)
-        _check_conductor(n)
-        return n
-
-    total = None
-    for pair in pairs:
-        a, b = (v.conductor if isinstance(v, CycNum) else None for v in pair)
-        total = meet(total, meet(a, b))
-
-
 ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def no_arithmetic(self, other):
+    """`+` and `*` of a value type built on a tuple, installed as __add__,
+    __radd__, __mul__ and __rmul__: a TypeError naming the class, where the
+    tuple's own operators would concatenate or repeat."""
+    raise TypeError(f"{type(self).__name__} has no + or *")
 
 
 def scalar_is_zero(x) -> bool:
@@ -405,7 +340,7 @@ def scalar_conj(x):
 def scalar_to_json(x):
     if isinstance(x, CycNum):
         return x.to_json() if any(x.nums[1:]) else _format_ratio(x.nums[0], x.den)
-    return format_rational(x)
+    return _format_ratio(x.numerator, x.denominator)
 
 
 def format_rational(r) -> str:

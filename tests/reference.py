@@ -7,7 +7,7 @@ independent route to a value the package computes another way.
 import cmath
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
@@ -25,8 +25,10 @@ from crepant.resolution import ResolutionRing
 from crepant.scalars import (
     ZERO,
     CycNum,
+    _check_conductor,
+    _reduce,
+    conductor_cap,
     cyclotomic_polynomial,
-    dot,
     euler_phi,
     parse_rational,
     scalar_conj,
@@ -678,8 +680,8 @@ def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
 
 def inner_by_definition(table, f, i):
     """<f, chi_i> = (1/|G|) sum_c |c| f(c) conj(chi_i(c)), summed term by term
-    from 0 as written: the definition `CharacterTable.inner` reads off its
-    pre-weighted rows."""
+    from 0 as written: the definition `CharacterTable.gram` sums on the
+    table's lifted integer terms."""
     total = Fraction(0)
     for size, x, y in zip(table.class_sizes, f, table.values[i]):
         total = total + size * x * scalar_conj(y)
@@ -699,6 +701,75 @@ def fourier_map(n: int):
              * sum((omega(-j * k) * cartan_inverse_entry(n, j, l) for j in range(1, n + 1)),
                    Fraction(0))
              for l in range(1, n + 1)] for k in range(1, n + 1)]
+
+
+def dot(xs, ys):
+    """sum x_k y_k over int, Fraction and CycNum operands, exactly as the
+    term-by-term sum reduce(add, map(mul, xs, ys)) gives it: the same value
+    and type, a CycNum at the lcm N of every CycNum operand's conductor (a
+    zero one too), and the same cap error, which names the first running lcm
+    over the cap.  The quantum ring's root sums went through it before
+    `QuantumRing._root_sum`, and `evaluate` keeps it as their oracle.
+
+    Every product goes unreduced into one integer accumulator over one
+    common denominator, indexed by exponents at N: a CycNum at conductor M
+    puts its numerators at e N/M (its lift, not yet reduced), a rational its
+    numerator at 0.  The high half is folded once and the one CycNum built
+    divides by one gcd."""
+    pairs = list(zip(xs, ys))
+    if not pairs:
+        raise TypeError("dot() of empty sequences")
+    operands = [v for pair in pairs for v in pair]
+    conductors = [v.conductor for v in operands if isinstance(v, CycNum)]
+    n = lcm(*conductors)
+    if any(c != n for c in conductors) and n > conductor_cap():
+        _raise_first_lift_over_cap(pairs)
+    # each operand as (numerators, denominator, exponent step at n): a
+    # rational is its numerator at x^0
+    ops = [(v.nums, v.den, n // v.conductor) if isinstance(v, CycNum)
+           else ((v.numerator,), v.denominator, 0) for v in operands]
+    terms = list(zip(ops[::2], ops[1::2]))
+    # a list: unpacking a generator here raised the peak RSS of one
+    # tables_cyclotomic pass of bench/run.py by 0.18 MB
+    den = lcm(*[da * db for (_, da, _), (_, db, _) in terms])
+    acc = [0] * (2 * n - 1)
+    for (a, da, sa), (b, db, sb) in terms:
+        scale = den // (da * db)
+        for i, x in enumerate(a):
+            if x:
+                x *= scale
+                i *= sa
+                for j, y in enumerate(b):
+                    if y:
+                        acc[i + j * sb] += x * y
+    if not conductors:
+        # an int when every operand is one, as int products and sums are
+        if all(isinstance(v, int) for v in operands):
+            return acc[0]
+        return Fraction(acc[0], den)
+    # x^e for e < phi(N) is its own residue: only the rest is folded
+    phi = euler_phi(n)
+    high = _reduce(n, enumerate(acc[phi:], phi))
+    return CycNum(n, [x + y for x, y in zip(acc, high)], den)
+
+
+def _raise_first_lift_over_cap(pairs):
+    """The cap error of the term-by-term sum.  It checks the cap where two
+    CycNums of different conductors meet, in a product or a partial sum,
+    and names their lcm."""
+    def meet(a, b):
+        if a is None:
+            return b
+        if b is None or a == b:
+            return a
+        n = lcm(a, b)
+        _check_conductor(n)
+        return n
+
+    total = None
+    for pair in pairs:
+        a, b = (v.conductor if isinstance(v, CycNum) else None for v in pair)
+        total = meet(total, meet(a, b))
 
 
 def evaluate(series: QSeries, deltas):

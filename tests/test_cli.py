@@ -822,3 +822,25 @@ def test_double_dash_as_a_value_exits_2(argv):
     code, text = invoke(argv)
     assert code == 2
     assert json.loads(text)["error"].endswith("'--' is not a value")
+
+
+JSON_STRINGS = st.text(max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é ü", "  ", "\U0001d11e", "E_1 * E_2"])
+JSON_LEAVES = (JSON_STRINGS | st.integers() | st.integers(-10**40, 10**40) | st.booleans()
+               | st.none() | st.floats())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(JSON_STRINGS, inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=2)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    # nested dicts and lists, str keys and values with quotes, backslashes,
+    # control and non-ASCII characters, big ints, floats, empty containers;
+    # tuples and int keys go the way json.dumps takes them
+    assert cli.render(value, "json") == json.dumps(value, indent=2)
+    assert cli.render({"report": value}, "json") == json.dumps({"report": value}, indent=2)

@@ -13,6 +13,7 @@ derived A_2 table was read from the shared structure-constant table.
 import contextlib
 import hashlib
 import io
+import json
 import os
 
 import pytest
@@ -134,6 +135,20 @@ def test_golden_reconcile_stdout(output, digest):
     out = io.StringIO()
     assert run(["--output", output, "reconcile-6-2"], stdout=out) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+JSON_CASES = ([(case, _argv(case)) for case, _ in GOLDEN]
+              + [(f"mckay {group}", ["mckay", "--group", group]) for group, _ in MCKAY_GOLDEN]
+              + [("reconcile-6-2", ["reconcile-6-2"])])
+
+
+@pytest.mark.parametrize("case, argv", JSON_CASES, ids=[case for case, _ in JSON_CASES])
+def test_golden_json_is_what_json_dumps_writes(case, argv):
+    # the CLI's own JSON writer against json.dumps(indent=2) of the same value
+    out = io.StringIO()
+    assert run(argv, stdout=out) == 0
+    text = out.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def _captured(argv):

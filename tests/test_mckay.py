@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -38,17 +39,20 @@ def test_group_spec_validated(series, n, message):
         GroupSpec(series=series, n=n)
 
 
-def test_weighted_rows_built_once_per_table(monkeypatch):
-    calls, conj = [], mckay.scalar_conj
-    monkeypatch.setattr(mckay, "scalar_conj", lambda x: calls.append(x) or conj(x))
+def test_each_table_lifts_its_values_once(monkeypatch):
+    calls, lift = [], mckay.CharacterTable._terms.func
+    watched = cached_property(lambda table: calls.append(table) or lift(table))
+    watched.__set_name__(mckay.CharacterTable, "_terms")
+    monkeypatch.setattr(mckay.CharacterTable, "_terms", watched)
     table = mckay.cyclic_table(5)
-    row = table.values[2]
-    first = [table.inner(row, i) for i in range(5)]
-    assert len(calls) == 25  # one conjugate per entry, on the first `inner`
-    assert [table.inner(row, i) for i in range(5)] == first == [0, 0, 1, 0, 0]
-    assert len(calls) == 25
-    table._replace(values=table.values).inner(row, 0)  # a new table weighs its own rows
-    assert len(calls) == 50
+    first = list(table.gram())
+    assert len(calls) == 1  # on the first `gram`
+    assert list(table.gram()) == first
+    assert [(i, j) for i, j, nums, den in first if nums[0] == den] == [(i, i) for i in range(5)]
+    list(table.gram(twisted=True))
+    assert len(calls) == 1
+    list(table._replace(values=table.values).gram())  # a new table lifts its own values
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("label", ["A0", "A1", "A2", "A5", "D4", "D5", "D7",
@@ -63,13 +67,17 @@ def test_character_tables_validate(label):
 @pytest.mark.parametrize("label", [f"A{n}" for n in range(13)] + [f"D{n}" for n in range(4, 13)]
                          + ["E6", "E7", "E8"])
 def test_inner_matches_the_definition(label):
-    # the pre-weighted rows against the inner product as written, on every
-    # pair of characters and on the products chi_Q chi_j the McKay graph reads
+    # every Gram entry on the lifted terms against the inner product as
+    # written: <chi_i, chi_j> and the <chi_Q chi_i, chi_j> the McKay graph reads
     table = character_table(GroupSpec.parse(label))
     products = [[q * x for q, x in zip(table.q_character, row)] for row in table.values]
-    for f in (*table.values, *products):
-        for i in range(len(table.values)):
-            assert table.inner(f, i) == inner_by_definition(table, f, i)
+    k, n = len(table.values), table._terms[0]
+    for twisted, fs in ((False, table.values), (True, products)):
+        entries = list(table.gram(twisted))
+        assert [(i, j) for i, j, _, _ in entries] == [(i, j) for i in range(k) for j in range(i, k)]
+        for i, j, nums, den in entries:
+            value = CycNum(n, [Fraction(c, den) for c in nums])
+            assert value == inner_by_definition(table, fs[i], j)
 
 
 @pytest.mark.parametrize("label", ["D5", "E6", "E7", "E8"])
@@ -90,8 +98,23 @@ def test_mckay_graph_sends_no_cycnum_through_fraction(monkeypatch, label):
         monkeypatch.setattr(Fraction, name, watch(name))
     character_table.cache_clear()  # build and validate the table inside too
     mckay_graph(GroupSpec.parse(label))
-    assert seen  # the watch is live
     assert [call for call in seen if call[1] is CycNum] == []
+    # the watch is live: it sees a probe of the kind it rejects
+    Fraction(1) * CycNum.zeta(3)
+    Fraction(1) + CycNum.zeta(3)
+    assert seen[-2:] == [("__mul__", CycNum), ("__add__", CycNum)]
+
+
+def test_a_lowered_cap_rejects_the_lift_of_a_cached_mixed_table(monkeypatch):
+    # D5 mixes conductors 4 and 6, which meet at 12: each Gram pass checks
+    # the cap there, as a lift does, also on a cached table.  A10 has one
+    # conductor, 11, which no pass lifts.
+    for label in ("D5", "A10"):
+        mckay_graph(GroupSpec.parse(label))
+    monkeypatch.setenv("CREPANT_MAX_CONDUCTOR", "6")
+    with pytest.raises(ValueError, match="^conductor 12 exceeds cap 6 "):
+        mckay_graph(GroupSpec.parse("D5"))
+    assert mckay_graph(GroupSpec.parse("A10")).dims == (1,) * 11
 
 
 def test_validate_rejects_a_corrupted_entry():

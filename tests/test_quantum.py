@@ -17,13 +17,14 @@ from crepant.quantum import (
 from crepant.geometry import SectorClass
 from crepant.orbifold import TWIST_SELF_CHOICES, ConventionFlags, OrbifoldRing
 from crepant.resolution import ResolutionRing
-from crepant.scalars import CycNum, dot, scalar_is_zero, scalar_to_json
+from crepant.scalars import CycNum, parse_scalar, scalar_is_zero, scalar_to_json
 from reference import (
     AtomRing,
     HClass,
     contracted_correction,
     coords,
     difference,
+    dot,
     evaluate,
     from_coords,
     h_power,
@@ -65,12 +66,69 @@ def test_classical_ring_evaluates_no_series(monkeypatch):
     def fail(*args):
         raise RuntimeError("a series was evaluated")
 
-    monkeypatch.setattr(quantum, "dot", fail)
+    monkeypatch.setattr(QuantumRing, "_root_sum", fail)
     geom = default_geometry(7)
     ResolutionRing(geom).products()
     # the patch is live: a corrected ring does evaluate its series
     with pytest.raises(RuntimeError, match="a series was evaluated"):
         QuantumRing(geom, QPoint([Fraction(2)] * 7)).products()
+
+
+# pole-free q points with mixed orders as in the qc-table workload, rational
+# components and a zero CycNum component (0*zeta3 keeps conductor 3)
+ROOT_SUM_POINTS = [
+    "zeta12,zeta5,zeta8,zeta3,zeta4,zeta6",
+    "zeta5,zeta10,zeta3,zeta6,zeta15,zeta30",
+    "zeta7,zeta14,zeta3,zeta21,zeta6,zeta42^5",
+    "zeta60,zeta12,zeta5,zeta4,zeta3,zeta15",
+    "1/2,0*zeta3,zeta5^2,-3,zeta8,2/3",
+    "0*zeta3,zeta4,1/3,zeta40^3,-1/2,zeta24",
+    "2,-1/2,3,1/4,-2,5",
+]
+
+
+def _same_scalar(got, want):
+    return (got == want and type(got) is type(want)
+            and getattr(got, "conductor", None) == getattr(want, "conductor", None)
+            and scalar_to_json(got) == scalar_to_json(want))
+
+
+@pytest.mark.parametrize("k", [Fraction(0), Fraction(1), Fraction(-2, 3)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_root_sums_match_the_dot_route(n, k):
+    # every E_l coefficient of every E_i E_j over P^1 against the dot of
+    # (1, k c_beta...) with (cm m + k const, delta_beta...) that the ring
+    # used before, as `reference.evaluate` takes it, where the ring is
+    # corrected (k != 0 and some delta nonzero): value, type, conductor and
+    # JSON
+    l = Fraction(1)
+    geom = Geometry(n, BaseRing("projective_space", 1), None if n == 1 else l,
+                    None if n == 1 else (n + 1) * k - l, k)
+    for spec in ROOT_SUM_POINTS:
+        q = QPoint(parse_scalar(t) for t in spec.split(",")[:n])
+        ring, deltas = QuantumRing(geom, q), q.deltas()
+        corrected = k != 0 and not all(scalar_is_zero(d) for d in deltas.values())
+        for i, j in all_spans(n):
+            _, slots = structure_constants(n)[(i, j)]
+            row = ring.product((i + 1) * 2, (j + 1) * 2)
+            for g, (cm, series) in enumerate(slots, start=2):
+                base = cm * geom.m if cm else Fraction(0)
+                want = (evaluate(series * k + base, deltas) if corrected
+                        else base + k * series.const)
+                if scalar_is_zero(want):
+                    assert g * 2 + 1 not in row
+                else:
+                    assert _same_scalar(row[g * 2 + 1], want), (spec, i, j, g)
+
+
+@pytest.mark.parametrize("spec", ROOT_SUM_POINTS)
+def test_deltas_are_the_geometric_atoms(spec):
+    # 1/(1 - Q) - 1 against Q/(1 - Q): value, type and conductor
+    q = QPoint(parse_scalar(t) for t in spec.split(","))
+    deltas = q.deltas()
+    for span in all_spans(q.n):
+        product = q.span_product(*span)
+        assert _same_scalar(deltas[span], product / (1 - product)), span
 
 
 def test_atoms_and_poles():

@@ -14,7 +14,6 @@ from crepant import scalars
 from crepant.scalars import (
     CycNum,
     cyclotomic_polynomial,
-    dot,
     euler_phi,
     format_rational,
     parse_int,
@@ -22,7 +21,8 @@ from crepant.scalars import (
     parse_scalar,
     scalar_to_json,
 )
-from reference import FractionCycNum, cycnum_from_json, minimal, reduce_mod_cyclotomic, to_complex
+from reference import (FractionCycNum, cycnum_from_json, dot, minimal, reduce_mod_cyclotomic,
+                       to_complex)
 
 
 def test_cyclotomic_polynomials():

@@ -79,6 +79,21 @@ def test_classes_have_no_tuple_arithmetic():
             op()
 
 
+@pytest.mark.parametrize("value", [v for v in frozen_values() if type(v) is not QSeries],
+                         ids=lambda v: type(v).__name__)
+def test_value_types_have_no_tuple_arithmetic(value):
+    # tuple + and * would concatenate or repeat, also with a plain tuple on
+    # the left, which defers to a subclass's reflected operator
+    name = type(value).__name__
+    ops = [lambda: value + value, lambda: value + (1,), lambda: (1,) + value,
+           lambda: value * 2, lambda: 2 * value]
+    if not isinstance(value, GradedClass):  # the cup product
+        ops.append(lambda: value * value)
+    for op in ops:
+        with pytest.raises(TypeError, match=f"^{name} has no \\+ or \\*$"):
+            op()
+
+
 def test_graded_classes_over_different_bases_do_not_multiply():
     one = GradedClass(BaseRing("projective_space", 1), (Fraction(1), Fraction(0)))
     other = GradedClass(BaseRing("projective_space", 2), (Fraction(1), Fraction(0), Fraction(0)))
