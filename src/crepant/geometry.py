@@ -279,12 +279,10 @@ class SectorRing:
         return [(label, SectorClass(self.geom, (ZERO,) * m + (ONE,) + (ZERO,) * (self.size - m - 1)))
                 for m, label in enumerate(self.labels())]
 
-    def products(self, indices=None) -> dict:
-        """{(i, j): b_i b_j} over the basis b = `basis()`, for i <= j in the
-        ascending `indices`, by default every basis index."""
-        indices = range(self.size) if indices is None else indices
+    def products(self) -> dict:
+        """{(i, j): b_i b_j} over the basis b = `basis()`, for i <= j."""
         return {(i, j): self._element(self.product(i, j))
-                for i in indices for j in indices if i <= j}
+                for i in range(self.size) for j in range(i, self.size)}
 
     def to_json(self, x: SectorClass):
         y_key, sectors_key = self.json_keys

@@ -24,7 +24,8 @@ from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorRing
-from .scalars import ZERO, CycNum, euler_phi, format_rational, scalar_is_zero, scalar_to_json
+from .scalars import (ZERO, CycNum, euler_phi, format_rational, no_arithmetic, scalar_is_zero,
+                      scalar_to_json)
 
 
 class PoleError(ArithmeticError):
@@ -37,7 +38,9 @@ class PoleError(ArithmeticError):
 
 class QSeries(namedtuple("QSeries", "const atoms", defaults=(Fraction(0), ()))):
     """A rational constant plus a rational combination of atoms delta_{rs}:
-    `atoms` holds sorted ((r, s), Fraction) pairs."""
+    `atoms` holds sorted ((r, s), Fraction) pairs.  + and - take a QSeries,
+    an int or a Fraction, * an int or a Fraction; any other operand is
+    `no_arithmetic`'s TypeError."""
 
     __slots__ = ()
 
@@ -51,7 +54,9 @@ class QSeries(namedtuple("QSeries", "const atoms", defaults=(Fraction(0), ()))):
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QSeries.from_dict(self.const + other, self.atom_dict())
+            other = QSeries(Fraction(other))
+        elif not isinstance(other, QSeries):
+            return no_arithmetic(self, other)
         d = self.atom_dict()
         for span, c in other.atoms:
             d[span] = d.get(span, Fraction(0)) + c
@@ -63,6 +68,8 @@ class QSeries(namedtuple("QSeries", "const atoms", defaults=(Fraction(0), ()))):
         return self + (-1) * other
 
     def __mul__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return no_arithmetic(self, scalar)
         scalar = Fraction(scalar)
         return QSeries.from_dict(self.const * scalar,
                                  {span: c * scalar for span, c in self.atoms})
@@ -175,8 +182,7 @@ class QuantumRing(SectorRing):
     E_i E_j is `structure_constants(n)` evaluated at the geometry's m and k
     and at the point's atoms delta_rs.  A point at a pole raises PoleError
     for every geometry, also where k = 0 makes every correction vanish.
-    Products are affine in the atoms: delta_beta adds k (x.beta)(y.beta)
-    sum_{l in beta} E_l to x y (`HomChecker.solve` reads its columns so)."""
+    Products are affine in the atoms, which `HomChecker.solve` uses."""
 
     letter = "E"
     json_keys = ("pullback", "exceptional")

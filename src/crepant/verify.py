@@ -23,17 +23,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations_with_replacement
 from math import gcd
-from operator import add
 
-from .cartan import span_weights
-from .geometry import Geometry, SectorClass, sum_rows
+from .geometry import Geometry, sum_rows
 from .orbifold import ConventionFlags, OrbifoldRing
 from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
 from .resolution import ResolutionRing
-from .scalars import ZERO, CycNum, scalar_is_zero, scalar_to_json
+from .scalars import ONE, ZERO, CycNum, scalar_is_zero, scalar_to_json
 
 
 class _Record:
@@ -110,16 +107,14 @@ def _row_reduce(rows, width: int) -> Reduction:
     return Reduction(mat, order, pivots, det if len(pivots) == width else Fraction(0))
 
 
-def apply_candidate(matrix, x: SectorClass) -> SectorClass:
-    """Image of x under the candidate map: 1 and sigma are fixed, and the a-th sector
-    generator goes to sum_l matrix[a][l] E_l, so h^p E_l gets sum_a matrix[a][l] x_(a, p)."""
-    rank = x.geom.base.rank
-    coeffs = list(x.coeffs[:2 * rank])
-    for column in zip(*matrix):
-        terms = [(c, (a + 2) * rank) for a, c in enumerate(column) if not scalar_is_zero(c)]
-        coeffs += [reduce(add, [c * x.coeffs[g + p] for c, g in terms]) if terms else ZERO
-                   for p in range(rank)]
-    return SectorClass(x.geom, tuple(coeffs))
+def apply_candidate(matrix, row: dict, rank: int) -> dict:
+    """Image under the candidate map of the class with the nonzero coefficients
+    `row` {m: c}, as a sparse row: 1 and sigma (m < 2 rank) are fixed, and h^p g_a,
+    m = (a + 1) rank + p, goes to sum_l matrix[a - 1][l - 1] h^p E_l; no zero term."""
+    return sum_rows((c, {m: ONE} if m < 2 * rank else
+                     {(l + 2) * rank + m % rank: e
+                      for l, e in enumerate(matrix[m // rank - 2]) if not scalar_is_zero(e)})
+                    for m, c in row.items())
 
 
 def _component_names(geom: Geometry, letter: str) -> list:
@@ -191,6 +186,30 @@ def _point(geom: Geometry, deltas: dict):
     return None
 
 
+def reduce_system(geom: Geometry, det, labels: list, rows: list) -> AffineSystem:
+    """The AffineSystem of a nonsingular candidate, determinant `det`, from
+    its condition `rows` (one coefficient per span, then the right-hand side)
+    labelled (product, component): row-reduced, then back-substituted."""
+    spans = all_spans(geom.n)
+    red = _row_reduce(rows, len(spans))
+    rank = len(red.pivots)
+    system = AffineSystem(det, spans, rank, red.rows[:rank])
+    for k in range(rank, len(rows)):
+        if not scalar_is_zero(red.rows[k][-1]):
+            system.inconsistent = (*labels[red.order[k]], red.rows[k][-1])
+            return system
+    if rank == len(spans):
+        # back substitution; pivot k sits in column k
+        delta = [None] * rank
+        for k in range(rank - 1, -1, -1):
+            row = red.rows[k]
+            known = sum(row[c] * delta[c] for c in range(k + 1, rank))
+            delta[k] = (row[-1] - known) / row[k]
+        system.solution = dict(zip(spans, delta))
+        system.point = _point(geom, system.solution)
+    return system
+
+
 class HomChecker:
     """Checks candidate isomorphisms from the orbifold ring of one geometry,
     under fixed convention flags, to its quantum rings.
@@ -200,20 +219,21 @@ class HomChecker:
     sum_l matrix[a][l] * E_l.  Both products are H*(S)-bilinear and the map
     is H*(S)-linear, so every condition is one on a pair of the n + 2
     module generators, at basis indices `generators`.  The orbifold
-    products of those pairs do not depend on q, so they are computed once
-    and shared by every check and solve."""
+    products of those pairs, sparse rows {m: c}, do not depend on q, so
+    they are read once and shared by every check and solve."""
 
     def __init__(self, geom: Geometry, flags: ConventionFlags = ConventionFlags()):
         self.geom = geom
         self.flags = flags
         orb = OrbifoldRing(geom, flags)
-        self.basis = orb.basis()
+        self.labels = orb.labels()
         self.generators = range(0, orb.size, geom.base.rank)
-        self.products = orb.products(self.generators)
+        self.products = {(i, j): orb.product(i, j)
+                         for i in self.generators for j in self.generators if i <= j}
 
     def _images(self, matrix) -> dict:
-        """{i: the candidate's image of b_i} over the generator indices i."""
-        return {i: apply_candidate(matrix, self.basis[i][1]) for i in self.generators}
+        """{i: the candidate's image of b_i, a sparse row} over the generator indices i."""
+        return {i: apply_candidate(matrix, {i: ONE}, self.geom.base.rank) for i in self.generators}
 
     def _det(self, matrix):
         """The determinant of the candidate matrix, which must be n x n."""
@@ -222,12 +242,14 @@ class HomChecker:
         return _row_reduce(matrix, self.geom.n).det
 
     def _residual(self, matrix, images, ring, i: int, j: int) -> dict:
-        """apply(M, b_i b_j) - (M b_i)(M b_j) in `ring`, for generator indices
-        i <= j, as its nonzero coefficients {m: c}: one subtraction per
-        coefficient where the two sides differ."""
-        lhs = apply_candidate(matrix, self.products[(i, j)]).coeffs
-        rhs = ring.mul(images[i], images[j]).coeffs
-        return {m: a - b for m, (a, b) in enumerate(zip(lhs, rhs)) if a != b}
+        """apply(M, b_i b_j) - (M b_i)(M b_j) in `ring` for generator indices i <= j,
+        the right side read off `ring.product`, as its nonzero coefficients {m: c}
+        in the order of m, each subtracted only where the two sides differ."""
+        lhs = apply_candidate(matrix, self.products[i, j], self.geom.base.rank)
+        rhs = sum_rows((a * b, row) for p, a in images[i].items() for q, b in images[j].items()
+                       if (row := ring.product(p, q)))
+        return {m: a - b for m in sorted(lhs.keys() | rhs.keys())
+                if (a := lhs.get(m, ZERO)) != (b := rhs.get(m, ZERO))}
 
     def check(self, matrix, quantum: QuantumRing) -> HomReport:
         """Exact multiplicativity of the candidate map into `quantum` on all
@@ -249,16 +271,15 @@ class HomChecker:
         rank = self.geom.base.rank
         diffs = {key: self._residual(matrix, images, quantum, *key).items()
                  for key in self.products}
-        size = len(self.basis)
+        labels = self.labels
         # twisted sectors first, from the end of the basis: `verify-a1`
         # prints the violations in this order, which the golden digests pin
-        for i in range(size - 1, -1, -1):
-            lx = self.basis[i][0]
-            for j in range(size - 1, i - 1, -1):
+        for i in range(len(labels) - 1, -1, -1):
+            for j in range(len(labels) - 1, i - 1, -1):
                 key = (i - i % rank, j - j % rank)
                 for m, val in _shift(diffs[key], i % rank + j % rank, rank):
                     report.passed = False
-                    report.violations.append((f"{lx} * {self.basis[j][0]}", names[m], val))
+                    report.violations.append((f"{labels[i]} * {labels[j]}", names[m], val))
         return report
 
     def solve(self, matrix) -> AffineSystem:
@@ -269,67 +290,41 @@ class HomChecker:
         pair of basis elements, with images x = M b_i and y = M b_j, the
         residual apply(M, b_i b_j) - x y is L - R_0 - sum_beta delta_beta
         R_beta: L from the shared orbifold products, R_0 the classical x y,
-        and R_beta the root-sum term k (x.beta)(y.beta) sum_{l in beta} E_l,
-        x.beta = sum_i x_i (E_i.beta).  All three are H*(S)-bilinear, so
-        the rows of b_i = h^p g, b_j = h^q g' are those of the generator
-        pair g, g' moved up by h^(p+q): only generator pairs give rows.
-        The image of a generator lies in h^0, so x.beta is one scalar and
-        a beta column is the one scalar k (x.beta)(y.beta) at the h^1 E_l
-        rows, l in beta, and nothing over a point.  R_0 is the only ring
-        product, and that scalar is formed only where k (x.beta) and
-        y.beta are both nonzero: never for a pullback image, and never at
-        k = 0.  Each nonzero component gives one row of the system, which
-        is row-reduced exactly."""
-        n = self.geom.n
+        and R_beta the delta_beta part of the quantum x y.  All three are
+        H*(S)-bilinear, so the rows of b_i = h^p g, b_j = h^q g' are those
+        of the generator pair g, g' moved up by h^(p+q): only generator
+        pairs give rows.  R_beta is k x_a y_b c_beta at h^1 E_l, summed over
+        the nonzero sector coefficients x_a, y_b of the two images (in h^0) and
+        the atoms (beta, c_beta) of slot l of E_a E_b in `structure_constants`.
+        Each nonzero component is one row; `reduce_system` reduces them."""
+        n, rank = self.geom.n, self.geom.base.rank
         spans = all_spans(n)
         det = self._det(matrix)
         if scalar_is_zero(det):
             return AffineSystem(det, spans)
         classical = ResolutionRing(self.geom)
         images = self._images(matrix)
-        rank = self.geom.base.rank
-        # a generator's image lies in h^0, so dots[i][s] = images[i].beta_s is
-        # one scalar, and the root term k (x.beta)(y.beta) lies in h^1
-        dots = {i: [reduce(add, (w * x.coeffs[(a + 1) * rank]
-                                 for a, w in span_weights(n)[span].items())) for span in spans]
-                for i, x in images.items()}
-        # k (x.beta), formed where it is nonzero: never over a point, where k h = 0
+        # {(p, q): {(m, span): k c_span}} over the atoms of slot l of E_a E_b
+        # at m = h^1 E_l, b_p = E_a, b_q = E_b; none where k h = 0
         k = self.geom.k if rank > 1 else ZERO
-        kdots = {i: [k * d if k and not scalar_is_zero(d) else ZERO for d in row]
-                 for i, row in dots.items()}
+        columns = {((a + 1) * rank, (b + 1) * rank):
+                   {((l + 1) * rank + 1, span): k * c
+                    for l, (_, series) in enumerate(slots, start=1) for span, c in series.atoms}
+                   for (a, b), (_, slots) in structure_constants(n).items() if k}
         names = _component_names(self.geom, ResolutionRing.letter)
         labels, rows = [], []
         for i, j in self.products:
             rhs = self._residual(matrix, images, classical, i, j)
-            # None: a zero root product, not formed
-            roots = [None if scalar_is_zero(kx) or scalar_is_zero(y) else kx * y
-                     for kx, y in zip(kdots[i], dots[j])]
-            for m in range(len(self.basis)):
-                val = rhs.get(m, ZERO)
-                # coefficient m is that of h^p g, of the generator g = l + 1, E_l
-                g, p = divmod(m, rank)
-                row = [root if root is not None and p == 1 and r <= g - 1 <= s else ZERO
-                       for (r, s), root in zip(spans, roots)] + [val]
+            # {(m, span): the delta_span coefficient at component m}
+            roots = sum_rows((x * y, column) for p, x in images[i].items()
+                             for q, y in images[j].items()
+                             if (column := columns.get((min(p, q), max(p, q)))))
+            for m in range(len(self.labels)):
+                row = [roots.get((m, span), ZERO) for span in spans] + [rhs.get(m, ZERO)]
                 if not all(scalar_is_zero(v) for v in row):
-                    labels.append((f"{self.basis[i][0]} * {self.basis[j][0]}", names[m]))
+                    labels.append((f"{self.labels[i]} * {self.labels[j]}", names[m]))
                     rows.append(row)
-        red = _row_reduce(rows, len(spans))
-        rank = len(red.pivots)
-        system = AffineSystem(det, spans, rank, red.rows[:rank])
-        for k in range(rank, len(rows)):
-            if not scalar_is_zero(red.rows[k][-1]):
-                system.inconsistent = (*labels[red.order[k]], red.rows[k][-1])
-                return system
-        if rank == len(spans):
-            # back substitution; pivot k sits in column k
-            delta = [None] * rank
-            for k in range(rank - 1, -1, -1):
-                row = red.rows[k]
-                known = sum(row[c] * delta[c] for c in range(k + 1, rank))
-                delta[k] = (row[-1] - known) / row[k]
-            system.solution = dict(zip(spans, delta))
-            system.point = _point(self.geom, system.solution)
-        return system
+        return reduce_system(self.geom, det, labels, rows)
 
 
 class A2Solution(_Record):

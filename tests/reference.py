@@ -42,11 +42,11 @@ from crepant.verify import (
     HomChecker,
     HomReport,
     _component_names,
-    _point,
     _roots_of_unity,
     _row_reduce,
     a2_candidates,
     apply_candidate,
+    reduce_system,
 )
 
 
@@ -868,27 +868,19 @@ def pairing(ring, x, y):
 
 def reduced_system(geom, matrix, labels, rows):
     """The AffineSystem that `HomChecker.solve` makes of a candidate's
-    labelled rows, reduced here by the same steps."""
-    spans = all_spans(geom.n)
+    labelled rows, by the library's one reducer `verify.reduce_system`: the
+    rows are the oracle's own."""
     det = _row_reduce(matrix, geom.n).det
     if scalar_is_zero(det):
-        return AffineSystem(det, spans)
-    red = _row_reduce(rows, len(spans))
-    rank = len(red.pivots)
-    system = AffineSystem(det, spans, rank, red.rows[:rank])
-    for k in range(rank, len(rows)):
-        if not scalar_is_zero(red.rows[k][-1]):
-            system.inconsistent = (*labels[red.order[k]], red.rows[k][-1])
-            return system
-    if rank == len(spans):
-        delta = [None] * rank
-        for k in range(rank - 1, -1, -1):
-            row = red.rows[k]
-            known = sum(row[c] * delta[c] for c in range(k + 1, rank))
-            delta[k] = (row[-1] - known) / row[k]
-        system.solution = dict(zip(spans, delta))
-        system.point = _point(geom, system.solution)
-    return system
+        return AffineSystem(det, all_spans(geom.n))
+    return reduce_system(geom, det, labels, rows)
+
+
+def apply_to_class(matrix, x):
+    """`verify.apply_candidate` on the sparse row of the class x, back as a
+    class: the library map, for the sweeps over every basis pair."""
+    row = apply_candidate(matrix, as_row(x), x.geom.base.rank)
+    return SectorClass(x.geom, tuple(row.get(m, ZERO) for m in range(len(x.coeffs))))
 
 
 def unit_ring_rows(checker, matrix):
@@ -926,7 +918,7 @@ def all_pairs_rows(checker, matrix):
     orb = OrbifoldRing(geom, checker.flags)
     basis = orb.basis()
     classical = ResolutionRing(geom)
-    images = [apply_candidate(matrix, x) for _, x in basis]
+    images = [apply_to_class(matrix, x) for _, x in basis]
     dots = [[reduce(add, (parts[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
              for span in spans] for parts in (coords(x) for x in images)]
     k = kap(geom)
@@ -934,7 +926,7 @@ def all_pairs_rows(checker, matrix):
     names = _component_names(geom, ResolutionRing.letter)
     labels, rows = [], []
     for (i, j), xy in orb.products().items():
-        rhs = difference(apply_candidate(matrix, xy), classical.mul(images[i], images[j]))
+        rhs = difference(apply_to_class(matrix, xy), classical.mul(images[i], images[j]))
         roots = [None if kx.is_zero() or y.is_zero() else kx * y
                  for kx, y in zip(kdots[i], dots[j])]
         for m, val in enumerate(rhs.coeffs):
@@ -961,11 +953,11 @@ def check_all_pairs(checker, matrix, quantum):
         report.passed = False
         report.violations.append(("matrix", "det", det))
         return report
-    images = [apply_candidate(matrix, x) for _, x in basis]
+    images = [apply_to_class(matrix, x) for _, x in basis]
     names = _component_names(geom, quantum.letter)
     for i in range(len(basis) - 1, -1, -1):
         for j in range(len(basis) - 1, i - 1, -1):
-            diff = difference(apply_candidate(matrix, products[(i, j)]),
+            diff = difference(apply_to_class(matrix, products[(i, j)]),
                               quantum.mul(images[i], images[j]))
             for comp, val in zip(names, diff.coeffs):
                 if not scalar_is_zero(val):

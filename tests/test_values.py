@@ -94,6 +94,23 @@ def test_value_types_have_no_tuple_arithmetic(value):
             op()
 
 
+def test_qseries_operands_are_exact_or_a_type_error():
+    # QSeries keeps + and - with a QSeries or a rational constant and * by an
+    # int or a Fraction; a tuple does not reach its `atoms`, and a float or a
+    # string is not parsed through Fraction() onto the exact path
+    series = QSeries.from_dict(Fraction(1), {(1, 1): Fraction(2)})
+    ops = [lambda: (1,) + series, lambda: series + (1,), lambda: series - (1,),
+           lambda: series + 0.5, lambda: 0.5 + series, lambda: series - 0.5,
+           lambda: series * 0.1, lambda: 0.1 * series, lambda: series * "3",
+           lambda: "3" * series, lambda: series * series]
+    for op in ops:
+        with pytest.raises(TypeError, match="^QSeries has no \\+ or \\*$"):
+            op()
+    assert series + series == 2 * series == series * Fraction(2)
+    assert (series - series).is_zero() and series + 1 - 1 == series
+    assert Fraction(1, 2) + series == QSeries.from_dict(Fraction(3, 2), {(1, 1): Fraction(2)})
+
+
 def test_graded_classes_over_different_bases_do_not_multiply():
     one = GradedClass(BaseRing("projective_space", 1), (Fraction(1), Fraction(0)))
     other = GradedClass(BaseRing("projective_space", 2), (Fraction(1), Fraction(0), Fraction(0)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,8 @@ from reference import (
     a1_scalar_sweep,
     all_pairs_rows,
     apply_candidate_by_coords,
+    apply_to_class,
+    as_row,
     associativity_all_triples,
     associativity_by_mul,
     check_all_pairs,
@@ -209,20 +212,42 @@ SOLVE_CASES = (
     + [(default_geometry(2), "1/(n+1)", 6)])
 
 
+def _count_residuals(monkeypatch):
+    """({ring class: HomChecker._residual calls}, [q of each QuantumRing
+    built that is not a ResolutionRing]), both counted as they happen."""
+    residuals, built = Counter(), []
+    residual, init = HomChecker._residual, QuantumRing.__init__
+
+    def counting_residual(self, matrix, images, ring, i, j):
+        residuals[type(ring)] += 1
+        return residual(self, matrix, images, ring, i, j)
+
+    def counting_init(self, geom, q):
+        if type(self) is QuantumRing:
+            built.append(q)
+        init(self, geom, q)
+
+    monkeypatch.setattr(HomChecker, "_residual", counting_residual)
+    monkeypatch.setattr(QuantumRing, "__init__", counting_init)
+    return residuals, built
+
+
+def _assert_counters_live(residuals, built):
+    # one check against a quantum ring adds its 10 generator-pair residuals
+    # and the ring itself to the counters
+    checker = HomChecker(default_geometry(2))
+    before = residuals[QuantumRing], len(built)
+    checker.check(a2_candidates()[0][2], QuantumRing(checker.geom, QPoint([CycNum.zeta(3)] * 2)))
+    assert (residuals[QuantumRing], len(built)) == (before[0] + 10, before[1] + 1)
+
+
 def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
-    calls = []
-    mul = SectorRing.mul
-
-    def counting_mul(self, x, y):
-        if isinstance(self, QuantumRing):
-            calls.append(1)
-        return mul(self, x, y)
-
-    monkeypatch.setattr(SectorRing, "mul", counting_mul)
+    residuals, built = _count_residuals(monkeypatch)
     solve_a2_symmetric(A2_SYMPLECTIC, max_order=12)
-    # at k = 0 no delta enters a product: 10 generator pairs at delta = 0
-    # for each of the 4 candidates, and none at a unit delta
-    assert len(calls) == 10 * 4
+    # at k = 0 no delta enters a product: 10 generator pairs against the
+    # classical ring for each of the 4 candidates, and no quantum ring
+    assert residuals == {ResolutionRing: 10 * 4} and built == []
+    _assert_counters_live(residuals, built)
 
 
 @pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
@@ -237,24 +262,16 @@ def test_solve_matches_sweep(geom, twist, max_order):
 
 
 def test_solve_computes_no_product_per_root(monkeypatch):
-    calls = []
-    mul = SectorRing.mul
-
-    def counting_mul(self, x, y):
-        if isinstance(self, QuantumRing):
-            calls.append(1)
-        return mul(self, x, y)
-
-    monkeypatch.setattr(SectorRing, "mul", counting_mul)
-    counts = []
+    residuals, built = _count_residuals(monkeypatch)
     for max_order in (6, 12):
-        calls.clear()
+        residuals.clear()
         solve_a2_symmetric(default_geometry(2), max_order=max_order)
-        counts.append(len(calls))
-    # 10 generator pairs, each at delta = 0 only, for each of the 4
-    # candidates: the delta columns are read off the root sum, with no ring
-    # product
-    assert counts == [10 * 4] * 2
+        # 10 generator pairs against the classical ring for each of the 4
+        # candidates: the delta columns are read off structure_constants,
+        # with no ring product and no quantum ring per root
+        assert residuals == {ResolutionRing: 10 * 4}
+    assert built == []
+    _assert_counters_live(residuals, built)
 
 
 def _shape(v):
@@ -264,12 +281,28 @@ def _shape(v):
     return ("cyc", v.conductor, v.coeffs) if isinstance(v, CycNum) else v
 
 
+def _conductor(v):
+    return v.conductor if isinstance(v, CycNum) else 1
+
+
+def _one_conductor(matrix):
+    """True when the nonzero entries of `matrix` share one conductor, 1 for a rational."""
+    return len({_conductor(v) for row in matrix for v in row if not scalar_is_zero(v)}) <= 1
+
+
 def _nonzero_shapes(system):
     """Every value of an AffineSystem with its type and conductor."""
     return (_shape(system.det), system.rank, [[_shape(v) for v in row] for row in system.rows],
             system.solution and {span: _shape(v) for span, v in system.solution.items()},
             system.point and [_shape(v) for v in system.point],
             system.inconsistent and (*system.inconsistent[:2], _shape(system.inconsistent[2])))
+
+
+def _values(system):
+    """Every scalar of an AffineSystem, in one fixed order."""
+    return [system.det, *(v for row in system.rows for v in row),
+            *(system.solution or {}).values(), *(system.point or ()),
+            *(system.inconsistent or ())[2:]]
 
 
 def _forward_reduced(row, pivot_rows, width):
@@ -287,20 +320,30 @@ def _forward_reduced(row, pivot_rows, width):
 def _assert_solve_matches(checker, matrix, labelled_rows):
     """`checker.solve(matrix)` equals the system reduced from the reference
     rows `labelled_rows(checker, matrix)` of every basis pair, field by
-    field, every nonzero value with its type and conductor; the witness of
-    an inconsistency is one of those rows, and the pivot rows reduce it to
-    exactly 0 = value."""
+    field; the witness of an inconsistency is one of those rows, and the
+    pivot rows reduce it to exactly 0 = value.  Where the matrix has one
+    conductor every nonzero value also has the reference's type and
+    conductor.  Across conductors the reference's sums carry zero terms
+    whose conductors the library never forms, so there each nonzero
+    library value's conductor divides the reference's."""
     labels, rows = labelled_rows(checker, matrix)
     system = checker.solve(matrix)
     reference = reduced_system(checker.geom, matrix, labels, rows)
     assert system == reference
-    assert _nonzero_shapes(system) == _nonzero_shapes(reference)
+    if _one_conductor(matrix):
+        assert _nonzero_shapes(system) == _nonzero_shapes(reference)
+    else:
+        pairs = list(zip(_values(system), _values(reference), strict=True))
+        assert all(_conductor(want) % _conductor(got) == 0
+                   for got, want in pairs if not scalar_is_zero(got))
     if system.inconsistent is not None:
         *label, value = system.inconsistent
         reduced = _forward_reduced(rows[labels.index(tuple(label))], system.rows,
                                    len(system.spans))
         assert all(scalar_is_zero(v) for v in reduced[:-1])
-        assert reduced[-1] == value and _shape(reduced[-1]) == _shape(value)
+        assert reduced[-1] == value
+        if _one_conductor(matrix):
+            assert _shape(reduced[-1]) == _shape(value)
     return system
 
 
@@ -666,14 +709,18 @@ def matrices_and_classes(draw):
 @settings(max_examples=150, deadline=None)
 @given(matrices_and_classes())
 def test_apply_candidate_matches_the_coordinate_walk(case):
-    # apply_candidate indexes the flat coefficients; the reference walks the
-    # H*(S) coordinates.  Both form each coefficient as the same sum in the
-    # same order, so the JSON agrees too, even across fields.
+    # apply_candidate maps the nonzero coefficients of a sparse row; the
+    # reference walks every H*(S) coordinate, zeros included.  The values
+    # agree (a sum of nonzero terms may cancel to 0).  A zero coefficient
+    # times an entry keeps the entry's conductor in the reference's sum, so
+    # the JSON agrees where the matrix has one conductor.
     matrix, x = case
-    got, want = apply_candidate(matrix, x), apply_candidate_by_coords(matrix, x)
-    assert got == want
-    ring = ResolutionRing(x.geom)
-    assert ring.to_json(got) == ring.to_json(want)
+    want = apply_candidate_by_coords(matrix, x)
+    got = apply_candidate(matrix, as_row(x), x.geom.base.rank)
+    assert {m: c for m, c in got.items() if not scalar_is_zero(c)} == as_row(want)
+    if _one_conductor(matrix):
+        ring = ResolutionRing(x.geom)
+        assert ring.to_json(apply_to_class(matrix, x)) == ring.to_json(want)
 
 
 SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3),
