@@ -86,6 +86,13 @@ GOLDEN = [
      "1cd2eaf8e1a67afb9373b6c0062fd5640898ee40c8b296ace201ad6389e2d177"),
     ("check-assoc a4_p1 --ring quantum --q=2,-1,1/2,3",
      "6bd978473a685060553c45395d43a99be639a41c43b3e1ea67acb33906b16c29"),
+    # n = 3 over P^2: rank-3 blocks, recorded before tables were written from sparse rows
+    ("orb-table a3_p2", "f13bbf89c4c92271611d4d85de96144c70e25ab56ddad0981fa9eccf650dc829"),
+    ("res-table a3_p2", "1ad94dba5214b38b054277692489536825ad7b68536a653babb0dcd974e540cc"),
+    ("qc-table a3_p2 --q=zeta5",
+     "b2c2dab1c25a4e749cd4ec7133000974317a16b7e15a7e6975786984a4bd5b54"),
+    ("gw a3_p2 --span 1,2 --insert E1,E2,E2",
+     "1e0dc6c4b72ee60700a69a442f4268be9a211efec35c64f832c99fd3a318dc2a"),
 ]
 
 
