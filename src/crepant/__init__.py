@@ -14,7 +14,6 @@ from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import (
     BaseRing,
     Geometry,
-    SectorClass,
     SectorRing,
     default_geometry,
 )

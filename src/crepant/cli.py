@@ -12,7 +12,7 @@ import os
 import sys
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
-from .geometry import Geometry, SectorClass, _json_object
+from .geometry import Geometry, _json_object
 from .gw import gw_invariant, gw_metadata
 from .mckay import (
     GroupSpec,
@@ -26,7 +26,7 @@ from .mckay import (
 from .orbifold import ConventionFlags, OrbifoldRing, age
 from .quantum import PoleError, QPoint, QuantumRing
 from .resolution import ResolutionRing
-from .scalars import conductor_cap, format_rational, parse_int, parse_scalar, scalar_to_json
+from .scalars import ONE, conductor_cap, format_rational, parse_int, parse_scalar, scalar_to_json
 from .verify import (
     HomChecker,
     check_associativity,
@@ -57,7 +57,8 @@ def load_config(path: str):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: json.load recurses once per nested bracket
         raise ValueError(f"cannot read config {path}: {exc}") from None
     try:
         geom = Geometry.from_json(data)
@@ -200,8 +201,9 @@ def _join_signed_values(argv):
 
 def _ee_table(ring) -> dict:
     """Products of two sector generators, i <= j."""
-    n = ring.geom.n
-    return {f"{ring.letter}_{i} * {ring.letter}_{j}": ring.to_json(ring.ee_product(i, j))
+    n, rank = ring.geom.n, ring.geom.base.rank
+    return {f"{ring.letter}_{i} * {ring.letter}_{j}":
+            ring.to_json(ring.product((i + 1) * rank, (j + 1) * rank))
             for i in range(1, n + 1) for j in range(i, n + 1)}
 
 
@@ -209,8 +211,8 @@ def _ee_table(ring) -> dict:
 def cmd_orb_table(args, geom, flags) -> dict:
     ring = OrbifoldRing(geom, flags)
     labels = ring.labels()
-    table = {f"{labels[i]} * {labels[j]}": ring.to_json(xy)
-             for (i, j), xy in ring.products().items()}
+    table = {f"{labels[i]} * {labels[j]}": ring.to_json(ring.product(i, j))
+             for i in range(ring.size) for j in range(i, ring.size)}
     return {"table": table}
 
 
@@ -234,15 +236,17 @@ def cmd_gw(args, geom, flags) -> dict:
         raise ValueError("multiple must be >= 1")
     base = curve_class(geom.n, i, j)
     beta = CurveClass(tuple(multiple * m for m in base.mult))
+    # each insertion as a sparse row: E_l is generator l + 1, sigma generator 1
+    rank = geom.base.rank
     insertions = []
     for tok in args.insert.split(","):
         if tok.upper().startswith("E") and tok[1:].isascii() and tok[1:].isdigit():
             l = int(tok[1:])
             if not 1 <= l <= geom.n:
                 raise ValueError(f"divisor index out of range: {l}")
-            insertions.append(SectorClass.generator(geom, l + 1))
+            insertions.append({(l + 1) * rank: ONE})
         elif tok == "sigma":
-            insertions.append(SectorClass.generator(geom, 1))
+            insertions.append({rank: ONE})
         else:
             raise ValueError(f"unknown insertion {tok!r}")
     if len(insertions) != 3:

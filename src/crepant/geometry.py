@@ -167,28 +167,6 @@ def default_geometry(n: int, base: BaseRing | None = None) -> Geometry:
     return Geometry(n, base, Fraction(1), Fraction(n), Fraction(1))
 
 
-class SectorClass(namedtuple("SectorClass", "geom coeffs")):
-    """A class of a sector ring, in the free H*(S)-module with basis 1,
-    sigma, g_1..g_n.  sigma = i_*(1) has degree 4; the sector generators g_a
-    are the twisted sectors e_a of the orbifold or the exceptional divisors
-    E_a of the resolution, of degree 2.  Stored flat: `coeffs[m]` is the
-    coefficient of the vector-space basis element b_m = h^p g,
-    m = g rank + p, the index of `SectorRing.product`: (n + 2) rank scalars."""
-
-    __slots__ = ()
-
-    @classmethod
-    def generator(cls, geom: Geometry, k: int) -> "SectorClass":
-        """The k-th module generator: k = 0 is 1, k = 1 is sigma, k = a + 1 is g_a."""
-        if not 0 <= k <= geom.n + 1:
-            raise ValueError(f"generator index out of range: {k}")
-        rank = geom.base.rank
-        return cls(geom, (ZERO,) * (k * rank) + (ONE,) + (ZERO,) * ((geom.n + 2 - k) * rank - 1))
-
-    __add__ = __radd__ = __mul__ = __rmul__ = no_arithmetic
-    __hash__ = None
-
-
 def sum_rows(terms) -> dict:
     """sum c row over (c, row) pairs of sparse rows {m: v}, exact."""
     out = {}
@@ -201,14 +179,17 @@ def sum_rows(terms) -> dict:
 class SectorRing:
     """The free H*(S)-module on 1, sigma and n sector generators g_a.
 
+    A class is a sparse row {m: c} of its nonzero coefficients c over the
+    basis b_m = h^p g, m = g rank + p: g = 0 is 1, g = 1 is sigma and
+    g = a + 1 is g_a, a twisted sector e_a or an exceptional divisor E_a.
+
     The orbifold ring and the classical and quantum resolution rings share
     this shape and differ only in the product of two sector generators.  A
     subclass supplies g_i g_j, for i <= j, as `_compute_ee(i, j)`: the
-    sparse row {m: c} of its nonzero coefficients over `basis()`.  It also
-    sets `letter`, the sector label in the basis, and `json_keys`, the JSON
-    names of the (1, sigma) part and of the sector list.  That fixes the
-    basis products `product(i, j)`, the one store of products, and `mul`
-    and `ee_product` are read off them."""
+    sparse row of g_i g_j.  It also sets `letter`, the sector label in the
+    basis, and `json_keys`, the JSON names of the (1, sigma) part and of the
+    sector list.  That fixes the basis products `product(i, j)`, the one
+    store of products."""
 
     letter: str
     json_keys: tuple
@@ -218,16 +199,11 @@ class SectorRing:
         self.size = (geom.n + 2) * geom.base.rank  # the number of basis elements b_m
         self._rows = {}
 
-    def ee_product(self, i: int, j: int) -> SectorClass:
-        """The product of the i-th and j-th sector generators."""
-        rank = self.geom.base.rank
-        return self._element(self.product((i + 1) * rank, (j + 1) * rank))
-
     def _compute_ee(self, i: int, j: int) -> dict:
         raise NotImplementedError
 
     def product(self, i: int, j: int) -> dict:
-        """b_i b_j as sparse {m: c} over `basis()`, c nonzero; built once."""
+        """b_i b_j as a sparse row {m: c}, c nonzero; built once."""
         key = (min(i, j), max(i, j))
         if key not in self._rows:
             self._rows[key] = self._basis_product(*key)
@@ -257,16 +233,6 @@ class SectorRing:
                 for t, c in enumerate((GradedClass(base, tuple(alpha)) * h).coeffs)
                 if not scalar_is_zero(c)}
 
-    def _element(self, row: dict) -> SectorClass:
-        """The class with the sparse coefficients `row` {m: c}."""
-        return SectorClass(self.geom, tuple(row.get(m, ZERO) for m in range(self.size)))
-
-    def mul(self, x: SectorClass, y: SectorClass) -> SectorClass:
-        """sum x_i y_j b_i b_j over the nonzero coefficients x_i of x and y_j of y."""
-        xs, ys = ([(m, c) for m, c in enumerate(z.coeffs) if not scalar_is_zero(c)] for z in (x, y))
-        return self._element(sum_rows(
-            (a * b, row) for i, a in xs for j, b in ys if (row := self.product(i, j))))
-
     def labels(self) -> list:
         """The label of each basis element b_m = h^p g, in the order of m."""
         names = ["1", "sigma"] + [f"{self.letter}_{a}" for a in range(1, self.geom.n + 1)]
@@ -274,19 +240,11 @@ class SectorRing:
                     name, f"h^{p}*{name}")
                 for name in names for p in range(self.geom.base.rank)]
 
-    def basis(self):
-        """Labelled vector-space basis over the scalars: (label, b_m) in the order of m."""
-        return [(label, SectorClass(self.geom, (ZERO,) * m + (ONE,) + (ZERO,) * (self.size - m - 1)))
-                for m, label in enumerate(self.labels())]
-
-    def products(self) -> dict:
-        """{(i, j): b_i b_j} over the basis b = `basis()`, for i <= j."""
-        return {(i, j): self._element(self.product(i, j))
-                for i in range(self.size) for j in range(i, self.size)}
-
-    def to_json(self, x: SectorClass):
+    def to_json(self, row: dict):
+        """The class with sparse row `row` as the H*(S) coefficients, zeros
+        included, of 1, sigma and each sector generator."""
         y_key, sectors_key = self.json_keys
         rank = self.geom.base.rank
-        pure, sigma, *sectors = ([scalar_to_json(c) for c in x.coeffs[m:m + rank]]
-                                 for m in range(0, self.size, rank))
+        pure, sigma, *sectors = ([scalar_to_json(row.get(m, ZERO)) for m in range(g, g + rank)]
+                                 for g in range(0, self.size, rank))
         return {y_key: {"pure": pure, "sigma": sigma}, sectors_key: sectors}

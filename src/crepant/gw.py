@@ -15,30 +15,32 @@ from functools import reduce
 from operator import mul
 
 from .cartan import CurveClass, span_weights
-from .geometry import Geometry, GradedClass, SectorClass
-from .scalars import scalar_is_zero
+from .geometry import Geometry, GradedClass
+from .scalars import ZERO
 
 ASSUMPTION_NOTE = "three-point values in fiber classes assumed for all base dimensions"
 
 
-def classify_insertion(x: SectorClass):
-    """Split a monomial class into ('pullback', x) or ('exceptional', l, alpha),
-    alpha the H*(S) coefficients h^0..h^dim of E_l.
+def classify_insertion(geom: Geometry, row: dict):
+    """Split a monomial class, the sparse row {m: c}, into ('pullback', row)
+    or ('exceptional', l, alpha), alpha the H*(S) coefficients h^0..h^dim
+    of E_l.
 
     Raises ValueError for classes that are neither."""
-    rank = x.geom.base.rank
+    rank = geom.base.rank
     # generator g >= 2 is E_{g-1}
-    gens = {m // rank for m, c in enumerate(x.coeffs) if not scalar_is_zero(c)}
+    gens = {m // rank for m in row}
     if all(g < 2 for g in gens):
-        return ("pullback", x)
+        return ("pullback", row)
     if len(gens) == 1:
         (g,) = gens
-        return ("exceptional", g - 1, x.coeffs[g * rank:(g + 1) * rank])
+        return ("exceptional", g - 1,
+                tuple(row.get(m, ZERO) for m in range(g * rank, (g + 1) * rank)))
     raise ValueError("insertion must be a pullback class or a single alpha*E_l")
 
 
 def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
-    """Three-point invariant <x1, x2, x3>_beta.
+    """Three-point invariant <x1, x2, x3>_beta of three sparse rows.
 
     Vanishes unless beta is a positive multiple of a span beta_{ij} and all
     insertions are exceptional; otherwise the product of the intersection
@@ -54,7 +56,7 @@ def gw_invariant(geom: Geometry, beta: CurveClass, insertions) -> Fraction:
     if span is None:
         return Fraction(0)
     weights = span_weights(geom.n)[span[1]]
-    parts = [classify_insertion(x) for x in insertions]
+    parts = [classify_insertion(geom, x) for x in insertions]
     if any(p[0] != "exceptional" for p in parts) or geom.base.dim == 0:
         # Divisor-axiom degenerate cases are out of scope; fiber-class
         # three-point invariants with pullback insertions vanish, and over

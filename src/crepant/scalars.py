@@ -331,12 +331,6 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
-def scalar_conj(x):
-    if isinstance(x, CycNum):
-        return x.conj()
-    return x
-
-
 def scalar_to_json(x):
     if isinstance(x, CycNum):
         return x.to_json() if any(x.nums[1:]) else _format_ratio(x.nums[0], x.den)

@@ -5,13 +5,14 @@ independent route to a value the package computes another way.
 """
 
 import cmath
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import add
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
-from crepant.geometry import SectorClass, SectorRing, sum_rows
+from crepant.geometry import SectorRing, sum_rows
 from crepant.orbifold import ConventionFlags, OrbifoldRing, obstruction_class
 from crepant.quantum import (
     PoleError,
@@ -31,7 +32,6 @@ from crepant.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     parse_rational,
-    scalar_conj,
     scalar_is_zero,
     scalar_to_json,
 )
@@ -111,6 +111,54 @@ def zero(base):
     return h_power(base, 0, Fraction(0))
 
 
+class DenseClass(namedtuple("DenseClass", "geom coeffs")):
+    """A sector class as the dense tuple of its (n + 2) rank coefficients,
+    `coeffs[m]` that of the basis element b_m = h^p g, m = g rank + p: the
+    tests' own coordinates, where the package keeps sparse rows {m: c}."""
+
+    __slots__ = ()
+    __hash__ = None
+
+
+def dense(geom, row):
+    """The sparse row {m: c} as a dense class."""
+    return DenseClass(geom, tuple(row.get(m, ZERO) for m in range((geom.n + 2) * geom.base.rank)))
+
+
+def generator_row(geom, k):
+    """The k-th module generator as a sparse row: k = 0 is 1, k = 1 is
+    sigma, k = a + 1 is g_a."""
+    return {k * geom.base.rank: Fraction(1)}
+
+
+def generator(geom, k):
+    """The k-th module generator as a dense class."""
+    return dense(geom, generator_row(geom, k))
+
+
+def labelled_basis(ring):
+    """(label, b_m) for every basis element, in the order of `ring.labels()`."""
+    return [(label, dense(ring.geom, {m: Fraction(1)})) for m, label in enumerate(ring.labels())]
+
+
+def generator_product(ring, i, j):
+    """g_i g_j as a dense class, read off the ring's sparse row."""
+    rank = ring.geom.base.rank
+    return dense(ring.geom, ring.product((i + 1) * rank, (j + 1) * rank))
+
+
+def product_table(ring):
+    """{(i, j): b_i b_j} as sparse rows, for i <= j."""
+    return {(i, j): ring.product(i, j) for i in range(ring.size) for j in range(i, ring.size)}
+
+
+def mul_by_table(ring, x, y):
+    """sum x_i y_j b_i b_j over the nonzero coefficients of the dense
+    classes x and y, read off the ring's basis products."""
+    return dense(ring.geom, sum_rows((a * b, ring.product(i, j))
+                                     for i, a in as_row(x).items() for j, b in as_row(y).items()))
+
+
 def coords(x):
     """The n + 2 H*(S) coordinates of a sector class, of 1, sigma, g_1..g_n."""
     rank = x.geom.base.rank
@@ -120,13 +168,13 @@ def coords(x):
 
 def from_coords(geom, parts):
     """The sector class with one H*(S) coordinate per generator 1, sigma, g_1..g_n."""
-    return SectorClass(geom, tuple(c for alpha in parts for c in alpha.coeffs))
+    return DenseClass(geom, tuple(c for alpha in parts for c in alpha.coeffs))
 
 
 def difference(x, y):
     """x - y for sector classes, coefficient by coefficient: the package's
     classes have no arithmetic."""
-    return SectorClass(x.geom, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
+    return DenseClass(x.geom, tuple(a - b for a, b in zip(x.coeffs, y.coeffs)))
 
 
 def vanishes(x):
@@ -684,7 +732,7 @@ def inner_by_definition(table, f, i):
     table's lifted integer terms."""
     total = Fraction(0)
     for size, x, y in zip(table.class_sizes, f, table.values[i]):
-        total = total + size * x * scalar_conj(y)
+        total = total + size * x * (y.conj() if isinstance(y, CycNum) else y)
     return total / table.group.order
 
 
@@ -783,7 +831,7 @@ def evaluate(series: QSeries, deltas):
 
 
 def quantum_ee_by_coords(geom, q, i, j):
-    """`QuantumRing(geom, q).ee_product(i, j)` through H*(S) classes: per E_l,
+    """g_i g_j of `QuantumRing(geom, q)` through H*(S) classes: per E_l,
     em().scale(cm) + kap().scale(ck), ck the series evaluated at q's atoms,
     or its constant when the ring is uncorrected (k = 0, a point base or
     every delta 0)."""
@@ -799,7 +847,7 @@ def quantum_ee_by_coords(geom, q, i, j):
 
 
 def orbifold_ee_by_coords(ring, i, j):
-    """`OrbifoldRing.ee_product(i, j)` through H*(S) classes: 1/(n+1) sigma
+    """g_i g_j of `OrbifoldRing` through H*(S) classes: 1/(n+1) sigma
     for inverse twists, else t l or t m in the sector i + j mod n+1."""
     geom, n = ring.geom, ring.geom.n
     obstruction = obstruction_class(n, i, j)
@@ -863,7 +911,7 @@ def components_by_coords(x, letter):
 def pairing(ring, x, y):
     """Poincare pairing: the integral over Y of the product, which only
     its compactly supported sigma coordinate contributes to."""
-    return coords(ring.mul(x, y))[1].integrate()
+    return coords(mul_by_table(ring, x, y))[1].integrate()
 
 
 def reduced_system(geom, matrix, labels, rows):
@@ -880,24 +928,25 @@ def apply_to_class(matrix, x):
     """`verify.apply_candidate` on the sparse row of the class x, back as a
     class: the library map, for the sweeps over every basis pair."""
     row = apply_candidate(matrix, as_row(x), x.geom.base.rank)
-    return SectorClass(x.geom, tuple(row.get(m, ZERO) for m in range(len(x.coeffs))))
+    return dense(x.geom, row)
 
 
 def unit_ring_rows(checker, matrix):
     """(labels, rows) of the isomorphism condition over every unordered
-    orbifold basis pair, in the order of `OrbifoldRing.products()`, with the
+    orbifold basis pair i <= j, in the order of `SectorRing.labels()`, with the
     delta_beta column of each pair computed as a ring product: the product
     at delta_beta = 1 minus the product at delta = 0, one product per pair
     and span."""
     geom = checker.geom
     orb = OrbifoldRing(geom, checker.flags)
-    basis = orb.basis()
+    basis = labelled_basis(orb)
     origin, units = unit_delta_rings(geom)
     images = [apply_candidate_by_coords(matrix, x) for _, x in basis]
     labels, rows = [], []
-    for (i, j), xy in orb.products().items():
-        r0 = origin.mul(images[i], images[j])
-        parts = [difference(unit.mul(images[i], images[j]), r0) for unit in units]
+    for (i, j), xy in product_table(orb).items():
+        xy = dense(geom, xy)
+        r0 = mul_by_table(origin, images[i], images[j])
+        parts = [difference(mul_by_table(unit, images[i], images[j]), r0) for unit in units]
         parts.append(difference(apply_candidate_by_coords(matrix, xy), r0))
         for entries in zip(*(components_by_coords(part, "E") for part in parts)):
             row = [val for _, val in entries]
@@ -916,7 +965,7 @@ def all_pairs_rows(checker, matrix):
     geom, n = checker.geom, checker.geom.n
     spans = all_spans(n)
     orb = OrbifoldRing(geom, checker.flags)
-    basis = orb.basis()
+    basis = labelled_basis(orb)
     classical = ResolutionRing(geom)
     images = [apply_to_class(matrix, x) for _, x in basis]
     dots = [[reduce(add, (parts[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
@@ -925,8 +974,9 @@ def all_pairs_rows(checker, matrix):
     kdots = [[k * d for d in row] for row in dots]
     names = _component_names(geom, ResolutionRing.letter)
     labels, rows = [], []
-    for (i, j), xy in orb.products().items():
-        rhs = difference(apply_to_class(matrix, xy), classical.mul(images[i], images[j]))
+    for (i, j), xy in product_table(orb).items():
+        rhs = difference(apply_to_class(matrix, dense(geom, xy)),
+                         mul_by_table(classical, images[i], images[j]))
         roots = [None if kx.is_zero() or y.is_zero() else kx * y
                  for kx, y in zip(kdots[i], dots[j])]
         for m, val in enumerate(rhs.coeffs):
@@ -945,7 +995,7 @@ def check_all_pairs(checker, matrix, quantum):
     the same order (twisted sectors first)."""
     geom = checker.geom
     orb = OrbifoldRing(geom, checker.flags)
-    basis, products = orb.basis(), orb.products()
+    basis = labelled_basis(orb)
     report = HomReport(passed=True)
     det = _row_reduce(matrix, geom.n).det
     report.notes["det"] = scalar_to_json(det)
@@ -957,8 +1007,8 @@ def check_all_pairs(checker, matrix, quantum):
     names = _component_names(geom, quantum.letter)
     for i in range(len(basis) - 1, -1, -1):
         for j in range(len(basis) - 1, i - 1, -1):
-            diff = difference(apply_to_class(matrix, products[(i, j)]),
-                              quantum.mul(images[i], images[j]))
+            diff = difference(apply_to_class(matrix, dense(geom, orb.product(i, j))),
+                              mul_by_table(quantum, images[i], images[j]))
             for comp, val in zip(names, diff.coeffs):
                 if not scalar_is_zero(val):
                     report.passed = False
@@ -991,10 +1041,10 @@ def associativity_all_triples(ring):
 
 
 def mul_by_generators(ring, x, y):
-    """`SectorRing.mul` as a sum over pairs of module generators: x_a y_b
-    g_a g_b over the nonzero H*(S) coordinates, with 1 the identity,
-    sigma g_b = 0 for b > 0 and g_i g_j = `ring.ee_product(i, j)`.  No
-    basis product table is read."""
+    """The product x y of dense classes as a sum over pairs of module
+    generators: x_a y_b g_a g_b over the nonzero H*(S) coordinates, with 1
+    the identity, sigma g_b = 0 for b > 0 and g_i g_j the ring's generator
+    row `product(g_i, g_j)`.  No product of an h-multiple is read."""
     terms = [[] for _ in coords(x)]
     ys = [(b, beta) for b, beta in enumerate(coords(y)) if not beta.is_zero()]
     for a, alpha in enumerate(coords(x)):
@@ -1005,7 +1055,7 @@ def mul_by_generators(ring, x, y):
                 terms[a + b].append(alpha * beta)
             elif a > 1 and b > 1:
                 coeff = alpha * beta
-                for k, e in enumerate(coords(ring.ee_product(a - 1, b - 1))):
+                for k, e in enumerate(coords(generator_product(ring, a - 1, b - 1))):
                     if not e.is_zero():
                         terms[k].append(e * coeff)
     return from_coords(ring.geom, [reduce(add, t) if t else zero(ring.geom.base) for t in terms])
@@ -1016,7 +1066,7 @@ def associativity_by_mul(ring):
     `mul_by_generators`: b_i b_j, then (x y) z and x (y z), for every basis
     triple."""
     report = HomReport(passed=True)
-    basis = ring.basis()
+    basis = labelled_basis(ring)
     products = {(i, j): mul_by_generators(ring, x, basis[j][1])
                 for i, (_, x) in enumerate(basis) for j in range(i, len(basis))}
     for i, (lx, x) in enumerate(basis):
@@ -1048,7 +1098,7 @@ def pairing_by_gram(ring):
     """`verify.check_pairing_nondegenerate` with every Gram entry the
     integral of a `mul_by_generators` product, over all ordered basis
     pairs."""
-    basis = ring.basis()
+    basis = labelled_basis(ring)
     det = _row_reduce([[coords(mul_by_generators(ring, x, y))[1].integrate() for _, y in basis]
                        for _, x in basis], len(basis)).det
     return {"nondegenerate": not scalar_is_zero(det),

@@ -51,6 +51,15 @@ def test_bad_config_exits_2():
     assert "error" in json.loads(text)
 
 
+def test_deeply_nested_config_exits_2(tmp_path):
+    # json.load recurses once per bracket and raises RecursionError here
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, text = invoke(["orb-table", "--config", str(path)])
+    assert code == 2
+    assert json.loads(text)["error"].startswith(f"cannot read config {path}: ")
+
+
 def test_decimal_q_rejected():
     code, text = invoke(["qc-table", "--config", A2, "--q", "0.5"])
     assert code == 2

@@ -7,11 +7,10 @@ from crepant.geometry import (
     BaseRing,
     Geometry,
     GradedClass,
-    SectorClass,
     SectorRing,
     default_geometry,
 )
-from reference import coords, ell, h_power, kap, one, times_generator, vanishes
+from reference import ell, h_power, kap, one
 
 
 def p1():
@@ -34,15 +33,11 @@ def test_base_ring_product_and_integral():
 
 def test_square_zero_model():
     geom = default_geometry(1, p1())
-    ring = geom.base
     model = SectorRing(geom)
-    sigma = SectorClass.generator(geom, 1)
-    assert vanishes(model.mul(sigma, sigma))
-    assert sigma.coeffs[:2] == (0, 0)  # rank 2: generator g holds coeffs[2 g:2 g + 2]
-    h = times_generator(geom, 0, h_power(ring, 1))
-    prod = model.mul(h, sigma)
-    assert coords(prod)[1] == h_power(ring, 1)
-    assert coords(prod)[1].integrate() == 1
+    # rank 2: b_m = h^p g at m = 2 g + p, so h is b_1, sigma b_2 and sigma h b_3
+    h, sigma = 1, 2
+    assert model.product(sigma, sigma) == {}
+    assert model.product(h, sigma) == {3: 1}
 
 
 def test_taut_relation_validated():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from crepant.cartan import CurveClass
-from crepant.geometry import BaseRing, Geometry, GradedClass, SectorClass, default_geometry
+from crepant.geometry import BaseRing, Geometry, GradedClass, default_geometry
 from crepant.mckay import GroupSpec, character_table, mckay_graph
 from crepant.orbifold import ConventionFlags
 from crepant.quantum import QSeries
@@ -17,7 +17,6 @@ from crepant.verify import A2Solution, A2SolveResult, AffineSystem, HomReport
 def frozen_values():
     geom = default_geometry(2)
     return [geom.base, GradedClass(geom.base, (Fraction(1), Fraction(0))), geom,
-            SectorClass.generator(geom, 1),
             CurveClass((1, 1)), ConventionFlags(), QSeries(Fraction(1)), GroupSpec("E", 6),
             character_table(GroupSpec("A", 2)), mckay_graph(GroupSpec("A", 2))]
 
@@ -57,9 +56,8 @@ def test_character_table_cache_keys_on_the_spec_value():
 def test_classes_are_unhashable():
     geom = default_geometry(2)
     one = GradedClass(geom.base, (Fraction(1), Fraction(0)))
-    for value in (one, SectorClass.generator(geom, 0)):
-        with pytest.raises(TypeError):
-            hash(value)
+    with pytest.raises(TypeError):
+        hash(one)
 
 
 def test_each_datum_is_a_field_once():
@@ -71,10 +69,8 @@ def test_each_datum_is_a_field_once():
 def test_classes_have_no_tuple_arithmetic():
     # a namedtuple inherits tuple + and *, which would concatenate or repeat
     geom = default_geometry(2)
-    x = SectorClass.generator(geom, 1)
     g = GradedClass(geom.base, (Fraction(1), Fraction(0)))
-    for op in (lambda: x + x, lambda: x * x, lambda: x * 2, lambda: 2 * x,
-               lambda: g + g, lambda: 2 * g):
+    for op in (lambda: g + g, lambda: 2 * g):
         with pytest.raises(TypeError):
             op()
 
