@@ -89,16 +89,11 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def _write_json(value, pad: str, out: list) -> None:
     """Append the chunks of `value` as json.dumps(value, indent=2) writes it
-    at the indent `pad`: dicts with str keys, lists, tuples, str, int, bool
-    and None here, any other value by json.dumps, indented."""
+    at the indent `pad`: dicts with str keys, lists and tuples here, with
+    their str, int, bool and None items written in the loop, any other
+    value by json.dumps, indented."""
     kind = type(value)
-    if kind is str:
-        out.append(_encode_str(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif value is None or kind is bool:
-        out.append(_JSON_CONSTANTS[value])
-    elif kind is list or kind is tuple or kind is dict and all(type(k) is str for k in value):
+    if kind is list or kind is tuple or kind is dict and all(type(k) is str for k in value):
         brackets = "{}" if kind is dict else "[]"
         if not value:
             out.append(brackets)
@@ -106,11 +101,20 @@ def _write_json(value, pad: str, out: list) -> None:
         inner = pad + "  "
         sep = brackets[0] + "\n" + inner
         for item in value:
-            out.append(sep)
             if kind is dict:
-                out += (_encode_str(item), ": ")
+                out += (sep, _encode_str(item), ": ")
                 item = value[item]
-            _write_json(item, inner, out)
+            else:
+                out.append(sep)
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(_encode_str(item))
+            elif item_kind is int:
+                out.append(int.__repr__(item))
+            elif item is None or item_kind is bool:
+                out.append(_JSON_CONSTANTS[item])
+            else:
+                _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + pad + brackets[1])
     else:

@@ -245,6 +245,7 @@ class SectorRing:
         included, of 1, sigma and each sector generator."""
         y_key, sectors_key = self.json_keys
         rank = self.geom.base.rank
-        pure, sigma, *sectors = ([scalar_to_json(row.get(m, ZERO)) for m in range(g, g + rank)]
+        pure, sigma, *sectors = ([scalar_to_json(row[m]) if m in row else "0"
+                                  for m in range(g, g + rank)]
                                  for g in range(0, self.size, rank))
         return {y_key: {"pure": pure, "sigma": sigma}, sectors_key: sectors}

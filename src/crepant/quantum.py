@@ -19,13 +19,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .cartan import cartan_inverse_entry, cartan_matrix, span_weights
 from .geometry import Geometry, SectorRing
-from .scalars import (ZERO, CycNum, euler_phi, format_rational, no_arithmetic, scalar_is_zero,
-                      scalar_to_json)
+from .scalars import (ZERO, CycNum, _check_conductor, _reduce, _residues, euler_phi,
+                      format_rational, no_arithmetic, scalar_is_zero, scalar_to_json)
 
 
 class PoleError(ArithmeticError):
@@ -118,19 +118,83 @@ class QPoint:
         return [span for span in all_spans(self.n) if scalar_is_zero(1 - self.span_product(*span))]
 
     def deltas(self) -> dict:
-        """{(r, s): delta_rs} over every span, delta = Q/(1 - Q) = 1/(1 - Q)
-        - 1.  Every 1 - Q is formed before any is inverted, so a point with
-        a pole raises PoleError at the first one, in the order of `poles()`,
-        having inverted nothing."""
-        denoms = {}
-        for span in all_spans(self.n):
-            denoms[span] = 1 - self.span_product(*span)
-            if scalar_is_zero(denoms[span]):
-                raise PoleError(span)
-        return {span: 1 / denom - 1 for span, denom in denoms.items()}
+        """{(r, s): delta_rs} over every span, delta = Q/(1 - Q).  A span
+        product Q = +-zeta_L^a of order d > 1, with L the lcm of its factors'
+        conductors, has the closed form -(d + sum_{k=1}^{d-1} k Q^k)/d at L,
+        as (1 - Q) sum_{k=1}^{d-1} k Q^k = -d; any other span is 1/(1 - Q)
+        - 1.  Every span's conductor and pole are checked before any atom is
+        evaluated, in the order of `poles()` and where a span product would
+        check them, so a point with a pole raises PoleError at the first
+        one, having inverted nothing."""
+        roots = [_root(v) for v in self.values]
+        # {span: (L, sign, a, d) for a root Q, else 1 - Q}
+        spans = {}
+        for r in range(1, self.n + 1):
+            # the span product as (L, sign, a) while every factor is a root;
+            # L = 0 while every factor is a rational +-1
+            product = (0, 1, 0)
+            for s in range(r, self.n + 1):
+                span, factor = (r, s), roots[s - 1]
+                product = _times_root(product, factor) if product and factor else None
+                if product and product[0]:
+                    order = _root_order(*product)
+                    if order == 1:
+                        raise PoleError(span)
+                    spans[span] = product + (order,)
+                else:
+                    spans[span] = 1 - self.span_product(r, s)
+                    if scalar_is_zero(spans[span]):
+                        raise PoleError(span)
+        return {span: _root_atom(*v) if isinstance(v, tuple) else 1 / v - 1
+                for span, v in spans.items()}
 
     def to_json(self):
         return [scalar_to_json(v) for v in self.values]
+
+
+def _root(value):
+    """(N, sign, a) with value = sign zeta_N^a, N the conductor of a CycNum,
+    read off its cached residue rows, and N = 0 for a rational +-1; None for
+    any other value."""
+    if not isinstance(value, CycNum):
+        return (0, int(value), 0) if value in (1, -1) else None
+    if value.den != 1:
+        return None
+    rows = _residues(value.conductor)
+    row = tuple((j, c) for j, c in enumerate(value.nums) if c)
+    for sign in (1, -1):
+        if row in rows:
+            return value.conductor, sign, rows.index(row)
+        row = tuple((j, -c) for j, c in row)
+    return None
+
+
+def _times_root(x, y):
+    """The product of two `_root` triples.  Where the lcm of two conductors
+    differs from either, it is checked against the cap, as the CycNum
+    product that lifts both operands there does."""
+    (n, sign, a), (m, sign2, b) = x, y
+    if not (n and m):
+        return n or m, sign * sign2, a + b
+    big = lcm(n, m)
+    if big != n or big != m:
+        _check_conductor(big)
+    return big, sign * sign2, (a * (big // n) + b * (big // m)) % big
+
+
+def _root_order(n, sign, a) -> int:
+    """The multiplicative order of sign zeta_n^a."""
+    if sign == 1:
+        return n // gcd(a, n)
+    return 2 * n // gcd(2 * a + n, 2 * n)
+
+
+def _root_atom(n, sign, a, order):
+    """Q/(1 - Q) at conductor n for Q = sign zeta_n^a of order d > 1: -(d +
+    sum_{k=1}^{d-1} k Q^k)/d, one reduction at n and no inverse."""
+    terms = [(k * a, -k if sign == -1 and k % 2 else k) for k in range(1, order)]
+    terms.append((0, order))
+    return CycNum(n, [-c for c in _reduce(n, terms)], order)
 
 
 def all_spans(n: int):
@@ -192,7 +256,14 @@ class QuantumRing(SectorRing):
             raise ValueError("parameter point has the wrong length")
         super().__init__(geom)
         self._deltas = q.deltas()
-        # {(span, N): delta_span at conductor N as (nums, den)}, on first use
+        # {span: conductor} of the CycNum deltas
+        self._conductors = {span: d.conductor for span, d in self._deltas.items()
+                            if isinstance(d, CycNum)}
+        # one denominator for every k delta: k's times the lcm of the deltas'
+        self._den = geom.k.denominator * lcm(*[
+            d.den if isinstance(d, CycNum) else d.denominator for d in self._deltas.values()])
+        # {(span, N): the numerators of k delta_span at conductor N over
+        # self._den}, on first use
         self._lifted = {}
         # the correction k delta is zero when k = 0 or when every delta is
         # 0 (every q is 0): no series is evaluated then
@@ -211,35 +282,48 @@ class QuantumRing(SectorRing):
         if rank == 1:
             return row
         for g, (cm, series) in enumerate(slots, start=2):
-            # m is undefined for n = 1, where cm is always 0
-            value = (cm * geom.m if cm else ZERO) + geom.k * series.const
             if self._corrected and series.atoms:
-                value = self._root_sum(value, series.atoms)
+                value = self._root_sum(cm, series)
+            else:
+                # m is undefined for n = 1, where cm is always 0
+                value = (cm * geom.m if cm else ZERO) + geom.k * series.const
             if not scalar_is_zero(value):
                 row[g * rank + 1] = value
         return row
 
-    def _root_sum(self, const, atoms):
-        """const + sum_beta k c_beta delta_beta over the ((r, s), c_beta)
-        atoms, for a rational const, as one integer accumulation over one
-        common denominator at the lcm N of the CycNum deltas' conductors (a
-        zero one too): a CycNum at N, or a Fraction when no delta is a
-        CycNum.  Each delta is lifted to N once per ring, already a residue."""
-        deltas, lifted = self._deltas, self._lifted
-        conductors = [deltas[span].conductor for span, _ in atoms
-                      if isinstance(deltas[span], CycNum)]
-        n = lcm(*conductors)
-        terms = [(const, (1,), 1)]
-        for span, c in atoms:
-            if (span, n) not in lifted:
-                d = deltas[span]
-                lifted[span, n] = (d._lift(n) if isinstance(d, CycNum)
-                                   else ((d.numerator,), d.denominator))
-            terms.append((self.geom.k * c, *lifted[span, n]))
-        den = lcm(*[c.denominator * d for c, _, d in terms])
+    def _root_sum(self, cm, series):
+        """cm m + k (const + sum_beta c_beta delta_beta) over the series'
+        ((r, s), c_beta) atoms as one integer accumulation, at the lcm N of
+        the CycNum deltas' conductors (a zero one too): a CycNum at N, or a
+        Fraction when no delta is a CycNum.  Each k delta is lifted to N
+        once per ring, over the ring's one denominator, each c_beta is an
+        integer (a product of two intersection numbers) and the rational
+        cm m + k const goes in at x^0."""
+        conductors = [self._conductors[span] for span, _ in series.atoms
+                      if span in self._conductors]
+        n, lifted = lcm(*conductors), self._lifted
+        m, k, ck = self.geom.m, self.geom.k, series.const
+        # m is undefined for n = 1, where cm is always 0
+        a, da = (cm.numerator * m.numerator, cm.denominator * m.denominator) if cm else (0, 1)
+        b, db = k.numerator * ck.numerator, k.denominator * ck.denominator
+        den = lcm(self._den, da, db)
+        scale = den // self._den
         acc = [0] * euler_phi(n)
-        for c, nums, d in terms:
-            scale = c.numerator * (den // (c.denominator * d))
-            for e, x in enumerate(nums):
-                acc[e] += scale * x
+        acc[0] = a * (den // da) + b * (den // db)
+        for span, c in series.atoms:
+            if (span, n) not in lifted:
+                lifted[span, n] = self._lift_delta(span, n)
+            c = c.numerator * scale
+            acc = [x + c * y for x, y in zip(acc, lifted[span, n])]
         return CycNum(n, acc, den) if conductors else Fraction(acc[0], den)
+
+    def _lift_delta(self, span, n):
+        """The phi(n) numerators of k delta_span at conductor n, a multiple
+        of its own, over the ring's denominator."""
+        d, k = self._deltas[span], self.geom.k
+        if isinstance(d, CycNum):
+            nums, den = d._lift(n)
+        else:
+            nums, den = (d.numerator,) + (0,) * (euler_phi(n) - 1), d.denominator
+        scale = k.numerator * (self._den // (k.denominator * den))
+        return tuple(scale * x for x in nums)

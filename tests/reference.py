@@ -820,6 +820,23 @@ def _raise_first_lift_over_cap(pairs):
         total = meet(total, meet(a, b))
 
 
+def inverse_deltas(values):
+    """{(r, s): 1/(1 - Q) - 1} over every span of the point `values`, by the
+    inverse, the oracle of the closed form in `QPoint.deltas`: each span
+    product Q multiplied out left to right, then every 1 - Q formed before
+    any is inverted.  A pole raises PoleError at the first span and an lcm
+    over the conductor cap the product's ValueError, both in span order."""
+    denoms = {}
+    for r, s in all_spans(len(values)):
+        product = Fraction(1)
+        for v in values[r - 1:s]:
+            product = product * v
+        denoms[r, s] = 1 - product
+        if scalar_is_zero(denoms[r, s]):
+            raise PoleError((r, s))
+    return {span: 1 / denom - 1 for span, denom in denoms.items()}
+
+
 def evaluate(series: QSeries, deltas):
     """Exact evaluation of a QSeries at atom values {(r, s): delta_rs}: one
     `dot` of (1, c_beta...) with (const, delta_beta...), or the constant

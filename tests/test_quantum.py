@@ -1,3 +1,6 @@
+import io
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crepant.cartan import curve_class
 from crepant.geometry import BaseRing, Geometry, default_geometry
-from crepant import quantum
+from crepant import cli, quantum
 from crepant.quantum import (
     PoleError,
     QPoint,
@@ -28,6 +31,7 @@ from reference import (
     from_coords,
     generator_product,
     intersection,
+    inverse_deltas,
     kap,
     mul_by_table,
     product_table,
@@ -75,7 +79,8 @@ def test_classical_ring_evaluates_no_series(monkeypatch):
 
 
 # pole-free q points with mixed orders as in the qc-table workload, rational
-# components and a zero CycNum component (0*zeta3 keeps conductor 3)
+# components, +-1 and negated roots, and a zero CycNum component (0*zeta3
+# keeps conductor 3)
 ROOT_SUM_POINTS = [
     "zeta12,zeta5,zeta8,zeta3,zeta4,zeta6",
     "zeta5,zeta10,zeta3,zeta6,zeta15,zeta30",
@@ -84,6 +89,8 @@ ROOT_SUM_POINTS = [
     "1/2,0*zeta3,zeta5^2,-3,zeta8,2/3",
     "0*zeta3,zeta4,1/3,zeta40^3,-1/2,zeta24",
     "2,-1/2,3,1/4,-2,5",
+    "-1,1/2,-1,-3/2,3,-1/3",
+    "-zeta5,-1,zeta3^2,-zeta8^3,-zeta12,zeta4",
 ]
 
 
@@ -93,20 +100,19 @@ def _same_scalar(got, want):
             and scalar_to_json(got) == scalar_to_json(want))
 
 
-@pytest.mark.parametrize("k", [Fraction(0), Fraction(1), Fraction(-2, 3)])
+@pytest.mark.parametrize("k", [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(-1, 2)])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_root_sums_match_the_dot_route(n, k):
     # every E_l coefficient of every E_i E_j over P^1 against the dot of
     # (1, k c_beta...) with (cm m + k const, delta_beta...) that the ring
     # used before, as `reference.evaluate` takes it, where the ring is
     # corrected (k != 0 and some delta nonzero): value, type, conductor and
-    # JSON
-    l = Fraction(1)
-    geom = Geometry(n, BaseRing("projective_space", 1), None if n == 1 else l,
-                    None if n == 1 else (n + 1) * k - l, k)
-    for spec in ROOT_SUM_POINTS:
+    # JSON, at l = 1 and at l = 3/2, where m is not an integer either
+    for l, spec in itertools.product((Fraction(1), Fraction(3, 2)), ROOT_SUM_POINTS):
+        geom = Geometry(n, BaseRing("projective_space", 1), None if n == 1 else l,
+                        None if n == 1 else (n + 1) * k - l, k)
         q = QPoint(parse_scalar(t) for t in spec.split(",")[:n])
-        ring, deltas = QuantumRing(geom, q), q.deltas()
+        ring, deltas = QuantumRing(geom, q), inverse_deltas(q.values)
         corrected = k != 0 and not all(scalar_is_zero(d) for d in deltas.values())
         for i, j in all_spans(n):
             _, slots = structure_constants(n)[(i, j)]
@@ -317,6 +323,11 @@ def test_deltas_invert_nothing_before_a_pole(monkeypatch):
     # q4 q5 = 1 makes (4, 5) the first pole; the 13 spans before it are finite
     pole = [z(5), z(3), z(5, 2), z(4), z(4, 3)]
     free = [z(5), z(3), z(5, 2), z(4), z(6)]
+    # negated roots and a rational -1 are roots of unity too
+    signed = [z(5), -z(3), Fraction(-1), z(4), -z(6)]
+    # 2 zeta5 is no root of unity: the 8 spans through q2 are not roots either
+    mixed_pole = [z(5), 2 * z(5), z(3), z(4), z(4, 3)]
+    mixed = [z(5), 2 * z(5), z(3), z(4), z(6)]
     inverted = []
     inv = CycNum.inv
 
@@ -325,21 +336,95 @@ def test_deltas_invert_nothing_before_a_pole(monkeypatch):
         return inv(self)
 
     monkeypatch.setattr(CycNum, "inv", counting_inv)
-    assert QPoint(pole).poles()[0] == (4, 5)
-    with pytest.raises(PoleError) as err:
-        QPoint(pole).deltas()
-    assert err.value.span == (4, 5) and inverted == []
-    with pytest.raises(PoleError) as err:
-        QuantumRing(default_geometry(5), QPoint(pole))
-    assert err.value.span == (4, 5) and inverted == []
-    # a pole-free point inverts once per span and gives the same atoms
-    deltas = QPoint(free).deltas()
-    assert len(inverted) == 15
-    for r, s in all_spans(5):
-        product = Fraction(1)
-        for v in free[r - 1:s]:
-            product = product * v
-        assert deltas[(r, s)] == product / (1 - product)
+    for point in (pole, mixed_pole):
+        assert QPoint(point).poles()[0] == (4, 5)
+        with pytest.raises(PoleError) as err:
+            QPoint(point).deltas()
+        assert err.value.span == (4, 5) and inverted == []
+        with pytest.raises(PoleError) as err:
+            QuantumRing(default_geometry(5), QPoint(point))
+        assert err.value.span == (4, 5) and inverted == []
+    # a point of roots of unity inverts nothing, one with a non-root
+    # component once per span through it, and each gives the atoms Q/(1 - Q)
+    for point, inverses in ((free, 0), (signed, 0), (mixed, 8)):
+        inverted.clear()
+        deltas = QPoint(point).deltas()
+        assert len(inverted) == inverses
+        for r, s in all_spans(5):
+            product = Fraction(1)
+            for v in point[r - 1:s]:
+                product = product * v
+            assert deltas[(r, s)] == product / (1 - product)
+
+
+# conductors of the components: orders up to 40, so that the lcm of a span
+# mostly passes the cap of 120 and sometimes does not
+DELTA_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 20, 21, 24, 28, 30, 40)
+NON_UNITS = tuple(Fraction(v) for v in ("0", "2", "-2", "1/2", "-1/3", "3/2"))
+
+
+@st.composite
+def delta_points(draw):
+    """Points of length 1..5: components +-zeta_N^a, +-1 and the inverse
+    of an earlier root (to reach poles), mixed with non-root rationals and
+    monomials r zeta_N^a."""
+    values = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("root", "root", "unit", "inverse", "rational", "monomial")))
+        if kind == "unit":
+            values.append(draw(st.sampled_from((Fraction(1), Fraction(-1)))))
+        elif kind == "rational":
+            values.append(draw(st.sampled_from(NON_UNITS)))
+        elif kind == "inverse" and any(isinstance(v, CycNum) for v in values):
+            values.append(draw(st.sampled_from([v for v in values if isinstance(v, CycNum)])).conj())
+        else:
+            n = draw(st.sampled_from(DELTA_CONDUCTORS))
+            value = CycNum.zeta(n, draw(st.integers(0, n - 1)))
+            scale = draw(st.sampled_from((1, -1) if kind != "monomial" else NON_UNITS))
+            values.append(value * scale)
+    return values
+
+
+def _deltas_or_error(deltas_of, values):
+    try:
+        return deltas_of(values)
+    except (PoleError, ValueError) as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_points(), st.sampled_from((None, "60", "24")))
+def test_closed_form_deltas_match_the_inverse_route(values, cap):
+    # the closed form at roots of unity against 1/(1 - Q) - 1: each atom's
+    # value, type and conductor, the first pole span and the cap error, also
+    # under a cap lowered after the point is built, where a component's own
+    # conductor may be over the cap
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setenv("CREPANT_MAX_CONDUCTOR", cap)
+        want = _deltas_or_error(inverse_deltas, values)
+        got = _deltas_or_error(lambda v: QPoint(v).deltas(), values)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "span", None) == getattr(want, "span", None)
+    else:
+        assert got.keys() == want.keys()
+        for span, delta in want.items():
+            assert _same_scalar(got[span], delta), (values, span)
+
+
+def test_cap_is_checked_before_a_later_pole(tmp_path):
+    # q3 = 1 is a pole at (3, 3), but the span (1, 5) comes first in span
+    # order, and its lcm 180 is over the cap
+    config = tmp_path / "a5_p1.json"
+    config.write_text(json.dumps({"n": 5, "base": {"model": "projective_space", "dim": 1},
+                                  "classes": {"l": "1", "m": "5", "k": "1"}}))
+    out = io.StringIO()
+    code = cli.run(["qc-table", "--config", str(config),
+                    "--q=zeta9^5,zeta30^24,1,zeta15^7,zeta20^17"], stdout=out)
+    assert code == 2
+    assert json.loads(out.getvalue()) == {
+        "error": "conductor 180 exceeds cap 120 (set CREPANT_MAX_CONDUCTOR to raise it)"}
 
 
 def _assert_same_scalars(got, want):
