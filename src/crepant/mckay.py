@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import CycNum, _check_conductor, _reduce, no_arithmetic, parse_int
+from .scalars import CycNum, _check_conductor, _reduce, lift_terms, no_arithmetic, parse_int
 
 
 class GroupSpec(namedtuple("GroupSpec", "series n")):
@@ -78,24 +78,12 @@ class CharacterTable(namedtuple("CharacterTable",
 
     @cached_property
     def _terms(self):
-        """(N, D, rows, q, mixed): N is the lcm of the table's conductors and
-        D of its denominators; rows[i][c] and q[c] are D chi_i(c) and D
-        chi_Q(c) as their nonzero integer (e, a) terms in Z[x]/(x^N - 1), x =
-        zeta_N, a CycNum at conductor M putting its numerators at e N/M;
-        `mixed` when the values have more than one conductor."""
-        flat = [v for row in (*self.values, self.q_character) for v in row]
-        conductors = {v.conductor for v in flat if isinstance(v, CycNum)}
-        n = lcm(*conductors)
-        d = lcm(*(v.den if isinstance(v, CycNum) else v.denominator for v in flat))
-
-        def lift(v):
-            if isinstance(v, CycNum):
-                step, scale = n // v.conductor, d // v.den
-                return tuple((e * step, a * scale) for e, a in enumerate(v.nums) if a)
-            return ((0, v.numerator * (d // v.denominator)),) if v else ()
-
-        rows = [tuple(map(lift, row)) for row in (*self.values, self.q_character)]
-        return n, d, rows[:-1], rows[-1], len(conductors) > 1
+        """(N, D, rows, q, mixed), the `lift_terms` of the table's values:
+        rows[i][c] and q[c] are the lifts of chi_i(c) and chi_Q(c)."""
+        table = (*self.values, self.q_character)
+        n, d, lift, mixed = lift_terms([v for row in table for v in row])
+        rows = [tuple(map(lift, row)) for row in table]
+        return n, d, rows[:-1], rows[-1], mixed
 
     def gram(self, twisted=False):
         """<f_i, chi_j> for i <= j, in the order (0, 0), (0, 1), ..., (1, 1),

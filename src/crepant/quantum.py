@@ -122,12 +122,18 @@ class QPoint:
         product Q = +-zeta_L^a of order d > 1, with L the lcm of its factors'
         conductors, has the closed form -(d + sum_{k=1}^{d-1} k Q^k)/d at L,
         as (1 - Q) sum_{k=1}^{d-1} k Q^k = -d; any other span is 1/(1 - Q)
-        - 1.  Every span's conductor and pole are checked before any atom is
-        evaluated, in the order of `poles()` and where a span product would
-        check them, so a point with a pole raises PoleError at the first
+        - 1.  Every span is checked by `_span_forms` before any atom is
+        evaluated, so a point with a pole raises PoleError at the first
         one, having inverted nothing."""
+        return {span: _root_atom(*v) if isinstance(v, tuple) else 1 / v - 1
+                for span, v in self._span_forms().items()}
+
+    def _span_forms(self) -> dict:
+        """{span: (L, sign, a, d) for a root Q of order d > 1, else 1 - Q},
+        the form `deltas` evaluates: each span's conductor and pole are
+        checked in the order of `poles()` and where a span product would
+        check them, and PoleError is raised at the first pole."""
         roots = [_root(v) for v in self.values]
-        # {span: (L, sign, a, d) for a root Q, else 1 - Q}
         spans = {}
         for r in range(1, self.n + 1):
             # the span product as (L, sign, a) while every factor is a root;
@@ -145,8 +151,7 @@ class QPoint:
                     spans[span] = 1 - self.span_product(r, s)
                     if scalar_is_zero(spans[span]):
                         raise PoleError(span)
-        return {span: _root_atom(*v) if isinstance(v, tuple) else 1 / v - 1
-                for span, v in spans.items()}
+        return spans
 
     def to_json(self):
         return [scalar_to_json(v) for v in self.values]
@@ -255,7 +260,16 @@ class QuantumRing(SectorRing):
         if q.n != geom.n:
             raise ValueError("parameter point has the wrong length")
         super().__init__(geom)
-        self._deltas = q.deltas()
+        # the correction k delta is zero when k = 0 or when every delta is
+        # 0, that is every q_l is 0 (delta_ll = 0 exactly when q_l = 0): no
+        # atom is evaluated then, and the poles and caps are checked anyway
+        self._corrected = (not geom.symplectic()
+                           and not all(scalar_is_zero(v) for v in q.values))
+        if self._corrected:
+            self._deltas = q.deltas()
+        else:
+            q._span_forms()
+            self._deltas = {}
         # {span: conductor} of the CycNum deltas
         self._conductors = {span: d.conductor for span, d in self._deltas.items()
                             if isinstance(d, CycNum)}
@@ -265,10 +279,6 @@ class QuantumRing(SectorRing):
         # {(span, N): the numerators of k delta_span at conductor N over
         # self._den}, on first use
         self._lifted = {}
-        # the correction k delta is zero when k = 0 or when every delta is
-        # 0 (every q is 0): no series is evaluated then
-        self._corrected = (not geom.symplectic()
-                           and not all(scalar_is_zero(d) for d in self._deltas.values()))
 
     def _compute_ee(self, i: int, j: int) -> dict:
         """E_i E_j as a sparse row: c_ij at sigma (index rank) and, per E_l,

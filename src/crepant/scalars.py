@@ -318,6 +318,28 @@ class CycNum:
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
+def lift_terms(values: list):
+    """(N, D, lift, mixed) for Fraction or CycNum `values`: N is the lcm of
+    their CycNum conductors (1 when there is none) and D of their
+    denominators; lift(v) is D v as its nonzero integer (e, a) terms in
+    Z[x]/(x^N - 1), x = zeta_N, a CycNum at conductor M putting its
+    numerators at e N/M; `mixed` when the values have more than one
+    conductor.  Sums of products of such terms add exponents mod N and are
+    reduced mod Phi_N by `_reduce`, once per result: the one lift of this
+    package."""
+    conductors = {v.conductor for v in values if isinstance(v, CycNum)}
+    n = lcm(*conductors)
+    d = lcm(*(v.den if isinstance(v, CycNum) else v.denominator for v in values))
+
+    def lift(v):
+        if isinstance(v, CycNum):
+            step, scale = n // v.conductor, d // v.den
+            return tuple((e * step, a * scale) for e, a in enumerate(v.nums) if a)
+        return ((0, v.numerator * (d // v.denominator)),) if v else ()
+
+    return n, d, lift, len(conductors) > 1
+
+
 def no_arithmetic(self, other):
     """`+` and `*` of a value type built on a tuple, installed as __add__,
     __radd__, __mul__ and __rmul__: a TypeError naming the class, where the

@@ -24,13 +24,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import Geometry, sum_rows
 from .orbifold import ConventionFlags, OrbifoldRing
 from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
 from .resolution import ResolutionRing
-from .scalars import ONE, ZERO, CycNum, scalar_is_zero, scalar_to_json
+from .scalars import (ONE, ZERO, CycNum, _check_conductor, _reduce, lift_terms, scalar_is_zero,
+                      scalar_to_json)
 
 
 class _Record:
@@ -414,17 +415,60 @@ def check_associativity(ring) -> HomReport:
     and b_i (b_j b_k) = sum_m c_jk^m b_i b_m, so no ring product is formed per triple.
     The difference is formed once per generator triple, and that of b_i = h^p g,
     b_j = h^q g', b_k = h^r g'' is the one of g, g', g'' shifted by h^(p+q+r).
-    Each violation names the first nonzero component of the difference and its value."""
+    Each violation names the first nonzero component of the difference and its value.
+
+    The rows read, the generator pairs' and (m, g) for each index m of one
+    and each generator g, are lifted once to integer terms over D at the
+    lcm N of their conductors (`lift_terms`).  Each difference is summed on
+    integers keyed by (component, exponent mod N), and a component is built
+    only where they are nonzero: a Fraction over D^2, or where a CycNum
+    coefficient reached it, the CycNum at the lcm M of the conductors that
+    did (the `+` and `*` rule, kept where the terms cancel), its exponents
+    divided by N/M and reduced once."""
     report = HomReport(passed=True)
     labels = ring.labels()
     names = _component_names(ring.geom, ring.letter)
     rank = ring.geom.base.rank
+    generators = range(0, ring.size, rank)
+    rows = {(i, j): ring.product(i, j) for i, j in combinations_with_replacement(generators, 2)}
+    rows.update({(m, g): ring.product(m, g)
+                 for m in {m for row in rows.values() for m in row} for g in generators})
+    n, d, lift, mixed = lift_terms([c for row in rows.values() for c in row.values()])
+    if mixed:
+        # rows of two conductors meet at N: the cap is checked there, once
+        _check_conductor(n)
+    # {(a, b): [(m, lift(c), the conductor of c or 0 for a Fraction)]} for b_a b_b
+    lifted = {key: [(m, lift(c), c.conductor if isinstance(c, CycNum) else 0)
+                    for m, c in row.items()] for key, row in rows.items()}
+    den = d * d
     diffs = {}
-    for i, j, k in combinations_with_replacement(range(0, ring.size, rank), 3):
-        lhs = sum_rows((c, ring.product(m, k)) for m, c in ring.product(i, j).items())
-        rhs = sum_rows((c, ring.product(i, m)) for m, c in ring.product(j, k).items())
-        diffs[i, j, k] = [(p, d) for p in sorted(lhs.keys() | rhs.keys())
-                          if not scalar_is_zero(d := lhs.get(p, ZERO) - rhs.get(p, ZERO))]
+    for i, j, k in combinations_with_replacement(generators, 3):
+        # {p N + e: integer coefficient of x^e at component p}; {p: M}
+        acc, conductors = {}, {}
+        for sign, outer, g in ((1, (i, j), k), (-1, (j, k), i)):
+            for m, x, cx in lifted[outer]:
+                for p, y, cy in lifted[m, g]:
+                    if cx or cy:
+                        conductors[p] = lcm(conductors.get(p, 1), cx or 1, cy or 1)
+                    for e, a in x:
+                        a *= sign
+                        for e2, b in y:
+                            key = p * n + (e + e2) % n
+                            acc[key] = acc.get(key, 0) + a * b
+        components = {}
+        for key, s in acc.items():
+            if s:
+                components.setdefault(key // n, []).append((key % n, s))
+        diff = diffs[i, j, k] = []
+        for p in sorted(components):
+            if p not in conductors:
+                diff.append((p, Fraction(components[p][0][1], den)))
+                continue
+            big = conductors[p]
+            step = n // big
+            nums = _reduce(big, ((e // step, s) for e, s in components[p]))
+            if any(nums):
+                diff.append((p, CycNum(big, nums, den)))
     if not any(diffs.values()):
         # associative: no basis triple has a violation to report
         return report

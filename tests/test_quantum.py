@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -505,3 +506,58 @@ def test_flat_ee_matches_the_graded_class_route(n, base):
             for i, j in all_spans(n):
                 _assert_same_scalars(generator_product(ring, i, j),
                                      quantum_ee_by_coords(geom, q, i, j))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SYMPLECTIC = {"n": 2, "base": {"model": "projective_space", "dim": 1},
+              "classes": {"l": "3", "m": "-3", "k": "0"}}
+
+
+def _run(argv):
+    out = io.StringIO()
+    return cli.run(argv, stdout=out), out.getvalue()
+
+
+def _config(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("config, q, atoms", [
+    ("a2_point.json", "zeta7,zeta5", 0), (SYMPLECTIC, "zeta3", 0), ("a2_p1.json", "0,0", 0),
+    ("a2_p1.json", "zeta7,zeta5", 3), ("a2_p1.json", "2,-1/3", 3),
+], ids=["point", "k=0", "q=0", "corrected-roots", "corrected-rationals"])
+def test_only_a_corrected_ring_evaluates_atoms(monkeypatch, tmp_path, config, q, atoms):
+    # over a point, at k = 0 and at q = 0 no slot reads an atom: the ring
+    # forms no closed-form root atom and no 1/(1 - Q), while a corrected
+    # ring forms one of them per span
+    path = str(CONFIGS / config) if isinstance(config, str) else _config(tmp_path, config)
+    calls = []
+
+    def watch(owner, name):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or method(*args))
+
+    watch(quantum, "_root_atom")
+    watch(CycNum, "__rtruediv__")
+    watch(Fraction, "__rtruediv__")
+    for argv in (["qc-table", "--config", path, f"--q={q}"],
+                 ["check-assoc", "--config", path, "--ring", "quantum", f"--q={q}"]):
+        calls.clear()
+        code, _ = _run(argv)
+        assert code == 0 and len(calls) == atoms, argv
+
+
+def test_an_uncorrected_ring_checks_every_span(tmp_path):
+    # the pole and cap checks of the atoms still run, in span order: over
+    # a point q_1 = 1 is the pole (1, 1), and the conductor lcm(9, 20) of
+    # span (1, 2) exits 2 before the pole at (3, 3)
+    code, text = _run(["check-assoc", "--config", str(CONFIGS / "a2_point.json"),
+                       "--ring", "quantum", "--q=1,2"])
+    data = json.loads(text)
+    assert (code, data["error"], data["span"]) == (3, "pole", [1, 1])
+    point = _config(tmp_path, {"n": 3, "base": {"model": "point"},
+                               "classes": {"l": "1", "m": "3", "k": "1"}})
+    code, text = _run(["qc-table", "--config", point, "--q=zeta9,zeta20,1"])
+    assert code == 2 and "conductor 180 exceeds cap" in json.loads(text)["error"]

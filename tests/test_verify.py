@@ -42,6 +42,7 @@ from reference import (
     as_row,
     associativity_all_triples,
     associativity_by_mul,
+    associativity_by_rows,
     check_all_pairs,
     coords,
     det_by_cofactors,
@@ -529,6 +530,140 @@ def test_associativity_matches_the_all_triples_sweep(n, base):
         passed.append(report.passed)
     if base == "P2" and n == 2:
         assert passed[:3] == [False] * 3
+
+
+def _raw(report):
+    """A report's verdict and violations, each value with its type and exact
+    fields: a Fraction and a conductor-1 CycNum of one value differ here,
+    and not in the JSON."""
+    return report.passed, [(pair, comp, type(v).__name__,
+                            (v.conductor, v.nums, v.den) if isinstance(v, CycNum)
+                            else (v.numerator, v.denominator))
+                           for pair, comp, v in report.violations]
+
+
+_ROOTS = st.builds(CycNum.zeta, st.sampled_from([2, 3, 4, 5, 6, 8, 12]), st.integers(0, 11))
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# +-zeta_N^a, rationals, r zeta_N^a and -zeta_1, a conductor-1 CycNum
+_Q = st.one_of(_ROOTS, _ROOTS.map(lambda z: -z), _RATIONALS,
+               st.builds(lambda r, z: r * z, _RATIONALS.filter(bool), _ROOTS),
+               st.just(-CycNum.zeta(1)))
+
+
+@st.composite
+def _assoc_rings(draw):
+    """(make, label): a maker of fresh equal rings, orbifold under a twist
+    flag, classical or quantum at a drawn point, over a drawn base."""
+    n = draw(st.integers(1, 4))
+    base = BASES[draw(st.sampled_from(list(BASES)))]
+    k = draw(_RATIONALS)
+    if n == 1:
+        geom = Geometry(1, base, None, None, k)
+    else:
+        l = draw(_RATIONALS)
+        geom = Geometry(n, base, l, (n + 1) * k - l, k)
+    kind = draw(st.sampled_from(["orb", "classical", "quantum"]))
+    if kind == "orb":
+        flags = ConventionFlags(draw(st.sampled_from(TWIST_SELF_CHOICES)))
+        return (lambda: OrbifoldRing(geom, flags)), (geom, flags)
+    if kind == "classical":
+        return (lambda: ResolutionRing(geom)), geom
+    q = draw(st.lists(_Q, min_size=n, max_size=n))
+    assume(not QPoint(q).poles())
+    return (lambda: QuantumRing(geom, QPoint(q))), (geom, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_assoc_rings())
+def test_integer_sweep_matches_the_scalar_sweep(case):
+    # the integer sweep against the sum_rows sweep it replaces: verdict,
+    # labels, components and every value with its type, conductor,
+    # numerators and denominator
+    make, label = case
+    assert _raw(check_associativity(make())) == _raw(associativity_by_rows(make())), label
+
+
+class ParityScaledRing(OrbifoldRing):
+    """The orbifold ring with g_i g_j scaled by zeta_5 for odd i + j and by
+    zeta_4 for even: the sweep's components meet at conductors 4, 5 and 20
+    within one ring."""
+
+    def _compute_ee(self, i, j):
+        scalar = CycNum.zeta(5) if (i + j) % 2 else CycNum.zeta(4)
+        return {m: scalar * c for m, c in super()._compute_ee(i, j).items()}
+
+
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_sweep_keeps_each_components_conductor(n, base):
+    # each component's value sits at the lcm of the conductors that reached
+    # it, terms that cancel included; over P^2, A_3 has components at both
+    # conductors 5 and 20
+    geom = default_geometry(n, BASES[base])
+    report = check_associativity(ParityScaledRing(geom))
+    assert _raw(report) == _raw(associativity_by_rows(ParityScaledRing(geom)))
+    if (n, base) == (3, "P2"):
+        assert {v.conductor for _, _, v in report.violations} == {5, 20}
+
+
+def test_integer_sweep_keeps_a_conductor_1_cycnum():
+    # -zeta_1 is a CycNum at conductor 1, and so is every difference its
+    # atom reaches
+    geom = default_geometry(2, BASES["P2"])
+    report = check_associativity(QuantumRing(geom, QPoint([-CycNum.zeta(1), Fraction(2)])))
+    assert _raw(report) == _raw(associativity_by_rows(
+        QuantumRing(geom, QPoint([-CycNum.zeta(1), Fraction(2)]))))
+    assert report.violations
+    assert all(isinstance(v, CycNum) and v.conductor == 1 for _, _, v in report.violations)
+
+
+class WideConductorRing(OrbifoldRing):
+    """The orbifold ring with g_i g_j scaled by zeta_7 for odd i + j and by
+    zeta_20 for even: its rows' conductors have the lcm 140, over the
+    default cap."""
+
+    def _compute_ee(self, i, j):
+        scalar = CycNum.zeta(7) if (i + j) % 2 else CycNum.zeta(20)
+        return {m: scalar * c for m, c in super()._compute_ee(i, j).items()}
+
+
+def test_integer_sweep_checks_the_lcm_of_the_rows_conductors():
+    # the rows are lifted to the lcm of their conductors, checked against
+    # the cap once, before any difference is summed
+    with pytest.raises(ValueError, match="conductor 140 exceeds cap 120"):
+        check_associativity(WideConductorRing(default_geometry(2)))
+
+
+def test_rational_sweep_builds_no_cycnum(monkeypatch):
+    # a rational ring's sweep runs on integers and Fractions only
+    built = []
+    init = CycNum.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    geom = default_geometry(3)
+    rings = [OrbifoldRing(geom), ResolutionRing(geom),
+             QuantumRing(geom, QPoint([Fraction(2), Fraction(-1, 2), Fraction(3)]))]
+    monkeypatch.setattr(CycNum, "__init__", counting_init)
+    for ring in rings:
+        assert check_associativity(ring).passed
+    assert built == []
+
+
+@pytest.mark.parametrize("base", list(BASES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integer_sweep_reads_the_rows_the_scalar_sweep_reads(n, base):
+    # the same basis products are built, h-multiples included, so the
+    # H*(S) products of `SectorRing._basis_product` still run
+    geom = default_geometry(n, BASES[base])
+    for make in (lambda: OrbifoldRing(geom), lambda: ResolutionRing(geom),
+                 lambda: QuantumRing(geom, QPoint(MIXED_Q[:n]))):
+        ring, reference_ring = make(), make()
+        check_associativity(ring)
+        associativity_by_rows(reference_ring)
+        assert set(ring._rows) == set(reference_ring._rows)
 
 
 class CyclotomicPairingRing(OrbifoldRing):
