@@ -277,7 +277,7 @@ def cmd_verify_a1(args, geom, flags) -> dict:
         raise ValueError(f"{args.command} needs an n = 1 geometry")
     q = parse_q_spec(args.q, 1)
     c = parse_scalar(args.scalar)
-    report = HomChecker(geom, flags).check(((c,),), QuantumRing(geom, q))
+    report = HomChecker(OrbifoldRing(geom, flags)).check(((c,),), QuantumRing(geom, q))
     return {"q": q.to_json(), "scalar": scalar_to_json(c), "report": report.to_json()}
 
 
@@ -293,7 +293,7 @@ def cmd_solve_a2(args, geom, flags) -> dict:
     if max_order < 1 or 3 * max_order > cap:
         raise ValueError(f"max-order must be between 1 and {cap // 3} "
                          f"(3 * max-order may not exceed the conductor cap {cap})")
-    result = solve_a2_symmetric(geom, max_order=max_order, flags=flags)
+    result = solve_a2_symmetric(OrbifoldRing(geom, flags), max_order=max_order)
     return {"max_order": max_order, "result": result.to_json()}
 
 

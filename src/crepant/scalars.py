@@ -325,8 +325,8 @@ def lift_terms(values: list):
     Z[x]/(x^N - 1), x = zeta_N, a CycNum at conductor M putting its
     numerators at e N/M; `mixed` when the values have more than one
     conductor.  Sums of products of such terms add exponents mod N and are
-    reduced mod Phi_N by `_reduce`, once per result: the one lift of this
-    package."""
+    reduced mod Phi_N by `_reduce`, once per result.  `CycNum._lift` lifts
+    one value, reduced, for CycNum arithmetic and the quantum root sums."""
     conductors = {v.conductor for v in values if isinstance(v, CycNum)}
     n = lcm(*conductors)
     d = lcm(*(v.den if isinstance(v, CycNum) else v.denominator for v in values))

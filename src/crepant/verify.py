@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from .geometry import Geometry, sum_rows
-from .orbifold import ConventionFlags, OrbifoldRing
+from .orbifold import OrbifoldRing
 from .quantum import QPoint, QSeries, QuantumRing, all_spans, structure_constants
 from .resolution import ResolutionRing
 from .scalars import (ONE, ZERO, CycNum, _check_conductor, _reduce, lift_terms, scalar_is_zero,
@@ -106,16 +106,6 @@ def _row_reduce(rows, width: int) -> Reduction:
                 mat[r][col:] = [x - f * y for x, y in zip(mat[r][col:], mat[top][col:])]
         pivots.append(col)
     return Reduction(mat, order, pivots, det if len(pivots) == width else Fraction(0))
-
-
-def apply_candidate(matrix, row: dict, rank: int) -> dict:
-    """Image under the candidate map of the class with the nonzero coefficients
-    `row` {m: c}, as a sparse row: 1 and sigma (m < 2 rank) are fixed, and h^p g_a,
-    m = (a + 1) rank + p, goes to sum_l matrix[a - 1][l - 1] h^p E_l; no zero term."""
-    return sum_rows((c, {m: ONE} if m < 2 * rank else
-                     {(l + 2) * rank + m % rank: e
-                      for l, e in enumerate(matrix[m // rank - 2]) if not scalar_is_zero(e)})
-                    for m, c in row.items())
 
 
 def _component_names(geom: Geometry, letter: str) -> list:
@@ -212,29 +202,38 @@ def reduce_system(geom: Geometry, det, labels: list, rows: list) -> AffineSystem
 
 
 class HomChecker:
-    """Checks candidate isomorphisms from the orbifold ring of one geometry,
-    under fixed convention flags, to its quantum rings.
+    """Checks candidate isomorphisms from the orbifold ring `orb` to the
+    quantum rings of its geometry.
 
     A candidate is an n x n matrix of Fraction or CycNum entries: the map is
     the identity on untwisted classes and sends the twisted sector e_a to
     sum_l matrix[a][l] * E_l.  Both products are H*(S)-bilinear and the map
-    is H*(S)-linear, so every condition is one on a pair of the n + 2
-    module generators, at basis indices `generators`.  The orbifold
-    products of those pairs, sparse rows {m: c}, do not depend on q, so
-    they are read once and shared by every check and solve."""
+    is H*(S)-linear, so every class maps through the images of the n + 2
+    module generators, at basis indices `generators`, and every condition is
+    one on a pair of them.  Their orbifold products, sparse rows {m: c}, do
+    not depend on q: they are read off `orb` once for every check and solve."""
 
-    def __init__(self, geom: Geometry, flags: ConventionFlags = ConventionFlags()):
-        self.geom = geom
-        self.flags = flags
-        orb = OrbifoldRing(geom, flags)
+    def __init__(self, orb: OrbifoldRing):
+        self.geom = orb.geom
         self.labels = orb.labels()
-        self.generators = range(0, orb.size, geom.base.rank)
+        self.generators = range(0, orb.size, orb.geom.base.rank)
         self.products = {(i, j): orb.product(i, j)
                          for i in self.generators for j in self.generators if i <= j}
 
     def _images(self, matrix) -> dict:
-        """{i: the candidate's image of b_i, a sparse row} over the generator indices i."""
-        return {i: apply_candidate(matrix, {i: ONE}, self.geom.base.rank) for i in self.generators}
+        """{i: the candidate's image of b_i, a sparse row} over the generator indices
+        i: 1 and sigma are fixed, and g_a goes to sum_l matrix[a][l] E_l, no zero term."""
+        rank = self.geom.base.rank
+        return {0: {0: ONE}, rank: {rank: ONE}} | {
+            g * rank: {(l + 2) * rank: e for l, e in enumerate(row) if not scalar_is_zero(e)}
+            for g, row in enumerate(matrix, start=2)}
+
+    def _apply(self, images, row: dict) -> dict:
+        """The candidate's image of the class `row` {m: c}: c b_m, b_m = h^p g,
+        goes to c h^p (M g), the image of g moved up by `_shift`."""
+        rank = self.geom.base.rank
+        return sum_rows((c, dict(_shift(images[m - m % rank].items(), m % rank, rank)))
+                        for m, c in row.items())
 
     def _det(self, matrix):
         """The determinant of the candidate matrix, which must be n x n."""
@@ -242,11 +241,12 @@ class HomChecker:
             raise ValueError("candidate matrix has the wrong size")
         return _row_reduce(matrix, self.geom.n).det
 
-    def _residual(self, matrix, images, ring, i: int, j: int) -> dict:
-        """apply(M, b_i b_j) - (M b_i)(M b_j) in `ring` for generator indices i <= j,
-        the right side read off `ring.product`, as its nonzero coefficients {m: c}
-        in the order of m, each subtracted only where the two sides differ."""
-        lhs = apply_candidate(matrix, self.products[i, j], self.geom.base.rank)
+    def _residual(self, images, ring, i: int, j: int) -> dict:
+        """M(b_i b_j) - (M b_i)(M b_j) in `ring` for generator indices i <= j, the
+        left side mapped by `_apply`, the right side read off `ring.product`, as
+        its nonzero coefficients {m: c} in the order of m, each subtracted only
+        where the two sides differ."""
+        lhs = self._apply(images, self.products[i, j])
         rhs = sum_rows((a * b, row) for p, a in images[i].items() for q, b in images[j].items()
                        if (row := ring.product(p, q)))
         return {m: a - b for m in sorted(lhs.keys() | rhs.keys())
@@ -270,8 +270,7 @@ class HomChecker:
         images = self._images(matrix)
         names = _component_names(self.geom, quantum.letter)
         rank = self.geom.base.rank
-        diffs = {key: self._residual(matrix, images, quantum, *key).items()
-                 for key in self.products}
+        diffs = {key: self._residual(images, quantum, *key).items() for key in self.products}
         labels = self.labels
         # twisted sectors first, from the end of the basis: `verify-a1`
         # prints the violations in this order, which the golden digests pin
@@ -289,7 +288,7 @@ class HomChecker:
 
         The quantum product is affine in the atoms delta_beta, so on each
         pair of basis elements, with images x = M b_i and y = M b_j, the
-        residual apply(M, b_i b_j) - x y is L - R_0 - sum_beta delta_beta
+        residual M(b_i b_j) - x y is L - R_0 - sum_beta delta_beta
         R_beta: L from the shared orbifold products, R_0 the classical x y,
         and R_beta the delta_beta part of the quantum x y.  All three are
         H*(S)-bilinear, so the rows of b_i = h^p g, b_j = h^q g' are those
@@ -315,7 +314,7 @@ class HomChecker:
         names = _component_names(self.geom, ResolutionRing.letter)
         labels, rows = [], []
         for i, j in self.products:
-            rhs = self._residual(matrix, images, classical, i, j)
+            rhs = self._residual(images, classical, i, j)
             # {(m, span): the delta_span coefficient at component m}
             roots = sum_rows((x * y, column) for p, x in images[i].items()
                              for q, y in images[j].items()
@@ -382,19 +381,18 @@ def a2_candidates():
     return candidates
 
 
-def solve_a2_symmetric(geom: Geometry, max_order: int = 12,
-                       flags: ConventionFlags = ConventionFlags()) -> A2SolveResult:
-    """Solve the symmetric A_2 ansatz over roots of unity q1 = q2 of order
-    <= max_order.
+def solve_a2_symmetric(orb: OrbifoldRing, max_order: int = 12) -> A2SolveResult:
+    """Solve the symmetric A_2 ansatz from the orbifold ring `orb` over roots
+    of unity q1 = q2 of order <= max_order.
 
     Each of the four `a2_candidates` is settled once, for every pole-free q,
     by the exact affine system of `HomChecker.solve`; no ring product is
     computed per root.  The roots are then walked in order: a root at a
     pole is excluded with its spans, and a pole-free root is a solution for
     each candidate whose system holds there."""
-    if geom.n != 2:
+    if orb.geom.n != 2:
         raise ValueError("the symmetric ansatz is for n = 2")
-    checker = HomChecker(geom, flags)
+    checker = HomChecker(orb)
     candidates = [(a, b, checker.solve(matrix)) for a, b, matrix in a2_candidates()]
     solutions = []
     excluded = []

@@ -14,7 +14,7 @@ from operator import add
 
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
 from crepant.geometry import SectorRing, sum_rows
-from crepant.orbifold import ConventionFlags, OrbifoldRing, obstruction_class
+from crepant.orbifold import obstruction_class
 from crepant.quantum import (
     PoleError,
     QPoint,
@@ -47,7 +47,6 @@ from crepant.verify import (
     _row_reduce,
     _shift,
     a2_candidates,
-    apply_candidate,
     reduce_system,
 )
 
@@ -708,11 +707,12 @@ class A2TableRing(SectorRing):
             geom, (zero(geom.base), one(geom.base).scale(entry["sigma"]), *sectors)))
 
 
-def solve_a2_sweep(geom, max_order=12, flags=ConventionFlags()):
-    """The symmetric A_2 ansatz settled by sweeping: one full exact
-    ring-isomorphism check per pole-free root and candidate, in the order
-    `verify.solve_a2_symmetric` reports them."""
-    checker = HomChecker(geom, flags)
+def solve_a2_sweep(orb, max_order=12):
+    """The symmetric A_2 ansatz from the orbifold ring `orb` settled by
+    sweeping: one full exact ring-isomorphism check per pole-free root and
+    candidate, in the order `verify.solve_a2_symmetric` reports them."""
+    geom = orb.geom
+    checker = HomChecker(orb)
     candidates = a2_candidates()
     solutions, excluded = [], []
     for root in _roots_of_unity(max_order):
@@ -908,8 +908,8 @@ def unit_delta_rings(geom):
 
 
 def apply_candidate_by_coords(matrix, x):
-    """`verify.apply_candidate` on the H*(S) coordinates: 1 and sigma are
-    fixed, and the a-th sector generator goes to sum_l matrix[a][l] E_l."""
+    """The candidate map on the H*(S) coordinates of x, zeros included: 1 and
+    sigma are fixed, and the a-th sector generator goes to sum_l matrix[a][l] E_l."""
     geom = x.geom
     parts = list(coords(x)[:2])
     for column in zip(*matrix):
@@ -943,21 +943,22 @@ def reduced_system(geom, matrix, labels, rows):
     return reduce_system(geom, det, labels, rows)
 
 
-def apply_to_class(matrix, x):
-    """`verify.apply_candidate` on the sparse row of the class x, back as a
-    class: the library map, for the sweeps over every basis pair."""
-    row = apply_candidate(matrix, as_row(x), x.geom.base.rank)
-    return dense(x.geom, row)
+def library_map(orb, matrix):
+    """The library's candidate map as a function of a class x: its sparse row
+    mapped by `HomChecker(orb)._apply` through the generator images
+    `HomChecker._images`, back as a class; for the sweeps over every basis pair."""
+    checker = HomChecker(orb)
+    images = checker._images(matrix)
+    return lambda x: dense(orb.geom, checker._apply(images, as_row(x)))
 
 
-def unit_ring_rows(checker, matrix):
-    """(labels, rows) of the isomorphism condition over every unordered
-    orbifold basis pair i <= j, in the order of `SectorRing.labels()`, with the
-    delta_beta column of each pair computed as a ring product: the product
-    at delta_beta = 1 minus the product at delta = 0, one product per pair
-    and span."""
-    geom = checker.geom
-    orb = OrbifoldRing(geom, checker.flags)
+def unit_ring_rows(orb, matrix):
+    """(labels, rows) of the isomorphism condition from the orbifold ring
+    `orb` over every unordered basis pair i <= j, in the order of
+    `SectorRing.labels()`, with the delta_beta column of each pair computed
+    as a ring product: the product at delta_beta = 1 minus the product at
+    delta = 0, one product per pair and span."""
+    geom = orb.geom
     basis = labelled_basis(orb)
     origin, units = unit_delta_rings(geom)
     images = [apply_candidate_by_coords(matrix, x) for _, x in basis]
@@ -975,18 +976,18 @@ def unit_ring_rows(checker, matrix):
     return labels, rows
 
 
-def all_pairs_rows(checker, matrix):
-    """(labels, rows) of `HomChecker.solve`'s system built over every
+def all_pairs_rows(orb, matrix):
+    """(labels, rows) of `HomChecker(orb).solve`'s system built over every
     unordered orbifold basis pair, not only the generator pairs: per pair,
     the classical product of the two images and the root sum
     k (x.beta)(y.beta) sum_{l in beta} E_l per span, read component by
     component."""
-    geom, n = checker.geom, checker.geom.n
+    geom, n = orb.geom, orb.geom.n
     spans = all_spans(n)
-    orb = OrbifoldRing(geom, checker.flags)
     basis = labelled_basis(orb)
     classical = ResolutionRing(geom)
-    images = [apply_to_class(matrix, x) for _, x in basis]
+    apply = library_map(orb, matrix)
+    images = [apply(x) for _, x in basis]
     dots = [[reduce(add, (parts[i + 1].scale(w) for i, w in span_weights(n)[span].items()))
              for span in spans] for parts in (coords(x) for x in images)]
     k = kap(geom)
@@ -994,7 +995,7 @@ def all_pairs_rows(checker, matrix):
     names = _component_names(geom, ResolutionRing.letter)
     labels, rows = [], []
     for (i, j), xy in product_table(orb).items():
-        rhs = difference(apply_to_class(matrix, dense(geom, xy)),
+        rhs = difference(apply(dense(geom, xy)),
                          mul_by_table(classical, images[i], images[j]))
         roots = [None if kx.is_zero() or y.is_zero() else kx * y
                  for kx, y in zip(kdots[i], dots[j])]
@@ -1008,12 +1009,11 @@ def all_pairs_rows(checker, matrix):
     return labels, rows
 
 
-def check_all_pairs(checker, matrix, quantum):
-    """`HomChecker.check` with one difference formed per unordered orbifold
-    basis pair, from products and images of every basis element, walked in
-    the same order (twisted sectors first)."""
-    geom = checker.geom
-    orb = OrbifoldRing(geom, checker.flags)
+def check_all_pairs(orb, matrix, quantum):
+    """`HomChecker(orb).check` with one difference formed per unordered
+    orbifold basis pair, from products and images of every basis element,
+    walked in the same order (twisted sectors first)."""
+    geom = orb.geom
     basis = labelled_basis(orb)
     report = HomReport(passed=True)
     det = _row_reduce(matrix, geom.n).det
@@ -1022,11 +1022,12 @@ def check_all_pairs(checker, matrix, quantum):
         report.passed = False
         report.violations.append(("matrix", "det", det))
         return report
-    images = [apply_to_class(matrix, x) for _, x in basis]
+    apply = library_map(orb, matrix)
+    images = [apply(x) for _, x in basis]
     names = _component_names(geom, quantum.letter)
     for i in range(len(basis) - 1, -1, -1):
         for j in range(len(basis) - 1, i - 1, -1):
-            diff = difference(apply_to_class(matrix, dense(geom, orb.product(i, j))),
+            diff = difference(apply(dense(geom, orb.product(i, j))),
                               mul_by_table(quantum, images[i], images[j]))
             for comp, val in zip(names, diff.coeffs):
                 if not scalar_is_zero(val):

@@ -70,7 +70,7 @@ def test_criterion_01_a1_scalar_verification():
     start = time.perf_counter()
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
-    checker, quantum = HomChecker(geom), QuantumRing(geom, q)
+    checker, quantum = HomChecker(OrbifoldRing(geom)), QuantumRing(geom, q)
     half_i = CycNum.zeta(4) * Fraction(1, 2)
     ok = checker.check(((half_i,),), quantum).passed
     ok = ok and checker.check(((-half_i,),), quantum).passed
@@ -86,7 +86,7 @@ def test_criterion_01_a1_scalar_verification():
 def test_criterion_02_a2_solver():
     start = time.perf_counter()
     geom = default_geometry(2)
-    result = solve_a2_symmetric(geom, max_order=12)
+    result = solve_a2_symmetric(OrbifoldRing(geom), max_order=12)
     z3 = CycNum.zeta(3)
     got = {(key(s.q), key(s.a), key(s.b)) for s in result.solutions}
     want = {
@@ -105,7 +105,7 @@ def test_criterion_03_symplectic_degeneration():
     start = time.perf_counter()
     geom = Geometry(2, BaseRing("projective_space", 1),
                     Fraction(3), Fraction(-3), Fraction(0))
-    result = solve_a2_symmetric(geom, max_order=12)
+    result = solve_a2_symmetric(OrbifoldRing(geom), max_order=12)
     pole_free = [r for r in _roots_of_unity(12) if not QPoint([r, r]).poles()]
     accepted = {key(s.q) if isinstance(s.q, CycNum)
                 else key(CycNum(1, [s.q])) for s in result.solutions}

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from crepant import cli, mckay
 from crepant.cli import run
+from crepant.orbifold import OrbifoldRing
 from crepant.scalars import format_rational
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -218,6 +219,26 @@ def test_config_flags_reach_the_checker(tmp_path):
     data = json.loads(text)
     assert data["conventions"]["twist_self"] == "1"
     assert data["report"]["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-a1", "--config", A1, "--q=-1", "--scalar", "i/2"],
+    ["solve-a2", "--config", A2, "--max-order", "6"],
+], ids=["verify-a1", "solve-a2"])
+def test_hom_commands_build_one_orbifold_ring(monkeypatch, argv):
+    # the command builds the ring with the config's flags and hands it to
+    # the check, which builds none of its own
+    built = []
+    init = OrbifoldRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrbifoldRing, "__init__", counting_init)
+    code, _ = invoke(argv)
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_solve_a2_golden():

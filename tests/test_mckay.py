@@ -132,6 +132,38 @@ def test_validate_rejects_a_table_that_is_not_square():
         table._replace(values=table.values[:-1]).validate()
 
 
+def test_validate_rejects_class_sizes_that_do_not_sum_to_the_order():
+    table = character_table(GroupSpec("E", 6))
+    with pytest.raises(ValueError, match="class sizes do not sum to the group order"):
+        table._replace(class_sizes=(2, *table.class_sizes[1:])).validate()
+
+
+def test_validate_rejects_squared_dimensions_that_do_not_sum_to_the_order():
+    # Z_3: a character of degree 2 in place of chi_1 gives 1 + 4 + 1 = 6
+    table = character_table(GroupSpec("A", 2))
+    values = (table.values[0], (Fraction(2), *table.values[1][1:]), table.values[2])
+    with pytest.raises(ValueError, match="squared dimensions do not sum to the group order"):
+        table._replace(values=values).validate()
+
+
+def test_mckay_graph_rejects_a_multiplicity_that_is_not_an_integer(monkeypatch):
+    # half of Q meets each irreducible of Z_3 with multiplicity 0 or 1/2
+    table = character_table(GroupSpec("A", 2))
+    half_q = table._replace(q_character=tuple(v * Fraction(1, 2) for v in table.q_character))
+    monkeypatch.setattr(mckay, "character_table", lambda spec: half_q)
+    with pytest.raises(ValueError, match="multiplicity must be a nonnegative integer"):
+        mckay_graph(GroupSpec("A", 2))
+
+
+@pytest.mark.parametrize("label", ["A3", "D5", "E6"])
+def test_dimension_vector_check_rejects_a_resolution_graph(label):
+    # the finite diagram left without the trivial vertex has a positive
+    # definite 2 I - A, which no dimension vector solves
+    graph = mckay_graph(GroupSpec.parse(label))
+    assert dimension_vector_check(graph)
+    assert not dimension_vector_check(resolution_graph(graph))
+
+
 @pytest.mark.parametrize("label", ["A3", "E6"])
 def test_validate_rejects_q_of_degree_other_than_2(label):
     table = character_table(GroupSpec.parse(label))

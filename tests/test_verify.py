@@ -24,7 +24,6 @@ from crepant.verify import (
     PRINTED_A2_TABLE,
     AffineSystem,
     HomChecker,
-    apply_candidate,
     check_associativity,
     check_pairing_nondegenerate,
     _row_reduce,
@@ -45,6 +44,7 @@ from reference import (
     associativity_by_rows,
     check_all_pairs,
     coords,
+    dense,
     det_by_cofactors,
     ell,
     em,
@@ -72,16 +72,16 @@ def test_a1_isomorphism_at_minus_one():
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
     c = CycNum.zeta(4) * Fraction(1, 2)  # i/2
-    report = HomChecker(geom).check(((c,),), QuantumRing(geom, q))
+    report = HomChecker(OrbifoldRing(geom)).check(((c,),), QuantumRing(geom, q))
     assert report.passed
-    report = HomChecker(geom).check(((-c,),), QuantumRing(geom, q))
+    report = HomChecker(OrbifoldRing(geom)).check(((-c,),), QuantumRing(geom, q))
     assert report.passed
 
 
 def test_a1_wrong_scalars_fail():
     geom = default_geometry(1)
     q = QPoint([Fraction(-1)])
-    checker, quantum = HomChecker(geom), QuantumRing(geom, q)
+    checker, quantum = HomChecker(OrbifoldRing(geom)), QuantumRing(geom, q)
     for c in a1_scalar_sweep(20):
         report = checker.check(((c,),), quantum)
         assert not report.passed
@@ -101,7 +101,7 @@ def test_a1_sweep_pool_properties():
 
 def test_singular_matrix_rejected():
     geom = default_geometry(2)
-    checker = HomChecker(geom)
+    checker = HomChecker(OrbifoldRing(geom))
     report = checker.check(((Fraction(1), Fraction(1)),
                             (Fraction(1), Fraction(1))),
                            QuantumRing(geom, QPoint([CycNum.zeta(3)] * 2)))
@@ -110,7 +110,7 @@ def test_singular_matrix_rejected():
 
 
 def test_checker_rejects_quantum_ring_of_another_geometry():
-    checker = HomChecker(default_geometry(1))
+    checker = HomChecker(OrbifoldRing(default_geometry(1)))
     other = QuantumRing(default_geometry(1, BaseRing("point")), QPoint([Fraction(-1)]))
     with pytest.raises(ValueError):
         checker.check(((Fraction(1),),), other)
@@ -127,7 +127,8 @@ def test_check_and_solve_reject_a_matrix_that_is_not_n_by_n(n, matrix):
     # a row count of n is not enough: an extra column once passed `check`
     # and solved to a point, or raised KeyError or IndexError
     geom = default_geometry(n)
-    checker, quantum = HomChecker(geom), QuantumRing(geom, QPoint([CycNum.zeta(5)] * n))
+    checker = HomChecker(OrbifoldRing(geom))
+    quantum = QuantumRing(geom, QPoint([CycNum.zeta(5)] * n))
     with pytest.raises(ValueError, match="candidate matrix has the wrong size"):
         checker.check(matrix, quantum)
     with pytest.raises(ValueError, match="candidate matrix has the wrong size"):
@@ -143,16 +144,17 @@ def test_hom_direction():
     det = a * a - b * b
     inv = det.inv()
     matrix = ((a * inv, -b * inv), (-b * inv, a * inv))
-    report = HomChecker(geom).check(matrix, QuantumRing(geom, QPoint([z3, z3])))
+    checker, quantum = HomChecker(OrbifoldRing(geom)), QuantumRing(geom, QPoint([z3, z3]))
+    report = checker.check(matrix, quantum)
     assert report.passed
     # the transpose-inverse convention with a and b swapped must fail
     bad = ((b * inv, -a * inv), (-a * inv, b * inv))
-    assert not HomChecker(geom).check(bad, QuantumRing(geom, QPoint([z3, z3]))).passed
+    assert not checker.check(bad, quantum).passed
 
 
 def test_solve_a2_exact_solutions():
     geom = default_geometry(2)
-    result = solve_a2_symmetric(geom, max_order=6)
+    result = solve_a2_symmetric(OrbifoldRing(geom), max_order=6)
     z3 = CycNum.zeta(3)
     got = {(key(s.q), key(s.a), key(s.b)) for s in result.solutions}
     want = {
@@ -180,21 +182,22 @@ def test_solve_a2_computes_orbifold_products_once(monkeypatch):
         return build(self, i, j)
 
     monkeypatch.setattr(SectorRing, "_basis_product", counting_build)
-    solve_a2_symmetric(default_geometry(2), max_order=6)
+    solve_a2_symmetric(OrbifoldRing(default_geometry(2)), max_order=6)
     assert len(calls) == 4 * 5 // 2
 
 
 def test_solve_a2_flags_reach_the_checker():
     # with the default flags the same call finds the zeta_3 pair
     # (test_solve_a2_exact_solutions)
-    result = solve_a2_symmetric(default_geometry(2), max_order=6, flags=ConventionFlags("1"))
+    orb = OrbifoldRing(default_geometry(2), ConventionFlags("1"))
+    result = solve_a2_symmetric(orb, max_order=6)
     assert result.solutions == []
 
 
 def test_solve_a2_symplectic_all_roots_pass():
     geom = Geometry(2, BaseRing("projective_space", 1),
                     Fraction(3), Fraction(-3), Fraction(0))
-    result = solve_a2_symmetric(geom, max_order=4)
+    result = solve_a2_symmetric(OrbifoldRing(geom), max_order=4)
     # no quantum corrections: every pole-free root admits both sign choices
     roots = {key(s.q) if isinstance(s.q, CycNum) else s.q for s in result.solutions}
     assert len(roots) >= 4
@@ -223,9 +226,9 @@ def _count_residuals(monkeypatch):
     residuals, built = Counter(), []
     residual, init = HomChecker._residual, QuantumRing.__init__
 
-    def counting_residual(self, matrix, images, ring, i, j):
+    def counting_residual(self, images, ring, i, j):
         residuals[type(ring)] += 1
-        return residual(self, matrix, images, ring, i, j)
+        return residual(self, images, ring, i, j)
 
     def counting_init(self, geom, q):
         if type(self) is QuantumRing:
@@ -240,7 +243,7 @@ def _count_residuals(monkeypatch):
 def _assert_counters_live(residuals, built):
     # one check against a quantum ring adds its 10 generator-pair residuals
     # and the ring itself to the counters
-    checker = HomChecker(default_geometry(2))
+    checker = HomChecker(OrbifoldRing(default_geometry(2)))
     before = residuals[QuantumRing], len(built)
     checker.check(a2_candidates()[0][2], QuantumRing(checker.geom, QPoint([CycNum.zeta(3)] * 2)))
     assert (residuals[QuantumRing], len(built)) == (before[0] + 10, before[1] + 1)
@@ -248,7 +251,7 @@ def _assert_counters_live(residuals, built):
 
 def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
     residuals, built = _count_residuals(monkeypatch)
-    solve_a2_symmetric(A2_SYMPLECTIC, max_order=12)
+    solve_a2_symmetric(OrbifoldRing(A2_SYMPLECTIC), max_order=12)
     # at k = 0 no delta enters a product: 10 generator pairs against the
     # classical ring for each of the 4 candidates, and no quantum ring
     assert residuals == {ResolutionRing: 10 * 4} and built == []
@@ -261,16 +264,16 @@ def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
 def test_solve_matches_sweep(geom, twist, max_order):
     # the affine solve reports what one full hom check per root and
     # candidate finds, byte for byte (l = m = 3, k = 2 has 4 solutions)
-    flags = ConventionFlags(twist)
-    assert (solve_a2_symmetric(geom, max_order, flags).to_json()
-            == solve_a2_sweep(geom, max_order, flags).to_json())
+    orb = OrbifoldRing(geom, ConventionFlags(twist))
+    assert (solve_a2_symmetric(orb, max_order).to_json()
+            == solve_a2_sweep(orb, max_order).to_json())
 
 
 def test_solve_computes_no_product_per_root(monkeypatch):
     residuals, built = _count_residuals(monkeypatch)
     for max_order in (6, 12):
         residuals.clear()
-        solve_a2_symmetric(default_geometry(2), max_order=max_order)
+        solve_a2_symmetric(OrbifoldRing(default_geometry(2)), max_order=max_order)
         # 10 generator pairs against the classical ring for each of the 4
         # candidates: the delta columns are read off structure_constants,
         # with no ring product and no quantum ring per root
@@ -322,18 +325,18 @@ def _forward_reduced(row, pivot_rows, width):
     return row
 
 
-def _assert_solve_matches(checker, matrix, labelled_rows):
-    """`checker.solve(matrix)` equals the system reduced from the reference
-    rows `labelled_rows(checker, matrix)` of every basis pair, field by
+def _assert_solve_matches(orb, matrix, labelled_rows):
+    """`HomChecker(orb).solve(matrix)` equals the system reduced from the reference
+    rows `labelled_rows(orb, matrix)` of every basis pair, field by
     field; the witness of an inconsistency is one of those rows, and the
     pivot rows reduce it to exactly 0 = value.  Where the matrix has one
     conductor every nonzero value also has the reference's type and
     conductor.  Across conductors the reference's sums carry zero terms
     whose conductors the library never forms, so there each nonzero
     library value's conductor divides the reference's."""
-    labels, rows = labelled_rows(checker, matrix)
-    system = checker.solve(matrix)
-    reference = reduced_system(checker.geom, matrix, labels, rows)
+    labels, rows = labelled_rows(orb, matrix)
+    system = HomChecker(orb).solve(matrix)
+    reference = reduced_system(orb.geom, matrix, labels, rows)
     assert system == reference
     if _one_conductor(matrix):
         assert _nonzero_shapes(system) == _nonzero_shapes(reference)
@@ -359,16 +362,16 @@ def test_solve_matches_unit_delta_rings_on_a2(geom, twist, max_order):
     # rank, rows in order, solution, point and inconsistency agree with the
     # system built over every basis pair from one ring per unit delta;
     # every nonzero value also has the same conductor
-    checker = HomChecker(geom, ConventionFlags(twist))
+    orb = OrbifoldRing(geom, ConventionFlags(twist))
     for _, _, matrix in a2_candidates():
-        _assert_solve_matches(checker, matrix, unit_ring_rows)
+        _assert_solve_matches(orb, matrix, unit_ring_rows)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_solve_matches_unit_delta_rings_on_fourier_maps(n):
     # a consistent system of full rank, solved at q = (zeta_{n+1}, ...)
-    checker = HomChecker(default_geometry(n))
-    system = _assert_solve_matches(checker, fourier_map(n), unit_ring_rows)
+    system = _assert_solve_matches(OrbifoldRing(default_geometry(n)), fourier_map(n),
+                                   unit_ring_rows)
     assert system.rank == len(system.spans) and system.inconsistent is None
     assert system.point == (CycNum.zeta(n + 1),) * n
 
@@ -382,14 +385,15 @@ def test_solve_matches_unit_delta_rings_on_random_maps(n, kind):
             if kind == "rational" else
             [Fraction(1), Fraction(-1, 2), z(3), z(4), z(3, 2) + z(4), 2 * z(4, 3), z(6)])
     for base in (BaseRing("projective_space", 1), BaseRing("point")):
-        checker = HomChecker(default_geometry(n, base))
+        orb = OrbifoldRing(default_geometry(n, base))
         matrix = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
-        _assert_solve_matches(checker, matrix, unit_ring_rows)
+        _assert_solve_matches(orb, matrix, unit_ring_rows)
 
 
 def test_solve_reports_why_each_candidate_passed_or_failed():
     z3 = CycNum.zeta(3)
-    systems = [s for _, _, s in solve_a2_symmetric(default_geometry(2), max_order=1).candidates]
+    result = solve_a2_symmetric(OrbifoldRing(default_geometry(2)), max_order=1)
+    systems = [s for _, _, s in result.candidates]
     assert [s.rank for s in systems] == [3] * 4
     solved = [s for s in systems if s.inconsistent is None]
     failed = [s for s in systems if s.inconsistent is not None]
@@ -405,7 +409,7 @@ def test_solve_reports_why_each_candidate_passed_or_failed():
         assert pair.startswith("e_") and component.startswith("E_")
         assert value != 0 and s.solution is None
     # kap = 0: no row depends on delta; two candidates fail at every point
-    result = solve_a2_symmetric(A2_SYMPLECTIC, max_order=1)
+    result = solve_a2_symmetric(OrbifoldRing(A2_SYMPLECTIC), max_order=1)
     systems = [s for _, _, s in result.candidates]
     assert [s.rank for s in systems] == [0] * 4
     failed = [s for s in systems if s.inconsistent is not None]
@@ -434,7 +438,7 @@ def test_affine_system_below_full_rank_tests_the_atoms():
 
 def test_solve_agrees_with_check_on_a1():
     geom = default_geometry(1)
-    checker, q = HomChecker(geom), QPoint([Fraction(-1)])
+    checker, q = HomChecker(OrbifoldRing(geom)), QPoint([Fraction(-1)])
     quantum = QuantumRing(geom, q)
     half_i = CycNum.zeta(4) * Fraction(1, 2)
     for c in [half_i, -half_i, Fraction(0)] + a1_scalar_sweep(20):
@@ -495,11 +499,12 @@ def test_check_matches_the_all_pairs_check(n, base, twist):
     # one difference per generator pair, shifted, against one per basis
     # pair: the JSON byte for byte (violation order, components, values and
     # conductors)
-    checker = HomChecker(default_geometry(n, BASES[base]), ConventionFlags(twist))
+    orb = OrbifoldRing(default_geometry(n, BASES[base]), ConventionFlags(twist))
+    checker = HomChecker(orb)
     for kind, matrix, q in _candidates(n, 10 * n + len(base)):
-        quantum = QuantumRing(checker.geom, QPoint(q))
+        quantum = QuantumRing(orb.geom, QPoint(q))
         got = checker.check(matrix, quantum)
-        assert got.to_json() == check_all_pairs(checker, matrix, quantum).to_json(), kind
+        assert got.to_json() == check_all_pairs(orb, matrix, quantum).to_json(), kind
         if kind == "fourier" and base == "P1" and twist == TWO_FLAGS[0]:
             assert got.passed
 
@@ -509,9 +514,9 @@ def test_check_matches_the_all_pairs_check(n, base, twist):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_solve_matches_the_all_pairs_solve(n, base, twist):
     # the rows of the generator pairs against the rows of every basis pair
-    checker = HomChecker(default_geometry(n, BASES[base]), ConventionFlags(twist))
+    orb = OrbifoldRing(default_geometry(n, BASES[base]), ConventionFlags(twist))
     for _, matrix, _ in _candidates(n, 10 * n + len(base)):
-        _assert_solve_matches(checker, matrix, all_pairs_rows)
+        _assert_solve_matches(orb, matrix, all_pairs_rows)
 
 
 @pytest.mark.parametrize("base", list(BASES))
@@ -831,35 +836,38 @@ def test_mul_matches_the_product_by_generators(case):
 
 
 @st.composite
-def matrices_and_classes(draw):
-    """(matrix, x): an n x n candidate matrix and a class, for n = 1..5 over
-    each base, with every scalar drawn from one cyclotomic field or from three."""
-    n = draw(st.integers(1, 5))
+def orbifold_rings_and_matrices(draw):
+    """(orb, matrix): the orbifold ring under one twist_self flag for n = 1..4
+    over each base, and an n x n candidate matrix with every scalar drawn
+    from one cyclotomic field or from three."""
+    n = draw(st.integers(1, 4))
     geom = default_geometry(n, BASES[draw(st.sampled_from(list(BASES)))])
+    orb = OrbifoldRing(geom, ConventionFlags(draw(st.sampled_from(TWIST_SELF_CHOICES))))
     conductor = draw(st.sampled_from([1, 3, 4, 5, None]))
     scalars = st.sampled_from(_pool(conductor) if conductor
                               else _pool(3) + _pool(4)[5:] + _pool(5)[5:])
-    matrix = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
-    size = (n + 2) * geom.base.rank
-    return matrix, DenseClass(geom, tuple(draw(st.lists(scalars, min_size=size,
-                                                         max_size=size))))
+    return orb, draw(st.lists(st.lists(scalars, min_size=n, max_size=n), min_size=n, max_size=n))
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices_and_classes())
-def test_apply_candidate_matches_the_coordinate_walk(case):
-    # apply_candidate maps the nonzero coefficients of a sparse row; the
-    # reference walks every H*(S) coordinate, zeros included.  The values
-    # agree (a sum of nonzero terms may cancel to 0).  A zero coefficient
-    # times an entry keeps the entry's conductor in the reference's sum, so
-    # the JSON agrees where the matrix has one conductor.
-    matrix, x = case
-    want = apply_candidate_by_coords(matrix, x)
-    got = apply_candidate(matrix, as_row(x), x.geom.base.rank)
-    assert {m: c for m, c in got.items() if not scalar_is_zero(c)} == as_row(want)
-    if _one_conductor(matrix):
-        ring = ResolutionRing(x.geom)
-        assert ring.to_json(got) == ring.to_json(as_row(want))
+@given(orbifold_rings_and_matrices())
+def test_residual_maps_the_orbifold_products_as_the_coordinate_walk(case):
+    # the left side of HomChecker._residual, each generator pair's orbifold
+    # product mapped through the generator images, against the reference
+    # that walks every H*(S) coordinate, zeros included.  The values agree
+    # (a sum of nonzero terms may cancel to 0).  A zero coordinate times an
+    # entry keeps the entry's conductor in the reference's sum; the orbifold
+    # rows are rational, so the JSON agrees where the matrix has one conductor.
+    orb, matrix = case
+    checker, classical = HomChecker(orb), ResolutionRing(orb.geom)
+    images = checker._images(matrix)
+    for xy in checker.products.values():
+        assert all(isinstance(c, Fraction) for c in xy.values())
+        got = checker._apply(images, xy)
+        want = apply_candidate_by_coords(matrix, dense(orb.geom, xy))
+        assert {m: c for m, c in got.items() if not scalar_is_zero(c)} == as_row(want)
+        if _one_conductor(matrix):
+            assert classical.to_json(got) == classical.to_json(as_row(want))
 
 
 SCALARS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3),
@@ -905,7 +913,7 @@ def test_one_structure_constant_table_serves_every_ring():
     assert structure_constants.cache_info().misses == 1
     for values in ([CycNum.zeta(3)] * 2, [Fraction(2), Fraction(3)]):
         product_table(QuantumRing(geom, QPoint(values)))
-    HomChecker(geom).solve(a2_candidates()[0][2])
+    HomChecker(OrbifoldRing(geom)).solve(a2_candidates()[0][2])
     info = structure_constants.cache_info()
     assert info.misses == 1 and info.hits > 0
 
@@ -982,3 +990,48 @@ def test_reconcile_structure():
     assert slots["E1*E2"]["E1_matches"] and slots["E1*E2"]["E2_matches"]
     assert slots["E2*E2"]["E1_matches"] and not slots["E2*E2"]["E2_matches"]
     assert all(s["sigma_matches"] for s in report["slots"])
+
+
+def test_reconcile_reports_a_sigma_slot_mismatch():
+    # sigma slots do not depend on the normalization: a printed sigma
+    # coefficient off by one is a mismatch under every transformation
+    printed = {key: dict(entry) for key, entry in PRINTED_A2_TABLE.items()}
+    printed[(1, 2)]["sigma"] = Fraction(2)
+    report, baseline = reconcile_6_2(printed), reconcile_6_2()
+    for name, result in report["transformations"].items():
+        assert not result["matches_all"]
+        sigma = {"slot": "E1*E2.sigma", "residual": {"const": "1"}}
+        assert sigma in result["mismatches"]
+        assert ([m for m in result["mismatches"] if m != sigma]
+                == baseline["transformations"][name]["mismatches"])
+    assert report["best"] == {"transformation": "scale_3_swap_LM", "mismatch_count": 2}
+    assert [s["sigma_matches"] for s in report["slots"]] == [True, False, True]
+
+
+def test_point_is_none_where_an_atom_has_no_span_product():
+    # Q = delta/(1 + delta) has no value at delta = -1
+    assert verify._point(default_geometry(1), {(1, 1): Fraction(-1)}) is None
+    assert verify._point(default_geometry(1), {(1, 1): Fraction(1)}) == (Fraction(1, 2),)
+
+
+def test_point_is_none_where_the_span_products_disagree():
+    # delta = 1, 1/3, 1 are the atoms of q = (1/2, 1/2), with Q_12 = 1/4;
+    # delta_12 = 1 asks for Q_12 = 1/2, which no point gives
+    geom = default_geometry(2)
+    deltas = {(1, 1): Fraction(1), (1, 2): Fraction(1, 3), (2, 2): Fraction(1)}
+    assert verify._point(geom, deltas) == (Fraction(1, 2), Fraction(1, 2))
+    assert verify._point(geom, {**deltas, (1, 2): Fraction(1)}) is None
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_checker_reads_the_products_of_the_ring_it_is_given(n):
+    # over P^1 the twist_self flag scales e_a e_b for n >= 2: the checker
+    # holds the generator rows of the ring it was handed, not the default
+    # flag's
+    geom = default_geometry(n)
+    orb, default = OrbifoldRing(geom, ConventionFlags("1")), OrbifoldRing(geom)
+    generators = range(0, orb.size, geom.base.rank)
+    pairs = list(itertools.combinations_with_replacement(generators, 2))
+    products = HomChecker(orb).products
+    assert products == {(i, j): orb.product(i, j) for i, j in pairs}
+    assert products != {(i, j): default.product(i, j) for i, j in pairs}
