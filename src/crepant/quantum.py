@@ -114,8 +114,9 @@ class QPoint:
         return self._products[key]
 
     def poles(self):
-        """All spans (r, s) at which this point is singular."""
-        return [span for span in all_spans(self.n) if scalar_is_zero(1 - self.span_product(*span))]
+        """All spans (r, s) at which this point is singular, in `all_spans`
+        order: the None spans of `_forms`."""
+        return [span for span, form in self._forms() if form is None]
 
     def deltas(self) -> dict:
         """{(r, s): delta_rs} over every span, delta = Q/(1 - Q).  A span
@@ -129,29 +130,34 @@ class QPoint:
                 for span, v in self._span_forms().items()}
 
     def _span_forms(self) -> dict:
-        """{span: (L, sign, a, d) for a root Q of order d > 1, else 1 - Q},
-        the form `deltas` evaluates: each span's conductor and pole are
-        checked in the order of `poles()` and where a span product would
-        check them, and PoleError is raised at the first pole."""
-        roots = [_root(v) for v in self.values]
+        """{span: form} of `_forms`, the form `deltas` evaluates; PoleError
+        at the first pole."""
         spans = {}
+        for span, form in self._forms():
+            if form is None:
+                raise PoleError(span)
+            spans[span] = form
+        return spans
+
+    def _forms(self):
+        """(span, form) in `all_spans` order, the one pole test: (L, sign, a,
+        d) for Q = sign zeta_L^a of order d > 1, L the lcm of its factors'
+        conductors (checked where a span product would check it, with no
+        CycNum product), None at a pole, else 1 - Q."""
+        roots = [_root(v) for v in self.values]
         for r in range(1, self.n + 1):
             # the span product as (L, sign, a) while every factor is a root;
             # L = 0 while every factor is a rational +-1
             product = (0, 1, 0)
             for s in range(r, self.n + 1):
-                span, factor = (r, s), roots[s - 1]
+                factor = roots[s - 1]
                 product = _times_root(product, factor) if product and factor else None
                 if product and product[0]:
                     order = _root_order(*product)
-                    if order == 1:
-                        raise PoleError(span)
-                    spans[span] = product + (order,)
+                    yield (r, s), (product + (order,) if order > 1 else None)
                 else:
-                    spans[span] = 1 - self.span_product(r, s)
-                    if scalar_is_zero(spans[span]):
-                        raise PoleError(span)
-        return spans
+                    form = 1 - self.span_product(r, s)
+                    yield (r, s), (None if scalar_is_zero(form) else form)
 
     def to_json(self):
         return [scalar_to_json(v) for v in self.values]

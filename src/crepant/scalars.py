@@ -12,9 +12,10 @@ Every reduction goes through one residue table per conductor N, built on
 first use: row e holds the nonzero integer coefficients of x^e mod Phi_N
 for e = 0..N-1, and `_reduce` sums c * row[e mod N] over integer (e, c)
 terms.  The public constructor (after clearing denominators once), `zeta`
-(row k), `conj` (e -> -e), the common-field lift (e -> e M/N) and the high
-half of a product all go through it.  The inverse is an extended
-Euclid of Phi_N and the numerators on integer polynomials, fraction-free.
+(row k), the Galois action `galois(u)` (e -> e u), the common-field lift
+(e -> e M/N) and the high half of a product all go through it.  The
+inverse is an extended Euclid of Phi_N and the numerators on integer
+polynomials, fraction-free.
 
 The conductor cap is checked where a conductor first appears (the public
 constructor, `zeta`, a lift to a larger conductor and the table build),
@@ -270,10 +271,13 @@ class CycNum:
             return self.inv()
         return self.inv() * other
 
-    def conj(self) -> "CycNum":
-        """Complex conjugation, zeta -> zeta^(N-1)."""
+    def galois(self, u: int) -> "CycNum":
+        """sigma_u: zeta_N -> zeta_N^u for gcd(u, N) = 1 (u = -1 conjugates),
+        one reduction of the terms (e u, c) at the same conductor."""
         n = self.conductor
-        return CycNum(n, _reduce(n, ((-e, c) for e, c in enumerate(self.nums))), self.den)
+        if gcd(u, n) != 1:
+            raise ValueError(f"galois({u}) needs u prime to the conductor {n}")
+        return CycNum(n, _reduce(n, ((e * u, c) for e, c in enumerate(self.nums))), self.den)
 
     # -- predicates --------------------------------------------------------
 

@@ -148,6 +148,19 @@ class AffineSystem(_Record):
         self.point = point
         self.inconsistent = inconsistent
 
+    def galois(self, u: int) -> "AffineSystem":
+        """The system of sigma_u(M), sigma_u: zeta_N -> zeta_N^u: every
+        structure constant is rational, so the solve commutes with sigma_u.
+        Fractions, spans, rank and labels are kept."""
+        def s(v):
+            return v.galois(u) if isinstance(v, CycNum) else v
+
+        return AffineSystem(
+            s(self.det), self.spans, self.rank, [[s(v) for v in row] for row in self.rows],
+            self.solution and {span: s(v) for span, v in self.solution.items()},
+            self.point and tuple(s(v) for v in self.point),
+            self.inconsistent and (*self.inconsistent[:2], s(self.inconsistent[2])))
+
     def holds_at(self, q: QPoint) -> bool:
         """True when the map is a ring isomorphism at the pole-free q."""
         if self.rank is None or self.inconsistent is not None:
@@ -366,19 +379,20 @@ def a2_candidates():
     """(a, b, matrix) for the four sign choices of the symmetric A_2 ansatz
     E_i = a e_i + b e_{3-i}: the untwisted constraints force a b = -3 and
     a^2 + b^2 = 3, solved in closed form inside Q(zeta_3).  The matrix
-    sends sectors to divisors."""
-    z = CycNum.zeta(3)
-    sqrt_m3 = 1 + 2 * z  # a square root of -3
+    sends sectors to divisors.  The first two have a + b = sqrt(-3), and
+    the last two are their complex conjugates, `galois(-1)`."""
+    sqrt_m3 = 1 + 2 * CycNum.zeta(3)  # a square root of -3
     candidates = []
-    for s in (sqrt_m3, -sqrt_m3):      # a + b
-        for d in (3, -3):              # a - b
-            a = (s + d) * Fraction(1, 2)
-            b = (s - d) * Fraction(1, 2)
-            # the inverse of ((a, b), (b, a)); its det (a + b)(a - b) is not 0
-            inv_det = (a * a - b * b).inv()
-            diag, off = a * inv_det, -b * inv_det
-            candidates.append((a, b, ((diag, off), (off, diag))))
-    return candidates
+    for d in (3, -3):                  # a - b
+        a = (sqrt_m3 + d) * Fraction(1, 2)
+        b = (sqrt_m3 - d) * Fraction(1, 2)
+        # the inverse of ((a, b), (b, a)); its det (a + b)(a - b) is not 0
+        inv_det = (a * a - b * b).inv()
+        diag, off = a * inv_det, -b * inv_det
+        candidates.append((a, b, ((diag, off), (off, diag))))
+    return candidates + [(a.galois(-1), b.galois(-1),
+                          tuple(tuple(v.galois(-1) for v in row) for row in matrix))
+                         for a, b, matrix in candidates]
 
 
 def solve_a2_symmetric(orb: OrbifoldRing, max_order: int = 12) -> A2SolveResult:
@@ -387,13 +401,18 @@ def solve_a2_symmetric(orb: OrbifoldRing, max_order: int = 12) -> A2SolveResult:
 
     Each of the four `a2_candidates` is settled once, for every pole-free q,
     by the exact affine system of `HomChecker.solve`; no ring product is
-    computed per root.  The roots are then walked in order: a root at a
-    pole is excluded with its spans, and a pole-free root is a solution for
-    each candidate whose system holds there."""
+    computed per root.  Two solves, two conjugates: the last two candidates
+    conjugate the first two, so their systems are the first two's
+    `galois(-1)`.  The roots are then walked in order: a root at a pole is
+    excluded with its spans, and a pole-free root is a solution for each
+    candidate whose system holds there."""
     if orb.geom.n != 2:
         raise ValueError("the symmetric ansatz is for n = 2")
     checker = HomChecker(orb)
-    candidates = [(a, b, checker.solve(matrix)) for a, b, matrix in a2_candidates()]
+    candidates = a2_candidates()
+    systems = [checker.solve(matrix) for _, _, matrix in candidates[:2]]
+    systems += [system.galois(-1) for system in systems]
+    candidates = [(a, b, system) for (a, b, _), system in zip(candidates, systems)]
     solutions = []
     excluded = []
     for root in _roots_of_unity(max_order):

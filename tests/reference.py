@@ -350,9 +350,13 @@ class FractionCycNum:
     def __rtruediv__(self, other):
         return self.inv() * other
 
-    def conj(self):
+    def galois(self, u):
+        """sigma_u, zeta_N -> zeta_N^u, by long division of the scattered terms."""
         n = self.conductor
-        return FractionCycNum(n, _scattered_residue(n, ((-e, c) for e, c in enumerate(self.coeffs))))
+        if gcd(u, n) != 1:
+            raise ValueError(f"galois({u}) needs u prime to the conductor {n}")
+        terms = ((e * u, c) for e, c in enumerate(self.coeffs))
+        return FractionCycNum(n, _scattered_residue(n, terms))
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -377,6 +381,28 @@ def to_complex(x: CycNum) -> complex:
 def cycnum_from_json(data) -> CycNum:
     """The CycNum that `CycNum.to_json` wrote as `data`."""
     return CycNum(data["conductor"], [parse_rational(c) for c in data["coeffs"]])
+
+
+def exact(x):
+    """A Fraction, int or CycNum as its type and every field, for comparisons
+    that see the type, the conductor, `nums` and `den`."""
+    if isinstance(x, CycNum):
+        return CycNum, x.conductor, x.nums, x.den
+    return type(x), x
+
+
+def conjugate(x, u: int):
+    """sigma_u of a Fraction, int or CycNum: rationals are fixed."""
+    return x.galois(u) if isinstance(x, CycNum) else x
+
+
+def exact_system(system: AffineSystem):
+    """Every field of an AffineSystem, each scalar through `exact`."""
+    return (exact(system.det), system.spans, system.rank,
+            [[exact(v) for v in row] for row in system.rows],
+            system.solution and {span: exact(v) for span, v in system.solution.items()},
+            system.point and tuple(exact(v) for v in system.point),
+            system.inconsistent and (*system.inconsistent[:2], exact(system.inconsistent[2])))
 
 
 def _is_prime(p: int) -> bool:
@@ -707,6 +733,28 @@ class A2TableRing(SectorRing):
             geom, (zero(geom.base), one(geom.base).scale(entry["sigma"]), *sectors)))
 
 
+def a2_candidates_closed_form():
+    """(a, b, matrix) for the four sign choices of the symmetric A_2 ansatz,
+    each solved and inverted on its own: a + b = +-sqrt(-3) outer, a - b =
+    3, -3 inner, in the order `verify.a2_candidates` lists them."""
+    sqrt_m3 = 1 + 2 * CycNum.zeta(3)
+    candidates = []
+    for s in (sqrt_m3, -sqrt_m3):
+        for d in (3, -3):
+            a = (s + d) * Fraction(1, 2)
+            b = (s - d) * Fraction(1, 2)
+            inv_det = (a * a - b * b).inv()
+            diag, off = a * inv_det, -b * inv_det
+            candidates.append((a, b, ((diag, off), (off, diag))))
+    return candidates
+
+
+def poles_by_products(q):
+    """The spans (r, s) of the QPoint `q` where 1 - q_r ... q_s = 0, each
+    span product formed by the scalar product of `QPoint.span_product`."""
+    return [span for span in all_spans(q.n) if scalar_is_zero(1 - q.span_product(*span))]
+
+
 def solve_a2_sweep(orb, max_order=12):
     """The symmetric A_2 ansatz from the orbifold ring `orb` settled by
     sweeping: one full exact ring-isomorphism check per pole-free root and
@@ -720,7 +768,7 @@ def solve_a2_sweep(orb, max_order=12):
         try:
             quantum = QuantumRing(geom, q)
         except PoleError:
-            excluded.extend((root, span) for span in q.poles())
+            excluded.extend((root, span) for span in poles_by_products(q))
             continue
         for a, b, matrix in candidates:
             if checker.check(matrix, quantum).passed:
@@ -734,7 +782,7 @@ def inner_by_definition(table, f, i):
     table's lifted integer terms."""
     total = Fraction(0)
     for size, x, y in zip(table.class_sizes, f, table.values[i]):
-        total = total + size * x * (y.conj() if isinstance(y, CycNum) else y)
+        total = total + size * x * (y.galois(-1) if isinstance(y, CycNum) else y)
     return total / table.group.order
 
 

@@ -2,10 +2,11 @@ import io
 import itertools
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crepant.cartan import curve_class
 from crepant.geometry import BaseRing, Geometry, default_geometry
@@ -25,16 +26,19 @@ from reference import (
     AtomRing,
     HClass,
     contracted_correction,
+    conjugate,
     coords,
     difference,
     dot,
     evaluate,
+    exact,
     from_coords,
     generator_product,
     intersection,
     inverse_deltas,
     kap,
     mul_by_table,
+    poles_by_products,
     product_table,
     quantum_ee_by_coords,
     r_poly,
@@ -377,7 +381,8 @@ def delta_points(draw):
         elif kind == "rational":
             values.append(draw(st.sampled_from(NON_UNITS)))
         elif kind == "inverse" and any(isinstance(v, CycNum) for v in values):
-            values.append(draw(st.sampled_from([v for v in values if isinstance(v, CycNum)])).conj())
+            root = draw(st.sampled_from([v for v in values if isinstance(v, CycNum)]))
+            values.append(root.galois(-1))
         else:
             n = draw(st.sampled_from(DELTA_CONDUCTORS))
             value = CycNum.zeta(n, draw(st.integers(0, n - 1)))
@@ -426,6 +431,90 @@ def test_cap_is_checked_before_a_later_pole(tmp_path):
     assert code == 2
     assert json.loads(out.getvalue()) == {
         "error": "conductor 180 exceeds cap 120 (set CREPANT_MAX_CONDUCTOR to raise it)"}
+
+
+def _poles_or_error(values):
+    try:
+        return QPoint(values).poles()
+    except ValueError as exc:
+        return exc
+
+
+def _poles_by_products_or_error(values):
+    try:
+        return poles_by_products(QPoint(values))
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_points(), st.sampled_from((None, "60", "24")))
+def test_poles_match_the_span_products(values, cap):
+    # the poles read off root exponents against 1 - q_r ... q_s = 0 by span
+    # products: the same spans in the same order, or the same cap error,
+    # also under a cap lowered after the point is built
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setenv("CREPANT_MAX_CONDUCTOR", cap)
+        want = _poles_by_products_or_error(values)
+        got = _poles_or_error(values)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
+def test_poles_of_roots_of_unity_form_no_cycnum_product(monkeypatch):
+    z = CycNum.zeta
+    values = [z(3), z(3, 2), Fraction(-1), -z(8, 3), z(8, 5), z(12, 5)]
+    want = poles_by_products(QPoint(values))
+    assert want == [(1, 2), (1, 5), (3, 5)]
+    calls = []
+    mul = CycNum.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycNum, "__mul__", counting)
+    monkeypatch.setattr(CycNum, "__rmul__", counting)
+    assert QPoint(values).poles() == want
+    assert calls == []
+    # the counter is live: the span products multiply CycNums
+    assert poles_by_products(QPoint(values)) == want and calls
+
+
+@st.composite
+def galois_points(draw):
+    """(values, u): a pole-free point of length 1..5 of roots +-zeta_N^a and
+    monomials r zeta_N^a, N | 120, and a unit u modulo the lcm of the N."""
+    values = []
+    for _ in range(draw(st.integers(1, 5), label="n")):
+        n = draw(st.sampled_from((3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30, 40)))
+        scale = draw(st.sampled_from((1, -1, Fraction(2), Fraction(-1, 3), Fraction(3, 2))))
+        values.append(CycNum.zeta(n, draw(st.integers(0, n - 1))) * scale)
+    assume(not QPoint(values).poles())
+    big = lcm(*(v.conductor for v in values))
+    u = draw(st.sampled_from([u for u in range(1, big) if gcd(u, big) == 1]), label="u")
+    return values, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(galois_points())
+def test_quantum_products_commute_with_galois(case):
+    # every structure constant is rational, so the ring at sigma_u(q) is
+    # sigma_u of the ring at q, coefficient by coefficient, the type and
+    # the conductor included
+    values, u = case
+    geom = default_geometry(len(values))
+    ring = QuantumRing(geom, QPoint(values))
+    conj = QuantumRing(geom, QPoint([v.galois(u) for v in values]))
+    for i in range(ring.size):
+        for j in range(i, ring.size):
+            want = ring.product(i, j)
+            got = conj.product(i, j)
+            assert got.keys() == want.keys()
+            assert [exact(got[m]) for m in want] == [exact(conjugate(c, u)) for c in want.values()]
 
 
 def _assert_same_scalars(got, want):

@@ -21,8 +21,8 @@ from crepant.scalars import (
     parse_scalar,
     scalar_to_json,
 )
-from reference import (FractionCycNum, cycnum_from_json, dot, minimal, reduce_mod_cyclotomic,
-                       to_complex)
+from reference import (FractionCycNum, cycnum_from_json, dot, exact, minimal,
+                       reduce_mod_cyclotomic, to_complex)
 
 
 def test_cyclotomic_polynomials():
@@ -41,7 +41,7 @@ def test_basic_identities():
     assert (2 + z3) * (z3 - 1) == -3
     z4 = CycNum.zeta(4)
     assert (1 + z4).inv() == (1 - z4) / 2
-    assert z3.conj() == CycNum.zeta(3, 2)
+    assert z3.galois(-1) == CycNum.zeta(3, 2)
     r2 = CycNum.zeta(8) + CycNum.zeta(8, 7)
     assert r2 * r2 == 2
 
@@ -135,7 +135,7 @@ def test_field_axioms(a, b, c):
 def test_inverse_and_conjugation(a):
     if not a.is_zero():
         assert a * a.inv() == 1
-    b = a.conj().conj()
+    b = a.galois(-1).galois(-1)
     assert b == a
 
 
@@ -215,7 +215,7 @@ def test_residue_table_matches_reference_reducer(data):
     k = data.draw(st.integers(min_value=-3 * n, max_value=3 * n), label="power")
     assert_reduced(CycNum.zeta(n, k), n, reduce_mod_cyclotomic([0] * (k % n) + [1], n))
 
-    assert_reduced(x.conj(), n, reduce_mod_cyclotomic(scattered(x.coeffs, n, lambda e: -e), n))
+    assert_reduced(x.galois(-1), n, reduce_mod_cyclotomic(scattered(x.coeffs, n, lambda e: -e), n))
 
     m = n * data.draw(st.integers(min_value=1, max_value=120 // n), label="multiple")
     step = m // n
@@ -294,7 +294,7 @@ def _operations(x, y, r, m):
     """Every kernel operation on x and y (of one class), a rational r and a
     multiple m of the conductor of x."""
     out = [x + y, y + x, x - y, y - x, x * y, x + r, r + x, x - r, r - x, x * r, r * x,
-           -x, x.conj(), lift(x, m), x * 0, x - x]
+           -x, x.galois(-1), lift(x, m), x * 0, x - x]
     if not x.is_zero():
         out += [x.inv(), r / x, y / x]
     if r:
@@ -327,6 +327,40 @@ def test_kernel_matches_fraction_reference(operands):
     (x, y, r, m), (rx, ry, _, _) = ours, reference
     assert (x == y) == (rx == ry) and (x == r) == (rx == r)
     assert x == lift(x, m) and rx == lift(rx, m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_galois_is_a_field_automorphism(data):
+    # sigma_u: zeta_N -> zeta_N^u for u prime to N, over conductors 1..120;
+    # y sits at a divisor of N, where sigma_u acts as sigma_(u mod M)
+    n = data.draw(st.integers(min_value=1, max_value=120), label="conductor")
+    m = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), label="divisor")
+    units = [u for u in range(-2 * n, 2 * n + 1) if gcd(u, n) == 1]
+    u = data.draw(st.sampled_from(units), label="u")
+    v = data.draw(st.sampled_from(units), label="v")
+    raw = data.draw(st.lists(wide_coefficient, max_size=euler_phi(n) + 3), label="x")
+    raw2 = data.draw(st.lists(wide_coefficient, max_size=euler_phi(m) + 3), label="y")
+    x, y = CycNum(n, raw), CycNum(m, raw2)
+    sx, sy = x.galois(u), y.galois(u)
+    assert exact(sx)[:2] == (CycNum, n) and sy.conductor == m
+    assert exact((x + y).galois(u)) == exact(sx + sy)
+    assert exact((x - y).galois(u)) == exact(sx - sy)
+    assert exact((x * y).galois(u)) == exact(sx * sy)
+    if not x.is_zero():
+        assert exact(x.inv().galois(u)) == exact(sx.inv())
+    assert exact(x.galois(v).galois(u)) == exact(x.galois(u * v % n))
+    assert exact(x.galois(u + n)) == exact(sx)
+    # value, type and conductor against the Fraction-coefficient oracle
+    want = FractionCycNum(n, raw).galois(u)
+    assert (sx.conductor, sx.coeffs) == (want.conductor, want.coeffs)
+    assert sx.to_json() == want.to_json()
+    bad = [w for w in range(-2 * n, 2 * n + 1) if gcd(w, n) != 1]
+    if bad:
+        w = data.draw(st.sampled_from(bad), label="non-unit")
+        for z in (x, FractionCycNum(n, raw)):
+            with pytest.raises(ValueError, match=rf"galois\({w}\) .* conductor {n}$"):
+                z.galois(w)
 
 
 def assert_lowest_terms(x):
@@ -376,7 +410,7 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     for op in (lambda: x * y, lambda: x * r, lambda: r * x, lambda: 3 * x,
                lambda: x + y, lambda: x + r, lambda: r + x, lambda: x - y,
                lambda: r - x, lambda: x.inv(), lambda: (x * y).inv(),
-               lambda: x == y, lambda: x == r, lambda: x.conj(), lambda: x == lifted):
+               lambda: x == y, lambda: x == r, lambda: x.galois(-1), lambda: x == lifted):
         op()
     monkeypatch.undo()
     assert built == []

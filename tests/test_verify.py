@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +37,7 @@ from reference import (
     A2TableRing,
     DenseClass,
     a1_scalar_sweep,
+    a2_candidates_closed_form,
     all_pairs_rows,
     apply_candidate_by_coords,
     as_row,
@@ -43,12 +45,15 @@ from reference import (
     associativity_by_mul,
     associativity_by_rows,
     check_all_pairs,
+    conjugate,
     coords,
     dense,
     det_by_cofactors,
     ell,
     em,
     evaluate,
+    exact,
+    exact_system,
     fourier_map,
     generator,
     generator_product,
@@ -159,7 +164,7 @@ def test_solve_a2_exact_solutions():
     got = {(key(s.q), key(s.a), key(s.b)) for s in result.solutions}
     want = {
         (key(z3), key(2 + z3), key(z3 - 1)),
-        (key(z3.conj()), key(1 - z3), key(-2 - z3)),
+        (key(z3.galois(-1)), key(1 - z3), key(-2 - z3)),
     }
     assert got == want
     # q = -1 hits the pole of the mixed span
@@ -253,8 +258,9 @@ def test_symplectic_solve_computes_only_the_origin_products(monkeypatch):
     residuals, built = _count_residuals(monkeypatch)
     solve_a2_symmetric(OrbifoldRing(A2_SYMPLECTIC), max_order=12)
     # at k = 0 no delta enters a product: 10 generator pairs against the
-    # classical ring for each of the 4 candidates, and no quantum ring
-    assert residuals == {ResolutionRing: 10 * 4} and built == []
+    # classical ring for each of the 2 candidates solved (the other 2 are
+    # their conjugates), and no quantum ring
+    assert residuals == {ResolutionRing: 10 * 2} and built == []
     _assert_counters_live(residuals, built)
 
 
@@ -274,10 +280,11 @@ def test_solve_computes_no_product_per_root(monkeypatch):
     for max_order in (6, 12):
         residuals.clear()
         solve_a2_symmetric(OrbifoldRing(default_geometry(2)), max_order=max_order)
-        # 10 generator pairs against the classical ring for each of the 4
-        # candidates: the delta columns are read off structure_constants,
-        # with no ring product and no quantum ring per root
-        assert residuals == {ResolutionRing: 10 * 4}
+        # 10 generator pairs against the classical ring for each of the 2
+        # candidates solved: the delta columns are read off
+        # structure_constants, with no ring product and no quantum ring per
+        # root, and the other 2 systems are conjugates
+        assert residuals == {ResolutionRing: 10 * 2}
     assert built == []
     _assert_counters_live(residuals, built)
 
@@ -390,6 +397,133 @@ def test_solve_matches_unit_delta_rings_on_random_maps(n, kind):
         _assert_solve_matches(orb, matrix, unit_ring_rows)
 
 
+def test_a2_candidates_match_the_closed_form_loop():
+    # the last two candidates are conjugated, not solved: every entry has
+    # the value, type, conductor, nums and den of the four-candidate loop
+    got, want = a2_candidates(), a2_candidates_closed_form()
+    assert len(got) == len(want) == 4
+    for (a, b, matrix), (a2, b2, matrix2) in zip(got, want):
+        assert (exact(a), exact(b)) == (exact(a2), exact(b2))
+        assert [[exact(v) for v in row] for row in matrix] == [
+            [exact(v) for v in row] for row in matrix2]
+
+
+def test_a2_candidates_invert_two_determinants(monkeypatch):
+    calls = []
+    inv = CycNum.inv
+    monkeypatch.setattr(CycNum, "inv", lambda self: calls.append(self) or inv(self))
+    a2_candidates()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("geom,twist,max_order", SOLVE_CASES,
+                         ids=[f"{g.base.model}-{g.l},{g.m},{g.k}-{t}"
+                              for g, t, _ in SOLVE_CASES])
+def test_solve_a2_solves_one_candidate_per_conjugate_pair(monkeypatch, geom, twist, max_order):
+    # two solves, two conjugates: each derived system is, field by field,
+    # the one a solve of its candidate gives
+    orb = OrbifoldRing(geom, ConventionFlags(twist))
+    solve, solved = HomChecker.solve, []
+    monkeypatch.setattr(HomChecker, "solve",
+                        lambda self, matrix: solved.append(matrix) or solve(self, matrix))
+    result = solve_a2_symmetric(orb, max_order)
+    assert len(solved) == 2
+    checker = HomChecker(orb)
+    for (a, b, system), (a2, b2, matrix) in zip(result.candidates, a2_candidates(), strict=True):
+        assert (a, b) == (a2, b2)
+        assert exact_system(system) == exact_system(solve(checker, matrix))
+
+
+def _conjugate_matrix(matrix, u):
+    return [[conjugate(v, u) for v in row] for row in matrix]
+
+
+def _system_kind(system):
+    if system.rank is None:
+        return "singular"
+    if system.inconsistent is not None:
+        return "inconsistent"
+    if system.rank == 0:
+        return "rank 0"
+    return "full rank" if system.point is not None else "other"
+
+
+def test_solve_commutes_with_galois_on_the_known_maps():
+    # the premise of conjugating instead of solving: solve(sigma_u M) is
+    # solve(M).galois(u) field by field, for the Fourier maps (n = 1..3,
+    # conductor 2(n + 1)) and the A_2 candidates, over a point, P^1 and P^2
+    # under every flag, for every unit u
+    maps = [fourier_map(n) for n in (1, 2, 3)] + [m for _, _, m in a2_candidates()]
+    kinds = Counter()
+    for base in (BaseRing("point"), BaseRing("projective_space", 1),
+                 BaseRing("projective_space", 2)):
+        for twist in TWIST_SELF_CHOICES:
+            for matrix in maps:
+                n = len(matrix)
+                orb = OrbifoldRing(default_geometry(n, base), ConventionFlags(twist))
+                checker = HomChecker(orb)
+                system = checker.solve(matrix)
+                big = max(v.conductor for row in matrix for v in row)
+                for u in (u for u in range(1, big) if gcd(u, big) == 1):
+                    got = checker.solve(_conjugate_matrix(matrix, u))
+                    assert exact_system(got) == exact_system(system.galois(u))
+                    kinds[_system_kind(got)] += 1
+    assert sum(kinds.values()) == 192
+    assert kinds["inconsistent"] and kinds["rank 0"] and kinds["full rank"]
+
+
+@st.composite
+def conjugate_cases(draw):
+    """(orbifold ring, N, u, matrix): n = 1..3 over a point, P^1 or P^2
+    under any flag, a unit u mod N = 3..12 and an n x n matrix of rationals,
+    r zeta_N^a and sums of two powers of zeta_N."""
+    n = draw(st.integers(1, 3), label="n")
+    base = draw(st.sampled_from((BaseRing("point"), BaseRing("projective_space", 1),
+                                 BaseRing("projective_space", 2))), label="base")
+    twist = draw(st.sampled_from(TWIST_SELF_CHOICES), label="twist")
+    big = draw(st.integers(3, 12), label="N")
+    u = draw(st.sampled_from([u for u in range(1, big) if gcd(u, big) == 1]), label="u")
+    power = st.integers(0, big - 1)
+    entry = st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3))),
+        st.builds(lambda a, r: CycNum.zeta(big, a) * r, power,
+                  st.sampled_from((1, -1, Fraction(1, 2), Fraction(-2, 3)))),
+        st.builds(lambda a, b: CycNum.zeta(big, a) + CycNum.zeta(big, b), power, power))
+    matrix = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+                  label="matrix")
+    return OrbifoldRing(default_geometry(n, base), ConventionFlags(twist)), big, u, matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugate_cases())
+def test_solve_of_a_conjugate_matrix_is_the_conjugate_system(case):
+    orb, _, u, matrix = case
+    checker = HomChecker(orb)
+    got = checker.solve(_conjugate_matrix(matrix, u))
+    assert exact_system(got) == exact_system(checker.solve(matrix).galois(u))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugate_cases(), st.data())
+def test_check_reports_the_conjugate_violations(case, data):
+    # check(sigma M, ring at sigma q) reports sigma of each violation of
+    # check(M, ring at q), in the same order, and its det note is sigma of det M
+    orb, big, u, matrix = case
+    n = orb.geom.n
+    values = [data.draw(st.sampled_from((1, -1, Fraction(2))), label="scale")
+              * CycNum.zeta(big, data.draw(st.integers(0, big - 1), label="power"))
+              for _ in range(n)]
+    assume(not QPoint(values).poles())
+    checker = HomChecker(orb)
+    report = checker.check(matrix, QuantumRing(orb.geom, QPoint(values)))
+    conj = checker.check(_conjugate_matrix(matrix, u),
+                         QuantumRing(orb.geom, QPoint([v.galois(u) for v in values])))
+    assert conj.passed == report.passed
+    assert [(pair, comp, exact(diff)) for pair, comp, diff in conj.violations] == [
+        (pair, comp, exact(conjugate(diff, u))) for pair, comp, diff in report.violations]
+    assert conj.notes == {"det": scalar_to_json(conjugate(_row_reduce(matrix, n).det, u))}
+
+
 def test_solve_reports_why_each_candidate_passed_or_failed():
     z3 = CycNum.zeta(3)
     result = solve_a2_symmetric(OrbifoldRing(default_geometry(2)), max_order=1)
@@ -398,7 +532,7 @@ def test_solve_reports_why_each_candidate_passed_or_failed():
     solved = [s for s in systems if s.inconsistent is None]
     failed = [s for s in systems if s.inconsistent is not None]
     assert len(solved) == len(failed) == 2
-    assert {key(s.point[0]) for s in solved} == {key(z3), key(z3.conj())}
+    assert {key(s.point[0]) for s in solved} == {key(z3), key(z3.galois(-1))}
     for s in solved:
         q = s.point[0]
         assert s.point == (q, q)
