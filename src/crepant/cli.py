@@ -3,13 +3,11 @@ deterministic JSON (or aligned text)."""
 
 from __future__ import annotations
 
-import argparse
 import collections
-import contextlib
-import functools
 import json
 import os
 import sys
+import types
 
 from .cartan import CurveClass, cartan_inverse, cartan_matrix, curve_class
 from .geometry import Geometry, _json_object
@@ -34,8 +32,6 @@ from .verify import (
     solve_a2_symmetric,
 )
 
-# options whose values may be signed exact tokens such as -1/2 or -1,2
-SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
 OUTPUTS = ("json", "text")
 # largest `cartan --n`, config `n` and base `dim`: the Cartan matrix and
 # its inverse have n^2 entries each, and a ring's basis has (n + 2)(dim + 1)
@@ -145,19 +141,29 @@ def render(report: dict, output: str) -> str:
     return "\n".join(lines)
 
 
-# options: (flags, keyword arguments) of each add_argument call; config:
-# the command takes --config, and the handler then gets (args, geom, flags)
+# one `--name VALUE` option of a command: whether it must be given, its
+# value when it is not, the values it may take and its help line
+Option = collections.namedtuple("Option", "name required default choices help",
+                                defaults=(False, None, None, None))
+HELP = Option("--help", help="show this help message and exit")
+CONFIG = Option("--config", required=True, help="geometry config JSON file")
+OUTPUT = Option("--output", default="json", choices=OUTPUTS)
+# the options before the command
+TOP_OPTIONS = (HELP, OUTPUT)
+
+# options: every option the command reads, help first and --output last;
+# config: the command takes --config, and the handler then gets (args, geom, flags)
 Command = collections.namedtuple("Command", "help options handler config")
 
 
-# name -> Command, in declaration order: the subparsers, the known-command
-# check in `run` and dispatch all read this one table
+# name -> Command, in declaration order: the parser, the help text, the
+# known-command check in `run` and dispatch all read this one table
 COMMAND_TABLE: dict[str, Command] = {}
 
 
-def option(*flags, **kwargs):
-    """One argparse option of a command, as `add_argument` takes it."""
-    return flags, kwargs
+def option(name: str, **fields) -> Option:
+    """One option of a command: `required`, `default`, `choices`, `help`."""
+    return Option(name, **fields)
 
 
 def command(name: str, help: str, *options, config: bool = True):
@@ -166,41 +172,167 @@ def command(name: str, help: str, *options, config: bool = True):
     its own fields; `run` puts the command name and, for a config command,
     the geometry and conventions ahead of them."""
     def declare(handler):
-        COMMAND_TABLE[name] = Command(help, options, handler, config)
+        COMMAND_TABLE[name] = Command(help, (HELP, *(CONFIG,) * config, *options, OUTPUT),
+                                      handler, config)
         return handler
     return declare
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the command table, built on the first `run`: parsing
-    and printing leave it unchanged (argparse reads sys.stdout, sys.stderr
-    and the terminal width when it prints, not when it builds)."""
-    parser = argparse.ArgumentParser(prog="crepant", add_help=True)
-    parser.add_argument("--output", choices=OUTPUTS, default="json")
-    sub = parser.add_subparsers(dest="command")
-    for name, cmd in COMMAND_TABLE.items():
-        p = sub.add_parser(name, help=cmd.help)
-        if cmd.config:
-            p.add_argument("--config", required=True, help="geometry config JSON file")
-        for flags, kwargs in cmd.options:
-            p.add_argument(*flags, **kwargs)
-        # --output is also accepted after the subcommand; a default there
-        # would overwrite the value given before it
-        p.add_argument("--output", choices=OUTPUTS, default=argparse.SUPPRESS)
-    return parser
+class ArgvExit(Exception):
+    """The command line ends the run before the command: with -h or --help
+    (message None), `run` prints the help of `command` (None: of crepant)
+    and exits 0; after a usage error it prints the usage of `command` and
+    `crepant <command>: error: <message>` to stderr, and exits 2."""
+
+    def __init__(self, command, message=None):
+        self.command, self.message = command, message
 
 
-def _join_signed_values(argv):
-    """Rewrite `--q -1/2` as `--q=-1/2`: argparse reads a token that starts
-    with '-' as an option, never as the value of the option before it."""
-    out = []
-    for tok in argv:
-        if out and out[-1] in SIGNED_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] = f"{out[-1]}={tok}"
+def _dest(opt: Option) -> str:
+    return opt.name[2:].replace("-", "_")
+
+
+def _lookup(token: str, options, command):
+    """(option, text after `=` or None) of a token `--name[=text]`: the
+    option called name, else the one option whose name starts with it;
+    (None, None) when none does."""
+    name, eq, text = token.partition("=")
+    matches = [opt for opt in options if opt.name == name] or [
+        opt for opt in options if opt.name.startswith(name)]
+    if len(matches) > 1:
+        raise ArgvExit(command, f"ambiguous option: {token} could match "
+                                + ", ".join(opt.name for opt in matches))
+    return (matches[0], text if eq else None) if matches else (None, None)
+
+
+def _read_options(argv, start, options, command, given, strays):
+    """Read the options of `argv[start:]` into `given` (option -> value);
+    return the index of the first token that is not an option, where the
+    top level (command None) finds its command, or len(argv).  A spaced
+    value is the next token unless that token starts with `--`; after `=`
+    any text is the value.  An unknown option, or a stray token of a
+    command, goes to `strays`, reported only after the whole line is read,
+    so -h after it still prints help."""
+    # an ambiguous prefix is an error wherever it stands, help or not; no
+    # token after a lone `--` is an option
+    for token in argv[start:]:
+        if token == "--":
+            break
+        if token.startswith("--"):
+            _lookup(token, options, command)
+    i = start
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "-h":
+            raise ArgvExit(command)
+        if token == "--":
+            raise ArgvExit(command, "unrecognized arguments: --")
+        opt, text = _lookup(token, options, command) if token.startswith("--") else (None, None)
+        if opt is None:
+            if command is None and not token.startswith("-"):
+                return i - 1
+            strays.append(token)
+        elif opt is HELP:
+            if text is not None:
+                raise ArgvExit(command, f"argument -h/--help: ignored explicit argument {text!r}")
+            raise ArgvExit(command)
         else:
-            out.append(tok)
-    return out
+            if text is None:
+                if i == len(argv) or argv[i].startswith("--"):
+                    raise ArgvExit(command, f"argument {opt.name}: expected one argument")
+                text = argv[i]
+                i += 1
+            # `--opt=--` is read, and `run` rejects it after the whole line
+            if opt.choices and text != "--" and text not in opt.choices:
+                raise ArgvExit(command, f"argument {opt.name}: invalid choice: {text!r} "
+                                        f"(choose from {', '.join(map(repr, opt.choices))})")
+            given[opt] = text
+    return i
+
+
+def parse_argv(argv) -> types.SimpleNamespace:
+    """`[--output FMT] COMMAND [--opt VALUE | --opt=VALUE | -h | --help]...`
+    as a namespace: `output`, `command`, then one attribute per option of
+    the command (`--max-order` as `max_order`), its default when not given.
+    A later option overrides an earlier one; an option may be shortened to
+    a prefix of its name that no other option of its level shares."""
+    given, strays = {}, []
+    i = _read_options(argv, 0, TOP_OPTIONS, None, given, strays)
+    if i == len(argv):
+        raise ArgvExit(None, "the following arguments are required: command")
+    name = argv[i]
+    cmd = COMMAND_TABLE.get(name)
+    if cmd is None:
+        raise ArgvExit(None, f"argument command: invalid choice: {name!r} "
+                             f"(choose from {', '.join(map(repr, COMMAND_TABLE))})")
+    _read_options(argv, i + 1, cmd.options, name, given, strays)
+    missing = [opt.name for opt in cmd.options if opt.required and opt not in given]
+    if missing:
+        raise ArgvExit(name, f"the following arguments are required: {', '.join(missing)}")
+    if strays:
+        raise ArgvExit(name, f"unrecognized arguments: {' '.join(strays)}")
+    return types.SimpleNamespace(output=given.get(OUTPUT, OUTPUT.default), command=name, **{
+        _dest(opt): given.get(opt, opt.default) for opt in cmd.options[1:-1]})
+
+
+# the help layout argparse gives an 80-column terminal: lines of at most
+# WIDTH characters, help text from column HELP_COLUMN
+WIDTH = 78
+HELP_COLUMN = 24
+
+
+def _metavar(opt: Option) -> str:
+    return "{" + ",".join(opt.choices) + "}" if opt.choices else _dest(opt).upper()
+
+
+def _options(command):
+    return TOP_OPTIONS if command is None else COMMAND_TABLE[command].options
+
+
+def _usage(command) -> str:
+    """The usage line of `command` (None: of crepant), wrapped after the
+    program name's indent where it is longer than WIDTH."""
+    prog = "crepant" if command is None else f"crepant {command}"
+    parts = [("-h" if opt is HELP else f"{opt.name} {_metavar(opt)}", opt.required)
+             for opt in _options(command)]
+    parts = [part if required else f"[{part}]" for part, required in parts]
+    # the command list and "...", each on a line of its own when wrapped:
+    # the list alone is wider than WIDTH
+    tail = [] if command else ["{" + ",".join(COMMAND_TABLE) + "}", "..."]
+    lines = [" ".join(["usage:", prog, *parts, *tail])]
+    if len(lines[0]) > WIDTH:
+        indent = " " * len(f"usage: {prog} ")
+        lines = [f"usage: {prog}"]
+        for part in parts:
+            if len(lines[-1]) + 1 + len(part) > WIDTH:
+                lines.append(indent + part)
+            else:
+                lines[-1] += " " + part
+        lines += [indent + part for part in tail]
+    return "\n".join(lines) + "\n"
+
+
+def _help_entry(invocation: str, text) -> str:
+    if not text:
+        return invocation + "\n"
+    if len(invocation) <= HELP_COLUMN - 2:
+        return invocation.ljust(HELP_COLUMN) + text + "\n"
+    return invocation + "\n" + " " * HELP_COLUMN + text + "\n"
+
+
+def _help(command) -> str:
+    """The help of `command` (None: of crepant, with the command list)."""
+    out = [_usage(command), "\n"]
+    if command is None:
+        out.append("positional arguments:\n  {" + ",".join(COMMAND_TABLE) + "}\n")
+        out += [_help_entry(f"    {name}", cmd.help) for name, cmd in COMMAND_TABLE.items()]
+        out.append("\n")
+    out.append("options:\n")
+    for opt in _options(command):
+        invocation = "-h, --help" if opt is HELP else f"{opt.name} {_metavar(opt)}"
+        out.append(_help_entry(f"  {invocation}", opt.help))
+    return "".join(out)
 
 
 def _ee_table(ring) -> dict:
@@ -370,27 +502,27 @@ def cmd_age(args) -> dict:
 
 def run(argv, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    parser = build_parser()
-    # unknown subcommand: usage text and exit 1 (argparse would use 2)
+    # unknown subcommand: usage text on stdout and exit 1
     if not any(a in COMMAND_TABLE for a in argv):
         if "-h" in argv or "--help" in argv:
-            parser.print_help(stdout)
+            stdout.write(_help(None))
             return 0
-        parser.print_usage(stdout)
+        stdout.write(_usage(None))
         return 1
     try:
-        # argparse prints help to sys.stdout and exits 0 after it, or 2
-        # after a usage error
-        with contextlib.redirect_stdout(stdout):
-            args = parser.parse_args(_join_signed_values(argv))
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
+        args = parse_argv(argv)
+    except ArgvExit as exc:
+        if exc.message is None:
+            stdout.write(_help(exc.command))
+            return 0
+        prog = "crepant" if exc.command is None else f"crepant {exc.command}"
+        sys.stderr.write(f"{_usage(exc.command)}{prog}: error: {exc.message}\n")
+        return 2
     cmd = COMMAND_TABLE[args.command]
     report = {"command": args.command}
     try:
-        # argparse 3.10 and 3.11 read the value of `--n=--` as an empty list
         for dest, value in vars(args).items():
-            if value == []:
+            if value == "--":
                 raise ValueError(f"--{dest.replace('_', '-')}: '--' is not a value")
         conductor_cap()
         context = ()

@@ -144,8 +144,8 @@ def cyclic_table(m: int) -> CharacterTable:
     """Z_m embedded in SU(2) as diag(zeta, zeta^-1); characters chi_j(g^k) =
     zeta^(jk).  Q = chi_1 + chi_(m-1) is reducible: zeta^k + zeta^-k on g^k
     (twice the trivial character for m = 1)."""
-    values = tuple(tuple(CycNum.zeta(m, (j * k) % m) if m > 1 else Fraction(1)
-                         for k in range(m)) for j in range(m))
+    roots = [CycNum.zeta(m, k) for k in range(m)] if m > 1 else [Fraction(1)]
+    values = tuple(tuple(roots[(j * k) % m] for k in range(m)) for j in range(m))
     return CharacterTable(
         group=GroupSpec("A", m - 1),
         class_sizes=(1,) * m,
@@ -160,10 +160,9 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     spec = GroupSpec("D", n)
     m = n - 2  # a has order 2m
     linear = _bd_linear_characters(m)
-    z = lambda k: CycNum.zeta(2 * m, k % (2 * m))
-    # the conductor cap, after the zeta_4 of the linear characters, before
-    # any list of size m
-    z(0)
+    # the first root checks the conductor cap, after the zeta_4 of the
+    # linear characters, before any other list of size m
+    roots = [CycNum.zeta(2 * m, k) for k in range(2 * m)]
     # classes: 1, a^m, {a^k, a^-k} for k=1..m-1, x-coset evens, x-coset odds
     class_sizes = (1, 1) + (2,) * (m - 1) + (m, m)
     class_orders = tuple(
@@ -184,7 +183,7 @@ def binary_dihedral_table(n: int) -> CharacterTable:
     for j in range(1, m):
         row = [Fraction(2), 2 * Fraction(-1) ** j]
         for k in range(1, m):
-            row.append(z(j * k) + z(-j * k))
+            row.append(roots[j * k % (2 * m)] + roots[-j * k % (2 * m)])
         row += [Fraction(0), Fraction(0)]
         rows.append(tuple(row))
     return CharacterTable(group=spec, class_sizes=class_sizes,

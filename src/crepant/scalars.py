@@ -53,25 +53,43 @@ def conductor_cap() -> int:
     return cap
 
 
+def _mobius(m: int) -> int:
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+    """Coefficients of the n-th cyclotomic polynomial, low degree first:
+    the product of (x^d - 1)^mu(n/d) over the divisors d of n.  The factors
+    with mu = +1 are multiplied out, then each one with mu = -1 divides the
+    product exactly, by synthetic division on integers."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    # x^n - 1 divided by the product of all lower cyclotomic polynomials,
-    # all monic, so the long division stays on integers
-    rest = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
+    poly, divisors = [1], []
+    for d in range(1, n + 1):
         if n % d == 0:
-            div = cyclotomic_polynomial(d)
-            quot = [0] * (len(rest) - len(div) + 1)
-            for i in range(len(quot) - 1, -1, -1):
-                quot[i] = c = rest[i + len(div) - 1]
-                for j, v in enumerate(div):
-                    rest[i + j] -= c * v
-            assert not any(rest)
-            rest = quot
-    return tuple(rest)
+            mu = _mobius(n // d)
+            if mu == 1:
+                poly = [0] * d + poly
+                for i, c in enumerate(poly[d:]):
+                    poly[i] -= c
+            elif mu == -1:
+                divisors.append(d)
+    for d in divisors:
+        # poly = quot (x^d - 1): quot_j = poly_(j+d) + quot_(j+d), from the top
+        quot = poly[d:]
+        for j in range(len(quot) - 1 - d, -1, -1):
+            quot[j] += quot[j + d]
+        poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,10 @@ None of these is on a computation path of the package: each is an
 independent route to a value the package computes another way.
 """
 
+import argparse
 import cmath
+import contextlib
+import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -12,6 +15,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import add
 
+from crepant import cli
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
 from crepant.geometry import SectorRing, sum_rows
 from crepant.orbifold import obstruction_class
@@ -208,6 +212,25 @@ def em(geom):
     if geom.m is None:
         raise ValueError("m is undefined for n = 1")
     return h_power(geom.base, 1, geom.m)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int):
+    """Phi_n, low degree first, as x^n - 1 long-divided by every Phi_d for
+    the proper divisors d of n, all monic, so the division stays on
+    integers."""
+    rest = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            div = cyclotomic_by_division(d)
+            quot = [0] * (len(rest) - len(div) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c = rest[i + len(div) - 1]
+                for j, v in enumerate(div):
+                    rest[i + j] -= c * v
+            assert not any(rest)
+            rest = quot
+    return tuple(rest)
 
 
 def reduce_mod_cyclotomic(coeffs, n):
@@ -1199,3 +1222,81 @@ def pairing_by_gram(ring):
     return {"nondegenerate": not scalar_is_zero(det),
             "gram_det": scalar_to_json(det),
             "rank": len(basis)}
+
+
+# -- the argparse command line the table parser replaced -----------------
+
+# options whose values may be signed exact tokens such as -1/2 or -1,2
+SIGNED_OPTIONS = ("--q", "--scalar", "--exponents")
+
+
+@lru_cache(maxsize=None)
+def argparse_parser():
+    """The argparse parser of `cli.COMMAND_TABLE`, built as the CLI built
+    it: one subparser per command with its options, --output before or
+    after the command."""
+    parser = argparse.ArgumentParser(prog="crepant", add_help=True)
+    parser.add_argument("--output", choices=cli.OUTPUTS, default="json")
+    sub = parser.add_subparsers(dest="command")
+    for name, cmd in cli.COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for opt in cmd.options[1:-1]:  # after -h, before --output
+            p.add_argument(opt.name, required=opt.required, default=opt.default,
+                           choices=opt.choices, help=opt.help)
+        # a default here would overwrite the value given before the command
+        p.add_argument("--output", choices=cli.OUTPUTS, default=argparse.SUPPRESS)
+    return parser
+
+
+def _join_signed_values(argv):
+    """Rewrite `--q -1/2` as `--q=-1/2`: argparse reads a token that starts
+    with '-' as an option, never as the value of the option before it."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in SIGNED_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def argparse_run(argv, stdout) -> int:
+    """`cli.run` with argv read by `argparse_parser`: help and usage as
+    argparse prints them, exit 1 for an unknown command, 2 after a usage
+    error, and the same handlers, JSON errors and output after a parse."""
+    parser = argparse_parser()
+    if not any(a in cli.COMMAND_TABLE for a in argv):
+        if "-h" in argv or "--help" in argv:
+            parser.print_help(stdout)
+            return 0
+        parser.print_usage(stdout)
+        return 1
+    try:
+        with contextlib.redirect_stdout(stdout):
+            args = parser.parse_args(_join_signed_values(argv))
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2
+    cmd = cli.COMMAND_TABLE[args.command]
+    report = {"command": args.command}
+    try:
+        # argparse 3.10 and 3.11 read the value of `--n=--` as an empty list
+        for dest, value in vars(args).items():
+            if value == []:
+                raise ValueError(f"--{dest.replace('_', '-')}: '--' is not a value")
+        conductor_cap()
+        context = ()
+        if cmd.config:
+            geom, flags = cli.load_config(args.config)
+            report["geometry"] = geom.to_json()
+            report["conventions"] = cli.conventions_block(geom, flags)
+            context = (geom, flags)
+        report.update(cmd.handler(args, *context))
+    except PoleError as exc:
+        print(json.dumps({"error": "pole", "span": list(exc.span),
+                          "detail": str(exc)}), file=stdout)
+        return 3
+    except ValueError as exc:
+        print(json.dumps({"error": str(exc)}), file=stdout)
+        return 2
+    print(cli.render(report, args.output), file=stdout)
+    return 0

@@ -1,15 +1,16 @@
-import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from crepant import cli, mckay
 from crepant.cli import run
 from crepant.orbifold import OrbifoldRing
@@ -311,23 +312,25 @@ def test_mckay_group_label_spellings():
     assert (code, json.loads(text)["error"]) == (2, "cannot parse group label 'A٣'")
 
 
-def test_later_runs_build_no_parser(monkeypatch):
-    calls = []
-    add_argument = argparse.ArgumentParser.add_argument
+def _fresh_interpreter(code):
+    """(exit code, stdout, stderr) of `code` under `python -S`, where no site
+    hook can import a module first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return add_argument(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-    cli.build_parser.cache_clear()
-    assert invoke(CARTAN)[0] == 0
-    assert calls
-    calls.clear()
-    for argv in (CARTAN, AGE, ["--help"], ["cartan", "--help"], ["no-such-command"],
-                 ["cartan"], ["mckay", "--group", "A2"]):
-        invoke(argv)
-    assert calls == []
+def test_no_run_loads_argparse_or_gettext():
+    # help, usage, a usage error and a command all read argv off the table
+    argvs = [CARTAN, AGE, ["--help"], ["cartan", "--help"], ["no-such-command"], ["cartan"],
+             ["mckay", "--group", "A2"]]
+    code = ("import contextlib, io, sys; from crepant.cli import run\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        print(run(argv, stdout=io.StringIO()))\n"
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    assert _fresh_interpreter(code) == (0, "0\n0\n0\n0\n1\n2\n0\n[]\n", "")
 
 
 def test_mckay_command_builds_the_graph_once(monkeypatch):
@@ -675,13 +678,10 @@ def test_closed_stdout_exits_0_without_a_traceback():
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
-    # -S: no site hook may import these first; each adds to every command's start-up
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, crepant.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    # each adds to every command's start-up; argparse also brings gettext
+    code = ("import sys, crepant.cli; print(sorted({'argparse', 'dataclasses', 'gettext', "
+            "'inspect', 'typing'} & set(sys.modules)))")
+    assert _fresh_interpreter(code) == (0, "[]\n", "")
 
 
 def _near_tokens(alphabet, max_size):
@@ -848,7 +848,7 @@ def test_every_config_class_spelling_gives_the_canonical_answer(tmp_path_factory
     ["--output=--", "cartan", "--n", "2"],
 ], ids=["group", "n", "config", "ring", "output"])
 def test_double_dash_as_a_value_exits_2(argv):
-    # argparse reads `--n=--` as an empty list, which no handler can take
+    # after `=` any text is the value, but no handler can take `--`
     code, text = invoke(argv)
     assert code == 2
     assert json.loads(text)["error"].endswith("'--' is not a value")
@@ -874,3 +874,183 @@ def test_json_writer_matches_json_dumps(value):
     # tuples and int keys go the way json.dumps takes them
     assert cli.render(value, "json") == json.dumps(value, indent=2)
     assert cli.render({"report": value}, "json") == json.dumps({"report": value}, indent=2)
+
+
+# -- the table parser against the argparse path it replaced -------------------
+
+# argparse reads a token that starts with `-` as an option unless it is `-`,
+# a negative number (this pattern, argparse's own) or holds a space
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _spaced_alike(spelling, value):
+    """Whether the token `value` after the option token `spelling` is read
+    alike on both paths: as its value, or as no value.  The table parser
+    takes any token that does not start with `--`.  The argparse path took
+    a token that argparse reads as an argument, and a single-dash token
+    after --q, --scalar or --exponents spelt out, which it joined to them;
+    elsewhere `--n -x` was a usage error, and `--n "--x y"` the value."""
+    if value.startswith("--"):
+        return " " not in value
+    return (not value.startswith("-") or value == "-" or bool(NEGATIVE_NUMBER.match(value))
+            or spelling in reference.SIGNED_OPTIONS)
+
+
+# one line per command whose every value is valid: the options drawn from
+# it reach the handlers often, and the paths' stdout is compared there
+BASE_LINES = {
+    "orb-table": {"--config": A1},
+    "res-table": {"--config": A2},
+    "gw": {"--config": A2, "--span": "1,2", "--insert": "E1,E2,E2"},
+    "qc-table": {"--config": A2, "--q": "zeta3"},
+    "verify-a1": {"--config": A1, "--q": "-1", "--scalar": "i/2"},
+    "solve-a2": {"--config": A2, "--max-order": "2"},
+    "check-assoc": {"--config": A1, "--ring": "quantum", "--q": "-1/2"},
+    "reconcile-6-2": {},
+    "mckay": {"--group": "A2"},
+    "cartan": {"--n": "2"},
+    "age": {"--order": "3", "--exponents": "-1,2"},
+}
+# signed, empty and `--` values, for any option: none names a file, and no
+# config path starts with `-`
+ANY_VALUES = st.sampled_from(
+    ["", "--", "-", "-1", "-1/2", "-1,2", "-i/2", "-x", "0", "1", "zeta3"])
+VALUES = {
+    "--config": st.sampled_from([A1, A2, A2_POINT, "/no/such/config.json"]),
+    "--ring": st.sampled_from(["orb", "classical", "quantum", "ring"]),
+    "--output": st.sampled_from(["json", "text", "xml"]),
+    **{option: pool for option, (_, _, pool) in FUZZED_OPTIONS.items()},
+}
+VALUES["--q"] |= st.sampled_from(["1", "-1,-1"])  # poles
+STRAYS = ["foo", "1", "", "a b", "cartan", "--", "-", "-5", "-x", "-1/2", "E1"]
+UNKNOWN_OPTIONS = ["--bogus", "--bogus=1", "--nope=-1/2", "--=x"]
+
+
+def _prefixes(options):
+    """(unique, ambiguous): each option's name and its prefixes that no
+    other option shares, and the prefixes of two or more options."""
+    names = [opt.name for opt in options]
+    prefixes = {name[:k] for name in names for k in range(3, len(name) + 1)}
+    sharing = {p: [name for name in names if name.startswith(p)] for p in prefixes}
+    unique = {name: [p for p in sorted(prefixes) if sharing[p] == [name] or p == name]
+              for name in names}
+    return unique, sorted(p for p, matches in sharing.items() if len(matches) > 1)
+
+
+@st.composite
+def _option_unit(draw, spellings, name, value):
+    """An option as `--opt=VALUE`, `--opt VALUE` or `--opt` alone, under one
+    of its spellings, with its value or a drawn one."""
+    spelling = draw(st.sampled_from(spellings[name]))
+    if draw(st.sampled_from([False, False, True])):
+        value = draw(VALUES.get(name, ANY_VALUES) | ANY_VALUES)
+    style = draw(st.sampled_from(["=", " ", "=", " ", "alone"]))
+    if style == "alone":
+        return [spelling], spelling
+    if style == " " and _spaced_alike(spelling, value):
+        return [spelling, value], None
+    return [f"{spelling}={value}"], None
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, spellings of the options left without a value): a command,
+    or an unknown one, with its base line respelt, restyled, revalued,
+    repeated, shuffled or left out, among help, --output, unknown options,
+    ambiguous prefixes and stray tokens, and --output and help before the
+    command too."""
+    name = draw(st.sampled_from(sorted(BASE_LINES)))
+    unique, ambiguous = _prefixes(cli.COMMAND_TABLE[name].options)
+    top_unique, _ = _prefixes((cli.HELP, cli.OUTPUT))
+    extras = _option_unit(unique, "--output", "text") | st.sampled_from(
+        ["-h", "--help", "--he", *STRAYS, *UNKNOWN_OPTIONS, *ambiguous,
+         "--n=2", "--group=A2", "--q=zeta3", f"--config={A1}"]).map(lambda tok: ([tok], None))
+    units = [draw(_option_unit(unique, opt, value)) if isinstance(unit, list) else unit
+             for opt, value in BASE_LINES[name].items()
+             for unit in [[]] * draw(st.sampled_from([1, 1, 1, 0, 2]))]
+    units += draw(st.lists(extras, max_size=3))
+    units = draw(st.permutations(units))
+    # before the command: --output, help, unknown options and tokens without `-`
+    top = draw(st.lists(st.one_of(
+        _option_unit(top_unique, "--output", "json"),
+        st.sampled_from([["-h"], ["--help"], ["--bogus"], ["--=x"], ["foo"], [""], ["--"]])
+        .map(lambda tokens: (tokens, None))), max_size=2))
+    command = draw(st.sampled_from([name, name, name, "no-such-command"]))
+    argv, alone = [], []
+    for tokens, spelling in [*top, ([command], None), *units]:
+        if alone:
+            assume(_spaced_alike(alone[-1], tokens[0]))
+            alone.pop()
+        argv += tokens
+        if spelling:
+            alone.append(spelling)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_command_lines())
+def test_table_parser_answers_as_the_argparse_path(argv):
+    # the exit code of the argparse path for every line, and its stdout
+    # where it printed any: help, usage, a report, a pole or a JSON error
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()):
+        mp.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+        parent = io.StringIO()
+        code = reference.argparse_run(argv, parent)
+        expected = parent.getvalue()
+        got = invoke(argv)
+    assert got[0] == code, argv
+    if code != 2 or expected:
+        assert got[1] == expected, argv
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["verify-a1", "--config", A1, "--q", "-1", "--sc", "-i/2"],
+     ["verify-a1", "--config", A1, "--q", "-1", "--scalar=-i/2"]),
+    (["age", "--order", "3", "--exp", "-1,2"], ["age", "--order", "3", "--exponents=-1,2"]),
+    (["cartan", "--n", "-h"], ["cartan", "--n=-h"]),
+], ids=["scalar-prefix", "exponents-prefix", "dash-h"])
+def test_a_spaced_value_is_any_token_not_starting_with_two_dashes(spaced, joined):
+    # a shortened option takes a signed value after a space too, and -h
+    # after an option is its value (argparse read both as options)
+    assert invoke(spaced) == invoke(joined)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["age", "--o", "3", "--exponents", "1"],
+     "ambiguous option: --o could match --order, --output"),
+    (["age", "-h", "--o=3"], "ambiguous option: --o=3 could match --order, --output"),
+    (["cartan", "--n"], "argument --n: expected one argument"),
+    (["cartan", "--n", "--", "2"], "argument --n: expected one argument"),
+    (["cartan", "--n", "2", "--"], "unrecognized arguments: --"),
+    (["cartan", "--n", "2", "-", "x"], "unrecognized arguments: - x"),
+    (["cartan", "--n", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["check-assoc", "--config", A2, "--ring", "ring", "-h"],
+     "argument --ring: invalid choice: 'ring' (choose from 'orb', 'classical', 'quantum')"),
+    (["cartan", "--he=1"], "argument -h/--help: ignored explicit argument '1'"),
+    (["--output", "xml", "cartan", "--n", "2"],
+     "argument --output: invalid choice: 'xml' (choose from 'json', 'text')"),
+    (["qc-table", "--config", A2], "the following arguments are required: --q"),
+], ids=["ambiguous", "ambiguous-before-help", "missing-value", "double-dash-value",
+        "double-dash", "dash", "unknown", "choice-before-help", "help-value", "top-output",
+        "required"])
+def test_a_usage_error_names_the_option_on_stderr(argv, message):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke(argv)
+    prog = "crepant" if argv[0].startswith("-") else f"crepant {argv[0]}"
+    assert (code, text) == (2, "")
+    assert err.getvalue().startswith("usage: ")
+    assert err.getvalue().endswith(f"\n{prog}: error: {message}\n")
+
+
+def test_help_wins_over_a_later_error_and_an_unknown_option():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        results = [invoke(argv) for argv in (["cartan", "--bogus", "x", "-h", "--n"],
+                                             ["cartan", "--n", "2", "--help=1", "--help"],
+                                             ["-h", "cartan", "--=x"])]
+    assert [code for code, _ in results] == [0, 2, 2]
+    assert results[0][1].startswith("usage: crepant cartan [-h] --n N")
+    # a later option overrides an earlier one, --output on either side
+    assert invoke(["--output", "json", "cartan", "--n=1", "--output", "text", "--n", "2"]) == \
+        invoke(["--output", "text", "cartan", "--n", "2"])

@@ -18,7 +18,6 @@ import os
 
 import pytest
 
-from crepant import cli
 from crepant.cli import run
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -166,23 +165,17 @@ def _captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-# help, usage and a usage error: the paths where argparse itself prints
-ARGPARSE_PATHS = [["--help"], ["no-such-command"], ["qc-table", "--config", _cfg("a2_p1")]]
+# help, usage and a usage error: the paths where the parser itself prints
+PARSER_PATHS = [["--help"], ["no-such-command"], ["qc-table", "--config", _cfg("a2_p1")]]
 
 
-def test_one_parser_serves_every_run(monkeypatch):
-    # `run` builds its parser once per process; printing help, usage and a
-    # usage error through it must leave every later answer as a fresh parser
-    # gives it
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
-    fresh = []
-    for argv in ARGPARSE_PATHS:
-        cli.build_parser.cache_clear()
-        fresh.append(_captured(argv))
-    assert [code for code, _, _ in fresh] == [0, 1, 2]
-    assert "--q" in fresh[2][2]
-    cli.build_parser.cache_clear()
-    assert [_captured(argv) for argv in ARGPARSE_PATHS] == fresh
+def test_one_parser_serves_every_run():
+    # printing help, usage and a usage error must leave every later answer
+    # as the first run in the process gives it
+    first = [_captured(argv) for argv in PARSER_PATHS]
+    assert [code for code, _, _ in first] == [0, 1, 2]
+    assert "--q" in first[2][2]
+    assert [_captured(argv) for argv in PARSER_PATHS] == first
     golden = ([(_argv(case), digest) for case, digest in GOLDEN]
               + [(["mckay", "--group", group], digest) for group, digest in MCKAY_GOLDEN]
               + [(["--output", output, "reconcile-6-2"], digest)

@@ -21,8 +21,8 @@ from crepant.scalars import (
     parse_scalar,
     scalar_to_json,
 )
-from reference import (FractionCycNum, cycnum_from_json, dot, exact, minimal,
-                       reduce_mod_cyclotomic, to_complex)
+from reference import (FractionCycNum, cyclotomic_by_division, cycnum_from_json, dot, exact,
+                       minimal, reduce_mod_cyclotomic, to_complex)
 
 
 def test_cyclotomic_polynomials():
@@ -33,6 +33,15 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert euler_phi(120) == 32
+
+
+def test_cyclotomic_polynomial_matches_the_long_division():
+    # the Moebius product of (x^d - 1)^mu(N/d) against x^N - 1 divided by
+    # every lower Phi_d
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == cyclotomic_by_division(n), n
+    with pytest.raises(ValueError, match="conductor must be >= 1"):
+        cyclotomic_polynomial(0)
 
 
 def test_basic_identities():
