@@ -19,7 +19,7 @@ from .geometry import (
 )
 from .gw import gw_invariant
 from .mckay import GroupSpec, ade_equation, character_table, mckay_graph, resolution_graph
-from .orbifold import ConventionFlags, OrbifoldRing, age, obstruction_class
+from .orbifold import ConventionFlags, OrbifoldRing, age
 from .quantum import PoleError, QPoint, QSeries, QuantumRing
 from .resolution import ResolutionRing
 from .scalars import CycNum, parse_scalar

@@ -188,6 +188,11 @@ class ArgvExit(Exception):
         self.command, self.message = command, message
 
 
+class UnknownCommand(Exception):
+    """The command slot, the first token that is not a top-level option,
+    holds no command's name: `run` prints the usage to stdout and exits 1."""
+
+
 def _dest(opt: Option) -> str:
     return opt.name[2:].replace("-", "_")
 
@@ -256,7 +261,8 @@ def parse_argv(argv) -> types.SimpleNamespace:
     as a namespace: `output`, `command`, then one attribute per option of
     the command (`--max-order` as `max_order`), its default when not given.
     A later option overrides an earlier one; an option may be shortened to
-    a prefix of its name that no other option of its level shares."""
+    a prefix of its name that no other option of its level shares.  A name
+    in the command slot that is no command's raises `UnknownCommand`."""
     given, strays = {}, []
     i = _read_options(argv, 0, TOP_OPTIONS, None, given, strays)
     if i == len(argv):
@@ -264,8 +270,7 @@ def parse_argv(argv) -> types.SimpleNamespace:
     name = argv[i]
     cmd = COMMAND_TABLE.get(name)
     if cmd is None:
-        raise ArgvExit(None, f"argument command: invalid choice: {name!r} "
-                             f"(choose from {', '.join(map(repr, COMMAND_TABLE))})")
+        raise UnknownCommand(name)
     _read_options(argv, i + 1, cmd.options, name, given, strays)
     missing = [opt.name for opt in cmd.options if opt.required and opt not in given]
     if missing:
@@ -502,7 +507,8 @@ def cmd_age(args) -> dict:
 
 def run(argv, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    # unknown subcommand: usage text on stdout and exit 1
+    # no command name on the line, or (below) an unknown name in its
+    # command slot: usage text on stdout and exit 1
     if not any(a in COMMAND_TABLE for a in argv):
         if "-h" in argv or "--help" in argv:
             stdout.write(_help(None))
@@ -511,6 +517,9 @@ def run(argv, stdout=None) -> int:
         return 1
     try:
         args = parse_argv(argv)
+    except UnknownCommand:
+        stdout.write(_usage(None))
+        return 1
     except ArgvExit as exc:
         if exc.message is None:
             stdout.write(_help(exc.command))

@@ -2,9 +2,9 @@
 
 The underlying space is Y (square-zero model over the base S); there are n
 twisted sectors e_1..e_n, each a copy of H*(S) shifted up by the age 2.
-The product follows the five-case structure: untwisted times untwisted,
-untwisted times twisted, inverse twists landing in the pushforward, and the
-two obstruction-bundle cases picking up the degree-2 classes l and m.
+The untwisted classes act on a sector by restriction, and the product of
+two twisted sectors is read off the ages of the global-quotient
+obstruction bundle (`OrbifoldRing._compute_ee`).
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ TWIST_SELF_CHOICES = ("1", "-1", "1/(n+1)", "-1/(n+1)")
 class ConventionFlags(namedtuple("ConventionFlags", "twist_self", defaults=("-1/(n+1)",))):
     """Normalization conventions for the orbifold product.
 
-    twist_self fixes the sign/scale of the obstruction term in the product
-    of two twisted classes whose twists do not cancel.  The default
-    -1/(n+1) is the choice consistent with the crepant resolution match.
+    twist_self is the scale t of the Euler class of the obstruction bundle
+    in the product of two twisted classes whose twists do not cancel.  It is
+    a convention: the paper does not derive it.  The default -1/(n+1) is
+    the choice consistent with the crepant resolution match.
     """
 
     __slots__ = ()
@@ -48,22 +49,7 @@ class ConventionFlags(namedtuple("ConventionFlags", "twist_self", defaults=("-1/
 def age(order: int, exponents) -> Fraction:
     """Age of the diagonal group element zeta_order^k acting with the given
     exponents: sum of the fractional parts k_i/order."""
-    total = Fraction(0)
-    for k in exponents:
-        total += Fraction(k % order, order)
-    return total
-
-
-def obstruction_class(n: int, a1: int, a2: int):
-    """Which degree-2 class enters e_{a1} * e_{a2}: 'ell' below the wrap,
-    'em' above it, None when the twists cancel."""
-    for a in (a1, a2):
-        if not 1 <= a <= n:
-            raise ValueError(f"sector index out of range: {a}")
-    s = a1 + a2
-    if s == n + 1:
-        return None
-    return "ell" if s < n + 1 else "em"
+    return Fraction(sum(k % order for k in exponents), order)
 
 
 class OrbifoldRing(SectorRing):
@@ -78,15 +64,16 @@ class OrbifoldRing(SectorRing):
         self.t = self.flags.twist_self_value(geom.n)
 
     def _compute_ee(self, i: int, j: int) -> dict:
-        """Inverse twists land in the pushforward with the 1/(n+1) gerbe
-        factor; otherwise the obstruction class, scaled by t, sits in the
-        sector i + j mod n+1.  As a sparse row: 1/(n+1) at sigma (index
-        rank), or t l or t m at h^1 of that sector (index
-        ((i + j) mod (n+1) + 1) rank + 1), nothing over a point or where
-        that class is 0."""
-        rank, n = self.geom.base.rank, self.geom.n
-        obstruction = obstruction_class(n, i, j)
-        if obstruction is None:
-            return {rank: Fraction(1, n + 1)}
-        alpha = self.geom.l if obstruction == "ell" else self.geom.m
-        return {((i + j) % (n + 1) + 1) * rank + 1: self.t * alpha} if rank > 1 and alpha else {}
+        """e_i e_j for the twists g = zeta_N^i, h = zeta_N^j, N = n+1, on the
+        normal lines of weight -1 (class l) and +1 (class m).  Inverse twists
+        land in the pushforward: 1/N at sigma (index rank).  Otherwise a line
+        enters Ob(g, h) with exponent age(g) + age(h) + age((gh)^-1) - 1,
+        which is 1 on the l line where its ages sum to 2 and else on the m
+        line; t times that class sits at h^1 of sector s = i + j mod N (index
+        (s + 1) rank + 1), nothing over a point or where the class is 0."""
+        rank, order = self.geom.base.rank, self.geom.n + 1
+        s = (i + j) % order
+        if s == 0:
+            return {rank: Fraction(1, order)}
+        alpha = self.geom.l if age(order, (-i, -j, i + j)) == 2 else self.geom.m
+        return {(s + 1) * rank + 1: self.t * alpha} if rank > 1 and alpha else {}

@@ -18,7 +18,7 @@ from operator import add
 from crepant import cli
 from crepant.cartan import cartan_inverse_entry, cartan_matrix, curve_class, span_weights
 from crepant.geometry import SectorRing, sum_rows
-from crepant.orbifold import obstruction_class
+from crepant.gw import gw_invariant
 from crepant.quantum import (
     PoleError,
     QPoint,
@@ -511,11 +511,12 @@ def surface_table(n: int):
     return table
 
 
-def cartan_inverse_by_elimination(n: int):
-    """Independent computation of c_n^-1 by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in cartan_matrix(n)]
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(m)]
+def inverse_by_elimination(matrix):
+    """The inverse of an invertible square matrix of rationals, by exact
+    Gauss-Jordan elimination."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(matrix)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -526,6 +527,11 @@ def cartan_inverse_by_elimination(n: int):
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def cartan_inverse_by_elimination(n: int):
+    """Independent computation of c_n^-1 by exact Gaussian elimination."""
+    return inverse_by_elimination(cartan_matrix(n))
 
 
 def alpha_vector_coefficients(n: int, i: int, j: int):
@@ -936,6 +942,18 @@ def quantum_ee_by_coords(geom, q, i, j):
     return from_coords(geom, (zero(geom.base), one(geom.base).scale(sigma), *exc))
 
 
+def obstruction_class(n: int, a1: int, a2: int):
+    """Which degree-2 class enters e_{a1} * e_{a2}: 'ell' below the wrap,
+    'em' above it, None when the twists cancel."""
+    for a in (a1, a2):
+        if not 1 <= a <= n:
+            raise ValueError(f"sector index out of range: {a}")
+    s = a1 + a2
+    if s == n + 1:
+        return None
+    return "ell" if s < n + 1 else "em"
+
+
 def orbifold_ee_by_coords(ring, i, j):
     """g_i g_j of `OrbifoldRing` through H*(S) classes: 1/(n+1) sigma
     for inverse twists, else t l or t m in the sector i + j mod n+1."""
@@ -1212,6 +1230,33 @@ def gram_all_pairs(ring):
             for i in range(ring.size)]
 
 
+def quantum_products_by_gw(geom, q):
+    """{(i, j): b_i b_j} of the quantum ring at q, i <= j, by the small
+    quantum product's definition: the classical product plus
+    sum_beta delta_beta sum_{a,b} <b_i, b_j, b_a>_beta (G^-1)_ab b_b over the
+    spans beta, with G the classical Gram matrix (`gram_all_pairs`) and
+    <...>_beta `gw_invariant` on beta.  Rows keep only nonzero entries."""
+    classical = ResolutionRing(geom)
+    size, deltas = classical.size, q.deltas()
+    g_inv = inverse_by_elimination(gram_all_pairs(classical))
+    basis = [{a: Fraction(1)} for a in range(size)]
+    spans = [(curve_class(geom.n, r, s), deltas[(r, s)]) for r, s in all_spans(geom.n)]
+    out = {}
+    for i in range(size):
+        for j in range(i, size):
+            row = dict(classical.product(i, j))
+            for a in range(size):
+                v = sum((gw_invariant(geom, beta, [basis[i], basis[j], basis[a]]) * delta
+                         for beta, delta in spans), Fraction(0))
+                if scalar_is_zero(v):
+                    continue
+                for b in range(size):
+                    if g_inv[a][b]:
+                        row[b] = row.get(b, ZERO) + v * g_inv[a][b]
+            out[(i, j)] = {b: c for b, c in row.items() if not scalar_is_zero(c)}
+    return out
+
+
 def pairing_by_gram(ring):
     """`verify.check_pairing_nondegenerate` with every Gram entry the
     integral of a `mul_by_generators` product, over all ordered basis
@@ -1260,15 +1305,43 @@ def _join_signed_values(argv):
     return out
 
 
+def command_slot(argv):
+    """The token in the command slot of argv, the first token that is not a
+    top-level option or `--output`'s spaced value; None where the top level
+    stops first: at help, a lone `--`, a bad or missing `--output` value or
+    a token `--=...`, a prefix of both top-level options, before any `--`."""
+    if any(tok.startswith("--=") for tok in (argv[:argv.index("--")] if "--" in argv else argv)):
+        return None
+    tokens = iter(argv)
+    for tok in tokens:
+        name, eq, value = tok.partition("=")
+        if tok in ("-h", "--") or (tok.startswith("--") and "--help".startswith(name)):
+            return None
+        if tok.startswith("--") and "--output".startswith(name):
+            if not eq:
+                value = next(tokens, "--")
+                if value.startswith("--"):
+                    return None
+            if value not in (*cli.OUTPUTS, "--"):
+                return None
+        elif not tok.startswith("-"):
+            return tok
+    return None
+
+
 def argparse_run(argv, stdout) -> int:
     """`cli.run` with argv read by `argparse_parser`: help and usage as
-    argparse prints them, exit 1 for an unknown command, 2 after a usage
-    error, and the same handlers, JSON errors and output after a parse."""
+    argparse prints them, exit 1 for a line with no command name or an
+    unknown name in its command slot, 2 after a usage error, and the same
+    handlers, JSON errors and output after a parse."""
     parser = argparse_parser()
     if not any(a in cli.COMMAND_TABLE for a in argv):
         if "-h" in argv or "--help" in argv:
             parser.print_help(stdout)
             return 0
+        parser.print_usage(stdout)
+        return 1
+    if command_slot(argv) not in (None, *cli.COMMAND_TABLE):
         parser.print_usage(stdout)
         return 1
     try:

@@ -33,6 +33,17 @@ def test_unknown_command_exits_1():
     assert code == 1
     code, _ = invoke([])
     assert code == 1
+    # an unknown name in the command slot, the first token that is not an
+    # option, exits 1 also when a later token names a command
+    for argv in (["foo", "cartan"], ["-5", "foo", "cartan"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = invoke(argv)
+        assert (code, err.getvalue()) == (1, ""), argv
+        assert text == cli._usage(None)
+    # a command name as the value of --output is a bad choice
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert invoke(["--output", "cartan"])[0] == 2
 
 
 def test_help_exits_0():
@@ -707,11 +718,6 @@ FUZZED_OPTIONS = {
     "--order": (["age", "--exponents", "1,2"], None, _near_tokens("0123456789-+_. ", 3)),
     "--n": (["cartan"], None, _near_tokens("0123456789-+_. ", 3)),
 }
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                 max_size=3),
-    max_leaves=6)
 
 
 def _assert_run_contract(argv):

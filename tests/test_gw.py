@@ -10,6 +10,8 @@ from crepant.geometry import (
     default_geometry,
 )
 from crepant.gw import classify_insertion, gw_invariant, gw_metadata
+from crepant.quantum import QPoint, QuantumRing
+from crepant.scalars import parse_scalar
 from reference import (
     HClass,
     as_row,
@@ -18,6 +20,7 @@ from reference import (
     generator_row,
     gw_by_coords,
     kap,
+    quantum_products_by_gw,
     times_generator,
     zero,
 )
@@ -143,3 +146,17 @@ def test_gw_matches_the_graded_class_route(case):
     got = gw_invariant(geom, beta, [as_row(x) for x in insertions])
     assert got == gw_by_coords(geom, span, insertions)
     assert type(got) is Fraction
+
+
+@pytest.mark.parametrize("n, base", [(n, base) for n in (1, 2, 3) for base in BASES]
+                         + [(4, BASES[1])],
+                         ids=[f"{n}-{b}" for n in (1, 2, 3) for b in BASE_IDS] + ["4-P1"])
+def test_quantum_product_is_the_classical_one_plus_gw_invariants(n, base):
+    # the small quantum product from its definition, for every basis pair,
+    # at rational q_l = 1/(l + 2) and at q = zeta_(n+1)
+    geom = default_geometry(n, base)
+    for q in (QPoint([Fraction(1, l + 2) for l in range(1, n + 1)]),
+              QPoint([parse_scalar(f"zeta{n + 1}")] * n)):
+        ring = QuantumRing(geom, q)
+        for (i, j), want in quantum_products_by_gw(geom, q).items():
+            assert ring.product(i, j) == want, (q.values, i, j)

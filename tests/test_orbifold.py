@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crepant.geometry import (
     BaseRing,
@@ -12,7 +13,6 @@ from crepant.orbifold import (
     ConventionFlags,
     OrbifoldRing,
     age,
-    obstruction_class,
 )
 from reference import (
     as_row,
@@ -22,6 +22,7 @@ from reference import (
     h_power,
     labelled_basis,
     mul_by_table,
+    obstruction_class,
     orbifold_ee_by_coords,
     pairing,
     surface_table,
@@ -44,6 +45,23 @@ def test_obstruction_class():
     assert obstruction_class(3, 3, 3) == "em"
     with pytest.raises(ValueError):
         obstruction_class(3, 0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 40))
+def test_one_normal_line_enters_the_obstruction_bundle(n):
+    # for gh != 1 each line enters Ob(g, h) with exponent age(g) + age(h)
+    # + age((gh)^-1) - 1 on it: 1 on exactly one line, the weight -1 line l
+    # where the oracle says 'ell'
+    order = n + 1
+    for i in range(1, order):
+        for j in range(1, order):
+            if (i + j) % order == 0:
+                assert obstruction_class(n, i, j) is None
+                continue
+            on_l = age(order, (-i, -j, i + j)) - 1
+            on_m = age(order, (i, j, -i - j)) - 1
+            assert sorted((on_l, on_m)) == [0, 1]
+            assert (on_l == 1) == (obstruction_class(n, i, j) == "ell")
 
 
 def test_flags():
@@ -138,7 +156,7 @@ def test_flag_variants_change_product():
 
 @pytest.mark.parametrize("twist_self", TWIST_SELF_CHOICES)
 @pytest.mark.parametrize("dim", [None, 1, 2, 3], ids=["point", "P1", "P2", "P3"])
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_flat_ee_matches_the_graded_class_route(n, dim, twist_self):
     # the one coefficient written into the flat row against the H*(S) route,
     # value and type, at integral and non-integral classes
@@ -155,3 +173,38 @@ def test_flat_ee_matches_the_graded_class_route(n, dim, twist_self):
                 assert got == want
                 assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
                 assert ring.to_json(as_row(got)) == ring.to_json(as_row(want))
+
+
+BASES = [BaseRing("point")] + [BaseRing("projective_space", d) for d in (1, 2, 3)]
+
+
+@st.composite
+def rational_geometries(draw):
+    """(geom, twist_self): n = 2..8 over a point or P^1..P^3, rational k and
+    l, with l = 0 or m = 0 drawn as often as a free l."""
+    n = draw(st.integers(2, 8))
+    small = st.fractions(-3, 3, max_denominator=4)
+    k = draw(small)
+    l = draw(st.sampled_from([Fraction(0), (n + 1) * k]) | small)
+    geom = Geometry(n, draw(st.sampled_from(BASES)), l, (n + 1) * k - l, k)
+    return geom, draw(st.sampled_from(TWIST_SELF_CHOICES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_geometries())
+def test_flat_ee_matches_the_graded_class_route_at_rational_classes(case):
+    # as above at drawn l and k; where the obstruction class is 0 (l = 0 or
+    # m = 0) or the base is a point, the row of e_i e_j has no entry
+    geom, twist_self = case
+    n = geom.n
+    ring = OrbifoldRing(geom, ConventionFlags(twist_self))
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            got, want = generator_product(ring, i, j), orbifold_ee_by_coords(ring, i, j)
+            assert got == want
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+            obstruction = obstruction_class(n, i, j)
+            if obstruction is not None:
+                alpha = geom.l if obstruction == "ell" else geom.m
+                row = ring.product((i + 1) * geom.base.rank, (j + 1) * geom.base.rank)
+                assert (row == {}) == (alpha == 0 or geom.base.dim == 0)
